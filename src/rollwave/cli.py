@@ -25,8 +25,8 @@ import numpy as np
 from . import evans, hill, kdv_limit, linearize, sweep
 from . import profile as profile_mod
 from .model import DomainError, PhysicalParams
-from .profile import (ContinuationStalled, NonConvergence, WaveProfile,
-                      ham_orbit, ham_selection_c0, limit_profile_alpha_m2)
+from .profile import (WaveProfile, ham_orbit, ham_selection_c0,
+                      limit_profile_alpha_m2)
 
 
 def _atomic_write(path: str, text: str):
@@ -100,7 +100,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     "taylor": {
         "in": (str, None, "input profile JSON"),
         "radius": (float, None, "lambda expansion radius"),
-        "n-cheb": (int, 65, "Chebyshev nodes on the circle"),
         "tol": (float, 1e-10, "propagation tolerance"),
         "out": (str, None, "output expansion JSON"),
     },
@@ -120,7 +119,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "q": (_floats, None, "comma-separated explicit outflows"),
         "X": (_floats, None, "comma-separated periods"),
         "n": (int, 512, "profile grid points"),
-        "workers": (int, None, "parallel workers (default ROLLWAVE_THREADS)"),
         "store": (str, None, "JSON-lines result store (appended, resumable)"),
     },
     "fit": {
@@ -153,7 +151,6 @@ _PRIMARY_OUT = {"profile": "out", "continue": "out", "spectrum": "out",
 _COMMON = {
     "config": (str, None, "key = value config file (flags win)"),
     "manifest": (str, None, "manifest path (default <out>.manifest.json)"),
-    "threads": (int, None, "thread-pool size (sets ROLLWAVE_THREADS)"),
 }
 
 
@@ -291,8 +288,7 @@ def _cmd_taylor(o: dict):
     w = _load_profile(o["in"])
     problem = linearize.bloch_coeffs(w)
     evaluator = evans.EvansEvaluator(problem, tol=o["tol"])
-    exp = evans.origin_taylor(problem, R=o["radius"], n_cheb=o["n-cheb"],
-                              evaluator=evaluator)
+    exp = evans.origin_taylor(problem, R=o["radius"], evaluator=evaluator)
     _atomic_write(o["out"], _json_text(exp.to_dict()))
 
 
@@ -312,8 +308,7 @@ def _cmd_sweep(o: dict):
         grid["q0"] = o["q0"]
     if o["q"] is not None:
         grid["q"] = o["q"]
-    sweep.stability_map(grid, store=o["store"], workers=o["workers"],
-                        n=o["n"])
+    sweep.stability_map(grid, store=o["store"], n=o["n"])
 
 
 def _cmd_fit(o: dict):
@@ -410,8 +405,6 @@ def _dispatch(sub: str, opts: dict) -> int:
     unknown = set(opts) - set(schema)
     if unknown:
         raise DomainError(f"unknown option keys: {sorted(unknown)}")
-    if opts.get("threads") is not None:
-        os.environ["ROLLWAVE_THREADS"] = str(int(opts["threads"]))
     _COMMANDS[sub](opts)
     primary = opts.get(_PRIMARY_OUT[sub])
     manifest_path = opts.get("manifest") or (
@@ -449,9 +442,8 @@ def main(argv=None) -> int:
     except (DomainError, FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (NonConvergence, ContinuationStalled, profile_mod.DegenerateJacobian,
-            kdv_limit.SolvabilityError, evans.EvansError, sweep.NotBracketed,
-            sweep.ProbeFailed) as err:
+    except sweep.NUMERIC_ERRORS + (sweep.NotBracketed,
+                                   sweep.ProbeFailed) as err:
         print(f"non-convergence: {err}", file=sys.stderr)
         return 2
     except Exception:

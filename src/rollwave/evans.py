@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hill import max_unstable, spectrum, thread_count
+from . import fourier
+from .hill import max_unstable, spectrum
 from .linearize import SpectralProblem, bloch_coeffs
 from .model import DomainError
 from .profile import WaveProfile
@@ -206,33 +206,11 @@ class EvansEvaluator:
         scale = np.outer(1.0 / self.balance, self.balance)
         self._A0 = fo.A0 * scale[None, :, :]
         self._A1 = fo.A1 * scale[None, :, :]
-        self._c0 = np.fft.fft(self._A0, axis=0) / fo.n
-        self._c1 = np.fft.fft(self._A1, axis=0) / fo.n
         self._tr0 = complex(np.mean(np.trace(fo.A0, axis1=1, axis2=2)))
         self._tr1 = complex(np.mean(np.trace(fo.A1, axis1=1, axis2=2)))
         self.cap = cap if cap is not None else self._calibrate()
 
-    # -- coefficient evaluation ------------------------------------------
-
-    def _eval_coeffs(self, x: np.ndarray, chat: np.ndarray) -> np.ndarray:
-        """Trigonometric evaluation of a sampled matrix function at points x."""
-        n = self.fo.n
-        k = 2.0 * np.pi / self.X * np.fft.fftfreq(n, 1.0 / n)
-        flat = chat.reshape(n, -1)
-        # drop negligible modes so the phase matmul stays cheap
-        mag = np.abs(flat).max(axis=1)
-        keep = mag > 1e-15 * mag.max()
-        if n % 2 == 0:
-            # half-weight the Nyquist mode (its conjugate partner is absent)
-            flat = flat.copy()
-            flat[n // 2] *= 0.5
-            keep = keep.copy()
-        phase = np.exp(1j * np.outer(x, k[keep]))
-        vals = phase @ flat[keep]
-        if n % 2 == 0 and keep[n // 2]:
-            vals += np.outer(np.cos(k[n // 2] * x), flat[n // 2].real) \
-                + 1j * np.outer(np.cos(k[n // 2] * x), flat[n // 2].imag)
-        return vals.real.reshape(len(x), *chat.shape[1:])
+    # -- step grid -------------------------------------------------------
 
     def _step_grid(self, cap: float):
         """Step edges adapted to the local coefficient magnitude.
@@ -249,9 +227,10 @@ class EvansEvaluator:
         # Magnus error density: the fourth-order local error scales like
         # h^5 ||A||^2 ||A''||, so equidistribute its fifth root; keep
         # h * ||A|| bounded as well so no single step spans a huge range
-        k = 2.0 * np.pi / self.X * np.fft.fftfreq(fo.n, 1.0 / fo.n)
+        k = fourier.wavenumbers(fo.n, self.X)
         d2 = np.fft.ifft(-(k ** 2)[:, None, None]
-                         * (self._c0 + self._c1) * fo.n, axis=0).real
+                         * np.fft.fft(self._A0 + self._A1, axis=0),
+                         axis=0).real
         curv = np.abs(d2).sum(axis=2).max(axis=1)
         dens = (omega ** 2 * curv) ** 0.2
         # cap-independent floor so halving the cap always refines the grid
@@ -272,11 +251,10 @@ class EvansEvaluator:
         h = np.diff(edges)
         nodes1 = edges[:-1] + _GAUSS[0] * h
         nodes2 = edges[:-1] + _GAUSS[1] * h
-        G1 = self._eval_coeffs(nodes1, self._c0)
-        G2 = self._eval_coeffs(nodes2, self._c0)
-        H1 = self._eval_coeffs(nodes1, self._c1)
-        H2 = self._eval_coeffs(nodes2, self._c1)
-        grid = (h, G1, G2, H1, H2)
+        A = np.stack([self._A0, self._A1], axis=1)
+        B1 = fourier.interp(A, self.X, nodes1)
+        B2 = fourier.interp(A, self.X, nodes2)
+        grid = (h, B1[:, 0], B2[:, 0], B1[:, 1], B2[:, 1])
         self._grids[cap] = grid
         return grid
 
@@ -358,18 +336,10 @@ class EvansEvaluator:
         return fr
 
     def frames(self, lams) -> list[ScaledFrame]:
-        """Frames for many lambda, computed in parallel (ROLLWAVE_THREADS)."""
+        """Frames for many lambda; each distinct lambda is integrated once."""
         lams = [complex(z) for z in lams]
-        missing = sorted({z for z in lams if z not in self._frames},
-                         key=lambda z: (z.real, z.imag))
-        workers = thread_count()
-        if workers > 1 and len(missing) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for z, fr in zip(missing, pool.map(
-                        lambda z: self._propagate(z, self.cap), missing)):
-                    self._frames[z] = fr
-        else:
-            for z in missing:
+        for z in lams:
+            if z not in self._frames:
                 self._frames[z] = self._propagate(z, self.cap)
         return [self._frames[z] for z in lams]
 
@@ -434,66 +404,6 @@ def _det_scaled(frame: ScaledFrame, rho: complex) -> EvansValue:
         exponent += ls
     mant = np.linalg.det(Q) * np.linalg.det(M)
     return EvansValue(mantissa=complex(mant), exponent=exponent)
-
-
-def floquet_multiplier(frame: ScaledFrame, rho0: complex,
-                       max_iter: int = 60) -> complex:
-    """Polish a Floquet multiplier seed: a root of rho -> det(Psi - rho I).
-
-    Works on the scaled representation, so it stays accurate when the
-    multipliers of Psi spread over hundreds of orders of magnitude (where
-    an eigensolve on the reconstructed matrix would drown the O(1) ones).
-    """
-    rho0 = complex(rho0)
-    h = 1e-7 * max(abs(rho0), 1.0)
-    zs = [rho0 + h, rho0 - h, rho0]
-    vals = [_det_scaled(frame, z) for z in zs]
-    eref = max(v.exponent for v in vals)
-    fs = [v.mantissa * math.exp(min(v.exponent - eref, 700.0)) for v in vals]
-    best_z, best = zs[-1], abs(fs[-1])
-    for _ in range(max_iter):
-        z0, z1, z2 = zs[-3:]
-        f0, f1, f2 = fs[-3:]
-        h1, h2 = z1 - z0, z2 - z1
-        if h1 == 0 or h2 == 0 or h1 + h2 == 0:
-            break
-        d1 = (f1 - f0) / h1
-        d2 = (f2 - f1) / h2
-        a = (d2 - d1) / (h1 + h2)
-        b = a * h2 + d2
-        disc = cmath.sqrt(b * b - 4.0 * f2 * a)
-        den = b + disc if abs(b + disc) > abs(b - disc) else b - disc
-        if den == 0:
-            break
-        z3 = z2 - 2.0 * f2 / den
-        v3 = _det_scaled(frame, z3)
-        f3 = v3.mantissa * math.exp(min(v3.exponent - eref, 700.0))
-        zs.append(z3)
-        fs.append(f3)
-        if abs(f3) < best:
-            best_z, best = z3, abs(f3)
-        if abs(z3 - z2) <= 1e-14 * max(abs(z3), 1.0):
-            break
-    return best_z
-
-
-# ----------------------------------------------------------------------------
-# public operations
-
-
-def monodromy(problem: SpectralProblem, lam: complex,
-              tol: float = 1e-10) -> ScaledFrame:
-    """Monodromy matrix Psi(X, lambda) with Liouville diagnostics attached."""
-    return EvansEvaluator(problem, tol=tol).frame(lam)
-
-
-def evans_value(problem: SpectralProblem, lam: complex, xi: float,
-                tol: float = 1e-10,
-                evaluator: EvansEvaluator | None = None) -> EvansValue:
-    """D(lambda, xi) = det(Psi - e^{i xi X}) as a scaled (mantissa, exponent)."""
-    if evaluator is None:
-        evaluator = EvansEvaluator(problem, tol=tol)
-    return evaluator.value(lam, xi)
 
 
 # -- contours ----------------------------------------------------------------
@@ -699,7 +609,6 @@ class OriginExpansion:
     alpha: np.ndarray            # (2,)
     beta: np.ndarray             # (2,)
     R: float
-    n_cheb: int
     reality_error: float
     representation_residual: float
     scale: float                 # |c20|
@@ -724,36 +633,31 @@ class OriginExpansion:
             "alpha": [[z.real, z.imag] for z in self.alpha],
             "beta": [[z.real, z.imag] for z in self.beta],
             "R": self.R,
-            "n_cheb": self.n_cheb,
             "reality_error": self.reality_error,
             "representation_residual": self.representation_residual,
         }
 
 
-def _cheb_nodes(n: int) -> np.ndarray:
-    return np.cos(np.pi * np.arange(n) / (n - 1))[::-1]
+_TAYLOR_ORDER = 3       # total order of the origin expansion
+_TAYLOR_NODES = 32      # equispaced nodes of the winding check on |lambda| = R
 
 
-def _taylor_circle(evaluator: EvansEvaluator, R: float, xi: float,
-                   theta: np.ndarray, jmax: int) -> np.ndarray:
-    """Taylor coefficients d_j, j=0..jmax, of D(., xi) at 0 via Cauchy.
+def _taylor_circle(frames: list[ScaledFrame], R: float, X: float,
+                   xi: float) -> np.ndarray:
+    """Taylor coefficients d_j, j = 0.._TAYLOR_ORDER, of D(., xi) at 0.
 
-    Chebyshev interpolation of theta -> D(R e^{i pi theta}) e^{-i j pi theta}
-    on [-1, 1], integrated exactly.
+    `frames` sit at lambda_k = R e^{2 pi i k / n}.  The trapezoid rule on
+    that circle, exponentially accurate for the periodic analytic
+    integrand, turns the Cauchy integrals into one FFT:
+    d_j = R^-j fft(D(lambda_k))_j / n.
     """
-    lam = R * np.exp(1j * np.pi * theta)
-    vals = np.array([complex(evaluator.value(z, xi)) for z in lam])
-    out = np.empty(jmax + 1, dtype=complex)
-    for j in range(jmax + 1):
-        integrand = vals * np.exp(-1j * j * np.pi * theta)
-        coef = np.polynomial.chebyshev.chebfit(theta, integrand, len(theta) - 1)
-        integ = np.polynomial.chebyshev.chebint(coef, lbnd=-1.0)
-        out[j] = 0.5 * R ** (-j) * np.polynomial.chebyshev.chebval(1.0, integ)
-    return out
+    rho = cmath.exp(1j * xi * X)
+    vals = np.array([complex(_det_scaled(fr, rho)) for fr in frames])
+    j = np.arange(_TAYLOR_ORDER + 1)
+    return np.fft.fft(vals)[j] / len(vals) * R ** (-j)
 
 
 def origin_taylor(problem: SpectralProblem, R: float | None = None,
-                  K: int = 3, n_cheb: int = 65,
                   evaluator: EvansEvaluator | None = None,
                   max_shrink: int = 6,
                   distinct_tol: float = 1e-4) -> OriginExpansion:
@@ -762,19 +666,18 @@ def origin_taylor(problem: SpectralProblem, R: float | None = None,
     The xi-dependence is exactly a degree-d polynomial in e^{i xi X}, so
     K + 1 Floquet samples at the (K+1)-th roots of unity of e^{i xi X}
     determine it; the lambda Taylor coefficients per sample come from
-    Cauchy integrals on |lambda| = R.
+    Cauchy integrals on |lambda| = R, evaluated on the frames the winding
+    check on that circle has already computed.
     """
     if evaluator is None:
         evaluator = EvansEvaluator(problem)
     X = evaluator.X
-    if not 33 <= n_cheb <= 201:
-        raise DomainError(f"n_cheb must lie in [33, 201], got {n_cheb}")
     if R is None:
         R = 1e-2 * (2.0 * np.pi / X)
 
     for shrink in range(max_shrink + 1):
         rep = winding_number(problem, Contour("circle", R), 0.0,
-                             evaluator=evaluator)
+                             n_start=_TAYLOR_NODES, evaluator=evaluator)
         if rep.winding == 2:
             break
         R *= 0.5
@@ -782,10 +685,14 @@ def origin_taylor(problem: SpectralProblem, R: float | None = None,
         raise WrongRootCountAtR(
             f"winding of D(., 0) on |lambda|=R is {rep.winding}, expected 2")
 
-    theta = _cheb_nodes(n_cheb)
+    # a ZeroOnContour retry perturbs the radius: use the accepted circle
+    R = rep.contour.radius
+    frames = evaluator.frames([rep.contour.point(k / _TAYLOR_NODES)
+                               for k in range(_TAYLOR_NODES)])
+    K = _TAYLOR_ORDER
     m = K + 1
     xis = np.pi * 2.0 * np.arange(m) / (m * X)       # rho at m-th roots of 1
-    d = np.array([_taylor_circle(evaluator, R, x, theta, K) for x in xis])
+    d = np.array([_taylor_circle(frames, R, X, x) for x in xis])
     # d[r, j] = sum_k f[k, j] rho_r^k with rho_r = exp(+2 pi i r / m), so the
     # inverse transform is the *forward* FFT (numpy's fft kernel carries the
     # minus sign) divided by m.
@@ -806,7 +713,6 @@ def origin_taylor(problem: SpectralProblem, R: float | None = None,
             bad = abs(c[a, b].imag) if b % 2 == 0 else abs(c[a, b].real)
             rerr = max(rerr, bad / scale)
 
-    # held-out Floquet sample: the representation must reproduce D exactly
     # held-out Floquet sample; lambda well inside the circle so the order-K
     # lambda truncation does not pollute the rho-basis check
     xi_h = np.pi / (3.0 * X)
@@ -832,7 +738,7 @@ def origin_taylor(problem: SpectralProblem, R: float | None = None,
     beta = np.array([
         -(c[3, 0] * a ** 3 + c[2, 1] * a ** 2 + c[1, 2] * a + c[0, 3])
         / (2.0 * c20 * a + c[1, 1]) for a in alpha])
-    return OriginExpansion(c=c, alpha=alpha, beta=beta, R=R, n_cheb=n_cheb,
+    return OriginExpansion(c=c, alpha=alpha, beta=beta, R=R,
                            reality_error=rerr,
                            representation_residual=rep_res, scale=abs(c20))
 
@@ -913,7 +819,6 @@ _VERDICT_DEFAULTS = {
     "winding_R": 0.2,        # right-half-plane semicircle radius
     "n_xi_winding": 6,       # Floquet subsample for the winding check
     "taylor_R": None,
-    "n_cheb": 65,
     "imag_tol": 1e-4,        # |Re alpha| / |alpha| for "alpha in iR"
     "beta_margin": 1e-8,     # |Re beta| below this is indeterminate
     "evans_tol": 1e-10,
@@ -983,8 +888,7 @@ def verdict(profile: WaveProfile | SpectralProblem,
     evaluator = EvansEvaluator(problem, tol=cfg["evans_tol"])
 
     try:
-        exp = origin_taylor(problem, R=R0, n_cheb=cfg["n_cheb"],
-                            evaluator=evaluator)
+        exp = origin_taylor(problem, R=R0, evaluator=evaluator)
     except NearDoubleAlpha as err:
         conditions["H1"] = None
         return StabilityVerdict(

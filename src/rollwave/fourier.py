@@ -7,6 +7,7 @@ are powers of two so transforms never need padding logic.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 
 def grid(n: int, period: float) -> np.ndarray:
@@ -32,10 +33,14 @@ def deriv(values: np.ndarray, period: float, order: int = 1) -> np.ndarray:
 
 
 def diff_matrix(n: int, period: float, order: int = 1) -> np.ndarray:
-    """Dense trigonometric differentiation matrix."""
-    eye = np.eye(n)
-    cols = [deriv(eye[:, j], period, order) for j in range(n)]
-    return np.column_stack(cols)
+    """Dense trigonometric differentiation matrix.
+
+    Differentiation commutes with grid shifts, so the matrix is circulant
+    with first column the derivative of the unit sample e_0.
+    """
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    return scipy.linalg.circulant(deriv(e0, period, order))
 
 
 def quad(values: np.ndarray, period: float) -> float:
@@ -44,13 +49,19 @@ def quad(values: np.ndarray, period: float) -> float:
 
 
 def interp(values: np.ndarray, period: float, x: np.ndarray | float) -> np.ndarray | float:
-    """Evaluate the trigonometric interpolant at arbitrary points."""
+    """Evaluate the trigonometric interpolant at arbitrary points.
+
+    Samples run along axis 0 of `values`; trailing axes (e.g. matrix
+    entries) are interpolated alike and kept, so the result has shape
+    (len(x), *values.shape[1:]), without the leading axis for scalar x.
+    """
+    values = np.asarray(values)
     n = len(values)
-    coeffs = np.fft.fft(values) / n
+    coeffs = np.fft.fft(values, axis=0).reshape(n, -1) / n
     k = wavenumbers(n, period)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     phases = np.exp(1j * np.outer(x_arr, k))
-    out = phases @ coeffs
+    out = (phases @ coeffs).reshape(len(x_arr), *values.shape[1:])
     if np.isrealobj(values):
         out = out.real
     return out if np.ndim(x) else out[0]

@@ -8,8 +8,6 @@ Toeplitz-like convolution matrix weighted by the Bloch symbol
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,16 +18,8 @@ from .linearize import OperatorForm, SpectralProblem
 from .model import DomainError
 
 
-def thread_count() -> int:
-    """Worker count for per-xi eigensolves, from ROLLWAVE_THREADS."""
-    try:
-        return max(1, int(os.environ.get("ROLLWAVE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _coefficient_spectrum(coeff: np.ndarray | float, n_min: int,
-                          n_native: int) -> np.ndarray | None:
+def _coefficient_spectrum(coeff: np.ndarray | float,
+                          n_min: int) -> np.ndarray | None:
     """FFT coefficients of a sampled coefficient, resampled to >= n_min nodes."""
     if np.isscalar(coeff):
         return None
@@ -39,8 +29,8 @@ def _coefficient_spectrum(coeff: np.ndarray | float, n_min: int,
     return np.fft.fft(arr) / len(arr)
 
 
-def _assemble_terms(terms, m: int, N: int, xi: float, period: float,
-                    n_native: int) -> np.ndarray:
+def _assemble_terms(terms, m: int, N: int, xi: float,
+                    period: float) -> np.ndarray:
     size = 2 * N + 1
     js = np.arange(-N, N + 1)
     kl = xi + 2.0 * np.pi * js / period
@@ -50,7 +40,7 @@ def _assemble_terms(terms, m: int, N: int, xi: float, period: float,
         block = np.zeros((size, size), dtype=complex)
         for order, coeff in termlist:
             sym = (1j * kl) ** order
-            chat = _coefficient_spectrum(coeff, n_min, n_native)
+            chat = _coefficient_spectrum(coeff, n_min)
             if chat is None:
                 block += np.diag(coeff * sym)
             else:
@@ -67,10 +57,10 @@ def assemble(problem: SpectralProblem, N: int,
     op = problem.operator
     if op is None:
         raise DomainError(f"problem kind {problem.kind!r} has no operator form")
-    M1 = _assemble_terms(op.M1, op.m, N, xi, op.period, op.n)
+    M1 = _assemble_terms(op.M1, op.m, N, xi, op.period)
     M2 = None
     if op.M2 is not None:
-        M2 = _assemble_terms(op.M2, op.m, N, xi, op.period, op.n)
+        M2 = _assemble_terms(op.M2, op.m, N, xi, op.period)
     return M1, M2
 
 
@@ -101,14 +91,6 @@ class SpectralCloud:
     N: int
     xi: np.ndarray
     eigs: list[np.ndarray] = field(repr=False)
-
-    def flat(self) -> np.ndarray:
-        """(xi, lambda) pairs as a structured (M, 2) complex-ish array."""
-        rows = [(x, ev) for x, evs in zip(self.xi, self.eigs) for ev in evs]
-        out = np.empty((len(rows), 2), dtype=complex)
-        for i, (x, ev) in enumerate(rows):
-            out[i] = (x, ev)
-        return out
 
     def to_csv(self) -> str:
         lines = ["xi,re,im"]
@@ -146,17 +128,11 @@ def spectrum(problem: SpectralProblem, N: int,
     """Bloch spectrum over a Floquet grid, one dense eigensolve per xi.
 
     Deterministic: eigenvalues per xi are sorted, xi order preserved.
-    Parallel over xi with ROLLWAVE_THREADS workers.
     """
     if xi_grid is None:
         xi_grid = default_xi_grid(problem.period, n_xi)
     xi_grid = np.asarray(xi_grid, dtype=float)
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            eigs = list(pool.map(lambda x: eigenvalues(problem, N, x), xi_grid))
-    else:
-        eigs = [eigenvalues(problem, N, x) for x in xi_grid]
+    eigs = [eigenvalues(problem, N, x) for x in xi_grid]
     return SpectralCloud(kind=problem.kind, N=N, xi=xi_grid, eigs=eigs)
 
 
@@ -164,7 +140,8 @@ def double_period(problem: SpectralProblem) -> SpectralProblem:
     """The same operator on the doubled period (subharmonic perturbations).
 
     Tiles every sampled coefficient twice; xi then ranges over half the
-    fundamental interval of the original wave.
+    fundamental interval of the original wave.  The result has no
+    first-order form, so it is a Hill-only problem.
     """
     op = problem.operator
     if op is None:
@@ -181,7 +158,7 @@ def double_period(problem: SpectralProblem) -> SpectralProblem:
     op2 = OperatorForm(m=op.m, n=2 * op.n, period=2.0 * op.period,
                        M1=tile(op.M1), M2=tile(op.M2))
     return SpectralProblem(kind=problem.kind, period=2.0 * problem.period,
-                           operator=op2, first_order=problem.first_order,
+                           operator=op2, first_order=None,
                            meta=dict(problem.meta))
 
 

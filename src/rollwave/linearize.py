@@ -48,20 +48,6 @@ class FirstOrderForm:
     A0: np.ndarray               # (n, dim, dim)
     A1: np.ndarray               # (n, dim, dim)
 
-    def coefficient_interpolants(self):
-        """FFT coefficient arrays for evaluating A0, A1 at arbitrary x."""
-        c0 = np.fft.fft(self.A0, axis=0) / self.n
-        c1 = np.fft.fft(self.A1, axis=0) / self.n
-        k = fourier.wavenumbers(self.n, self.period)
-        return c0, c1, k
-
-    def evaluate(self, x: float, lam: complex) -> np.ndarray:
-        c0, c1, k = self.coefficient_interpolants()
-        ph = np.exp(1j * k * x)
-        A0 = np.tensordot(ph, c0, axes=(0, 0))
-        A1 = np.tensordot(ph, c1, axes=(0, 0))
-        return A0 + lam * A1
-
 
 @dataclass(frozen=True)
 class SpectralProblem:

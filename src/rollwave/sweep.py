@@ -12,17 +12,25 @@ is q = q0 F and the physical period X = X0 F^2 for the rescaled period X0.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evans, hill
+from . import evans
+from .kdv_limit import SolvabilityError
 from .model import DomainError
-from .profile import WaveProfile, profile_from_limit
+from .profile import (ContinuationStalled, DegenerateJacobian, NonConvergence,
+                      WaveProfile, profile_from_limit)
+
+# Failures of the numerics rather than of the program: a sweep records them
+# as "failed" points and the CLI maps them to exit code 2.
+NUMERIC_ERRORS = (NonConvergence, ContinuationStalled, DegenerateJacobian,
+                  SolvabilityError, evans.EvansError)
 
 
 def _json_default(obj):
@@ -87,7 +95,13 @@ class SweepRecord:
 
 
 class ResultStore:
-    """Append-only JSON-lines store of SweepRecords with key-based resume."""
+    """Append-only JSON-lines store of SweepRecords with key-based resume.
+
+    A sweep killed mid-append leaves a torn final line without its newline;
+    loading drops it with a warning and truncates the file back to the last
+    newline, so the next append starts a clean line.  A malformed line
+    anywhere else raises.
+    """
 
     def __init__(self, path=None):
         self.path = path
@@ -95,10 +109,25 @@ class ResultStore:
         self._keys: set[tuple] = set()
         if path is not None:
             try:
-                text = open(path, "r", encoding="utf-8").read()
+                with open(path, "rb") as fh:
+                    data = fh.read()
             except FileNotFoundError:
-                text = ""
-            for line in text.splitlines():
+                data = b""
+            cut = data.rfind(b"\n") + 1
+            tail = data[cut:]
+            if tail.strip():
+                try:
+                    SweepRecord.from_json(tail.decode("utf-8"))
+                except ValueError:
+                    warnings.warn(f"{path}: dropping a torn final line of "
+                                  f"{len(tail)} bytes", RuntimeWarning)
+                    with open(path, "r+b") as fh:
+                        fh.truncate(cut)
+                    data = data[:cut]
+                else:
+                    with open(path, "ab") as fh:
+                        fh.write(b"\n")
+            for line in data.decode("utf-8").splitlines():
                 if line.strip():
                     self._absorb(SweepRecord.from_json(line))
 
@@ -177,40 +206,46 @@ def default_solver(point: dict, n: int = 512, tol: float = 1e-10
 
 def evaluate_point(point: dict, verdict_config: dict | None = None,
                    solver=None, n: int = 512) -> SweepRecord:
-    """Solve the wave at one grid point and classify its stability."""
+    """Solve the wave at one grid point and classify its stability.
+
+    A numeric failure (NUMERIC_ERRORS, a domain error or a failed linear
+    solve) is recorded as a "failed" record; any other exception is a bug
+    and propagates.
+    """
     t0 = time.monotonic()
     meta = {"q0": point.get("q0"), "X0": point.get("X0"), "n": n}
+    if solver is None:
+        solver = functools.partial(default_solver, n=n)
     try:
-        wave = (solver or default_solver)(point) if solver else \
-            default_solver(point, n=n)
+        wave = solver(point)
         v = evans.verdict(wave, config=verdict_config)
-        meta["residual_norm"] = wave.residual_norm
-        meta["amplitude"] = float(np.ptp(wave.tau))
-        meta["hill_max_real"] = v.diagnostics.get("hill_max_real")
-        if "alpha" in v.diagnostics:
-            meta["origin_alpha"] = v.diagnostics["alpha"]
-            meta["origin_beta"] = v.diagnostics["beta"]
-        return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
-                           q=point["q"], X=point["X"], verdict=v.overall,
-                           witness=v.witness or v.reason,
-                           conditions=dict(v.conditions), meta=meta,
-                           elapsed=time.monotonic() - t0)
-    except Exception as err:  # per-record failures are recorded, not fatal
+    except NUMERIC_ERRORS + (DomainError, np.linalg.LinAlgError) as err:
         return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
                            q=point["q"], X=point["X"], verdict="failed",
                            witness=f"{type(err).__name__}: {err}", meta=meta,
                            elapsed=time.monotonic() - t0)
+    meta["residual_norm"] = wave.residual_norm
+    meta["amplitude"] = float(np.ptp(wave.tau))
+    meta["hill_max_real"] = v.diagnostics.get("hill_max_real")
+    if "alpha" in v.diagnostics:
+        meta["origin_alpha"] = v.diagnostics["alpha"]
+        meta["origin_beta"] = v.diagnostics["beta"]
+    return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
+                       q=point["q"], X=point["X"], verdict=v.overall,
+                       witness=v.witness or v.reason,
+                       conditions=dict(v.conditions), meta=meta,
+                       elapsed=time.monotonic() - t0)
 
 
 def stability_map(grid, store: ResultStore | str | None = None,
-                  workers: int | None = None,
                   verdict_config: dict | None = None, solver=None,
                   n: int = 512) -> list[SweepRecord]:
-    """Stability verdicts over a grid, parallel, checkpointed, resumable.
+    """Stability verdicts over a grid, checkpointed and resumable.
 
-    `grid` is a spec dict (see enumerate_grid) or an iterable of points.
-    Present keys are skipped; new records are appended to the store in grid
-    order regardless of completion order, so reruns are byte-identical.
+    `grid` is a spec dict (see enumerate_grid) or an iterable of points,
+    evaluated one after another.  Present keys are skipped; each new record
+    is appended to the store as soon as it is done, in grid order, so a
+    killed sweep resumes where it stopped and reruns are byte-identical.
     Returns the records of this grid in grid order.
     """
     points = enumerate_grid(grid) if isinstance(grid, dict) else list(grid)
@@ -223,17 +258,10 @@ def stability_map(grid, store: ResultStore | str | None = None,
     def key_of(p):
         return (p["alpha"], p["F"], p["nu"], p["q"], p["X"])
 
-    todo = [p for p in points if key_of(p) not in by_key]
-    workers = workers if workers is not None else hill.thread_count()
-    if todo:
-        work = lambda p: evaluate_point(p, verdict_config=verdict_config,
-                                        solver=solver, n=n)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fresh = list(pool.map(work, todo))
-        else:
-            fresh = [work(p) for p in todo]
-        for rec in fresh:            # append in grid order, post-completion
+    for p in points:
+        if key_of(p) not in by_key:
+            rec = evaluate_point(p, verdict_config=verdict_config,
+                                 solver=solver, n=n)
             store.append(rec)
             by_key[rec.key] = rec
     return [by_key[key_of(p)] for p in points]

@@ -210,7 +210,7 @@ def test_criterion_9_property_suites(fig1c_wave, f6_waves):
     details.append(f"conjugation {conj_err:.1e}")
 
     # Liouville identity for monodromies
-    liouville = max(evans.monodromy(linearize.bloch_coeffs(w), 0.2)
+    liouville = max(evans.EvansEvaluator(linearize.bloch_coeffs(w)).frame(0.2)
                     .liouville_error for w in
                     [fig1c_wave, *f6_waves.values()])
     details.append(f"Liouville {liouville:.1e}")

@@ -22,7 +22,7 @@ def test_constant_monodromy_matches_expm(const_problem):
     # constant coefficients: Psi(X) = expm((A0 + lam A1) X) exactly
     fo = const_problem.first_order
     lam = 0.21 - 0.13j
-    frame = evans.monodromy(const_problem, lam)
+    frame = evans.EvansEvaluator(const_problem).frame(lam)
     ref = scipy.linalg.expm((fo.A0[0] + lam * fo.A1[0]) * fo.period)
     assert np.max(np.abs(frame.matrix - ref)) < 1e-10 * np.max(np.abs(ref))
 
@@ -52,18 +52,9 @@ def test_conjugation_symmetry(fig1c_problem):
 
 
 def test_liouville_identity(fig1c_problem):
-    frame = evans.monodromy(fig1c_problem, 0.2)
+    frame = evans.EvansEvaluator(fig1c_problem).frame(0.2)
     assert frame.liouville_error < 1e-8
     assert not frame.untrusted
-
-
-def test_floquet_multiplier_polish(const_problem):
-    lam = 0.1 + 0.2j
-    frame = evans.monodromy(const_problem, lam)
-    mults = np.linalg.eigvals(frame.matrix)
-    rho = min(mults, key=abs)
-    polished = evans.floquet_multiplier(frame, rho * (1.0 + 1e-5))
-    assert abs(polished - rho) < 1e-8 * max(1.0, abs(rho))
 
 
 def test_winding_counts_roots(const_problem, constant_state):
@@ -91,6 +82,17 @@ def test_origin_double_root(fig1c_problem):
     xi = 1e-3
     pred = exp.curves(xi)[0]
     assert pred[0] == pytest.approx(exp.alpha[0] * xi + exp.beta[0] * xi * xi)
+
+
+def test_origin_taylor_reuses_winding_frames(fig1c_problem):
+    # the Cauchy integrals run on the winding check's own circle nodes, so
+    # the expansion adds only the held-out frame
+    ev = evans.EvansEvaluator(fig1c_problem)
+    exp = evans.origin_taylor(fig1c_problem, evaluator=ev)
+    rep = evans.winding_number(None, evans.Contour("circle", exp.R), 0.0,
+                               evaluator=ev)
+    assert rep.winding == 2
+    assert ev.frames_computed == len(rep.lam) + 1
 
 
 def test_contour_parse_roundtrip():

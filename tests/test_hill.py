@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rollwave import hill, linearize
+from rollwave import evans, hill, linearize
 from rollwave import profile as prof
 from rollwave.model import DomainError
 
@@ -48,12 +48,11 @@ def test_default_xi_grid_excludes_zero(fig1c_wave):
 def test_spectrum_returns_cloud_and_csv_roundtrip(constant_state):
     sp = linearize.bloch_coeffs(constant_state)
     cloud = hill.spectrum(sp, N=8, n_xi=6)
-    pairs = cloud.flat()
-    assert pairs.shape[1] == 2
     cloud2 = hill.SpectralCloud.from_csv(cloud.to_csv())
-    pairs2 = cloud2.flat()
-    assert np.max(np.abs(np.sort_complex(pairs[:, 1])
-                         - np.sort_complex(pairs2[:, 1]))) < 1e-12
+    assert np.array_equal(cloud2.xi, cloud.xi)
+    assert len(cloud2.eigs) == len(cloud.eigs)
+    for a, b in zip(cloud.eigs, cloud2.eigs):
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_ham_limit_excludes_zero_floquet():
@@ -76,6 +75,14 @@ def test_double_period_robustness(constant_state):
     # reproduced on the doubled period
     assert m1 > 0.0
     assert m2 == pytest.approx(m1, rel=0.05, abs=1e-6)
+
+
+def test_double_period_has_no_evans_form(constant_state):
+    # the first-order form is not tiled, so the doubled problem is Hill-only
+    sp2 = hill.double_period(linearize.bloch_coeffs(constant_state))
+    assert sp2.first_order is None
+    with pytest.raises(DomainError):
+        evans.EvansEvaluator(sp2)
 
 
 def test_max_unstable_excludes_origin_ball(constant_state):

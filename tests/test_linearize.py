@@ -48,13 +48,15 @@ def test_translation_mode_in_kernel(fig1c_wave):
     assert np.max(np.abs(resid)) < 1e-6 * max(scale, 1.0)
 
 
-def test_first_order_form_evaluate_matches_samples(fig1c_wave):
+def test_first_order_form_interpolant_matches_samples(fig1c_wave):
     sp = linearize.bloch_coeffs(fig1c_wave)
     fo = sp.first_order
     x = fourier.grid(fo.n, fo.period)
     lam = 0.3 + 0.1j
+    A = fo.A0 + lam * fo.A1
+    assert np.max(np.abs(fourier.interp(A, fo.period, x) - A)) < 1e-10
     j = 17
-    M = fo.evaluate(float(x[j]), lam)
+    M = fourier.interp(A, fo.period, float(x[j]))
     assert np.max(np.abs(M - (fo.A0[j] + lam * fo.A1[j]))) < 1e-10
 
 

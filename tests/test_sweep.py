@@ -5,6 +5,7 @@ import pytest
 
 from rollwave import sweep
 from rollwave.model import DomainError
+from rollwave.profile import NonConvergence
 
 
 def _stub_record(point, verdict="stable"):
@@ -59,17 +60,55 @@ def test_store_resume_is_byte_identical(tmp_path, monkeypatch):
     grid = {"alpha": -2, "nu": 0.1, "q0": 0.4, "F": [4.0, 5.0],
             "X": [7.0, 9.0]}
     path = tmp_path / "map.jsonl"
-    recs1 = sweep.stability_map(grid, store=str(path), workers=2)
+    recs1 = sweep.stability_map(grid, store=str(path))
     text1 = path.read_text()
     # rerun: all keys present, no new work, file unchanged
     def explode(*a, **k):
         raise AssertionError("resume must not re-evaluate")
     monkeypatch.setattr(sweep, "evaluate_point", explode)
-    recs2 = sweep.stability_map(grid, store=str(path), workers=2)
+    recs2 = sweep.stability_map(grid, store=str(path))
     assert path.read_text() == text1
     assert [r.key for r in recs1] == [r.key for r in recs2]
     assert [r.verdict for r in recs1] == ["unstable", "stable",
                                          "unstable", "stable"]
+
+
+def test_store_drops_torn_final_line(tmp_path):
+    path = tmp_path / "s.jsonl"
+    store = sweep.ResultStore(str(path))
+    first = _stub_record(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 7.0))
+    store.append(first)
+    torn = _stub_record(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 8.0))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(torn.to_json()[:25])            # killed mid-append
+    with pytest.warns(RuntimeWarning, match="torn final line"):
+        store = sweep.ResultStore(str(path))
+    assert [r.key for r in store.records] == [first.key]
+    assert path.read_text() == first.to_json() + "\n"
+    store.append(torn)
+    again = sweep.ResultStore(str(path))
+    assert [r.key for r in again.records] == [first.key, torn.key]
+    # a malformed line that is not the torn tail still raises
+    path.write_text("{\n" + first.to_json() + "\n")
+    with pytest.raises(ValueError):
+        sweep.ResultStore(str(path))
+
+
+def test_evaluate_point_records_only_numeric_failures():
+    point = sweep.family_point(-2.0, 4.0, 0.1, 0.4, 7.0)
+
+    def stalls(p):
+        raise NonConvergence("line search stalled")
+
+    rec = sweep.evaluate_point(point, solver=stalls)
+    assert rec.verdict == "failed"
+    assert rec.witness == "NonConvergence: line search stalled"
+
+    def buggy(p):
+        raise TypeError("a programming error")
+
+    with pytest.raises(TypeError):
+        sweep.evaluate_point(point, solver=buggy)
 
 
 def test_store_rejects_duplicate_key(tmp_path):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import evans, hill, kdv_limit, linearize, sweep
 from . import profile as profile_mod
-from .model import DomainError, PhysicalParams
+from .model import DomainError
 from .profile import (WaveProfile, ham_orbit, ham_selection_c0,
                       limit_profile_alpha_m2)
 
@@ -268,9 +268,8 @@ def _cmd_evans(o: dict):
     contour = evans.Contour.parse(o["contour"])
     xis = _xi_list(o, problem.period)
     evaluator = evans.EvansEvaluator(problem, tol=o["tol"])
-    reports = evans.winding_sweep(problem, contour, xis,
-                                  rel_jump=o["rel-jump"],
-                                  evaluator=evaluator)
+    reports = evans.winding_sweep(evaluator, contour, xis,
+                                  rel_jump=o["rel-jump"])
     if o["format"] == "json":
         _atomic_write(o["out"], _json_text([r.to_dict() for r in reports]))
     elif o["format"] == "csv":
@@ -286,18 +285,16 @@ def _cmd_evans(o: dict):
 def _cmd_taylor(o: dict):
     _require(o, "in", "out")
     w = _load_profile(o["in"])
-    problem = linearize.bloch_coeffs(w)
-    evaluator = evans.EvansEvaluator(problem, tol=o["tol"])
-    exp = evans.origin_taylor(problem, R=o["radius"], evaluator=evaluator)
+    evaluator = evans.EvansEvaluator(linearize.bloch_coeffs(w), tol=o["tol"])
+    exp = evans.origin_taylor(evaluator, R=o["radius"])
     _atomic_write(o["out"], _json_text(exp.to_dict()))
 
 
 def _cmd_verdict(o: dict):
     _require(o, "in", "report")
     w = _load_profile(o["in"])
-    cfg = {"N": (o["modes"] - 1) // 2, "n_xi": o["xi-points"],
-           "winding_R": o["winding-R"], "evans_tol": o["evans-tol"]}
-    v = evans.verdict(w, config=cfg)
+    v = evans.verdict(w, N=(o["modes"] - 1) // 2, n_xi=o["xi-points"],
+                      winding_R=o["winding-R"], evans_tol=o["evans-tol"])
     _atomic_write(o["report"], _json_text(v.to_dict()))
 
 
@@ -343,7 +340,7 @@ def _cmd_kdv(o: dict):
         N = (o["modes"] - 1) // 2
         growth = kdv_limit.kdvks_max_growth(o["delta"], X, N=N)
         out.update(delta=o["delta"], max_growth=growth,
-                   stable=bool(growth <= 1e-7))
+                   stable=growth <= kdv_limit.STABLE_GROWTH_TOL)
     _atomic_write(o["out"], _json_text(out))
 
 

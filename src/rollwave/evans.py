@@ -24,7 +24,7 @@ import numpy as np
 from . import fourier
 from .hill import max_unstable, spectrum
 from .linearize import SpectralProblem, bloch_coeffs
-from .model import DomainError
+from .model import DomainError, slope_margin
 from .profile import WaveProfile
 
 
@@ -61,6 +61,8 @@ class NearDoubleAlpha(EvansError):
 
 
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_QR_STRIDE = 16         # Magnus steps between re-orthogonalizations
+_NORM_CAP = 1e8         # ... or sooner, once the frame grows past this
 
 
 # ----------------------------------------------------------------------------
@@ -116,10 +118,6 @@ class ScaledFrame:
     untrusted: bool
     n_steps: int
     balance: np.ndarray | None = None
-
-    @property
-    def log_scale(self) -> float:
-        return float(np.max(self.row_scales))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -182,9 +180,7 @@ class EvansEvaluator:
     monodromy; `frames_computed` counts the distinct integrations done.
     """
 
-    def __init__(self, problem: SpectralProblem, tol: float = 1e-10,
-                 cap: float | None = None, qr_stride: int = 16,
-                 norm_cap: float = 1e8):
+    def __init__(self, problem: SpectralProblem, tol: float = 1e-10):
         fo = problem.first_order
         if fo is None:
             raise DomainError(
@@ -194,8 +190,6 @@ class EvansEvaluator:
         self.X = float(fo.period)
         self.dim = fo.dim
         self.tol = tol
-        self.qr_stride = qr_stride
-        self.norm_cap = norm_cap
         self._frames: dict[complex, ScaledFrame] = {}
         self._grids: dict[float, tuple] = {}
         # constant diagonal balancing D^-1 A D: a similarity leaves D(lambda,
@@ -208,7 +202,7 @@ class EvansEvaluator:
         self._A1 = fo.A1 * scale[None, :, :]
         self._tr0 = complex(np.mean(np.trace(fo.A0, axis1=1, axis2=2)))
         self._tr1 = complex(np.mean(np.trace(fo.A1, axis1=1, axis2=2)))
-        self.cap = cap if cap is not None else self._calibrate()
+        self.cap = self._calibrate()
 
     # -- step grid -------------------------------------------------------
 
@@ -274,12 +268,11 @@ class EvansEvaluator:
         U = np.eye(d, dtype=complex)
         g = np.zeros(d)
         logdet = 0.0 + 0.0j
-        stride, cap_norm = self.qr_stride, self.norm_cap
         since_qr = 0
         for j in range(len(h)):
             Y = E[j] @ Y
             since_qr += 1
-            if since_qr >= stride or np.abs(Y).max() > cap_norm:
+            if since_qr >= _QR_STRIDE or np.abs(Y).max() > _NORM_CAP:
                 Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
                 since_qr = 0
         Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
@@ -489,25 +482,23 @@ def _relative_jump(a: EvansValue, b: EvansValue) -> float:
     return abs(r - 1.0) / min(1.0, mag)
 
 
-def winding_number(problem: SpectralProblem | None, contour: Contour,
-                   xi: float, rel_jump: float = 0.2,
-                   n_start: int = 32, max_points: int = 4000,
-                   evaluator: EvansEvaluator | None = None) -> ContourReport:
+_CONTOUR_NODES = 32     # equispaced starting points of every contour
+_MAX_POINTS = 4000      # refinement budget per contour
+
+
+def winding_number(evaluator: EvansEvaluator, contour: Contour, xi: float,
+                   rel_jump: float = 0.2) -> ContourReport:
     """Adaptive winding number of D(., xi) along the contour.
 
-    Points are inserted at parameter midpoints until every consecutive
-    relative jump is at most rel_jump (Rouche criterion); the accumulated
-    argument must round to an integer with margin >= 0.25.
+    Starting from _CONTOUR_NODES equispaced parameters, points are inserted
+    at parameter midpoints until every consecutive relative jump is at most
+    rel_jump (Rouche criterion); the accumulated argument must round to an
+    integer with margin >= 0.25.
     """
-    if evaluator is None:
-        if problem is None:
-            raise DomainError("winding_number needs a problem or an evaluator")
-        evaluator = EvansEvaluator(problem)
     perturbed = False
     for attempt in range(2):
         try:
-            return _winding_once(evaluator, contour, xi, rel_jump,
-                                 n_start, max_points, perturbed)
+            return _winding_once(evaluator, contour, xi, rel_jump, perturbed)
         except ZeroOnContour:
             if attempt == 1:
                 raise
@@ -519,9 +510,8 @@ def winding_number(problem: SpectralProblem | None, contour: Contour,
 
 
 def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
-                  rel_jump: float, n_start: int, max_points: int,
-                  perturbed: bool) -> ContourReport:
-    ts = list(np.linspace(0.0, 1.0, n_start, endpoint=False))
+                  rel_jump: float, perturbed: bool) -> ContourReport:
+    ts = list(np.linspace(0.0, 1.0, _CONTOUR_NODES, endpoint=False))
     lam = [contour.point(t) for t in ts]
     evaluator.frames(lam)
     vals = [evaluator.value(z, xi) for z in lam]
@@ -534,14 +524,14 @@ def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
         bad = [i for i, j in enumerate(jumps) if j > rel_jump]
         if not bad:
             break
-        if len(ts) + len(bad) > max_points:
+        if len(ts) + len(bad) > _MAX_POINTS:
             scale_log = max(v.log_abs for v in vals)
             if min(v.log_abs for v in vals) < scale_log - 30.0:
                 raise ZeroOnContour(
                     f"|D| collapses on the contour at xi={xi:g} while "
-                    f"refining past {max_points} points")
+                    f"refining past {_MAX_POINTS} points")
             raise MaxPointsExceeded(
-                f"contour refinement exceeded {max_points} points")
+                f"contour refinement exceeded {_MAX_POINTS} points")
         new_ts = []
         for i in bad:
             t0 = ts[i]
@@ -575,21 +565,14 @@ def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
                          perturbed=perturbed)
 
 
-def winding_sweep(problem: SpectralProblem, contour: Contour,
-                  xis, rel_jump: float = 0.2, n_start: int = 32,
-                  max_points: int = 4000,
-                  evaluator: EvansEvaluator | None = None
-                  ) -> list[ContourReport]:
+def winding_sweep(evaluator: EvansEvaluator, contour: Contour, xis,
+                  rel_jump: float = 0.2) -> list[ContourReport]:
     """Winding numbers over many Floquet parameters with shared monodromies.
 
     Frames depend only on lambda, so all xi values reuse one cache; the
     total integration count is evaluator.frames_computed afterwards.
     """
-    if evaluator is None:
-        evaluator = EvansEvaluator(problem)
-    return [winding_number(problem, contour, float(x), rel_jump=rel_jump,
-                           n_start=n_start, max_points=max_points,
-                           evaluator=evaluator)
+    return [winding_number(evaluator, contour, float(x), rel_jump=rel_jump)
             for x in np.atleast_1d(xis)]
 
 
@@ -620,12 +603,6 @@ class OriginExpansion:
                 and abs(self.c[1, 0]) <= 1e-6 * s
                 and abs(self.c[0, 1]) <= 1e-6 * s)
 
-    def curves(self, xi) -> np.ndarray:
-        """Predicted small-xi eigenvalues alpha_j xi + beta_j xi^2."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return (self.alpha[None, :] * xi[:, None]
-                + self.beta[None, :] * xi[:, None] ** 2)
-
     def to_dict(self) -> dict:
         return {
             "c": [[[self.c[a, b].real, self.c[a, b].imag]
@@ -639,7 +616,8 @@ class OriginExpansion:
 
 
 _TAYLOR_ORDER = 3       # total order of the origin expansion
-_TAYLOR_NODES = 32      # equispaced nodes of the winding check on |lambda| = R
+_MAX_SHRINK = 6         # halvings of R allowed to find the double root alone
+_DISTINCT_TOL = 1e-4    # relative |alpha1 - alpha2| below which H1 is undecided
 
 
 def _taylor_circle(frames: list[ScaledFrame], R: float, X: float,
@@ -657,27 +635,22 @@ def _taylor_circle(frames: list[ScaledFrame], R: float, X: float,
     return np.fft.fft(vals)[j] / len(vals) * R ** (-j)
 
 
-def origin_taylor(problem: SpectralProblem, R: float | None = None,
-                  evaluator: EvansEvaluator | None = None,
-                  max_shrink: int = 6,
-                  distinct_tol: float = 1e-4) -> OriginExpansion:
+def origin_taylor(evaluator: EvansEvaluator,
+                  R: float | None = None) -> OriginExpansion:
     """Origin expansion c_{a,b}, alpha_j, beta_j of the Evans function.
 
     The xi-dependence is exactly a degree-d polynomial in e^{i xi X}, so
     K + 1 Floquet samples at the (K+1)-th roots of unity of e^{i xi X}
     determine it; the lambda Taylor coefficients per sample come from
-    Cauchy integrals on |lambda| = R, evaluated on the frames the winding
-    check on that circle has already computed.
+    Cauchy integrals on |lambda| = R, evaluated on the _CONTOUR_NODES
+    frames the winding check on that circle has already computed.
     """
-    if evaluator is None:
-        evaluator = EvansEvaluator(problem)
     X = evaluator.X
     if R is None:
         R = 1e-2 * (2.0 * np.pi / X)
 
-    for shrink in range(max_shrink + 1):
-        rep = winding_number(problem, Contour("circle", R), 0.0,
-                             n_start=_TAYLOR_NODES, evaluator=evaluator)
+    for shrink in range(_MAX_SHRINK + 1):
+        rep = winding_number(evaluator, Contour("circle", R), 0.0)
         if rep.winding == 2:
             break
         R *= 0.5
@@ -687,8 +660,8 @@ def origin_taylor(problem: SpectralProblem, R: float | None = None,
 
     # a ZeroOnContour retry perturbs the radius: use the accepted circle
     R = rep.contour.radius
-    frames = evaluator.frames([rep.contour.point(k / _TAYLOR_NODES)
-                               for k in range(_TAYLOR_NODES)])
+    frames = evaluator.frames([rep.contour.point(k / _CONTOUR_NODES)
+                               for k in range(_CONTOUR_NODES)])
     K = _TAYLOR_ORDER
     m = K + 1
     xis = np.pi * 2.0 * np.arange(m) / (m * X)       # rho at m-th roots of 1
@@ -731,10 +704,10 @@ def origin_taylor(problem: SpectralProblem, R: float | None = None,
     alpha = np.array([(-c[1, 1] + disc) / (2.0 * c20),
                       (-c[1, 1] - disc) / (2.0 * c20)])
     amax = max(abs(alpha[0]), abs(alpha[1]), 1e-300)
-    if abs(alpha[0] - alpha[1]) < distinct_tol * amax:
+    if abs(alpha[0] - alpha[1]) < _DISTINCT_TOL * amax:
         raise NearDoubleAlpha(
             f"|alpha1 - alpha2| = {abs(alpha[0] - alpha[1]):.3e} "
-            f"< {distinct_tol:g} * {amax:.3e}")
+            f"< {_DISTINCT_TOL:g} * {amax:.3e}")
     beta = np.array([
         -(c[3, 0] * a ** 3 + c[2, 1] * a ** 2 + c[1, 2] * a + c[0, 3])
         / (2.0 * c20 * a + c[1, 1]) for a in alpha])
@@ -746,20 +719,19 @@ def origin_taylor(problem: SpectralProblem, R: float | None = None,
 # -- root polishing ----------------------------------------------------------
 
 
-def polish_root(problem: SpectralProblem | None, lam0: complex, xi: float,
-                tol_factor: float = 1e-10, max_iter: int = 40,
-                evaluator: EvansEvaluator | None = None) -> complex:
+_POLISH_TOL = 1e-10     # |D| reduction that counts as a root
+_POLISH_MAX_ITER = 40
+
+
+def polish_root(evaluator: EvansEvaluator, lam0: complex,
+                xi: float) -> complex:
     """Polish a root seed of D(., xi) by Mueller's method.
 
-    Converges when |D| falls below tol_factor times the local scale (the
+    Converges when |D| falls below _POLISH_TOL times the local scale (the
     largest |D| seen among the initial points).  Near the origin, where the
     seeds already sit on |D| values at the evaluation noise floor, a
     stagnating step with a large |D| reduction is also accepted.
     """
-    if evaluator is None:
-        if problem is None:
-            raise DomainError("polish_root needs a problem or an evaluator")
-        evaluator = EvansEvaluator(problem)
     lam0 = complex(lam0)
     h0 = 1e-5 * max(abs(lam0), 2.0 * np.pi / evaluator.X * 1e-2)
     zs = [lam0 + h0, lam0 - h0, lam0]
@@ -767,10 +739,10 @@ def polish_root(problem: SpectralProblem | None, lam0: complex, xi: float,
     eref = max(v.exponent for v in vs)
     fs = [v.mantissa * math.exp(min(v.exponent - eref, 700.0)) for v in vs]
     scale_log = max(v.log_abs for v in vs)
-    target_log = scale_log + math.log(tol_factor)
+    target_log = scale_log + math.log(_POLISH_TOL)
     best_z, best_log = zs[-1], vs[-1].log_abs
     stagnated = False
-    for _ in range(max_iter):
+    for _ in range(_POLISH_MAX_ITER):
         if vs[-1].log_abs <= target_log:
             return zs[-1]
         z0, z1, z2 = zs[-3:]
@@ -812,17 +784,10 @@ def polish_root(problem: SpectralProblem | None, lam0: complex, xi: float,
 # -- verdict -----------------------------------------------------------------
 
 
-_VERDICT_DEFAULTS = {
-    "N": 60,                 # Hill truncation
-    "n_xi": 48,              # Hill Floquet samples
-    "hill_tol": 1e-7,        # Hill instability threshold away from origin
-    "winding_R": 0.2,        # right-half-plane semicircle radius
-    "n_xi_winding": 6,       # Floquet subsample for the winding check
-    "taylor_R": None,
-    "imag_tol": 1e-4,        # |Re alpha| / |alpha| for "alpha in iR"
-    "beta_margin": 1e-8,     # |Re beta| below this is indeterminate
-    "evans_tol": 1e-10,
-}
+_HILL_TOL = 1e-7        # Hill instability threshold away from the origin
+_N_XI_WINDING = 6       # Floquet subsample for the winding check
+_IMAG_TOL = 1e-4        # |Re alpha| / |alpha| for "alpha in iR"
+_BETA_MARGIN = 1e-8     # |Re beta| below this is indeterminate
 
 
 @dataclass(frozen=True)
@@ -841,43 +806,35 @@ class StabilityVerdict:
                 "diagnostics": dict(self.diagnostics)}
 
 
-def verdict(profile: WaveProfile | SpectralProblem,
-            config: dict | None = None) -> StabilityVerdict:
+def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
+            winding_R: float = 0.2,
+            evans_tol: float = 1e-10) -> StabilityVerdict:
     """Stability classification of a periodic wave.
 
-    Combines the Hill scan away from the origin plus right-half-plane
-    winding checks (D1), the origin Taylor expansion (D2: Re beta < 0 with
+    Combines the Hill scan (truncation N, n_xi Floquet samples) away from
+    the origin plus right-half-plane winding checks on the semicircle of
+    radius winding_R (D1), the origin Taylor expansion (D2: Re beta < 0 with
     alpha on the imaginary axis; D3: double root at the origin), and slope
     distinctness (H1).  The technical slope condition 2 nu u_x < F^-2 is
     evaluated and reported but does not enter the overall spectral verdict:
     it concerns the nonlinear (Kawashima-type damping) argument and fails
     for every wave once F is moderately large.
     """
-    cfg = dict(_VERDICT_DEFAULTS)
-    if config:
-        cfg.update(config)
     conditions: dict[str, bool | None] = {
         "D1": None, "D2": None, "D3": None, "H1": None, "slope": None}
     diag: dict = {}
 
-    if isinstance(profile, SpectralProblem):
-        problem = profile
-        conditions["slope"] = None
-        diag["slope_margin"] = None
-    else:
-        from .model import slope_margin
-        problem = bloch_coeffs(profile)
-        margin = slope_margin(profile)
-        diag["slope_margin"] = margin
-        conditions["slope"] = margin > 0.0
+    problem = bloch_coeffs(profile)
+    margin = slope_margin(profile)
+    diag["slope_margin"] = margin
+    conditions["slope"] = margin > 0.0
 
     X = problem.period
-    R0 = cfg["taylor_R"] if cfg["taylor_R"] is not None \
-        else 1e-2 * (2.0 * np.pi / X)
-    cloud = spectrum(problem, cfg["N"], n_xi=cfg["n_xi"])
+    R0 = 1e-2 * (2.0 * np.pi / X)
+    cloud = spectrum(problem, N, n_xi=n_xi)
     mu = max_unstable(cloud, r0=2.0 * R0)
     diag["hill_max_real"] = mu
-    if mu > cfg["hill_tol"]:
+    if mu > _HILL_TOL:
         conditions["D1"] = False
         return StabilityVerdict(
             overall="unstable", conditions=conditions,
@@ -885,10 +842,10 @@ def verdict(profile: WaveProfile | SpectralProblem,
                     f"away from the origin",
             diagnostics=diag)
 
-    evaluator = EvansEvaluator(problem, tol=cfg["evans_tol"])
+    evaluator = EvansEvaluator(problem, tol=evans_tol)
 
     try:
-        exp = origin_taylor(problem, R=R0, evaluator=evaluator)
+        exp = origin_taylor(evaluator, R=R0)
     except NearDoubleAlpha as err:
         conditions["H1"] = None
         return StabilityVerdict(
@@ -903,17 +860,17 @@ def verdict(profile: WaveProfile | SpectralProblem,
     conditions["D3"] = exp.double_root_ok
     conditions["H1"] = True
     amax = max(abs(z) for z in exp.alpha)
-    alpha_imag = all(abs(z.real) <= cfg["imag_tol"] * max(abs(z), amax * 1e-3)
+    alpha_imag = all(abs(z.real) <= _IMAG_TOL * max(abs(z), amax * 1e-3)
                      for z in exp.alpha)
     re_beta = [z.real for z in exp.beta]
-    if any(rb > cfg["beta_margin"] for rb in re_beta) or not alpha_imag:
+    if any(rb > _BETA_MARGIN for rb in re_beta) or not alpha_imag:
         conditions["D2"] = False
         return StabilityVerdict(
             overall="unstable", conditions=conditions,
             witness=f"origin expansion: alpha = {exp.alpha.tolist()}, "
                     f"Re beta = {re_beta}",
             diagnostics=diag)
-    if any(abs(rb) <= cfg["beta_margin"] for rb in re_beta):
+    if any(abs(rb) <= _BETA_MARGIN for rb in re_beta):
         conditions["D2"] = None
         return StabilityVerdict(
             overall="indeterminate", conditions=conditions,
@@ -921,12 +878,9 @@ def verdict(profile: WaveProfile | SpectralProblem,
             diagnostics=diag)
     conditions["D2"] = True
 
-    xi_w = np.pi / X * np.linspace(0.1, 1.0, cfg["n_xi_winding"])
-    contour = Contour("semicircle", cfg["winding_R"])
-    windings = []
-    for x in xi_w:
-        rep = winding_number(problem, contour, float(x), evaluator=evaluator)
-        windings.append(rep.winding)
+    xi_w = np.pi / X * np.linspace(0.1, 1.0, _N_XI_WINDING)
+    reports = winding_sweep(evaluator, Contour("semicircle", winding_R), xi_w)
+    windings = [rep.winding for rep in reports]
     diag["windings"] = windings
     diag["frames_computed"] = evaluator.frames_computed
     if any(w != 0 for w in windings):

@@ -99,39 +99,19 @@ class SpectralCloud:
                 lines.append(f"{x:.17g},{ev.real:.17g},{ev.imag:.17g}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str, kind: str = "file", N: int = 0) -> "SpectralCloud":
-        xis: list[float] = []
-        groups: dict[float, list[complex]] = {}
-        for line in text.strip().splitlines()[1:]:
-            xs, rs, ims = line.split(",")
-            x = float(xs)
-            if x not in groups:
-                groups[x] = []
-                xis.append(x)
-            groups[x].append(complex(float(rs), float(ims)))
-        return cls(kind=kind, N=N, xi=np.asarray(xis),
-                   eigs=[np.asarray(groups[x]) for x in xis])
 
-
-def default_xi_grid(period: float, n_xi: int = 64,
-                    include_zero: bool = False) -> np.ndarray:
-    """Floquet parameters in the fundamental interval [-pi/X, pi/X)."""
+def default_xi_grid(period: float, n_xi: int = 64) -> np.ndarray:
+    """Nonzero Floquet parameters in the fundamental interval [-pi/X, pi/X)."""
     xi = -np.pi / period + 2.0 * np.pi / period * np.arange(n_xi) / n_xi
-    if not include_zero:
-        xi = xi[np.abs(xi) > 1e-14]
-    return xi
+    return xi[np.abs(xi) > 1e-14]
 
 
-def spectrum(problem: SpectralProblem, N: int,
-             xi_grid: np.ndarray | None = None, n_xi: int = 64) -> SpectralCloud:
-    """Bloch spectrum over a Floquet grid, one dense eigensolve per xi.
+def spectrum(problem: SpectralProblem, N: int, n_xi: int = 64) -> SpectralCloud:
+    """Bloch spectrum over default_xi_grid, one dense eigensolve per xi.
 
     Deterministic: eigenvalues per xi are sorted, xi order preserved.
     """
-    if xi_grid is None:
-        xi_grid = default_xi_grid(problem.period, n_xi)
-    xi_grid = np.asarray(xi_grid, dtype=float)
+    xi_grid = default_xi_grid(problem.period, n_xi)
     eigs = [eigenvalues(problem, N, x) for x in xi_grid]
     return SpectralCloud(kind=problem.kind, N=N, xi=xi_grid, eigs=eigs)
 

@@ -1,4 +1,4 @@
-"""Wave parameters, nondimensional scaling families, and cheap pointwise checks.
+"""Wave parameters and cheap pointwise checks.
 
 The five wave parameters are the Froude number F, viscosity nu = 1/Re, the
 total outflow q, the wave speed c, and the Lagrangian period X, together with
@@ -10,12 +10,10 @@ of the traveling-wave system exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from . import fourier
 
 if TYPE_CHECKING:
     from .profile import WaveProfile
@@ -46,61 +44,8 @@ class PhysicalParams:
         if self.tau0 is not None and self.tau0 <= 0.0:
             raise DomainError(f"tau0 must be strictly positive, got {self.tau0}")
 
-    @property
-    def roll_wave_regime(self) -> bool:
-        return self.F > 2.0
-
     def with_(self, **kwargs) -> "PhysicalParams":
         return replace(self, **kwargs)
-
-
-@dataclass(frozen=True)
-class ScalingFamily:
-    """Large-F scaling family indexed by the exponent alpha >= -2.
-
-    Under the family, tau ~ F^alpha, u ~ F^{-alpha/2},
-    c = c0 F^{-1-3alpha/2}, X = X0 F^{-1/2-5alpha/4}, q = q0 F^{-alpha/2},
-    and the wave number scales as k = k0 F^{1/2+5alpha/4} with k0 = 1/X0.
-    """
-
-    alpha: float
-    q0: float
-    c0: float
-    X0: float
-    k0: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.alpha < -2.0:
-            raise DomainError(f"alpha must be >= -2, got {self.alpha}")
-        if self.k0 == 0.0 and self.X0 != 0.0:
-            object.__setattr__(self, "k0", 1.0 / self.X0)
-
-
-def scale_to_physical(fam: ScalingFamily, F: float, nu: float = 0.1,
-                      tau0: float | None = None) -> PhysicalParams:
-    """Map rescaled constants (q0, c0, X0) at exponent alpha to physical (q, c, X)."""
-    if F <= 0.0:
-        raise DomainError(f"F must be positive, got {F}")
-    a = fam.alpha
-    return PhysicalParams(
-        F=F,
-        nu=nu,
-        q=fam.q0 * F ** (-a / 2.0),
-        c=fam.c0 * F ** (-1.0 - 1.5 * a),
-        X=fam.X0 * F ** (-0.5 - 1.25 * a),
-        tau0=tau0,
-    )
-
-
-def physical_to_scaled(params: PhysicalParams, alpha: float) -> ScalingFamily:
-    """Inverse of :func:`scale_to_physical` at a given exponent."""
-    F = params.F
-    return ScalingFamily(
-        alpha=alpha,
-        q0=params.q * F ** (alpha / 2.0),
-        c0=params.c * F ** (1.0 + 1.5 * alpha),
-        X0=params.X * F ** (0.5 + 1.25 * alpha),
-    )
 
 
 def slope_margin(profile: "WaveProfile") -> float:
@@ -112,52 +57,3 @@ def slope_margin(profile: "WaveProfile") -> float:
     p = profile.params
     ux = -p.c * profile.dtau
     return float(np.min(p.F ** -2 - 2.0 * p.nu * ux))
-
-
-def eulerian_period(profile: "WaveProfile") -> float:
-    """Eulerian period Xi = integral of tau over one Lagrangian period."""
-    return fourier.quad(profile.tau, profile.params.X)
-
-
-_SERIAL_KEYS = ("F", "nu", "q", "c", "X", "tau0", "alpha", "q0", "c0", "k0", "X0")
-
-
-def params_to_text(params: PhysicalParams | None = None,
-                   fam: ScalingFamily | None = None) -> str:
-    """Serialize parameters to the flat `key = value` text block.
-
-    Keys are exactly F, nu, q, c, X, tau0, alpha, q0, c0, k0, X0, with absent
-    keys omitted and numbers in full double precision.
-    """
-    values: dict[str, float] = {}
-    if params is not None:
-        values.update(F=params.F, nu=params.nu, q=params.q, c=params.c, X=params.X)
-        if params.tau0 is not None:
-            values["tau0"] = params.tau0
-    if fam is not None:
-        values.update(alpha=fam.alpha, q0=fam.q0, c0=fam.c0, k0=fam.k0, X0=fam.X0)
-    lines = [f"{k} = {values[k]:.17g}" for k in _SERIAL_KEYS if k in values]
-    return "\n".join(lines) + "\n"
-
-
-def params_from_text(text: str) -> tuple[PhysicalParams | None, ScalingFamily | None]:
-    """Parse the `key = value` block written by :func:`params_to_text`."""
-    values: dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _SERIAL_KEYS:
-            raise DomainError(f"unknown parameter key: {key!r}")
-        values[key] = float(val)
-    params = None
-    fam = None
-    if {"F", "nu", "q", "c", "X"} <= values.keys():
-        params = PhysicalParams(F=values["F"], nu=values["nu"], q=values["q"],
-                                c=values["c"], X=values["X"], tau0=values.get("tau0"))
-    if {"alpha", "q0", "c0", "X0"} <= values.keys():
-        fam = ScalingFamily(alpha=values["alpha"], q0=values["q0"], c0=values["c0"],
-                            X0=values["X0"], k0=values.get("k0", 0.0))
-    return params, fam

@@ -117,26 +117,28 @@ def equilibrium(F: float, nu: float, tau0: float = 1.0,
                        provenance="equilibrium")
 
 
+_NEWTON_MAX_ITER = 60
+
+
 def _newton(tau: np.ndarray, params: PhysicalParams, seed_tau: np.ndarray,
-            seed_dtau: np.ndarray, free: str, tol: float, max_iter: int):
-    """Newton iteration for (tau, c) or (tau, q) at fixed remaining parameters."""
+            seed_dtau: np.ndarray, tol: float):
+    """Newton iteration for (tau, c) at fixed (F, nu, q, X)."""
     n = len(tau)
     F, nu, X = params.F, params.nu, params.X
     c, q = params.c, params.q
     D1 = fourier.diff_matrix(n, X, 1)
 
-    def residual(tau, c, q):
-        p = params.with_(c=c, q=q)
-        G = ode_residual(tau, p)
+    def residual(tau, c):
+        G = ode_residual(tau, params.with_(c=c))
         phase = float(np.mean((tau - seed_tau) * seed_dtau))
         return G, phase
 
     def norm(G, phase):
         return max(float(np.max(np.abs(G))), abs(phase))
 
-    G, phase = residual(tau, c, q)
+    G, phase = residual(tau, c)
     err = norm(G, phase)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if err <= tol:
             break
         if np.min(tau) <= 0.0:
@@ -151,13 +153,8 @@ def _newton(tau: np.ndarray, params: PhysicalParams, seed_tau: np.ndarray,
                    + c * nu * ((D1 * (tau ** -2)[None, :]) @ D1
                                - 2.0 * D1 * (tau ** -3 * dt)[None, :]))
         J[:n, :n] = dG_dtau
-        if free == "c":
-            J[:n, n] = (2.0 * c * dt - 2.0 * tau ** 2 * (q - c * tau)
-                        + nu * fourier.deriv(tau ** -2 * dt, X))
-        elif free == "q":
-            J[:n, n] = 2.0 * tau * (q - c * tau)
-        else:
-            raise DomainError(f"free parameter must be 'c' or 'q', got {free!r}")
+        J[:n, n] = (2.0 * c * dt - 2.0 * tau ** 2 * (q - c * tau)
+                    + nu * fourier.deriv(tau ** -2 * dt, X))
         J[n, :n] = seed_dtau / n
         try:
             step = np.linalg.solve(J, np.concatenate([G, [phase]]))
@@ -169,12 +166,11 @@ def _newton(tau: np.ndarray, params: PhysicalParams, seed_tau: np.ndarray,
         lam = 1.0
         for _ in range(10):
             tau_new = tau - lam * step[:n]
-            c_new = c - lam * step[n] if free == "c" else c
-            q_new = q - lam * step[n] if free == "q" else q
+            c_new = c - lam * step[n]
             if np.min(tau_new) > 0.0:
-                G_new, phase_new = residual(tau_new, c_new, q_new)
+                G_new, phase_new = residual(tau_new, c_new)
                 if norm(G_new, phase_new) < err:
-                    tau, c, q = tau_new, c_new, q_new
+                    tau, c = tau_new, c_new
                     G, phase = G_new, phase_new
                     err = norm(G, phase)
                     break
@@ -183,39 +179,39 @@ def _newton(tau: np.ndarray, params: PhysicalParams, seed_tau: np.ndarray,
             raise NonConvergence(
                 f"line search stalled at residual {err:.3e}", err)
     else:
-        raise NonConvergence(f"no convergence after {max_iter} iterations, "
-                             f"residual {err:.3e}", err)
-    return tau, c, q, err
+        raise NonConvergence(f"no convergence after {_NEWTON_MAX_ITER} "
+                             f"iterations, residual {err:.3e}", err)
+    return tau, c, err
 
 
 def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
-                  free: str = "c", tol: float = 1e-8,
-                  max_iter: int = 60) -> WaveProfile:
-    """Converge a periodic profile at fixed (q, X) with c free (or fixed c, q free).
+                  tol: float = 1e-8) -> WaveProfile:
+    """Converge a periodic profile at fixed (F, nu, q, X) with c free.
 
-    `params` supplies all five parameters; the one named by `free` is the
-    Newton unknown and its value in `params` is the initial guess.
+    `params.c` is the initial guess for the speed.
     """
     seed_tau = np.asarray(seed_tau, dtype=float)
     if np.min(seed_tau) <= 0.0:
         raise DomainError("seed profile must be strictly positive")
     seed_dtau = fourier.deriv(seed_tau, params.X)
-    tau, c, q, err = _newton(seed_tau.copy(), params, seed_tau, seed_dtau,
-                             free, tol, max_iter)
-    out_params = params.with_(c=c, q=q)
+    tau, c, err = _newton(seed_tau.copy(), params, seed_tau, seed_dtau, tol)
+    out_params = params.with_(c=c)
     return WaveProfile(params=out_params, n=len(tau), tau=tau,
                        dtau=fourier.deriv(tau, out_params.X),
                        residual_norm=err, provenance="newton")
 
 
+_MIN_STEP = 1e-6        # smallest continuation step, as a share of the segment
+
+
 def continue_profile(start: WaveProfile, tol: float = 1e-8,
-                     min_step: float = 1e-6, **targets) -> WaveProfile:
+                     **targets) -> WaveProfile:
     """Continue a converged wave to new values of F, nu, q and/or X.
 
     Moves along the straight segment in parameter space with adaptive step
     halving (and doubling after successes); the previous two converged
     profiles supply a secant predictor.  Raises ContinuationStalled when the
-    step falls below `min_step` of the segment.
+    step falls below _MIN_STEP of the segment.
     """
     for key in targets:
         if key not in ("F", "nu", "q", "X"):
@@ -237,7 +233,7 @@ def continue_profile(start: WaveProfile, tol: float = 1e-8,
                 guess_tau = current.tau
         try:
             params = current.params.with_(**vals)
-            nxt = solve_profile(params, guess_tau, free="c", tol=tol)
+            nxt = solve_profile(params, guess_tau, tol=tol)
             amp_old = float(np.ptp(current.tau))
             amp_new = float(np.ptp(nxt.tau))
             if amp_old > 1e-3 * np.mean(current.tau) and amp_new < 0.2 * amp_old:
@@ -245,7 +241,7 @@ def continue_profile(start: WaveProfile, tol: float = 1e-8,
                 raise NonConvergence("amplitude collapse", amp_new)
         except (NonConvergence, DegenerateJacobian):
             ds = 0.5 * step
-            if ds < min_step:
+            if ds < _MIN_STEP:
                 raise ContinuationStalled(
                     f"continuation stalled at s={s:.6f} of {targets}") from None
             continue
@@ -334,14 +330,12 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
 
 
 def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
-                           n: int = 256, seed: LimitProfile | None = None,
-                           tol: float = 1e-10) -> LimitProfile:
+                           n: int = 256, tol: float = 1e-10) -> LimitProfile:
     """Converge the alpha = -2 limiting wave with period X0 at fixed q0.
 
-    Without a seed, walks onto the branch bifurcating at
-    X_onset = 2 pi sqrt(nu) q0^{5/2} by amplitude-pinned continuation (period
-    free), then converges at the requested X0; with a seed, a single natural
-    Newton solve.  The speed c0 is always a Newton unknown.
+    Walks onto the branch bifurcating at X_onset = 2 pi sqrt(nu) q0^{5/2}
+    by amplitude-pinned continuation (period free), then continues in the
+    period to the requested X0.  The speed c0 is always a Newton unknown.
     """
     if q0 <= 0.0 or X0 <= 0.0:
         raise DomainError("q0 and X0 must be positive")
@@ -350,9 +344,6 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
     if X0 <= X_onset:
         raise DomainError(
             f"limiting waves exist only for X0 > {X_onset:.6g}, got {X0}")
-
-    if seed is not None:
-        return _limit_newton(seed.a.copy(), q0, seed.c0, X0, nu, tol)
 
     def tail_ratio(a: np.ndarray) -> float:
         ahat = np.abs(np.fft.fft(a))
@@ -458,20 +449,23 @@ def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
                         da=fourier.deriv(a, X0), residual_norm=err)
 
 
+_F_START = 100.0        # Froude number where the descent from the limit starts
+
+
 def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
-                       n: int = 1024, F_start: float = 100.0,
-                       tol: float = 1e-8) -> WaveProfile:
+                       n: int = 1024, tol: float = 1e-8) -> WaveProfile:
     """Physical wave on the alpha = -2 family (q = q0 F, X = X0 F^2).
 
     Solves the F = infinity limiting profile, seeds the physical problem at
-    F_start where the O(1/F) model error is small, and descends to the target
-    F adaptively in log F, carrying the wave in the scaled variable a = tau F^2.
+    _F_START where the O(1/F) model error is small, and descends to the
+    target F adaptively in log F, carrying the wave in the scaled variable
+    a = tau F^2.
     """
     if F <= 0.0:
         raise DomainError(f"F must be positive, got {F}")
     lp = limit_profile_alpha_m2(q0, X0, nu=nu, n=n)
     a_cur, c_cur = lp.a, lp.c0
-    F_cur = max(F, F_start)
+    F_cur = max(F, _F_START)
     w = None
 
     def solve_at(Fv, a_seed, c_seed):

@@ -204,8 +204,7 @@ def default_solver(point: dict, n: int = 512, tol: float = 1e-10
                               nu=point["nu"], n=n, tol=tol)
 
 
-def evaluate_point(point: dict, verdict_config: dict | None = None,
-                   solver=None, n: int = 512) -> SweepRecord:
+def evaluate_point(point: dict, solver=None, n: int = 512) -> SweepRecord:
     """Solve the wave at one grid point and classify its stability.
 
     A numeric failure (NUMERIC_ERRORS, a domain error or a failed linear
@@ -218,7 +217,7 @@ def evaluate_point(point: dict, verdict_config: dict | None = None,
         solver = functools.partial(default_solver, n=n)
     try:
         wave = solver(point)
-        v = evans.verdict(wave, config=verdict_config)
+        v = evans.verdict(wave)
     except NUMERIC_ERRORS + (DomainError, np.linalg.LinAlgError) as err:
         return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
                            q=point["q"], X=point["X"], verdict="failed",
@@ -237,8 +236,7 @@ def evaluate_point(point: dict, verdict_config: dict | None = None,
                        elapsed=time.monotonic() - t0)
 
 
-def stability_map(grid, store: ResultStore | str | None = None,
-                  verdict_config: dict | None = None, solver=None,
+def stability_map(grid, store: ResultStore | str | None = None, solver=None,
                   n: int = 512) -> list[SweepRecord]:
     """Stability verdicts over a grid, checkpointed and resumable.
 
@@ -260,8 +258,7 @@ def stability_map(grid, store: ResultStore | str | None = None,
 
     for p in points:
         if key_of(p) not in by_key:
-            rec = evaluate_point(p, verdict_config=verdict_config,
-                                 solver=solver, n=n)
+            rec = evaluate_point(p, solver=solver, n=n)
             store.append(rec)
             by_key[rec.key] = rec
     return [by_key[key_of(p)] for p in points]
@@ -279,8 +276,7 @@ def _binary_class(rec: SweepRecord) -> bool:
 
 def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
                     X_lo: float, X_hi: float, which: str = "lower",
-                    rel_tol: float = 1e-2,
-                    verdict_config: dict | None = None, n: int = 512,
+                    rel_tol: float = 1e-2, n: int = 512,
                     store: ResultStore | None = None) -> float:
     """Bisect the period X across a stability boundary at fixed (F, q0).
 
@@ -305,7 +301,7 @@ def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
             rec = next(r for r in store.records
                        if r.key == (alpha, F, nu, q0 * F, X))
         else:
-            rec = evaluate_point(point, verdict_config=verdict_config, n=n)
+            rec = evaluate_point(point, n=n)
             if store is not None:
                 store.append(rec)
         if rec.verdict == "failed":
@@ -399,13 +395,3 @@ def powerlaw_fit(points) -> BoundaryFit:
                        max_rel_error=float(np.max(rel)),
                        mean_rel_error=float(np.mean(rel)),
                        rank=int(rank), restricted=restricted)
-
-
-def boundary_csv(rows) -> str:
-    """CSV of boundary brackets: alpha,F,nu,q,X_lower,X_upper."""
-    lines = ["alpha,F,nu,q,X_lower,X_upper"]
-    for r in rows:
-        lines.append(",".join(f"{float(v):.17g}" for v in (
-            r["alpha"], r["F"], r["nu"], r["q"],
-            r["X_lower"], r["X_upper"])))
-    return "\n".join(lines) + "\n"

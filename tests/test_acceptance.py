@@ -89,8 +89,7 @@ def test_criterion_4_oracle_equivalence(constant_state):
     for j in (-1, 0, 1):
         eta = xi + 2.0 * np.pi * j / X
         for lam in linearize.constant_dispersion(p, p.tau0, eta)[0]:
-            got = evans.polish_root(None, lam * 1.001 + 1e-4, xi,
-                                    evaluator=ev)
+            got = evans.polish_root(ev, lam * 1.001 + 1e-4, xi)
             evans_err = max(evans_err, abs(got - lam))
 
     ok = hill_err <= 1e-10 and evans_err <= 1e-8
@@ -110,16 +109,16 @@ def test_criterion_5_cross_method_agreement(f6_waves):
             lam = hill.eigenvalues(sp, 40, xi)
             sel = lam[(np.abs(lam) >= 1e-2) & (np.abs(lam) <= 1.0)]
             for l in sel:
-                got = evans.polish_root(None, l, xi, evaluator=ev)
+                got = evans.polish_root(ev, l, xi)
                 worst_shift = max(worst_shift, abs(got - l))
                 n_roots += 1
-        exp = evans.origin_taylor(sp, evaluator=ev)
+        exp = evans.origin_taylor(ev)
         for a in exp.alpha:
             errs = []
             for frac in (0.04, 0.02, 0.01):
                 xi = frac * np.pi / X_per
                 pred = a * xi
-                got = evans.polish_root(None, pred, xi, evaluator=ev)
+                got = evans.polish_root(ev, pred, xi)
                 errs.append(abs(got - pred))
             slope = np.polyfit(np.log([0.04, 0.02, 0.01]), np.log(errs), 1)[0]
             worst_slope = min(worst_slope, float(slope))
@@ -140,7 +139,7 @@ def test_criterion_6_winding_replication(f10_x50_wave):
     assert len(xis) == 42
     windings, max_pts, max_jump = [], 0, 0.0
     for xi in xis:
-        rep = evans.winding_number(None, contour, float(xi), evaluator=ev)
+        rep = evans.winding_number(ev, contour, float(xi))
         windings.append(rep.winding)
         max_pts = max(max_pts, len(rep.lam))
         max_jump = max(max_jump, rep.max_jump)
@@ -216,8 +215,8 @@ def test_criterion_9_property_suites(fig1c_wave, f6_waves):
     details.append(f"Liouville {liouville:.1e}")
 
     # double root at the origin for nonconstant profiles
-    double_ok = all(evans.origin_taylor(linearize.bloch_coeffs(w))
-                    .double_root_ok for w in
+    double_ok = all(evans.origin_taylor(
+        evans.EvansEvaluator(linearize.bloch_coeffs(w))).double_root_ok for w in
                     [fig1c_wave, *f6_waves.values()])
     details.append(f"double-root {double_ok}")
 

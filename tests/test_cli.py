@@ -5,9 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from rollwave import cli
+from rollwave import cli, linearize
 from rollwave import profile as prof
-from rollwave import sweep
 
 
 def test_kdv_inverts_period(tmp_path, capsys):
@@ -100,13 +99,35 @@ def test_taylor_on_constant_profile_exits_2(tmp_path):
     assert code == 2
 
 
+def test_evans_winding_around_unstable_root(tmp_path):
+    # a small circle around the constant state's most unstable dispersion
+    # root winds once; the manifest replays to the same report
+    w = prof.equilibrium(3.0, 0.1, tau0=1.0, X=2.0 * np.pi, n=64)
+    p = w.params
+    lam0 = complex(max(linearize.constant_dispersion(p, p.tau0, 0.23)[0],
+                       key=lambda z: z.real))
+    pin = tmp_path / "const.json"
+    pin.write_text(w.to_json())
+    out = tmp_path / "e.json"
+    assert cli.main(["evans", "--in", str(pin), "--xi", "0.23",
+                     "--contour", f"circle:c={lam0!r},r=0.01",
+                     "--out", str(out)]) == 0
+    assert [r["winding"] for r in json.loads(out.read_text())] == [1]
+    doc = json.loads((tmp_path / "e.json.manifest.json").read_text())
+    doc["options"]["out"] = str(tmp_path / "e2.json")
+    (tmp_path / "m2.json").write_text(json.dumps(doc))
+    assert cli.main(["--from-manifest", str(tmp_path / "m2.json")]) == 0
+    assert (tmp_path / "e2.json").read_text() == out.read_text()
+
+
 def test_fit_roundtrip(tmp_path):
-    rows = [{"alpha": -2.0, "F": F, "nu": 0.1, "q": 0.4 * F,
-             "X_lower": float(np.exp(2.1 * np.log(F) - 1.0)),
-             "X_upper": float(np.exp(1.9 * np.log(F) + 1.0))}
-            for F in (3.0, 4.5, 6.0, 9.0)]
+    lines = ["alpha,F,nu,q,X_lower,X_upper"]
+    for F in (3.0, 4.5, 6.0, 9.0):
+        lines.append(",".join(f"{v:.17g}" for v in (
+            -2.0, F, 0.1, 0.4 * F, np.exp(2.1 * np.log(F) - 1.0),
+            np.exp(1.9 * np.log(F) + 1.0))))
     pin = tmp_path / "b.csv"
-    pin.write_text(sweep.boundary_csv(rows))
+    pin.write_text("\n".join(lines) + "\n")
     out = tmp_path / "fit.json"
     assert cli.main(["fit", "--in", str(pin), "--which", "lower",
                      "--out", str(out)]) == 0

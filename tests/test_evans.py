@@ -37,7 +37,7 @@ def test_constant_state_roots_match_dispersion(const_problem, constant_state):
         eta = xi + 2.0 * np.pi * j / X
         for lam in linearize.constant_dispersion(p, p.tau0, eta)[0]:
             seed = lam * 1.001 + 1e-4
-            got = evans.polish_root(None, seed, xi, evaluator=ev)
+            got = evans.polish_root(ev, seed, xi)
             assert abs(got - lam) < 1e-8
 
 
@@ -64,33 +64,28 @@ def test_winding_counts_roots(const_problem, constant_state):
     lam0 = max(lam0, key=lambda z: z.real)   # the unstable branch root
     ev = evans.EvansEvaluator(const_problem)
     around = evans.Contour(kind="circle", radius=1e-2, center=lam0)
-    rep = evans.winding_number(None, around, xi, evaluator=ev)
+    rep = evans.winding_number(ev, around, xi)
     assert rep.winding == 1
     away = evans.Contour(kind="circle", radius=1e-2,
                          center=lam0 + 0.3 + 0.4j)
-    rep0 = evans.winding_number(None, away, xi, evaluator=ev)
+    rep0 = evans.winding_number(ev, away, xi)
     assert rep0.winding == 0
     assert rep0.max_jump <= 0.2
 
 
 def test_origin_double_root(fig1c_problem):
-    exp = evans.origin_taylor(fig1c_problem)
+    exp = evans.origin_taylor(evans.EvansEvaluator(fig1c_problem))
     assert exp.double_root_ok
     assert exp.reality_error < 1e-6
     assert exp.representation_residual < 1e-4
-    # curves() evaluates alpha xi + beta xi^2
-    xi = 1e-3
-    pred = exp.curves(xi)[0]
-    assert pred[0] == pytest.approx(exp.alpha[0] * xi + exp.beta[0] * xi * xi)
 
 
 def test_origin_taylor_reuses_winding_frames(fig1c_problem):
     # the Cauchy integrals run on the winding check's own circle nodes, so
     # the expansion adds only the held-out frame
     ev = evans.EvansEvaluator(fig1c_problem)
-    exp = evans.origin_taylor(fig1c_problem, evaluator=ev)
-    rep = evans.winding_number(None, evans.Contour("circle", exp.R), 0.0,
-                               evaluator=ev)
+    exp = evans.origin_taylor(ev)
+    rep = evans.winding_number(ev, evans.Contour("circle", exp.R), 0.0)
     assert rep.winding == 2
     assert ev.frames_computed == len(rep.lam) + 1
 
@@ -122,8 +117,8 @@ def test_shared_frames_across_xi(fig1c_problem):
     assert ev.frames_computed == n1
 
 
-def test_verdict_on_constant_state(const_problem):
-    v = evans.verdict(const_problem)
+def test_verdict_on_constant_state(constant_state):
+    v = evans.verdict(constant_state)
     assert v.overall == "unstable"
     assert v.to_dict()["overall"] == "unstable"
     assert v.diagnostics["hill_max_real"] > 0.0

@@ -75,13 +75,6 @@ def test_corrector_T1_is_odd_and_consistent():
     assert np.max(np.abs(T1 - flip)) < 1e-6 * np.max(np.abs(T1))
 
 
-def test_corrector_T2_solves_its_equation():
-    wave = kdv_limit.cnoidal_profile(0.7, n=512)
-    T1 = kdv_limit.corrector_T1(wave)
-    T2 = kdv_limit.corrector_T2(wave, T1)
-    assert np.all(np.isfinite(T2))
-
-
 def test_asymptotic_rollwave_residual_scales_like_delta4():
     k = kdv_limit.k_of_period(12.0)
     r = []

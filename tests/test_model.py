@@ -1,12 +1,9 @@
-"""Parameter containers, scaling families, and pointwise checks."""
+"""Parameter containers, the alpha = -2 family map, and pointwise checks."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from rollwave import model
-from rollwave.model import DomainError, PhysicalParams, ScalingFamily
+from rollwave import model, sweep
+from rollwave.model import DomainError, PhysicalParams
 
 
 def test_positive_parameter_validation():
@@ -16,52 +13,14 @@ def test_positive_parameter_validation():
         PhysicalParams(F=3.0, nu=0.0, q=1.0, c=0.5, X=10.0)
     with pytest.raises(DomainError):
         PhysicalParams(F=3.0, nu=0.1, q=1.0, c=0.5, X=10.0, tau0=-2.0)
-    p = PhysicalParams(F=3.0, nu=0.1, q=1.0, c=0.5, X=10.0)
-    assert p.roll_wave_regime
-    assert not PhysicalParams(F=1.5, nu=0.1, q=1.0, c=0.5,
-                              X=10.0).roll_wave_regime
-
-
-def test_scaling_family_alpha_domain():
-    with pytest.raises(DomainError):
-        ScalingFamily(alpha=-2.5, q0=0.4, c0=0.1, X0=1.0)
-    fam = ScalingFamily(alpha=-2.0, q0=0.4, c0=0.1, X0=2.0)
-    assert fam.k0 == pytest.approx(0.5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(min_value=-2.0, max_value=0.0),
-       st.floats(min_value=2.1, max_value=50.0))
-def test_scaling_roundtrip_property(alpha, F):
-    fam = ScalingFamily(alpha=alpha, q0=0.4, c0=0.07, X0=1.7)
-    p = model.scale_to_physical(fam, F, nu=0.1)
-    back = model.physical_to_scaled(p, alpha)
-    assert back.q0 == pytest.approx(fam.q0, rel=1e-12)
-    assert back.c0 == pytest.approx(fam.c0, rel=1e-12)
-    assert back.X0 == pytest.approx(fam.X0, rel=1e-12)
 
 
 def test_alpha_m2_family_is_q0F_X0F2():
-    fam = ScalingFamily(alpha=-2.0, q0=0.4, c0=0.06, X0=0.5)
-    p = model.scale_to_physical(fam, 10.0, nu=0.1)
-    assert p.q == pytest.approx(4.0)
-    assert p.X == pytest.approx(50.0)
-    assert p.c == pytest.approx(0.06 * 100.0)
+    p = sweep.family_point(-2.0, 10.0, 0.1, 0.4, 50.0)
+    assert p["q"] == pytest.approx(4.0)
+    assert p["X0"] == pytest.approx(0.5)
 
 
-def test_params_text_roundtrip():
-    p = PhysicalParams(F=6.0, nu=0.1, q=2.4, c=1.55, X=8.78, tau0=1.0)
-    fam = ScalingFamily(alpha=-2.0, q0=0.4, c0=0.0431, X0=0.2439)
-    text = model.params_to_text(p, fam)
-    p2, fam2 = model.params_from_text(text)
-    assert p2 == p
-    assert fam2.q0 == pytest.approx(fam.q0)
-    with pytest.raises(DomainError):
-        model.params_from_text("bogus_key = 3\n")
-
-
-def test_slope_margin_and_eulerian_period_constant_state(constant_state):
+def test_slope_margin_constant_state(constant_state):
     w = constant_state
     assert model.slope_margin(w) == pytest.approx(w.params.F ** -2, abs=1e-14)
-    assert model.eulerian_period(w) == pytest.approx(
-        w.params.tau0 * w.params.X, rel=1e-12)

@@ -26,7 +26,7 @@ def test_solve_profile_from_asymptotic_seed():
     from rollwave import kdv_limit
     k = kdv_limit.k_of_period(12.0)
     w0 = kdv_limit.asymptotic_rollwave(0.1, k, 0.1, n=128)
-    w = prof.solve_profile(w0.params, w0.tau, free="c", tol=1e-10)
+    w = prof.solve_profile(w0.params, w0.tau, tol=1e-10)
     assert w.residual_norm <= 1e-10
     assert np.ptp(w.tau) > 0.5 * np.ptp(w0.tau)
     # converged wave stays O(delta^4) from the two-term prediction
@@ -38,9 +38,6 @@ def test_solve_profile_input_validation():
     p = PhysicalParams(F=3.0, nu=0.1, q=1.0, c=0.3, X=10.0)
     with pytest.raises(DomainError):
         prof.solve_profile(p, -np.ones(32))
-    with pytest.raises(DomainError):
-        prof.solve_profile(p, np.ones(32) + 0.2 * np.cos(
-            2.0 * np.pi * fourier.grid(32, 10.0) / 10.0), free="bogus")
 
 
 def test_continue_profile_rejects_unknown_parameter(constant_state):

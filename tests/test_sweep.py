@@ -16,7 +16,7 @@ def _stub_record(point, verdict="stable"):
 
 
 def _patch_classifier(monkeypatch, classify):
-    def fake_evaluate(point, verdict_config=None, solver=None, n=512):
+    def fake_evaluate(point, solver=None, n=512):
         return _stub_record(point, classify(point))
     monkeypatch.setattr(sweep, "evaluate_point", fake_evaluate)
 
@@ -181,12 +181,3 @@ def test_powerlaw_fit_validation():
     with pytest.raises(DomainError):
         sweep.powerlaw_fit([(3.0, 1.0, 10.0), (3.3, 1.1, 12.0),
                             (3.6, 1.2, 13.0), (3.9, 1.3, 14.0)])  # F span
-
-
-def test_boundary_csv_layout():
-    rows = [{"alpha": -2.0, "F": 4.0, "nu": 0.1, "q": 1.6,
-             "X_lower": 3.4, "X_upper": 12.0}]
-    text = sweep.boundary_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "alpha,F,nu,q,X_lower,X_upper"
-    assert len(lines) == 2

@@ -46,8 +46,7 @@ def _atomic_write(path: str, text: str):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True,
-                      default=sweep._json_default) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

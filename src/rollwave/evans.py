@@ -63,6 +63,7 @@ class NearDoubleAlpha(EvansError):
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _QR_STRIDE = 16         # Magnus steps between re-orthogonalizations
 _NORM_CAP = 1e8         # ... or sooner, once the frame grows past this
+_BALANCE_SWEEPS = 20    # passes of the diagonal balancing at most
 
 
 # ----------------------------------------------------------------------------
@@ -129,11 +130,11 @@ class ScaledFrame:
         return M
 
 
-def _balance_diag(M: np.ndarray, sweeps: int = 20) -> np.ndarray:
+def _balance_diag(M: np.ndarray) -> np.ndarray:
     """Diagonal d minimizing row/column imbalance of d^-1_i M_ij d_j."""
     dim = M.shape[0]
     d = np.ones(dim)
-    for _ in range(sweeps):
+    for _ in range(_BALANCE_SWEEPS):
         moved = 0.0
         for i in range(dim):
             r = sum(M[i, j] * d[j] / d[i] for j in range(dim) if j != i)
@@ -185,10 +186,8 @@ class EvansEvaluator:
         if fo is None:
             raise DomainError(
                 f"problem kind {problem.kind!r} has no first-order form")
-        self.problem = problem
-        self.fo = fo
-        self.X = float(fo.period)
-        self.dim = fo.dim
+        self.X = float(problem.period)
+        self.n, self.dim = fo.A0.shape[:2]
         self.tol = tol
         self._frames: dict[complex, ScaledFrame] = {}
         self._grids: dict[float, tuple] = {}
@@ -215,13 +214,12 @@ class EvansEvaluator:
         """
         if cap in self._grids:
             return self._grids[cap]
-        fo = self.fo
         omega = (np.abs(self._A0).sum(axis=2).max(axis=1)
                  + np.abs(self._A1).sum(axis=2).max(axis=1))
         # Magnus error density: the fourth-order local error scales like
         # h^5 ||A||^2 ||A''||, so equidistribute its fifth root; keep
         # h * ||A|| bounded as well so no single step spans a huge range
-        k = fourier.wavenumbers(fo.n, self.X)
+        k = fourier.wavenumbers(self.n, self.X)
         d2 = np.fft.ifft(-(k ** 2)[:, None, None]
                          * np.fft.fft(self._A0 + self._A1, axis=0),
                          axis=0).real
@@ -230,9 +228,9 @@ class EvansEvaluator:
         # cap-independent floor so halving the cap always refines the grid
         floor = 16.0 / self.X
         rate = np.maximum(np.maximum(dens, omega / 3.0), floor)
-        xg = np.linspace(0.0, self.X, fo.n + 1)
+        xg = np.linspace(0.0, self.X, self.n + 1)
         rate_ext = np.append(rate, rate[0])
-        dx = self.X / fo.n
+        dx = self.X / self.n
         cum = np.concatenate(
             [[0.0], np.cumsum(0.5 * (rate_ext[:-1] + rate_ext[1:]) * dx)])
         n_steps = max(int(np.ceil(cum[-1] / cap)), 64)
@@ -599,9 +597,9 @@ class OriginExpansion:
     @property
     def double_root_ok(self) -> bool:
         s = abs(self.c[2, 0])
-        return (abs(self.c[0, 0]) <= 1e-6 * s
-                and abs(self.c[1, 0]) <= 1e-6 * s
-                and abs(self.c[0, 1]) <= 1e-6 * s)
+        return bool(abs(self.c[0, 0]) <= 1e-6 * s
+                    and abs(self.c[1, 0]) <= 1e-6 * s
+                    and abs(self.c[0, 1]) <= 1e-6 * s)
 
     def to_dict(self) -> dict:
         return {

@@ -26,7 +26,7 @@ def _coefficient_spectrum(coeff: np.ndarray | float,
     arr = np.asarray(coeff)
     if len(arr) < n_min:
         arr = fourier.resample(arr, int(2 ** np.ceil(np.log2(n_min))))
-    return np.fft.fft(arr) / len(arr)
+    return fourier.fourier_coeffs(arr)
 
 
 def _assemble_terms(terms, m: int, N: int, xi: float,
@@ -55,12 +55,10 @@ def assemble(problem: SpectralProblem, N: int,
              xi: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Truncated matrices (M1, M2) at Floquet parameter xi; M2 None = identity."""
     op = problem.operator
-    if op is None:
-        raise DomainError(f"problem kind {problem.kind!r} has no operator form")
-    M1 = _assemble_terms(op.M1, op.m, N, xi, op.period)
+    M1 = _assemble_terms(op.M1, op.m, N, xi, problem.period)
     M2 = None
     if op.M2 is not None:
-        M2 = _assemble_terms(op.M2, op.m, N, xi, op.period)
+        M2 = _assemble_terms(op.M2, op.m, N, xi, problem.period)
     return M1, M2
 
 
@@ -124,8 +122,6 @@ def double_period(problem: SpectralProblem) -> SpectralProblem:
     first-order form, so it is a Hill-only problem.
     """
     op = problem.operator
-    if op is None:
-        raise DomainError("doubling requires an operator form")
 
     def tile(terms):
         if terms is None:
@@ -135,11 +131,9 @@ def double_period(problem: SpectralProblem) -> SpectralProblem:
                       for order, coeff in termlist]
                 for key, termlist in terms.items()}
 
-    op2 = OperatorForm(m=op.m, n=2 * op.n, period=2.0 * op.period,
-                       M1=tile(op.M1), M2=tile(op.M2))
     return SpectralProblem(kind=problem.kind, period=2.0 * problem.period,
-                           operator=op2, first_order=None,
-                           meta=dict(problem.meta))
+                           operator=OperatorForm(m=op.m, M1=tile(op.M1),
+                                                 M2=tile(op.M2)))
 
 
 def max_unstable(cloud: SpectralCloud, r0: float = 0.0) -> float:

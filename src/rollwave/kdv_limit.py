@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier
+from . import fourier, hill
 from .elliptic import elliptic_E, elliptic_K, jacobi_cn, selection_kappa
+from .linearize import OperatorForm, SpectralProblem, Terms
 from .model import DomainError
 
 __all__ = [
@@ -152,19 +153,7 @@ def _drop_nyquist(f: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft(c))
 
 
-def _corrector_operator(wave: CnoidalWave, n: int):
-    """Collocation matrix of L0 = -d^3 - d((T0 - sigma0) . ) on n nodes."""
-    if n == wave.n:
-        T0 = wave.T0
-    else:
-        T0 = fourier.resample(wave.T0, n)
-    D1 = fourier.diff_matrix(n, wave.X, 1)
-    D3 = fourier.diff_matrix(n, wave.X, 3)
-    A = -D3 - D1 @ np.diag(T0 - wave.sigma0)
-    return A, T0
-
-
-def corrector_T1(wave: CnoidalWave, n: int | None = None) -> np.ndarray:
+def corrector_T1(wave: CnoidalWave) -> np.ndarray:
     """First corrector: solves L0 T1 = T0'' + T0'''' orthogonal to ker L0.
 
     The right side is even about the crest and L0 exchanges parities, so the
@@ -172,14 +161,16 @@ def corrector_T1(wave: CnoidalWave, n: int | None = None) -> np.ndarray:
     (translation) component.  Raises SolvabilityError when the residual of the
     least-squares solve shows the compatibility condition fails.
     """
-    n = wave.n if n is None else n
-    A, T0 = _corrector_operator(wave, n)
-    rhs = fourier.deriv(T0, wave.X, 2) + fourier.deriv(T0, wave.X, 4)
+    D1 = fourier.diff_matrix(wave.n, wave.X, 1)
+    D3 = fourier.diff_matrix(wave.n, wave.X, 3)
+    A = -D3 - D1 @ np.diag(wave.T0 - wave.sigma0)       # collocated L0
+    rhs = fourier.deriv(wave.T0, wave.X, 2) + fourier.deriv(wave.T0, wave.X, 4)
     T1, _, _, sv = np.linalg.lstsq(A, rhs, rcond=1e-10)
     T1 = _drop_nyquist(T1)
     resid = np.max(np.abs(A @ T1 - rhs))
     scale = np.max(np.abs(rhs))
-    if resid > max(1e-6 * max(scale, 1.0), _derivative_floor(n, wave.X, scale)):
+    if resid > max(1e-6 * max(scale, 1.0),
+                   _derivative_floor(wave.n, wave.X, scale)):
         raise SolvabilityError(
             f"corrector equation inconsistent: residual {resid:.3e}")
     return T1
@@ -279,26 +270,19 @@ def kdvks_spectrum(delta: float, k: float, N: int = 40,
                    n_xi: int = 48, a0: float = 0.0) -> dict[float, np.ndarray]:
     """Bloch spectrum of KdV-KS linearized about the converged wave.
 
-    For each Floquet exponent xi in (0, pi/X] returns the eigenvalues of the
-    truncated operator Lambda z = -((T - sigma) z)' - z''' - delta (z'' + z'''')
-    on modes |j| <= N.
+    For each Floquet exponent xi in (0, pi/X] returns the Hill eigenvalues
+    (modes |j| <= N) of Lambda z = -(W z)' - z''' - delta (z'' + z''''),
+    W = T - sigma.
     """
     wave, T, sigma = kdvks_wave(delta, k, a0=a0, n=max(512, 4 * N + 2))
-    W = T - sigma
-    What = fourier.fourier_coeffs(W)
     X = wave.X
-    n = wave.n
-
-    js = np.arange(-N, N + 1)
-    conv = What[(js[:, None] - js[None, :]) % n]
-
-    out: dict[float, np.ndarray] = {}
-    for xi in np.linspace(np.pi / X / n_xi, np.pi / X, n_xi):
-        kj = xi + 2.0 * np.pi * js / X
-        M = np.diag(1j * kj ** 3 + delta * (kj ** 2 - kj ** 4)).astype(complex)
-        M -= (1j * kj)[:, None] * conv
-        out[float(xi)] = np.linalg.eigvals(M)
-    return out
+    W = T - sigma
+    M1: Terms = {(0, 0): [(1, -W), (0, -fourier.deriv(W, X)), (3, -1.0),
+                          (2, -delta), (4, -delta)]}
+    problem = SpectralProblem(kind="kdvks", period=X,
+                              operator=OperatorForm(m=1, M1=M1))
+    return {float(xi): hill.eigenvalues(problem, N, xi)
+            for xi in np.linspace(np.pi / X / n_xi, np.pi / X, n_xi)}
 
 
 def kdvks_max_growth(delta: float, X: float, N: int = 40) -> float:

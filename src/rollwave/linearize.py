@@ -16,12 +16,12 @@ working on the X0-periodic domain).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fourier
-from .model import DomainError, PhysicalParams
+from .model import PhysicalParams
 from .profile import HamOrbit, LimitProfile, WaveProfile
 
 Terms = dict[tuple[int, int], list[tuple[int, np.ndarray | float]]]
@@ -32,32 +32,62 @@ class OperatorForm:
     """Blockwise differential operator with periodic sampled coefficients."""
 
     m: int                       # number of components
-    n: int                       # coefficient sample count
-    period: float
     M1: Terms
     M2: Terms | None = None      # None means the identity
 
 
 @dataclass(frozen=True)
 class FirstOrderForm:
-    """Z' = (A0 + lambda A1) Z with X-periodic sampled coefficients."""
+    """Z' = (A0 + lambda A1) Z with periodic sampled coefficients."""
 
-    dim: int
-    n: int
-    period: float
     A0: np.ndarray               # (n, dim, dim)
     A1: np.ndarray               # (n, dim, dim)
 
 
 @dataclass(frozen=True)
 class SpectralProblem:
-    """A Bloch spectral problem with Hill and Evans representations."""
+    """A Bloch spectral problem with Hill and (optionally) Evans forms."""
 
     kind: str
     period: float
-    operator: OperatorForm | None = None
+    operator: OperatorForm
     first_order: FirstOrderForm | None = None
-    meta: dict = field(default_factory=dict)
+
+
+def _st_venant(kind: str, X: float, c: float, nu: float, T: np.ndarray,
+               AB: np.ndarray, dAB: np.ndarray, B2: np.ndarray | float,
+               C: np.ndarray | float) -> SpectralProblem:
+    """Both spectral forms of a linearized St. Venant system on [0, X).
+
+    Components (tau, u); lambda tau = c tau' + u' and
+    lambda u = nu (T^-2 u')' + c u' + AB tau' + (dAB - B2) tau + C u.
+    The first-order form acts on Z = (tau, u, T^-2 u').
+    """
+    inv2 = T ** -2
+    V = dAB - B2
+    M1: Terms = {
+        (0, 0): [(1, c)],
+        (0, 1): [(1, 1.0)],
+        (1, 0): [(1, AB), (0, V)],
+        (1, 1): [(2, nu * inv2), (1, c + nu * fourier.deriv(inv2, X)),
+                 (0, C)],
+    }
+
+    n = len(T)
+    A0 = np.zeros((n, 3, 3))
+    A1 = np.zeros((n, 3, 3))
+    t2 = T ** 2
+    A0[:, 0, 2] = -t2 / c
+    A0[:, 1, 2] = t2
+    A0[:, 2, 0] = -V / nu
+    A0[:, 2, 1] = -C / nu
+    A0[:, 2, 2] = (AB / c - c) * t2 / nu
+    A1[:, 0, 0] = 1.0 / c
+    A1[:, 2, 0] = -AB / (c * nu)
+    A1[:, 2, 1] = 1.0 / nu
+    return SpectralProblem(kind=kind, period=X,
+                           operator=OperatorForm(m=2, M1=M1),
+                           first_order=FirstOrderForm(A0=A0, A1=A1))
 
 
 def _alpha_bar(profile: WaveProfile) -> np.ndarray:
@@ -69,93 +99,29 @@ def _alpha_bar(profile: WaveProfile) -> np.ndarray:
 def bloch_coeffs(profile: WaveProfile) -> SpectralProblem:
     """Linearization of the viscous St. Venant system about a physical wave.
 
-    Components (tau, u); lambda tau = c tau' + u' and
+    lambda tau = c tau' + u' and
     lambda u = nu (taubar^-2 u')' + c u' + alphabar tau'
                + (alphabar' - ubar^2) tau - 2 ubar taubar u.
     """
     p = profile.params
-    X, n = p.X, profile.n
     tau, u = profile.tau, profile.u
     ab = _alpha_bar(profile)
-    dab = fourier.deriv(ab, X)
-    inv2 = tau ** -2
-    dinv2 = fourier.deriv(inv2, X)
-
-    M1: Terms = {
-        (0, 0): [(1, p.c)],
-        (0, 1): [(1, 1.0)],
-        (1, 0): [(1, ab), (0, dab - u ** 2)],
-        (1, 1): [(2, p.nu * inv2), (1, p.c + p.nu * dinv2), (0, -2.0 * u * tau)],
-    }
-    op = OperatorForm(m=2, n=n, period=X, M1=M1)
-
-    A0 = np.zeros((n, 3, 3))
-    A1 = np.zeros((n, 3, 3))
-    t2 = tau ** 2
-    A0[:, 0, 2] = -t2 / p.c
-    A0[:, 1, 2] = t2
-    A0[:, 2, 0] = (u ** 2 - dab) / p.nu
-    A0[:, 2, 1] = 2.0 * tau * u / p.nu
-    A0[:, 2, 2] = (ab / p.c - p.c) * t2 / p.nu
-    A1[:, 0, 0] = 1.0 / p.c
-    A1[:, 2, 0] = -ab / (p.c * p.nu)
-    A1[:, 2, 1] = 1.0 / p.nu
-    fo = FirstOrderForm(dim=3, n=n, period=X, A0=A0, A1=A1)
-
-    return SpectralProblem(kind="physical", period=X, operator=op,
-                           first_order=fo, meta={"params": p})
+    return _st_venant("physical", p.X, p.c, p.nu, tau, ab,
+                      fourier.deriv(ab, p.X), u ** 2, -2.0 * u * tau)
 
 
-def limit_matrices_alpha_m2(lp: LimitProfile,
-                            F: float | None = None) -> SpectralProblem:
-    """Spectral problem of the alpha = -2 scaling family on [0, X0).
+def limit_matrices_alpha_m2(lp: LimitProfile) -> SpectralProblem:
+    """Limiting (F = infinity) spectral problem of the alpha = -2 family.
 
-    F=None gives the limiting (F = infinity) problem in (a, bcheck);
-    finite F keeps the O(1/F) coupling terms with bbar = q0 - c0 a / F.
+    Lives on [0, X0) in (a, bcheck) with a^-3 + 2 c0 nu a^-3 a' in the role
+    of alphabar, q0 in that of ubar and no u coupling.
     """
-    q0, c0, nu, X0, n = lp.q0, lp.c0, lp.nu, lp.X0, lp.n
-    a, da = lp.a, lp.da
+    X0, a = lp.X0, lp.a
     g = a ** -3
-    G2 = 2.0 * c0 * nu * a ** -3 * da
-    dg = fourier.deriv(g, X0)
-    dG2 = fourier.deriv(G2, X0)
-    inv2 = a ** -2
-    dinv2 = fourier.deriv(inv2, X0)
-
-    if F is None:
-        bbar = np.full(n, q0)
-        coupling = np.zeros(n)
-        kind = "alpha_m2_limit"
-    else:
-        if F <= 0.0:
-            raise DomainError(f"F must be positive, got {F}")
-        bbar = q0 - c0 * a / F
-        coupling = -2.0 * a * bbar / F
-        kind = "alpha_m2_finiteF"
-
-    M1: Terms = {
-        (0, 0): [(1, c0)],
-        (0, 1): [(1, 1.0)],
-        (1, 0): [(1, g + G2), (0, dg + dG2 - bbar ** 2)],
-        (1, 1): [(2, nu * inv2), (1, c0 + nu * dinv2), (0, coupling)],
-    }
-    op = OperatorForm(m=2, n=n, period=X0, M1=M1)
-
-    A0 = np.zeros((n, 3, 3))
-    A1 = np.zeros((n, 3, 3))
-    a2 = a ** 2
-    A0[:, 0, 2] = -a2 / c0
-    A0[:, 1, 2] = a2
-    A0[:, 2, 0] = (bbar ** 2 - dg - dG2) / nu
-    A0[:, 2, 1] = -coupling / nu
-    A0[:, 2, 2] = ((g + G2) / c0 - c0) * a2 / nu
-    A1[:, 0, 0] = 1.0 / c0
-    A1[:, 2, 0] = -(g + G2) / (c0 * nu)
-    A1[:, 2, 1] = 1.0 / nu
-    fo = FirstOrderForm(dim=3, n=n, period=X0, A0=A0, A1=A1)
-
-    return SpectralProblem(kind=kind, period=X0, operator=op, first_order=fo,
-                           meta={"q0": q0, "c0": c0, "nu": nu, "F": F})
+    G2 = 2.0 * lp.c0 * lp.nu * g * lp.da
+    dAB = fourier.deriv(g, X0) + fourier.deriv(G2, X0)
+    return _st_venant("alpha_m2_limit", X0, lp.c0, lp.nu, a, g + G2, dAB,
+                      lp.q0 ** 2, 0.0)
 
 
 def ham_limit_operator(orbit: HamOrbit) -> SpectralProblem:
@@ -166,9 +132,8 @@ def ham_limit_operator(orbit: HamOrbit) -> SpectralProblem:
     """
     M1: Terms = {(0, 0): [(0, orbit.h ** -2), (2, 1.0)]}
     M2: Terms = {(0, 0): [(1, 1.0)]}
-    op = OperatorForm(m=1, n=orbit.n, period=orbit.X_mu, M1=M1, M2=M2)
-    return SpectralProblem(kind="ham_limit", period=orbit.X_mu, operator=op,
-                           meta={"h_minus": orbit.h_minus})
+    return SpectralProblem(kind="ham_limit", period=orbit.X_mu,
+                           operator=OperatorForm(m=1, M1=M1, M2=M2))
 
 
 def constant_dispersion(params: PhysicalParams, tau0: float,

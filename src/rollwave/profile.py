@@ -91,24 +91,10 @@ def ode_residual(tau: np.ndarray, params: PhysicalParams) -> np.ndarray:
             + tau * (q - c * tau) ** 2 + c * nu * visc)
 
 
-def hopf_data(F: float, nu: float, tau0: float = 1.0) -> dict[str, float]:
-    """Onset data of the oscillatory (Hopf) instability of the equilibrium.
-
-    Returns the neutral wave speed c = tau0^{-3/2}/F and, for F > 2, the
-    onset wavenumber k = tau0^{5/4} sqrt(F - 2) / sqrt(nu) with its period.
-    """
-    out = {"c": tau0 ** -1.5 / F}
-    if F > 2.0:
-        k = tau0 ** 1.25 * np.sqrt((F - 2.0) / nu)
-        out["k"] = k
-        out["X"] = 2.0 * np.pi / k
-    return out
-
-
 def equilibrium(F: float, nu: float, tau0: float = 1.0,
                 X: float = 2.0 * np.pi, n: int = 64) -> WaveProfile:
     """The constant state tau = tau0 as a degenerate WaveProfile."""
-    c = hopf_data(F, nu, tau0)["c"]
+    c = tau0 ** -1.5 / F        # the neutral (Hopf) wave speed
     q = tau0 ** -0.5 + c * tau0
     params = PhysicalParams(F=F, nu=nu, q=q, c=c, X=X, tau0=tau0)
     tau = np.full(n, tau0)
@@ -284,7 +270,7 @@ def limit_ode_residual(a: np.ndarray, q0: float, c0: float, X0: float,
 
 
 def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
-                  A: float, tol: float = 1e-10, max_iter: int = 60):
+                  A: float, tol: float):
     """Newton with the first cosine coefficient pinned to A and X0 free.
 
     Used to walk onto the bifurcated branch near onset, where natural Newton
@@ -302,7 +288,7 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
         phs = 2.0 * float(np.mean(a * sinw))
         return G, pin, phs
 
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         G, pin, phs = full_res(a, c0, X0)
         err = max(float(np.max(np.abs(G))), abs(pin), abs(phs))
         if err <= tol:
@@ -329,8 +315,11 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
     raise NonConvergence(f"pinned Newton stalled at residual {err:.3e}", err)
 
 
+_LIMIT_TOL = 1e-10      # final residual of the limiting wave
+
+
 def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
-                           n: int = 256, tol: float = 1e-10) -> LimitProfile:
+                           n: int = 256) -> LimitProfile:
     """Converge the alpha = -2 limiting wave with period X0 at fixed q0.
 
     Walks onto the branch bifurcating at X_onset = 2 pi sqrt(nu) q0^{5/2}
@@ -358,7 +347,7 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
     # walk onto the bifurcated branch at coarse resolution; stop early if
     # the spectral tail outgrows the grid (deep waves need refinement first)
     n0 = min(n, 256)
-    rough = max(tol, 1e-8)
+    rough = 1e-8        # continuation residual; the last solve tightens it
     x = fourier.grid(n0, 1.0)
     A = 0.01 * a_star
     a = a_star + A * np.cos(2.0 * np.pi * x)
@@ -399,21 +388,22 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
     # requested resolution (never coarsened below what convergence needed)
     while prof.n < n:
         prof = refine(prof, min(2 * prof.n, n), rough)
-    if prof.residual_norm > tol:
+    if prof.residual_norm > _LIMIT_TOL:
         try:
-            prof = _limit_newton(prof.a.copy(), q0, prof.c0, X0, nu, tol)
+            prof = _limit_newton(prof.a.copy(), q0, prof.c0, X0, nu,
+                                 _LIMIT_TOL)
         except NonConvergence:
             pass        # at the rounding floor of the discretization
     return prof
 
 
 def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
-                  tol: float, max_iter: int = 60) -> LimitProfile:
+                  tol: float) -> LimitProfile:
     n = len(a)
     seed, dseed = a.copy(), fourier.deriv(a, X0)
     D1 = fourier.diff_matrix(n, X0, 1)
     err = np.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         G = limit_ode_residual(a, q0, c0, X0, nu)
         phase = float(np.mean((a - seed) * dseed))
         err = max(float(np.max(np.abs(G))), abs(phase))

@@ -33,20 +33,6 @@ NUMERIC_ERRORS = (NonConvergence, ContinuationStalled, DegenerateJacobian,
                   SolvabilityError, evans.EvansError)
 
 
-def _json_default(obj):
-    """Convert numpy scalars and arrays into plain JSON values."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} "
-                    f"is not JSON serializable")
-
-
 class NotBracketed(Exception):
     """The two bisection endpoints carry the same verdict."""
 
@@ -83,8 +69,7 @@ class SweepRecord:
         d = {"alpha": self.alpha, "F": self.F, "nu": self.nu, "q": self.q,
              "X": self.X, "verdict": self.verdict, "witness": self.witness,
              "conditions": dict(self.conditions), "meta": dict(self.meta)}
-        return json.dumps(d, sort_keys=True, separators=(",", ":"),
-                          default=_json_default)
+        return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "SweepRecord":
@@ -137,9 +122,6 @@ class ResultStore:
         self.records.append(rec)
         self._keys.add(rec.key)
 
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._keys
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -149,6 +131,11 @@ class ResultStore:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(rec.to_json() + "\n")
                 fh.flush()
+
+
+def _point_key(point: dict) -> tuple:
+    """Store key of a grid point, the same tuple as SweepRecord.key."""
+    return (point["alpha"], point["F"], point["nu"], point["q"], point["X"])
 
 
 def family_point(alpha: float, F: float, nu: float, q0: float,
@@ -252,16 +239,12 @@ def stability_map(grid, store: ResultStore | str | None = None, solver=None,
     elif store is None:
         store = ResultStore()
     by_key = {r.key: r for r in store.records}
-
-    def key_of(p):
-        return (p["alpha"], p["F"], p["nu"], p["q"], p["X"])
-
     for p in points:
-        if key_of(p) not in by_key:
+        if _point_key(p) not in by_key:
             rec = evaluate_point(p, solver=solver, n=n)
             store.append(rec)
             by_key[rec.key] = rec
-    return [by_key[key_of(p)] for p in points]
+    return [by_key[_point_key(p)] for p in points]
 
 
 def _binary_class(rec: SweepRecord) -> bool:
@@ -295,15 +278,7 @@ def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
 
     def probe(X: float) -> bool:
         point = family_point(alpha, F, nu, q0, X)
-        if store is not None and tuple(
-                point[k] for k in ("alpha", "F", "nu", "q", "X")
-        ) in store:
-            rec = next(r for r in store.records
-                       if r.key == (alpha, F, nu, q0 * F, X))
-        else:
-            rec = evaluate_point(point, n=n)
-            if store is not None:
-                store.append(rec)
+        rec = stability_map([point], store=store, n=n)[0]
         if rec.verdict == "failed":
             raise ProbeFailed(X, RuntimeError(rec.witness or "solve failed"))
         return _binary_class(rec)
@@ -355,18 +330,13 @@ class BoundaryFit:
 def powerlaw_fit(points) -> BoundaryFit:
     """Fit log X = b1 log F + b2 log q + b3 to boundary points.
 
-    `points` is an iterable of (F, q, X) triples or of SweepRecords.
+    `points` is an iterable of (F, q, X) triples.
     Requires >= 4 points spanning at least a factor 2 in F.  When the
     design matrix is rank deficient (q an exact power of F, single alpha),
     the fit is restricted to the identifiable subspace by dropping the
     log q column, with the restriction reported on the result.
     """
-    rows = []
-    for p in points:
-        if isinstance(p, SweepRecord):
-            rows.append((p.F, p.q, p.X))
-        else:
-            rows.append(tuple(float(v) for v in p))
+    rows = [tuple(float(v) for v in p) for p in points]
     if len(rows) < 4:
         raise DomainError(f"need >= 4 boundary points, got {len(rows)}")
     F = np.array([r[0] for r in rows])

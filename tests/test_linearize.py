@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from rollwave import fourier, hill, linearize
+from rollwave import evans, fourier, hill, linearize
 from rollwave import profile as prof
 
 
-def _apply_operator(op, z):
+def _apply_operator(op, period, z):
     """Apply the blockwise operator M1 to sampled components z (m, n)."""
     out = np.zeros_like(z, dtype=complex)
     for (i, j), terms in op.M1.items():
         for order, coeff in terms:
-            base = z[j] if order == 0 else fourier.deriv(z[j], op.period, order)
+            base = z[j] if order == 0 else fourier.deriv(z[j], period, order)
             out[i] += np.asarray(coeff) * base
     return out
 
@@ -43,7 +43,7 @@ def test_translation_mode_in_kernel(fig1c_wave):
     sp = linearize.bloch_coeffs(w)
     du = fourier.deriv(w.u, w.params.X)
     z = np.vstack([w.dtau, du])
-    resid = _apply_operator(sp.operator, z)
+    resid = _apply_operator(sp.operator, sp.period, z)
     scale = np.max(np.abs(z))
     assert np.max(np.abs(resid)) < 1e-6 * max(scale, 1.0)
 
@@ -51,43 +51,28 @@ def test_translation_mode_in_kernel(fig1c_wave):
 def test_first_order_form_interpolant_matches_samples(fig1c_wave):
     sp = linearize.bloch_coeffs(fig1c_wave)
     fo = sp.first_order
-    x = fourier.grid(fo.n, fo.period)
+    x = fourier.grid(len(fo.A0), sp.period)
     lam = 0.3 + 0.1j
     A = fo.A0 + lam * fo.A1
-    assert np.max(np.abs(fourier.interp(A, fo.period, x) - A)) < 1e-10
+    assert np.max(np.abs(fourier.interp(A, sp.period, x) - A)) < 1e-10
     j = 17
-    M = fourier.interp(A, fo.period, float(x[j]))
+    M = fourier.interp(A, sp.period, float(x[j]))
     assert np.max(np.abs(M - (fo.A0[j] + lam * fo.A1[j]))) < 1e-10
 
 
-def test_first_order_and_operator_forms_agree_spectrally(fig1c_wave):
-    # the two representations of the same problem must produce the same
-    # Bloch eigenvalues near the origin; compare through Hill's method on
-    # the operator form against the first-order translation identity above
-    sp = linearize.bloch_coeffs(fig1c_wave)
-    xi = 0.5 * np.pi / sp.period
-    lam = hill.eigenvalues(sp, 40, xi)
-    assert np.all(np.isfinite(lam))
-    assert len(lam) == 2 * (2 * 40 + 1)
-
-
-def test_limit_matrices_finite_F_approaches_limit():
+def test_first_order_and_operator_forms_agree_spectrally():
+    # Hill's method reads only the operator form and the Evans function only
+    # the first-order form; every Hill eigenvalue of the limit problem must
+    # be a root of its Evans function
     lp = prof.limit_profile_alpha_m2(0.4, 0.3, n=256)
-    sp_inf = linearize.limit_matrices_alpha_m2(lp)
-    sp_F = linearize.limit_matrices_alpha_m2(lp, F=1e6)
+    sp = linearize.limit_matrices_alpha_m2(lp)
     xi = 0.3 * np.pi / lp.X0
-    l_inf = np.sort_complex(hill.eigenvalues(sp_inf, 24, xi))
-    l_F = np.sort_complex(hill.eigenvalues(sp_F, 24, xi))
-    # keep the comparison on the physically relevant low part of the cloud
-    keep = np.abs(l_inf) < 10.0
-    assert np.max(np.abs(l_inf[keep] - l_F[keep])) < 1e-4
-
-
-def test_limit_matrices_rejects_bad_F():
-    lp = prof.limit_profile_alpha_m2(0.4, 0.3, n=256)
-    from rollwave.model import DomainError
-    with pytest.raises(DomainError):
-        linearize.limit_matrices_alpha_m2(lp, F=-1.0)
+    lam = hill.eigenvalues(sp, 40, xi)
+    lam = lam[(np.abs(lam) >= 1e-2) & (np.abs(lam) <= 1.0)]
+    assert len(lam) > 0
+    ev = evans.EvansEvaluator(sp)
+    shifts = [abs(evans.polish_root(ev, z, xi) - z) for z in lam]
+    assert max(shifts) <= 1e-4
 
 
 def test_ham_limit_operator_shape():

@@ -15,13 +15,6 @@ def test_equilibrium_is_exact_solution(constant_state):
     assert np.all(w.tau == w.params.tau0)
 
 
-def test_hopf_data_onset():
-    d = prof.hopf_data(3.0, 0.1)
-    assert d["X"] == pytest.approx(2.0 * np.pi / d["k"])
-    assert d["k"] == pytest.approx(np.sqrt(1.0 / 0.1))
-    assert "k" not in prof.hopf_data(1.5, 0.1)
-
-
 def test_solve_profile_from_asymptotic_seed():
     from rollwave import kdv_limit
     k = kdv_limit.k_of_period(12.0)

@@ -128,6 +128,26 @@ def test_boundary_bisect_finds_threshold(monkeypatch):
     assert got == pytest.approx(X_star, rel=1e-3)
 
 
+def test_boundary_bisect_resumes_from_store(tmp_path, monkeypatch):
+    # every probe of a second bisection over the same store is a stored key
+    calls = []
+
+    def classify(p):
+        calls.append(p["X"])
+        return "stable" if p["X"] > 8.3 else "unstable"
+
+    _patch_classifier(monkeypatch, classify)
+    path = tmp_path / "bisect.jsonl"
+    first = sweep.boundary_bisect(-2.0, 4.0, 0.1, 0.4, 6.0, 12.0,
+                                  store=sweep.ResultStore(str(path)))
+    assert calls
+    calls.clear()
+    again = sweep.boundary_bisect(-2.0, 4.0, 0.1, 0.4, 6.0, 12.0,
+                                  store=sweep.ResultStore(str(path)))
+    assert again == first
+    assert calls == []
+
+
 def test_boundary_bisect_not_bracketed(monkeypatch):
     _patch_classifier(monkeypatch, lambda p: "stable")
     with pytest.raises(sweep.NotBracketed):

@@ -4,7 +4,9 @@ Monodromy matrices of the first-order Bloch systems Z' = (A0 + lambda A1) Z
 are propagated by a fourth-order Magnus (commutator-corrected midpoint)
 stepper on a step grid adapted to the local coefficient magnitude, with the
 frame periodically re-orthogonalized by QR and the radial growth extracted
-into a running log-scale.  The Evans determinant
+into a running log-scale.  A batch of lambda shares one step loop, and each
+block of step exponentials uses the lowest Pade degree its norm allows.
+The Evans determinant
 
     D(lambda, xi) = det(Psi(X, lambda) - e^{i xi X} Id)
 
@@ -62,8 +64,25 @@ class NearDoubleAlpha(EvansError):
 
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _QR_STRIDE = 16         # Magnus steps between re-orthogonalizations
-_NORM_CAP = 1e8         # ... or sooner, once the frame grows past this
+_NORM_CAP = 1e8         # ... or sooner, once the frame could grow past this
+_BATCH = 64             # lambda carried through one step loop at most
+_BLOCK = 256            # Magnus steps exponentiated at a time
 _BALANCE_SWEEPS = 20    # passes of the diagonal balancing at most
+
+# Pade degree m, Higham's bound theta_m on the 1-norm up to which the
+# degree-m approximant is exact to unit roundoff (Higham 2005, "The scaling
+# and squaring method for the matrix exponential revisited"), and the
+# numerator coefficients b_0..b_m.
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1,
+     (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (13, 5.371920351148152,
+     (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+      1187353796428800.0, 129060195264000.0, 10559470521600.0,
+      670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+      960960.0, 16380.0, 182.0, 1.0)),
+)
 
 
 # ----------------------------------------------------------------------------
@@ -80,7 +99,12 @@ class EvansValue:
     def __complex__(self) -> complex:
         if self.mantissa == 0.0:
             return 0.0 + 0.0j
-        return self.mantissa * math.exp(min(self.exponent, 700.0))
+        try:
+            return self.mantissa * math.exp(self.exponent)
+        except OverflowError:
+            raise OverflowError(
+                f"Evans value exp({self.exponent:.1f}) is beyond the double "
+                f"range") from None
 
     @property
     def log_abs(self) -> float:
@@ -148,26 +172,42 @@ def _balance_diag(M: np.ndarray) -> np.ndarray:
     return d
 
 
+def _norm1(M: np.ndarray) -> np.ndarray:
+    """1-norms (largest column sums) of a stack of matrices."""
+    return np.abs(M).sum(axis=-2).max(axis=-1)
+
+
 def _expm_stack(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack of small matrices (Pade 13 + squaring)."""
-    norms = np.abs(M).sum(axis=-1).max(axis=-1)
-    theta13 = 5.371920351148152
-    nmax = float(norms.max()) if len(norms) else 0.0
-    s = max(0, int(np.ceil(np.log2(max(nmax, 1e-300) / theta13))))
+    """Matrix exponential of a stack of small matrices.
+
+    The Pade degree is the smallest in _PADE whose theta_m bounds the
+    largest 1-norm in the stack; past theta_13 the stack is scaled by 2^-s
+    and the Pade-13 result squared s times.
+    """
+    nmax = float(_norm1(M).max()) if M.size else 0.0
+    for m, theta, b in _PADE:
+        if nmax <= theta:
+            break
+    s = max(0, int(np.ceil(np.log2(max(nmax, 1e-300) / theta))))
     A = M / (2.0 ** s)
-    b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0)
     ident = np.broadcast_to(np.eye(A.shape[-1], dtype=A.dtype), A.shape)
     A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+    if m == 3:
+        u = b[3] * A2 + b[1] * ident
+        v = b[2] * A2 + b[0] * ident
+    elif m == 5:
+        A4 = A2 @ A2
+        u = b[5] * A4 + b[3] * A2 + b[1] * ident
+        v = b[4] * A4 + b[2] * A2 + b[0] * ident
+    else:
+        A4 = A2 @ A2
+        A6 = A2 @ A4
+        u = (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    E = np.linalg.solve(V - U, V + U)
+        v = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    U = A @ u
+    E = np.linalg.solve(v - U, v + U)
     for _ in range(s):
         E = E @ E
     return E
@@ -206,11 +246,14 @@ class EvansEvaluator:
     # -- step grid -------------------------------------------------------
 
     def _step_grid(self, cap: float):
-        """Step edges adapted to the local coefficient magnitude.
+        """Magnus exponents on step edges adapted to the coefficient magnitude.
 
         Each step carries at most `cap` units of the integrated 1-norm of
         A0 + A1, so no single Magnus step spans a dynamic range the QR
-        extraction cannot absorb.
+        extraction cannot absorb.  Step j's fourth-order exponent is
+        W0[j] + lambda W1[j] + lambda^2 W2[j]: the midpoint term and the
+        commutator of the Gauss-node values B1, B2 of A0 + lambda A1,
+        expanded in lambda; returns (W0, W1, W2).
         """
         if cap in self._grids:
             return self._grids[cap]
@@ -246,52 +289,80 @@ class EvansEvaluator:
         A = np.stack([self._A0, self._A1], axis=1)
         B1 = fourier.interp(A, self.X, nodes1)
         B2 = fourier.interp(A, self.X, nodes2)
-        grid = (h, B1[:, 0], B2[:, 0], B1[:, 1], B2[:, 1])
+        G1, G2, H1, H2 = B1[:, 0], B2[:, 0], B1[:, 1], B2[:, 1]
+        hc = h[:, None, None]
+        c = (math.sqrt(3.0) / 12.0) * hc * hc
+        grid = (0.5 * hc * (G1 + G2) + c * (G2 @ G1 - G1 @ G2),
+                0.5 * hc * (H1 + H2) + c * (G2 @ H1 - H1 @ G2
+                                            + H2 @ G1 - G1 @ H2),
+                c * (H2 @ H1 - H1 @ H2))
         self._grids[cap] = grid
         return grid
 
     # -- monodromy -------------------------------------------------------
 
-    def _propagate(self, lam: complex, cap: float) -> ScaledFrame:
-        h, G1, G2, H1, H2 = self._step_grid(cap)
-        B1 = G1 + lam * H1
-        B2 = G2 + lam * H2
-        hc = h[:, None, None]
-        omega = 0.5 * hc * (B1 + B2) \
-            + (math.sqrt(3.0) / 12.0) * hc * hc * (B2 @ B1 - B1 @ B2)
-        E = _expm_stack(omega)
+    def _propagate(self, lams: list[complex], cap: float) -> list[ScaledFrame]:
+        """Monodromy frames of every lambda in `lams` through one step loop.
 
+        The Magnus exponents are built and exponentiated _BLOCK steps at a
+        time for the whole batch.  The batch shares one QR schedule: every
+        _QR_STRIDE steps, or sooner where the running bound exp(sum of the
+        step 1-norms) on any member's frame would pass _NORM_CAP.
+        """
+        W0, W1, W2 = self._step_grid(cap)
+        lam = np.asarray(lams, dtype=complex)
+        lam4 = lam[None, :, None, None]
         d = self.dim
-        Y = np.eye(d, dtype=complex)
-        U = np.eye(d, dtype=complex)
-        g = np.zeros(d)
-        logdet = 0.0 + 0.0j
+        Y = np.broadcast_to(np.eye(d, dtype=complex), (len(lam), d, d)).copy()
+        U = Y.copy()
+        g = np.zeros((len(lam), d))
+        logdet = np.zeros(len(lam), dtype=complex)
+        # growth is the log of a bound on every member's ||Y||_1 (which
+        # bounds max|Y|): ||Q||_1 <= sqrt(d) after a QR, each step multiplies
+        # by at most exp(||omega||_1), and ||omega||_1 <= ||W0||_1
+        # + r ||W1||_1 + r^2 ||W2||_1 with r the batch's largest |lambda|
+        r = float(np.abs(lam).max())
+        bounds = (_norm1(W0) + r * (_norm1(W1) + r * _norm1(W2))).tolist()
+        log_fresh = 0.5 * math.log(d)
+        log_cap = math.log(_NORM_CAP)
+        growth = log_fresh
         since_qr = 0
-        for j in range(len(h)):
-            Y = E[j] @ Y
-            since_qr += 1
-            if since_qr >= _QR_STRIDE or np.abs(Y).max() > _NORM_CAP:
-                Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
-                since_qr = 0
+        for start in range(0, len(W0), _BLOCK):
+            blk = slice(start, start + _BLOCK)
+            omega = W0[blk, None] + lam4 * (W1[blk, None]
+                                            + lam4 * W2[blk, None])
+            E = _expm_stack(omega)
+            for Ej, nj in zip(E, bounds[blk]):
+                if since_qr >= _QR_STRIDE or growth + nj > log_cap:
+                    Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
+                    since_qr = 0
+                    growth = log_fresh
+                Y = Ej @ Y
+                since_qr += 1
+                growth += nj
         Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
-        logdet += cmath.log(np.linalg.det(Y))
+        logdet = logdet + np.log(np.linalg.det(Y))
 
-        tr_int = self.X * (self._tr0 + lam * self._tr1)
-        w = logdet - tr_int
-        w = complex(w.real, math.remainder(w.imag, 2.0 * math.pi))
-        if abs(w.real) > 650.0:
-            liou = math.inf
-        else:
-            liou = abs(cmath.exp(w) - 1.0)
-        return ScaledFrame(lam=lam, Q=Y, U=U, row_scales=g,
-                           logdet=logdet, liouville_error=liou,
-                           untrusted=not liou <= 1e-6, n_steps=len(h),
-                           balance=self.balance)
+        frames = []
+        for k, z in enumerate(lam):
+            w = logdet[k] - self.X * (self._tr0 + z * self._tr1)
+            w = complex(w.real, math.remainder(w.imag, 2.0 * math.pi))
+            if abs(w.real) > 650.0:
+                liou = math.inf
+            else:
+                liou = abs(cmath.exp(w) - 1.0)
+            frames.append(ScaledFrame(
+                lam=complex(z), Q=Y[k], U=U[k], row_scales=g[k],
+                logdet=complex(logdet[k]), liouville_error=liou,
+                untrusted=not liou <= 1e-6, n_steps=len(W0),
+                balance=self.balance))
+        return frames
 
     def _calibrate(self) -> float:
         s = 2.0 * np.pi / self.X
         probes = [0.5j * s, 0.05 * s * (1.0 + 1.0j)]
         xi_probe = np.pi / self.X
+        rho = cmath.exp(1j * xi_probe * self.X)
         cap = 8.0
         prev = None
         prev_n = -1
@@ -303,10 +374,8 @@ class EvansEvaluator:
                 # a comparison would be vacuous
                 cap *= 0.5
                 continue
-            vals = []
-            for lam in probes:
-                fr = self._propagate(lam, cap)
-                vals.append(_det_scaled(fr, cmath.exp(1j * xi_probe * self.X)))
+            vals = [_det_scaled(fr, rho)
+                    for fr in self._propagate(probes, cap)]
             if prev is not None:
                 err = max(abs(v.ratio(p) - 1.0) if p.mantissa != 0.0 else 1.0
                           for v, p in zip(vals, prev))
@@ -319,24 +388,29 @@ class EvansEvaluator:
             "monodromy failed to converge while refining the step grid")
 
     def frame(self, lam: complex) -> ScaledFrame:
-        lam = complex(lam)
-        fr = self._frames.get(lam)
-        if fr is None:
-            fr = self._propagate(lam, self.cap)
-            self._frames[lam] = fr
-        return fr
+        return self.frames([lam])[0]
 
     def frames(self, lams) -> list[ScaledFrame]:
-        """Frames for many lambda; each distinct lambda is integrated once."""
+        """Frames for many lambda; each distinct lambda is integrated once.
+
+        The lambda not yet cached go through the step loop _BATCH at a time.
+        """
         lams = [complex(z) for z in lams]
-        for z in lams:
-            if z not in self._frames:
-                self._frames[z] = self._propagate(z, self.cap)
+        missing = list(dict.fromkeys(z for z in lams if z not in self._frames))
+        for k in range(0, len(missing), _BATCH):
+            chunk = missing[k:k + _BATCH]
+            self._frames.update(zip(chunk, self._propagate(chunk, self.cap)))
         return [self._frames[z] for z in lams]
 
     @property
     def frames_computed(self) -> int:
         return len(self._frames)
+
+    @property
+    def liouville_max(self) -> float:
+        """Worst Liouville error over the cached frames (0 when none)."""
+        return max((fr.liouville_error for fr in self._frames.values()),
+                   default=0.0)
 
     def value(self, lam: complex, xi: float) -> EvansValue:
         rho = cmath.exp(1j * complex(xi) * self.X)
@@ -344,33 +418,30 @@ class EvansEvaluator:
 
 
 def _qr_extract(Y, U, g, logdet):
-    """One re-orthogonalization step of the scaled frame.
+    """One re-orthogonalization step of a batch of scaled frames.
 
-    Input state is Psi_sofar = Y diag(e^g) U with U upper triangular, unit
-    row maxima.  Y is QR-factored, the triangular part folded into the
-    scaled triangular product row by row so that widely separated Floquet
-    exponents never mix through the floating-point exponent range.  logdet
-    accumulates log det R segment by segment (R entries are moderate), so
-    it always tracks the true determinant of the product.
+    Input state per batch member is Psi_sofar = Y diag(e^g) U with U upper
+    triangular, unit row maxima.  Y is QR-factored, the triangular part
+    folded into the scaled triangular product row by row so that widely
+    separated Floquet exponents never mix through the floating-point
+    exponent range.  logdet accumulates log det R segment by segment (R
+    entries are moderate), so it always tracks the true determinant of the
+    product.  Y, U are (L, d, d), g is (L, d) and logdet is (L,).
     """
     Q, R = np.linalg.qr(Y)
-    logdet = logdet + sum(cmath.log(z) for z in np.diagonal(R))
-    d = R.shape[0]
-    # suffix maxima of g: row i of R only touches rows k >= i of diag(e^g) U
-    h = np.maximum.accumulate(g[::-1])[::-1]
-    U_new = np.empty_like(U)
-    g_new = np.empty_like(g)
-    for i in range(d):
-        w = R[i, i:] * np.exp(g[i:] - h[i])
-        row = w @ U[i:]
-        m = float(np.abs(row).max())
-        if m > 0.0:
-            U_new[i] = row / m
-            g_new[i] = h[i] + math.log(m)
-        else:
-            U_new[i] = 0.0
-            g_new[i] = -math.inf
-    return Q, U_new, g_new, logdet
+    logdet = logdet + np.log(np.diagonal(R, axis1=1, axis2=2)).sum(axis=1)
+    # suffix maxima of g: row i of R only touches rows k >= i of diag(e^g) U,
+    # so row i is scaled by e^{h_i} and R_ik e^{g_k - h_i} never overflows
+    h = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = np.triu(R * np.exp(g[:, None, :] - h[:, :, None]))
+    rows = W @ U
+    m = np.abs(rows).max(axis=2, keepdims=True)
+    live = m > 0.0
+    # a vanished row stays zero with scale -inf
+    with np.errstate(divide="ignore"):
+        g_new = h + np.log(m[:, :, 0])
+    return Q, rows / np.where(live, m, 1.0), g_new, logdet
 
 
 def _det_scaled(frame: ScaledFrame, rho: complex) -> EvansValue:
@@ -583,7 +654,8 @@ class OriginExpansion:
 
     c[a, b] multiplies lambda^a xi^b.  alpha solves
     c20 a^2 + c11 a + c02 = 0 (the two spectral curves lambda ~ alpha xi
-    + beta xi^2), beta is the second-order coefficient.
+    + beta xi^2), beta is the second-order coefficient; both are ordered
+    by (Im alpha, Re alpha).
     """
 
     c: np.ndarray                # (4, 4) complex, c[a, b] for a + b <= 3
@@ -699,8 +771,11 @@ def origin_taylor(evaluator: EvansEvaluator,
         raise DegenerateQuadratic(
             f"|c20| = {abs(c20):.3e} is below the degeneracy floor")
     disc = cmath.sqrt(c[1, 1] ** 2 - 4.0 * c20 * c[0, 2])
-    alpha = np.array([(-c[1, 1] + disc) / (2.0 * c20),
-                      (-c[1, 1] - disc) / (2.0 * c20)])
+    # sorted by (Im, Re): when both alpha are imaginary the discriminant
+    # sits on the branch cut of sqrt, and roundoff alone would swap them
+    alpha = np.array(sorted([(-c[1, 1] + disc) / (2.0 * c20),
+                             (-c[1, 1] - disc) / (2.0 * c20)],
+                            key=lambda z: (z.imag, z.real)))
     amax = max(abs(alpha[0]), abs(alpha[1]), 1e-300)
     if abs(alpha[0] - alpha[1]) < _DISTINCT_TOL * amax:
         raise NearDoubleAlpha(
@@ -733,6 +808,7 @@ def polish_root(evaluator: EvansEvaluator, lam0: complex,
     lam0 = complex(lam0)
     h0 = 1e-5 * max(abs(lam0), 2.0 * np.pi / evaluator.X * 1e-2)
     zs = [lam0 + h0, lam0 - h0, lam0]
+    evaluator.frames(zs)
     vs = [evaluator.value(z, xi) for z in zs]
     eref = max(v.exponent for v in vs)
     fs = [v.mantissa * math.exp(min(v.exponent - eref, 700.0)) for v in vs]
@@ -845,14 +921,16 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     try:
         exp = origin_taylor(evaluator, R=R0)
     except NearDoubleAlpha as err:
-        conditions["H1"] = None
+        diag["liouville_max"] = evaluator.liouville_max
         return StabilityVerdict(
             overall="indeterminate", conditions=conditions,
             reason=f"near-coincident origin slopes: {err}", diagnostics=diag)
-    except (WrongRootCountAtR, DegenerateQuadratic) as err:
+    except (WrongRootCountAtR, DegenerateQuadratic, OverflowError) as err:
+        diag["liouville_max"] = evaluator.liouville_max
         return StabilityVerdict(
             overall="indeterminate", conditions=conditions,
             reason=f"origin expansion unavailable: {err}", diagnostics=diag)
+    diag["liouville_max"] = evaluator.liouville_max
     diag["alpha"] = [[z.real, z.imag] for z in exp.alpha]
     diag["beta"] = [[z.real, z.imag] for z in exp.beta]
     conditions["D3"] = exp.double_root_ok
@@ -881,6 +959,7 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     windings = [rep.winding for rep in reports]
     diag["windings"] = windings
     diag["frames_computed"] = evaluator.frames_computed
+    diag["liouville_max"] = evaluator.liouville_max
     if any(w != 0 for w in windings):
         conditions["D1"] = False
         return StabilityVerdict(

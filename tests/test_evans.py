@@ -52,6 +52,42 @@ def test_conjugation_symmetry(fig1c_problem):
     assert b.ratio(conj_a) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_frames_batch_matches_single_frames(fig1c_problem):
+    # one batched step loop gives each lambda the frame a lone integration
+    # gives, and a second request integrates nothing
+    lams = [0.17 + 0.09j, -0.05 + 0.2j, 0.02 - 0.01j]
+    ev = evans.EvansEvaluator(fig1c_problem)
+    batch = ev.frames([lams[0], lams[1], lams[0], lams[2]])
+    assert ev.frames_computed == 3
+    assert [fr.lam for fr in batch] == [lams[0], lams[1], lams[0], lams[2]]
+    rho = np.exp(0.11j * fig1c_problem.period)
+    for lam, fr in zip(lams, [batch[0], batch[1], batch[3]]):
+        single = evans.EvansEvaluator(fig1c_problem).frame(lam)
+        assert fr.n_steps == single.n_steps
+        ratio = evans._det_scaled(fr, rho).ratio(
+            evans._det_scaled(single, rho))
+        assert abs(ratio - 1.0) < 1e-13
+
+    def fail(*_args):
+        raise AssertionError("cached frames were integrated again")
+
+    ev._propagate = fail
+    again = ev.frames(lams[::-1])
+    assert again == [batch[3], batch[1], batch[0]]
+
+
+@pytest.mark.parametrize("norm", [0.01, 0.2, 3.0, 40.0])
+def test_expm_stack_matches_scipy(norm):
+    # the 1-norms pick Pade 3, Pade 5, Pade 13, and Pade 13 with squaring
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
+    M *= norm / np.abs(M).sum(axis=-2).max(axis=-1)[:, None, None]
+    got = evans._expm_stack(M)
+    for m, e in zip(M, got):
+        ref = scipy.linalg.expm(m)
+        assert np.abs(e - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_liouville_identity(fig1c_problem):
     frame = evans.EvansEvaluator(fig1c_problem).frame(0.2)
     assert frame.liouville_error < 1e-8
@@ -81,6 +117,14 @@ def test_origin_double_root(fig1c_problem):
     assert type(exp.double_root_ok) is bool
     assert exp.reality_error < 1e-6
     assert exp.representation_residual < 1e-4
+    # alpha ordered by (Im, Re), and each beta stays with its alpha
+    keys = [(a.imag, a.real) for a in exp.alpha]
+    assert keys == sorted(keys)
+    c = exp.c
+    for a, b in zip(exp.alpha, exp.beta):
+        want = -(c[3, 0] * a ** 3 + c[2, 1] * a ** 2 + c[1, 2] * a + c[0, 3]) \
+            / (2.0 * c[2, 0] * a + c[1, 1])
+        assert b == want
 
 
 def test_origin_taylor_reuses_winding_frames(fig1c_problem):
@@ -108,6 +152,9 @@ def test_evans_value_scaling():
     assert complex(v) == pytest.approx(2.0 * np.exp(3.0))
     w = evans.EvansValue(mantissa=1.0 + 0.0j, exponent=2.0)
     assert v.ratio(w) == pytest.approx(2.0 * np.e)
+    # beyond the double range: an error, never a clamped value
+    with pytest.raises(OverflowError):
+        complex(evans.EvansValue(1.0, 800.0))
 
 
 def test_shared_frames_across_xi(fig1c_problem):
@@ -125,3 +172,18 @@ def test_verdict_on_constant_state(constant_state):
     assert v.overall == "unstable"
     assert v.to_dict()["overall"] == "unstable"
     assert v.diagnostics["hill_max_real"] > 0.0
+
+
+def test_verdict_origin_overflow_is_indeterminate(constant_state, monkeypatch):
+    # an origin expansion past the double range makes the verdict
+    # indeterminate with its reason, and the frames' Liouville check shows
+    def overflow(evaluator, R=None):
+        evaluator.frame(0.01)
+        complex(evans.EvansValue(1.0, 800.0))
+
+    monkeypatch.setattr(evans, "max_unstable", lambda cloud, r0: 0.0)
+    monkeypatch.setattr(evans, "origin_taylor", overflow)
+    v = evans.verdict(constant_state)
+    assert v.overall == "indeterminate"
+    assert v.reason.startswith("origin expansion unavailable")
+    assert 0.0 < v.diagnostics["liouville_max"] < 1e-8

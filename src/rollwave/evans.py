@@ -908,6 +908,7 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     cloud = spectrum(problem, N, n_xi=n_xi)
     mu = max_unstable(cloud, r0=2.0 * R0)
     diag["hill_max_real"] = mu
+    diag["hill_eigensolves"] = cloud.eigensolves
     if mu > _HILL_TOL:
         conditions["D1"] = False
         return StabilityVerdict(

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+_INTERP_BLOCK = 512     # points per phase-matrix block in interp
+
 
 def grid(n: int, period: float) -> np.ndarray:
     """Uniform nodes x_j = j*X/n, j = 0..n-1."""
@@ -54,14 +56,19 @@ def interp(values: np.ndarray, period: float, x: np.ndarray | float) -> np.ndarr
     Samples run along axis 0 of `values`; trailing axes (e.g. matrix
     entries) are interpolated alike and kept, so the result has shape
     (len(x), *values.shape[1:]), without the leading axis for scalar x.
+    Points are evaluated _INTERP_BLOCK at a time, so the phase matrix never
+    holds more than _INTERP_BLOCK rows.
     """
     values = np.asarray(values)
     n = len(values)
     coeffs = np.fft.fft(values, axis=0).reshape(n, -1) / n
     k = wavenumbers(n, period)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    phases = np.exp(1j * np.outer(x_arr, k))
-    out = (phases @ coeffs).reshape(len(x_arr), *values.shape[1:])
+    out = np.empty((len(x_arr), coeffs.shape[1]), dtype=complex)
+    for s in range(0, len(x_arr), _INTERP_BLOCK):
+        out[s:s + _INTERP_BLOCK] = (
+            np.exp(1j * np.outer(x_arr[s:s + _INTERP_BLOCK], k)) @ coeffs)
+    out = out.reshape(len(x_arr), *values.shape[1:])
     if np.isrealobj(values):
         out = out.real
     return out if np.ndim(x) else out[0]

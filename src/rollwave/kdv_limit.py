@@ -281,7 +281,8 @@ def kdvks_spectrum(delta: float, k: float, N: int = 40,
                           (2, -delta), (4, -delta)]}
     problem = SpectralProblem(kind="kdvks", period=X,
                               operator=OperatorForm(m=1, M1=M1))
-    return {float(xi): hill.eigenvalues(problem, N, xi)
+    trunc = hill.truncate(problem, N)
+    return {float(xi): hill.eigenvalues(trunc, N, xi)
             for xi in np.linspace(np.pi / X / n_xi, np.pi / X, n_xi)}
 
 

@@ -172,6 +172,7 @@ def test_verdict_on_constant_state(constant_state):
     assert v.overall == "unstable"
     assert v.to_dict()["overall"] == "unstable"
     assert v.diagnostics["hill_max_real"] > 0.0
+    assert v.diagnostics["hill_eigensolves"] == 24
 
 
 def test_verdict_origin_overflow_is_indeterminate(constant_state, monkeypatch):

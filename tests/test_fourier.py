@@ -65,6 +65,21 @@ def test_interp_reproduces_nodes_and_offsets():
     assert fourier.interp(f, X, 0.123) == pytest.approx(_trig(0.123, X))
 
 
+def test_interp_matrix_values_across_point_blocks():
+    # more points than one phase-matrix block, the last block partial, and
+    # matrix-valued samples whose entries interpolate independently
+    X = 4.0
+    x = fourier.grid(32, X)
+    f = np.stack([_trig(x, X), _trig_d1(x, X), 2.0 * _trig(x, X),
+                  -_trig_d1(x, X)], axis=1).reshape(32, 2, 2)
+    xq = np.linspace(-1.0, 2.0 * X, 2 * fourier._INTERP_BLOCK + 37)
+    want = np.stack([_trig(xq, X), _trig_d1(xq, X), 2.0 * _trig(xq, X),
+                     -_trig_d1(xq, X)], axis=1).reshape(len(xq), 2, 2)
+    got = fourier.interp(f, X, xq)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=3, max_value=6), st.integers(min_value=3, max_value=6),
        st.floats(min_value=0.5, max_value=20.0))

@@ -5,8 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from rollwave import evans, hill, linearize
+from rollwave import evans, fourier, hill, linearize
 from rollwave import profile as prof
+from rollwave.linearize import OperatorForm, SpectralProblem
 from rollwave.model import DomainError
 
 
@@ -89,3 +90,96 @@ def test_max_unstable_excludes_origin_ball(constant_state):
     cloud = hill.spectrum(sp, N=8, n_xi=4)
     big = hill.max_unstable(cloud, r0=1e3)
     assert big <= 0.0
+
+
+def _set_distance(a, b):
+    """Largest distance from a point of either set to the other set."""
+    d = np.abs(a[:, None] - b[None, :])
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+@pytest.mark.parametrize("n_xi", [8, 7])
+def test_spectrum_solves_half_the_grid(constant_state, monkeypatch, n_xi):
+    # xi > 0 and -pi/X are solved; each xi < 0 row mirrors its partner
+    sp = linearize.bloch_coeffs(constant_state)
+    solved = []
+    direct = hill.eigenvalues
+
+    def counting(problem, N, xi):
+        solved.append(xi)
+        return direct(problem, N, xi)
+
+    monkeypatch.setattr(hill, "eigenvalues", counting)
+    cloud = hill.spectrum(sp, N=6, n_xi=n_xi)
+    assert len(solved) == 4 == cloud.eigensolves
+    assert np.array_equal(cloud.xi, hill.default_xi_grid(sp.period, n_xi))
+    assert len(cloud.eigs) == len(cloud.xi)
+
+
+def _check_mirrored_rows(problem, N, n_xi):
+    cloud = hill.spectrum(problem, N, n_xi=n_xi)
+    mirrored = [(x, evs) for x, evs in zip(cloud.xi, cloud.eigs)
+                if -np.pi / problem.period < x < 0.0]
+    assert len(mirrored) == len(cloud.xi) - cloud.eigensolves > 0
+    for x, evs in mirrored:
+        want = hill.eigenvalues(problem, N, x)
+        assert len(evs) == len(want)
+        assert np.array_equal(evs, evs[np.lexsort((evs.imag, -evs.real))])
+        assert _set_distance(evs, want) < 1e-10
+
+
+def test_mirrored_rows_match_direct_solves(fig1c_wave):
+    _check_mirrored_rows(linearize.bloch_coeffs(fig1c_wave), 24, 8)
+
+
+def test_mirrored_rows_match_direct_solves_ham_pencil():
+    orbit = prof.ham_orbit(0.5, n=256)
+    _check_mirrored_rows(linearize.ham_limit_operator(orbit), 16, 7)
+
+
+def test_mirrored_rows_are_resorted():
+    # pure advection: every eigenvalue i (xi + 2 pi l / X) ties in real
+    # part, so the conjugates keep the sort key only when re-sorted
+    op = OperatorForm(m=1, M1={(0, 0): [(1, 1.0)]})
+    _check_mirrored_rows(SpectralProblem(kind="test", period=2.0 * np.pi,
+                                         operator=op), 5, 8)
+
+
+def test_spectrum_rejects_complex_coefficient():
+    x = fourier.grid(32, 2.0 * np.pi)
+    op = OperatorForm(m=1, M1={(0, 0): [(0, np.exp(1j * x))]})
+    sp = SpectralProblem(kind="test", period=2.0 * np.pi, operator=op)
+    with pytest.raises(DomainError):
+        hill.spectrum(sp, N=4, n_xi=4)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("delta", [0.0, 0.2])
+def test_single_cosine_assembly_is_tridiagonal(order, delta):
+    # 1 + eps cos(2 pi x / X) + delta sin(2 pi x / X) has Fourier
+    # coefficients 1 and (eps -+ i delta) / 2 at +-1, so its block is the
+    # tridiagonal convolution c_{j-l} times the Bloch symbol of column l
+    X, N, eps, xi = 3.0, 6, 0.3, 0.4
+    x = fourier.grid(64, X)
+    coeff = (1.0 + eps * np.cos(2 * np.pi * x / X)
+             + delta * np.sin(2 * np.pi * x / X))
+    op = OperatorForm(m=1, M1={(0, 0): [(order, coeff)]})
+    sp = SpectralProblem(kind="test", period=X, operator=op)
+    sym = (1j * (xi + 2.0 * np.pi * np.arange(-N, N + 1) / X)) ** order
+    conv = (np.eye(2 * N + 1)
+            + 0.5 * (eps - 1j * delta) * np.eye(2 * N + 1, k=-1)
+            + 0.5 * (eps + 1j * delta) * np.eye(2 * N + 1, k=1))
+    want = conv * sym[None, :]
+    M1, M2 = hill.assemble(sp, N, xi)
+    assert M2 is None
+    assert np.max(np.abs(M1 - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_truncation_gives_the_problems_eigenvalues(fig1c_wave):
+    sp = linearize.bloch_coeffs(fig1c_wave)
+    trunc = hill.truncate(sp, 12)
+    for xi in (0.05, -0.11):
+        assert np.array_equal(hill.eigenvalues(trunc, 12, xi),
+                              hill.eigenvalues(sp, 12, xi))
+    with pytest.raises(DomainError):
+        hill.eigenvalues(trunc, 13, 0.05)

@@ -438,8 +438,7 @@ def main(argv=None) -> int:
     except (DomainError, FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except sweep.NUMERIC_ERRORS + (sweep.NotBracketed,
-                                   sweep.ProbeFailed) as err:
+    except sweep.NUMERIC_ERRORS as err:
         print(f"non-convergence: {err}", file=sys.stderr)
         return 2
     except Exception:

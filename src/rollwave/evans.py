@@ -129,16 +129,15 @@ class ScaledFrame:
 
     Per-row log scales keep every Floquet mode at its own magnitude, so the
     representation survives exponent spreads far beyond the double range.
-    logdet is the accumulated complex log of det Psi; liouville_error is
-    |det Psi / exp(integral of tr A) - 1|, well defined because exp kills
-    any 2 pi i branch mismatch in the accumulation.
+    liouville_error is |det Psi / exp(integral of tr A) - 1|, computed from
+    the accumulated complex log of det Psi and well defined because exp
+    kills any 2 pi i branch mismatch in the accumulation.
     """
 
     lam: complex
     Q: np.ndarray
     U: np.ndarray
     row_scales: np.ndarray
-    logdet: complex
     liouville_error: float
     untrusted: bool
     n_steps: int
@@ -353,9 +352,8 @@ class EvansEvaluator:
                 liou = abs(cmath.exp(w) - 1.0)
             frames.append(ScaledFrame(
                 lam=complex(z), Q=Y[k], U=U[k], row_scales=g[k],
-                logdet=complex(logdet[k]), liouville_error=liou,
-                untrusted=not liou <= 1e-6, n_steps=len(W0),
-                balance=self.balance))
+                liouville_error=liou, untrusted=not liou <= 1e-6,
+                n_steps=len(W0), balance=self.balance))
         return frames
 
     def _calibrate(self) -> float:
@@ -664,7 +662,6 @@ class OriginExpansion:
     R: float
     reality_error: float
     representation_residual: float
-    scale: float                 # |c20|
 
     @property
     def double_root_ok(self) -> bool:
@@ -786,7 +783,7 @@ def origin_taylor(evaluator: EvansEvaluator,
         / (2.0 * c20 * a + c[1, 1]) for a in alpha])
     return OriginExpansion(c=c, alpha=alpha, beta=beta, R=R,
                            reality_error=rerr,
-                           representation_residual=rep_res, scale=abs(c20))
+                           representation_residual=rep_res)
 
 
 # -- root polishing ----------------------------------------------------------

@@ -24,7 +24,8 @@ import numpy as np
 from . import fourier, hill
 from .elliptic import elliptic_E, elliptic_K, jacobi_cn, selection_kappa
 from .linearize import OperatorForm, SpectralProblem, Terms
-from .model import DomainError
+from .model import DomainError, PhysicalParams
+from .profile import WaveProfile, _newton_solve, ode_residual
 
 __all__ = [
     "elliptic_K", "elliptic_E", "jacobi_cn", "selection_kappa",
@@ -184,9 +185,6 @@ def asymptotic_rollwave(delta: float, k: float, nu: float,
     T0 + delta_tilde * T1 mapped back through the weakly nonlinear scalings;
     its stored residual is the actual traveling-wave residual, O(delta^4).
     """
-    from .profile import WaveProfile, ode_residual
-    from .model import PhysicalParams
-
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
     F = 2.0 + delta * delta
@@ -205,7 +203,7 @@ def asymptotic_rollwave(delta: float, k: float, nu: float,
     dtau = fourier.deriv(tau, X)
     res = float(np.max(np.abs(ode_residual(tau, params))))
     return WaveProfile(params=params, n=n, tau=tau, dtau=dtau,
-                       residual_norm=res, provenance="asymptotic")
+                       residual_norm=res)
 
 
 def kdvks_wave(delta: float, k: float, a0: float = 0.0,
@@ -220,14 +218,13 @@ def kdvks_wave(delta: float, k: float, a0: float = 0.0,
     (cnoidal seed, converged samples T, converged speed sigma).  Converging
     the wave matters: the Bloch spectrum about the truncated expansion splits
     the defective translation pair by O(delta), drowning the O(delta^2)
-    stability information.
+    stability information.  Raises NonConvergence when Newton stops above
+    a residual of 1e-4.
     """
     wave = cnoidal_profile(k, a0=a0, n=n)
     X = wave.X
-    T1 = corrector_T1(wave)
-    T = wave.T0 + delta * T1
-    sigma = wave.sigma0
-    seed, dseed = T.copy(), fourier.deriv(T, X)
+    seed = wave.T0 + delta * corrector_T1(wave)
+    dseed = fourier.deriv(seed, X)
 
     D1 = fourier.diff_matrix(n, X, 1)
     D2 = fourier.diff_matrix(n, X, 2)
@@ -235,35 +232,28 @@ def kdvks_wave(delta: float, k: float, a0: float = 0.0,
     D4 = fourier.diff_matrix(n, X, 4)
     Dvisc = D3 + delta * (D2 + D4)
 
-    # Fourth derivatives amplify rounding by (2 pi n / X)^4; the attainable
-    # residual floor scales accordingly.
-    floor = 64.0 * np.finfo(float).eps * (2.0 * np.pi * n / X) ** 4
-    best = None
-    for _ in range(40):
+    def residual(x):
+        T, sigma = x[:n], x[n]
         res = (fourier.deriv(0.5 * T * T - sigma * T, X)
                + fourier.deriv(T, X, 3) + delta * (fourier.deriv(T, X, 2)
                                                    + fourier.deriv(T, X, 4)))
-        phase = float(np.mean((T - seed) * dseed))
-        err = max(float(np.max(np.abs(res))), abs(phase))
-        if best is None or err < best[0]:
-            best = (err, T.copy(), sigma)
-        if err < max(1e-11, floor * max(1.0, np.max(np.abs(T)))):
-            break
+        return np.concatenate([res, [float(np.mean((T - seed) * dseed))]])
+
+    def jacobian(x):
+        T, sigma = x[:n], x[n]
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = D1 @ np.diag(T - sigma) + Dvisc
         J[:n, n] = -fourier.deriv(T, X)
         J[n, :n] = dseed / n
-        step = np.linalg.solve(J, np.concatenate([res, [phase]]))
-        if np.max(np.abs(step)) < 1e-12 * max(1.0, np.max(np.abs(T))):
-            break
-        T = T - step[:n]
-        sigma = sigma - step[n]
-    else:
-        if best[0] > 1e-4:
-            raise SolvabilityError(
-                f"KdV-KS wave Newton stalled at delta={delta}: residual {best[0]:.3e}")
-    _, T, sigma = best
-    return wave, np.asarray(T), float(sigma)
+        return J
+
+    # Fourth derivatives amplify rounding by (2 pi n / X)^4; the attainable
+    # residual floor scales accordingly.
+    tol = max(1e-11, 64.0 * np.finfo(float).eps * (2.0 * np.pi * n / X) ** 4
+              * max(1.0, np.max(np.abs(seed))))
+    x, _ = _newton_solve(residual, jacobian, np.append(seed, wave.sigma0), tol,
+                         lambda x: True, floor=1e-4)
+    return wave, x[:n], float(x[n])
 
 
 def kdvks_spectrum(delta: float, k: float, N: int = 40,

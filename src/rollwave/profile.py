@@ -48,7 +48,6 @@ class WaveProfile:
     tau: np.ndarray
     dtau: np.ndarray
     residual_norm: float
-    provenance: str = "newton"
 
     @property
     def u(self) -> np.ndarray:
@@ -78,8 +77,7 @@ class WaveProfile:
         return cls(params=params, n=int(data["n"]),
                    tau=np.asarray(data["tau"], dtype=float),
                    dtau=np.asarray(data["dtau"], dtype=float),
-                   residual_norm=float(data["residual"]),
-                   provenance="file")
+                   residual_norm=float(data["residual"]))
 
 
 def ode_residual(tau: np.ndarray, params: PhysicalParams) -> np.ndarray:
@@ -98,76 +96,100 @@ def equilibrium(F: float, nu: float, tau0: float = 1.0,
     q = tau0 ** -0.5 + c * tau0
     params = PhysicalParams(F=F, nu=nu, q=q, c=c, X=X, tau0=tau0)
     tau = np.full(n, tau0)
+    res = float(np.max(np.abs(ode_residual(tau, params))))
     return WaveProfile(params=params, n=n, tau=tau, dtau=np.zeros(n),
-                       residual_norm=float(np.max(np.abs(ode_residual(tau, params)))),
-                       provenance="equilibrium")
+                       residual_norm=res)
 
 
 _NEWTON_MAX_ITER = 60
 
 
-def _newton(tau: np.ndarray, params: PhysicalParams, seed_tau: np.ndarray,
-            seed_dtau: np.ndarray, tol: float):
-    """Newton iteration for (tau, c) at fixed (F, nu, q, X)."""
-    n = len(tau)
-    F, nu, X = params.F, params.nu, params.X
-    c, q = params.c, params.q
-    D1 = fourier.diff_matrix(n, X, 1)
+def _newton_solve(residual, jacobian, x, tol, admissible, monotone=False,
+                  floor=None):
+    """Newton's method on a bordered collocation system; returns (x, error).
 
-    def residual(tau, c):
-        G = ode_residual(tau, params.with_(c=c))
-        phase = float(np.mean((tau - seed_tau) * seed_dtau))
-        return G, phase
-
-    def norm(G, phase):
-        return max(float(np.max(np.abs(G))), abs(phase))
-
-    G, phase = residual(tau, c)
-    err = norm(G, phase)
+    `residual(x)` is the whole bordered vector (collocation rows plus the
+    phase or pin rows), `jacobian(x)` its derivative, and the error is the
+    max norm of the residual.  A step below 1e-13 max(1, |x|) is at the
+    rounding floor and stops the loop.  With `monotone` the step is halved
+    up to ten times until `admissible(x)` holds and the error falls, and the
+    loop stalls when it never does; otherwise the full step is taken and an
+    inadmissible one raises NonConvergence.  An iterate that stops, stalls
+    or runs out of iterations above `tol` is kept only if its error is at
+    most `floor`.
+    """
+    r = residual(x)
+    err = float(np.max(np.abs(r)))
     for _ in range(_NEWTON_MAX_ITER):
         if err <= tol:
-            break
-        if np.min(tau) <= 0.0:
-            raise NonConvergence("profile left the physical region tau > 0", err)
-        dt = fourier.deriv(tau, X)
-        J = np.zeros((n + 1, n + 1))
-        dG_dtau = (c * c * D1
-                   - (1.0 / (F * F * tau ** 3))[:, None] * D1
-                   + np.diag(3.0 * dt / (F * F * tau ** 4)
-                             + (q - c * tau) ** 2
-                             - 2.0 * c * tau * (q - c * tau))
-                   + c * nu * ((D1 * (tau ** -2)[None, :]) @ D1
-                               - 2.0 * D1 * (tau ** -3 * dt)[None, :]))
-        J[:n, :n] = dG_dtau
-        J[:n, n] = (2.0 * c * dt - 2.0 * tau ** 2 * (q - c * tau)
-                    + nu * fourier.deriv(tau ** -2 * dt, X))
-        J[n, :n] = seed_dtau / n
+            return x, err
+        J = jacobian(x)
         try:
-            step = np.linalg.solve(J, np.concatenate([G, [phase]]))
+            step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError as exc:
             raise DegenerateJacobian(str(exc)) from None
         if not np.all(np.isfinite(step)):
             raise DegenerateJacobian("non-finite Newton step")
-
-        lam = 1.0
-        for _ in range(10):
-            tau_new = tau - lam * step[:n]
-            c_new = c - lam * step[n]
-            if np.min(tau_new) > 0.0:
-                G_new, phase_new = residual(tau_new, c_new)
-                if norm(G_new, phase_new) < err:
-                    tau, c = tau_new, c_new
-                    G, phase = G_new, phase_new
-                    err = norm(G, phase)
-                    break
-            lam *= 0.5
+        if np.max(np.abs(step)) < 1e-13 * max(1.0, np.max(np.abs(x))):
+            break
+        if monotone:
+            lam = 1.0
+            for _ in range(10):
+                x_new = x - lam * step
+                if admissible(x_new):
+                    r_new = residual(x_new)
+                    err_new = float(np.max(np.abs(r_new)))
+                    if err_new < err:
+                        break
+                lam *= 0.5
+            else:
+                break           # the line search stalled
         else:
-            raise NonConvergence(
-                f"line search stalled at residual {err:.3e}", err)
-    else:
-        raise NonConvergence(f"no convergence after {_NEWTON_MAX_ITER} "
-                             f"iterations, residual {err:.3e}", err)
-    return tau, c, err
+            x_new = x - step
+            if not admissible(x_new):
+                raise NonConvergence(
+                    f"Newton step left the admissible region at residual "
+                    f"{err:.3e}", err)
+            r_new = residual(x_new)
+            err_new = float(np.max(np.abs(r_new)))
+        x, r, err = x_new, r_new, err_new
+    if err > (tol if floor is None else max(tol, floor)):
+        raise NonConvergence(f"Newton stopped at residual {err:.3e}", err)
+    return x, err
+
+
+def _newton(params: PhysicalParams, seed_tau: np.ndarray, tol: float):
+    """Damped Newton for (tau, c) at fixed (F, nu, q, X) from the seed."""
+    n = len(seed_tau)
+    F, nu, X, q = params.F, params.nu, params.X, params.q
+    seed_dtau = fourier.deriv(seed_tau, X)
+    D1 = fourier.diff_matrix(n, X, 1)
+
+    def residual(x):
+        tau, c = x[:n], x[n]
+        G = ode_residual(tau, params.with_(c=c))
+        phase = float(np.mean((tau - seed_tau) * seed_dtau))
+        return np.concatenate([G, [phase]])
+
+    def jacobian(x):
+        tau, c = x[:n], x[n]
+        dt = fourier.deriv(tau, X)
+        J = np.zeros((n + 1, n + 1))
+        J[:n, :n] = (c * c * D1
+                     - (1.0 / (F * F * tau ** 3))[:, None] * D1
+                     + np.diag(3.0 * dt / (F * F * tau ** 4)
+                               + (q - c * tau) ** 2
+                               - 2.0 * c * tau * (q - c * tau))
+                     + c * nu * ((D1 * (tau ** -2)[None, :]) @ D1
+                                 - 2.0 * D1 * (tau ** -3 * dt)[None, :]))
+        J[:n, n] = (2.0 * c * dt - 2.0 * tau ** 2 * (q - c * tau)
+                    + nu * fourier.deriv(tau ** -2 * dt, X))
+        J[n, :n] = seed_dtau / n
+        return J
+
+    x, err = _newton_solve(residual, jacobian, np.append(seed_tau, params.c),
+                           tol, lambda x: np.min(x[:n]) > 0.0, monotone=True)
+    return x[:n], float(x[n]), err
 
 
 def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
@@ -179,12 +201,11 @@ def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
     seed_tau = np.asarray(seed_tau, dtype=float)
     if np.min(seed_tau) <= 0.0:
         raise DomainError("seed profile must be strictly positive")
-    seed_dtau = fourier.deriv(seed_tau, params.X)
-    tau, c, err = _newton(seed_tau.copy(), params, seed_tau, seed_dtau, tol)
+    tau, c, err = _newton(params, seed_tau, tol)
     out_params = params.with_(c=c)
     return WaveProfile(params=out_params, n=len(tau), tau=tau,
                        dtau=fourier.deriv(tau, out_params.X),
-                       residual_norm=err, provenance="newton")
+                       residual_norm=err)
 
 
 _MIN_STEP = 1e-6        # smallest continuation step, as a share of the segment
@@ -251,14 +272,19 @@ class LimitProfile:
     residual_norm: float
 
 
-def _limit_jacobian_block(a: np.ndarray, da: np.ndarray, c0: float, nu: float,
-                          q0: float, D1: np.ndarray) -> np.ndarray:
+def _limit_jacobian(a: np.ndarray, c0: float, X0: float, nu: float, q0: float,
+                    D1: np.ndarray, borders: int) -> np.ndarray:
+    """Bordered limit Jacobian with its collocation rows in a and c0 filled."""
     n = len(a)
-    return (c0 * c0 * D1 - (a ** -3)[:, None] * D1
-            + np.diag(3.0 * a ** -4 * da)
-            + nu * c0 * ((D1 * (a ** -2)[None, :]) @ D1
-                         - 2.0 * D1 * (a ** -3 * da)[None, :])
-            + q0 * q0 * np.eye(n))
+    da = fourier.deriv(a, X0)
+    J = np.zeros((n + borders, n + borders))
+    J[:n, :n] = (c0 * c0 * D1 - (a ** -3)[:, None] * D1
+                 + np.diag(3.0 * a ** -4 * da)
+                 + nu * c0 * ((D1 * (a ** -2)[None, :]) @ D1
+                              - 2.0 * D1 * (a ** -3 * da)[None, :])
+                 + q0 * q0 * np.eye(n))
+    J[:n, n] = 2.0 * c0 * da + nu * fourier.deriv(a ** -2 * da, X0)
+    return J
 
 
 def limit_ode_residual(a: np.ndarray, q0: float, c0: float, X0: float,
@@ -282,37 +308,27 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
     cosw = np.cos(2.0 * np.pi * j / n)
     sinw = np.sin(2.0 * np.pi * j / n)
 
-    def full_res(a, c0, X0):
+    def residual(x):
+        a, c0, X0 = x[:n], x[n], x[n + 1]
         G = limit_ode_residual(a, q0, c0, X0, nu)
         pin = 2.0 * float(np.mean(a * cosw)) - A
         phs = 2.0 * float(np.mean(a * sinw))
-        return G, pin, phs
+        return np.concatenate([G, [pin, phs]])
 
-    for _ in range(_NEWTON_MAX_ITER):
-        G, pin, phs = full_res(a, c0, X0)
-        err = max(float(np.max(np.abs(G))), abs(pin), abs(phs))
-        if err <= tol:
-            return a, float(c0), float(X0)
+    def jacobian(x):
+        a, c0, X0 = x[:n], x[n], x[n + 1]
         D1 = fourier.diff_matrix(n, X0, 1)
-        da = fourier.deriv(a, X0)
-        J = np.zeros((n + 2, n + 2))
-        J[:n, :n] = _limit_jacobian_block(a, da, c0, nu, q0, D1)
-        J[:n, n] = 2.0 * c0 * da + nu * fourier.deriv(a ** -2 * da, X0)
+        J = _limit_jacobian(a, c0, X0, nu, q0, D1, 2)
         h = 1e-7 * X0
         J[:n, n + 1] = (limit_ode_residual(a, q0, c0, X0 + h, nu)
                         - limit_ode_residual(a, q0, c0, X0 - h, nu)) / (2.0 * h)
         J[n, :n] = 2.0 * cosw / n
         J[n + 1, :n] = 2.0 * sinw / n
-        try:
-            step = np.linalg.solve(J, np.concatenate([G, [pin, phs]]))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateJacobian(str(exc)) from None
-        a = a - step[:n]
-        c0 = c0 - step[n]
-        X0 = X0 - step[n + 1]
-        if np.min(a) <= 0.0 or X0 <= 0.0:
-            raise NonConvergence("pinned step left the physical region", err)
-    raise NonConvergence(f"pinned Newton stalled at residual {err:.3e}", err)
+        return J
+
+    x, _ = _newton_solve(residual, jacobian, np.append(a, [c0, X0]), tol,
+                         lambda x: np.min(x[:n]) > 0.0 and x[n + 1] > 0.0)
+    return x[:n], float(x[n]), float(x[n + 1])
 
 
 _LIMIT_TOL = 1e-10      # final residual of the limiting wave
@@ -402,40 +418,24 @@ def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
     n = len(a)
     seed, dseed = a.copy(), fourier.deriv(a, X0)
     D1 = fourier.diff_matrix(n, X0, 1)
-    err = np.inf
-    for _ in range(_NEWTON_MAX_ITER):
-        G = limit_ode_residual(a, q0, c0, X0, nu)
-        phase = float(np.mean((a - seed) * dseed))
-        err = max(float(np.max(np.abs(G))), abs(phase))
-        if err <= tol:
-            break
-        da = fourier.deriv(a, X0)
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = _limit_jacobian_block(a, da, c0, nu, q0, D1)
-        J[:n, n] = 2.0 * c0 * da + nu * fourier.deriv(a ** -2 * da, X0)
+
+    def residual(x):
+        a = x[:n]
+        G = limit_ode_residual(a, q0, x[n], X0, nu)
+        return np.concatenate([G, [float(np.mean((a - seed) * dseed))]])
+
+    def jacobian(x):
+        J = _limit_jacobian(x[:n], x[n], X0, nu, q0, D1, 1)
         J[n, :n] = dseed / n
-        try:
-            step = np.linalg.solve(J, np.concatenate([G, [phase]]))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateJacobian(str(exc)) from None
-        if np.max(np.abs(step)) < 1e-13 * max(1.0, np.max(np.abs(a))):
-            # rounding floor of the spectral residual; keep the iterate
-            break
-        a_new = a - step[:n]
-        for _ in range(12):
-            if np.min(a_new) > 0.0:
-                break
-            step *= 0.5
-            a_new = a - step[:n]
-        else:
-            raise NonConvergence("limit profile left a > 0", err)
-        a = a_new
-        c0 = c0 - step[n]
+        return J
+
     # the attainable residual floor grows with the squared node count
     # (spectral second derivatives amplify rounding)
-    if err > max(tol, 1e-8 * max(1.0, (n / 256.0) ** 2)):
-        raise NonConvergence(f"limit profile Newton stalled at {err:.3e}", err)
-    return LimitProfile(q0=q0, X0=X0, nu=nu, c0=float(c0), n=n, a=a,
+    x, err = _newton_solve(residual, jacobian, np.append(a, c0), tol,
+                           lambda x: np.min(x[:n]) > 0.0,
+                           floor=1e-8 * max(1.0, (n / 256.0) ** 2))
+    a = x[:n]
+    return LimitProfile(q0=q0, X0=X0, nu=nu, c0=float(x[n]), n=n, a=a,
                         da=fourier.deriv(a, X0), residual_norm=err)
 
 

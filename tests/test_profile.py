@@ -33,6 +33,103 @@ def test_solve_profile_input_validation():
         prof.solve_profile(p, -np.ones(32))
 
 
+def test_solve_profile_constant_seed_is_degenerate(constant_state):
+    # a constant seed has no derivative, so the phase row of the Jacobian
+    # vanishes; off the equilibrium speed the residual is not yet zero
+    p = constant_state.params.with_(c=0.3)
+    with pytest.raises(prof.DegenerateJacobian):
+        prof.solve_profile(p, constant_state.tau)
+
+
+def test_solve_profile_unreachable_tol_reports_its_residual(monkeypatch):
+    from rollwave import kdv_limit
+    k = kdv_limit.k_of_period(12.0)
+    w0 = kdv_limit.asymptotic_rollwave(0.1, k, 0.1, n=128)
+    seed_dtau = fourier.deriv(w0.tau, w0.params.X)
+    errors = []
+    ode_residual = prof.ode_residual
+
+    def recording(tau, params):
+        G = ode_residual(tau, params)
+        phase = float(np.mean((tau - w0.tau) * seed_dtau))
+        errors.append(max(float(np.max(np.abs(G))), abs(phase)))
+        return G
+
+    monkeypatch.setattr(prof, "ode_residual", recording)
+    with pytest.raises(prof.NonConvergence) as info:
+        prof.solve_profile(w0.params, w0.tau, tol=1e-18)
+    # the damped iteration only accepts decreasing residuals, so the one it
+    # stopped at is the smallest it evaluated
+    assert info.value.residual == min(errors)
+    assert 1e-18 < info.value.residual < 1e-10
+    assert f"{info.value.residual:.3e}" in str(info.value)
+
+
+def _scalar(f, df):
+    return (lambda x: np.array([f(x[0])]),
+            lambda x: np.array([[df(x[0])]]))
+
+
+def test_newton_solve_converges_and_returns_its_residual():
+    residual, jacobian = _scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
+    for monotone in (False, True):
+        x, err = prof._newton_solve(residual, jacobian, np.array([1.0]),
+                                    1e-12, lambda x: True, monotone=monotone)
+        assert x[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert err == abs(x[0] * x[0] - 2.0) <= 1e-12
+
+
+def test_newton_solve_rounding_floor():
+    # tol 0 is unreachable: the loop stops at a step below the rounding
+    # floor, long before _NEWTON_MAX_ITER, and keeps the iterate only if
+    # its error is within `floor`
+    calls = []
+    residual, jacobian = _scalar(lambda x: calls.append(x) or x * x - 2.0,
+                                 lambda x: 2.0 * x)
+    with pytest.raises(prof.NonConvergence):
+        prof._newton_solve(residual, jacobian, np.array([1.0]), 0.0,
+                           lambda x: True)
+    assert len(calls) < 10
+    x, err = prof._newton_solve(residual, jacobian, np.array([1.0]), 0.0,
+                                lambda x: True, floor=1e-12)
+    assert err == abs(x[0] * x[0] - 2.0) <= 1e-12
+
+
+def test_newton_solve_singular_jacobian():
+    residual, jacobian = _scalar(lambda x: x * x + 1.0, lambda x: 0.0)
+    with pytest.raises(prof.DegenerateJacobian):
+        prof._newton_solve(residual, jacobian, np.array([1.0]), 1e-12,
+                           lambda x: True)
+
+
+def test_newton_solve_monotone_stall_and_floor():
+    # a Jacobian of the wrong sign points uphill: every damped step raises
+    # the residual, so the line search stalls at the starting error
+    calls = []
+    residual, jacobian = _scalar(lambda x: calls.append(x) or x - 1.0,
+                                 lambda x: -1.0)
+    with pytest.raises(prof.NonConvergence) as info:
+        prof._newton_solve(residual, jacobian, np.array([3.0]), 1e-12,
+                           lambda x: True, monotone=True)
+    assert info.value.residual == 2.0
+    assert len(calls) == 1 + 10
+    x, err = prof._newton_solve(residual, jacobian, np.array([3.0]), 1e-12,
+                                lambda x: True, monotone=True, floor=2.0)
+    assert (x[0], err) == (3.0, 2.0)
+
+
+def test_newton_solve_inadmissible_full_step():
+    # the full step from 1 lands on 1.5; only the damped rule halves it
+    residual, jacobian = _scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
+    below = lambda x: x[0] < 1.45
+    with pytest.raises(prof.NonConvergence) as info:
+        prof._newton_solve(residual, jacobian, np.array([1.0]), 1e-12, below)
+    assert info.value.residual == 1.0
+    x, _ = prof._newton_solve(residual, jacobian, np.array([1.0]), 1e-12,
+                              below, monotone=True)
+    assert x[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
 def test_continue_profile_rejects_unknown_parameter(constant_state):
     with pytest.raises(DomainError):
         prof.continue_profile(constant_state, tau0=2.0)

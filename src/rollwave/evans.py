@@ -117,15 +117,19 @@ class EvansValue:
         if other.mantissa == 0.0:
             raise ZeroDivisionError("ratio with a zero Evans value")
         de = self.exponent - other.exponent
-        if de > 700.0:
-            de = 700.0
-        return self.mantissa / other.mantissa * math.exp(de)
+        try:
+            return self.mantissa / other.mantissa * math.exp(de)
+        except OverflowError:
+            raise OverflowError(
+                f"Evans ratio exp({de:.1f}) is beyond the double range"
+            ) from None
 
 
 @dataclass(frozen=True)
 class ScaledFrame:
-    """Monodromy Psi = Q diag(exp(row_scales)) U with Q unitary, U upper
-    triangular with unit row maxima.
+    """Balanced monodromy B^-1 Psi B = Q diag(exp(row_scales)) U with Q
+    unitary, U upper triangular with unit row maxima, and B the evaluator's
+    diagonal `balance`.
 
     Per-row log scales keep every Floquet mode at its own magnitude, so the
     representation survives exponent spreads far beyond the double range.
@@ -141,16 +145,6 @@ class ScaledFrame:
     liouville_error: float
     untrusted: bool
     n_steps: int
-    balance: np.ndarray | None = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        s = np.exp(np.minimum(self.row_scales, 700.0))
-        M = self.Q @ (s[:, None] * self.U)
-        if self.balance is not None:
-            b = self.balance
-            M = b[:, None] * M / b[None, :]
-        return M
 
 
 def _balance_diag(M: np.ndarray) -> np.ndarray:
@@ -353,7 +347,7 @@ class EvansEvaluator:
             frames.append(ScaledFrame(
                 lam=complex(z), Q=Y[k], U=U[k], row_scales=g[k],
                 liouville_error=liou, untrusted=not liou <= 1e-6,
-                n_steps=len(W0), balance=self.balance))
+                n_steps=len(W0)))
         return frames
 
     def _calibrate(self) -> float:
@@ -375,8 +369,11 @@ class EvansEvaluator:
             vals = [_det_scaled(fr, rho)
                     for fr in self._propagate(probes, cap)]
             if prev is not None:
-                err = max(abs(v.ratio(p) - 1.0) if p.mantissa != 0.0 else 1.0
-                          for v, p in zip(vals, prev))
+                try:
+                    err = max(abs(v.ratio(p) - 1.0) if p.mantissa != 0.0
+                              else 1.0 for v, p in zip(vals, prev))
+                except OverflowError:
+                    err = math.inf      # a probe moved past the double range
                 if err <= target:
                     return cap
             prev = vals
@@ -542,7 +539,10 @@ class ContourReport:
 def _relative_jump(a: EvansValue, b: EvansValue) -> float:
     if a.mantissa == 0.0 or b.mantissa == 0.0:
         return math.inf
-    r = b.ratio(a)
+    try:
+        r = b.ratio(a)
+    except OverflowError:
+        return math.inf
     mag = abs(r)
     if mag == 0.0 or not math.isfinite(mag):
         return math.inf

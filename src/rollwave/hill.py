@@ -186,28 +186,6 @@ def spectrum(problem: SpectralProblem, N: int, n_xi: int = 64) -> SpectralCloud:
                          eigensolves=len(solved))
 
 
-def double_period(problem: SpectralProblem) -> SpectralProblem:
-    """The same operator on the doubled period (subharmonic perturbations).
-
-    Tiles every sampled coefficient twice; xi then ranges over half the
-    fundamental interval of the original wave.  The result has no
-    first-order form, so it is a Hill-only problem.
-    """
-    op = problem.operator
-
-    def tile(terms):
-        if terms is None:
-            return None
-        return {key: [(order, coeff if np.isscalar(coeff)
-                       else np.concatenate([coeff, coeff]))
-                      for order, coeff in termlist]
-                for key, termlist in terms.items()}
-
-    return SpectralProblem(kind=problem.kind, period=2.0 * problem.period,
-                           operator=OperatorForm(m=op.m, M1=tile(op.M1),
-                                                 M2=tile(op.M2)))
-
-
 def max_unstable(cloud: SpectralCloud, r0: float = 0.0) -> float:
     """Largest real part over the cloud, excluding |lambda| <= r0.
 

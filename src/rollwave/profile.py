@@ -209,53 +209,70 @@ def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
 
 
 _MIN_STEP = 1e-6        # smallest continuation step, as a share of the segment
+_GROWTH = 1.5           # step growth after a converged continuation step
+
+
+def _follow(solve, x, length, h, h_min):
+    """Follow Newton unknowns x(s) along a branch from s = 0 to s = length.
+
+    x[:-1] is the profile and x[-1] the speed; `solve(s, guess)` converges
+    them at s and returns them with the object they describe.  Once two
+    points have converged, the guess is the secant through them extended by
+    the proposed step, unless that leaves the profile non-positive; else it
+    is the last point.  A profile whose amplitude falls below 0.2 of the
+    last one's, when that exceeded 1e-3 of its mean, has fallen onto the
+    constant branch and counts as a failed step.  A failed step is halved
+    and a converged one grows by _GROWTH, up to twice the first step.
+    Returns the object of the last solve; raises ContinuationStalled when
+    the step falls below h_min.
+    """
+    cap = 2.0 * h
+    s = 0.0
+    s_prev = x_prev = None
+    while s < length:
+        s_try = length if h >= length - s else s + h
+        guess = x
+        if x_prev is not None:
+            guess = x + (x - x_prev) * ((s_try - s) / (s - s_prev))
+            if np.min(guess[:-1]) <= 0.0:
+                guess = x
+        try:
+            x_new, out = solve(s_try, guess)
+        except (NonConvergence, DegenerateJacobian):
+            x_new = None
+        amp = np.ptp(x[:-1])
+        if x_new is None or (amp > 1e-3 * np.mean(x[:-1])
+                             and np.ptp(x_new[:-1]) < 0.2 * amp):
+            h = 0.5 * (s_try - s)
+            if h < h_min:
+                raise ContinuationStalled(
+                    f"continuation stalled at s={s:.6g} of {length:.6g}")
+            continue
+        h = min(_GROWTH * (s_try - s), cap)
+        s_prev, x_prev, s, x = s, x, s_try, x_new
+    return out
 
 
 def continue_profile(start: WaveProfile, tol: float = 1e-8,
                      **targets) -> WaveProfile:
     """Continue a converged wave to new values of F, nu, q and/or X.
 
-    Moves along the straight segment in parameter space with adaptive step
-    halving (and doubling after successes); the previous two converged
-    profiles supply a secant predictor.  Raises ContinuationStalled when the
-    step falls below _MIN_STEP of the segment.
+    Follows (tau, c) along the straight segment in parameter space with
+    _follow, from the whole segment as first step; raises
+    ContinuationStalled when the step falls below _MIN_STEP of the segment.
     """
     for key in targets:
         if key not in ("F", "nu", "q", "X"):
             raise DomainError(f"cannot continue in parameter {key!r}")
     p0 = start.params
     begin = {k: getattr(p0, k) for k in targets}
-    current = start
-    prev: WaveProfile | None = None
-    s, ds = 0.0, 1.0
-    while s < 1.0:
-        step = min(ds, 1.0 - s)
-        s_try = s + step
-        vals = {k: begin[k] + s_try * (targets[k] - begin[k]) for k in targets}
-        guess_tau = current.tau
-        if prev is not None and ds > 0.0:
-            # secant predictor along the path parameter
-            guess_tau = current.tau + (current.tau - prev.tau) * (step / max(ds, 1e-30))
-            if np.min(guess_tau) <= 0.0:
-                guess_tau = current.tau
-        try:
-            params = current.params.with_(**vals)
-            nxt = solve_profile(params, guess_tau, tol=tol)
-            amp_old = float(np.ptp(current.tau))
-            amp_new = float(np.ptp(nxt.tau))
-            if amp_old > 1e-3 * np.mean(current.tau) and amp_new < 0.2 * amp_old:
-                # Newton fell onto the constant branch; treat as a failed step.
-                raise NonConvergence("amplitude collapse", amp_new)
-        except (NonConvergence, DegenerateJacobian):
-            ds = 0.5 * step
-            if ds < _MIN_STEP:
-                raise ContinuationStalled(
-                    f"continuation stalled at s={s:.6f} of {targets}") from None
-            continue
-        prev, current = current, nxt
-        s = s_try
-        ds = min(2.0 * step, 1.0)
-    return current
+
+    def solve(s, x):
+        vals = {k: begin[k] + s * (targets[k] - begin[k]) for k in targets}
+        w = solve_profile(p0.with_(c=x[-1], **vals), x[:-1], tol=tol)
+        return np.append(w.tau, w.params.c), w
+
+    return _follow(solve, np.append(start.tau, p0.c), 1.0, 1.0, _MIN_STEP)
 
 
 @dataclass(frozen=True)
@@ -448,47 +465,27 @@ def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
 
     Solves the F = infinity limiting profile, seeds the physical problem at
     _F_START where the O(1/F) model error is small, and descends to the
-    target F adaptively in log F, carrying the wave in the scaled variable
-    a = tau F^2.
+    target F with _follow in s = log(_F_START / F), carrying the wave in the
+    scaled unknowns (a = tau F^2, c / F^2).
     """
     if F <= 0.0:
         raise DomainError(f"F must be positive, got {F}")
     lp = limit_profile_alpha_m2(q0, X0, nu=nu, n=n)
-    a_cur, c_cur = lp.a, lp.c0
-    F_cur = max(F, _F_START)
-    w = None
+    F_top = max(F, _F_START)
+    length = np.log(F_top / F)
 
-    def solve_at(Fv, a_seed, c_seed):
-        params = PhysicalParams(F=Fv, nu=nu, q=q0 * Fv, c=c_seed * Fv ** 2,
+    def solve(s, x):
+        # F exactly at both ends of the path
+        Fv = F_top if s == 0.0 else F * np.exp(length - s)
+        params = PhysicalParams(F=Fv, nu=nu, q=q0 * Fv, c=x[-1] * Fv ** 2,
                                 X=X0 * Fv ** 2)
-        return solve_profile(params, a_seed / Fv ** 2, tol=tol)
+        w = solve_profile(params, x[:-1] / Fv ** 2, tol=tol)
+        return np.append(w.tau * Fv ** 2, w.params.c / Fv ** 2), w
 
-    w = solve_at(F_cur, a_cur, c_cur)
-    a_cur, c_cur = w.tau * F_cur ** 2, w.params.c / F_cur ** 2
-    step = 0.35
-    s = np.log(F_cur)
-    s_end = np.log(F)
-    while s > s_end + 1e-12:
-        ds = min(step, s - s_end)
-        F_try = np.exp(s - ds)
-        try:
-            w_try = solve_at(F_try, a_cur, c_cur)
-            # converging onto the coexisting constant state is a failure,
-            # not a continuation step
-            if np.ptp(w_try.tau) * F_try ** 2 < 0.1 * np.ptp(a_cur):
-                raise NonConvergence(
-                    f"amplitude collapsed at F={F_try:.4g}")
-        except (NonConvergence, DegenerateJacobian):
-            step = 0.5 * ds
-            if step < 1e-4:
-                raise ContinuationStalled(
-                    f"descent in F stalled at F={np.exp(s):.4g}") from None
-            continue
-        w = w_try
-        s = s - ds
-        a_cur, c_cur = w.tau * F_try ** 2, w.params.c / F_try ** 2
-        step = min(1.3 * ds, 0.7)
-    return w
+    x, w = solve(0.0, np.append(lp.a, lp.c0))
+    if F >= _F_START:
+        return w
+    return _follow(solve, x, length, 0.35, 1e-4)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, one PASS/FAIL line each.
 
-Criterion 8 (boundary bisection + power-law fit) runs for hours and is
-marked slow; it is excluded from the default profile (see pyproject.toml).
+Criterion 8 (boundary bisection + power-law fit) takes about 100 s on two
+cores and is marked slow; it is excluded from the default profile (see
+pyproject.toml).
 """
 
 import math

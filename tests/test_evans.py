@@ -1,5 +1,7 @@
 """Periodic Evans function: monodromy, winding numbers, origin expansion."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,10 +24,15 @@ def test_constant_monodromy_matches_expm(const_problem):
     # constant coefficients: Psi(X) = expm((A0 + lam A1) X) exactly
     fo = const_problem.first_order
     lam = 0.21 - 0.13j
-    frame = evans.EvansEvaluator(const_problem).frame(lam)
+    ev = evans.EvansEvaluator(const_problem)
+    frame = ev.frame(lam)
     ref = scipy.linalg.expm((fo.A0[0] + lam * fo.A1[0])
                             * const_problem.period)
-    assert np.max(np.abs(frame.matrix - ref)) < 1e-10 * np.max(np.abs(ref))
+    # the frame holds the balanced monodromy B^-1 Psi B
+    b = ev.balance
+    psi = frame.Q @ (np.exp(frame.row_scales)[:, None] * frame.U)
+    psi = b[:, None] * psi / b[None, :]
+    assert np.max(np.abs(psi - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
 def test_constant_state_roots_match_dispersion(const_problem, constant_state):
@@ -153,8 +160,34 @@ def test_evans_value_scaling():
     w = evans.EvansValue(mantissa=1.0 + 0.0j, exponent=2.0)
     assert v.ratio(w) == pytest.approx(2.0 * np.e)
     # beyond the double range: an error, never a clamped value
+    big = evans.EvansValue(1.0, 800.0)
     with pytest.raises(OverflowError):
-        complex(evans.EvansValue(1.0, 800.0))
+        complex(big)
+    with pytest.raises(OverflowError):
+        big.ratio(w)
+    assert big.ratio(evans.EvansValue(1.0, 95.0)) == pytest.approx(
+        np.exp(705.0))
+    # a jump across the double range is infinite, in either direction
+    assert evans._relative_jump(w, big) == math.inf
+    assert evans._relative_jump(big, w) == math.inf
+
+
+def test_calibrate_treats_an_overflowing_ratio_as_unconverged(
+        const_problem, monkeypatch):
+    # the second probe values sit 800 e-folds from the first: their ratio
+    # overflows, so only the third pass (equal to the second) converges
+    exponents = iter([0.0, 800.0, 800.0])
+    passes = []
+
+    def det_scaled(frame, rho):
+        if not passes or passes[-1][1] == 2:
+            passes.append([next(exponents), 0])
+        passes[-1][1] += 1
+        return evans.EvansValue(1.0, passes[-1][0])
+
+    monkeypatch.setattr(evans, "_det_scaled", det_scaled)
+    evans.EvansEvaluator(const_problem)
+    assert len(passes) == 3
 
 
 def test_shared_frames_across_xi(fig1c_problem):

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from rollwave import evans, fourier, hill, linearize
+from rollwave import fourier, hill, linearize
 from rollwave import profile as prof
 from rollwave.linearize import OperatorForm, SpectralProblem
 from rollwave.model import DomainError
@@ -62,27 +62,6 @@ def test_ham_limit_excludes_zero_floquet():
         hill.eigenvalues(sp, 16, 0.0)
     lam = hill.eigenvalues(sp, 16, 0.3 * np.pi / orbit.X_mu)
     assert np.all(np.isfinite(lam))
-
-
-def test_double_period_robustness(constant_state):
-    sp = linearize.bloch_coeffs(constant_state)
-    cloud = hill.spectrum(sp, N=10, n_xi=8)
-    m1 = hill.max_unstable(cloud, r0=1e-6)
-    sp2 = hill.double_period(sp)
-    cloud2 = hill.spectrum(sp2, N=20, n_xi=8)
-    m2 = hill.max_unstable(cloud2, r0=1e-6)
-    # constant state at F = 3 > 2 is side-band unstable; growth rate must be
-    # reproduced on the doubled period
-    assert m1 > 0.0
-    assert m2 == pytest.approx(m1, rel=0.05, abs=1e-6)
-
-
-def test_double_period_has_no_evans_form(constant_state):
-    # the first-order form is not tiled, so the doubled problem is Hill-only
-    sp2 = hill.double_period(linearize.bloch_coeffs(constant_state))
-    assert sp2.first_order is None
-    with pytest.raises(DomainError):
-        evans.EvansEvaluator(sp2)
 
 
 def test_max_unstable_excludes_origin_ball(constant_state):

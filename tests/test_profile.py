@@ -135,6 +135,99 @@ def test_continue_profile_rejects_unknown_parameter(constant_state):
         prof.continue_profile(constant_state, tau0=2.0)
 
 
+def _on_line(X):
+    """A fake wave whose tau and c are linear in X."""
+    cosx = np.cos(2.0 * np.pi * np.arange(8) / 8)
+    tau = 1.0 + X / 16.0 * cosx
+    params = PhysicalParams(F=3.0, nu=0.1, q=1.0, c=0.5 + X / 32.0, X=X)
+    return prof.WaveProfile(params=params, n=8, tau=tau, dtau=0.0 * tau,
+                            residual_norm=0.0)
+
+
+def test_continue_profile_secant_lands_on_linear_branch(monkeypatch):
+    # the first step fails and is halved; the secant through X = 8 and 10,
+    # extended by the next step, is then the branch itself at X = 12,
+    # in tau and in c
+    calls = []
+
+    def fake(params, seed_tau, tol=1e-8):
+        calls.append((params.X, params.c, np.array(seed_tau)))
+        if len(calls) == 1:
+            raise prof.NonConvergence("forced failure", 1.0)
+        return _on_line(params.X)
+
+    monkeypatch.setattr(prof, "solve_profile", fake)
+    w = prof.continue_profile(_on_line(8.0), X=12.0)
+    assert [X for X, _, _ in calls] == [12.0, 10.0, 12.0]
+    _, c_guess, tau_guess = calls[-1]
+    want = _on_line(12.0)
+    assert c_guess == pytest.approx(want.params.c, rel=1e-15)
+    assert np.max(np.abs(tau_guess - want.tau)) < 1e-15
+    assert w.params.X == 12.0
+
+
+def test_follow_halves_a_collapsed_step():
+    # an amplitude below 0.2 of the last one's is the constant branch:
+    # the step is retried at half its length
+    tried = []
+
+    def solve(s, guess):
+        tried.append((s, guess))
+        amp = 0.05 if len(tried) == 1 else 0.5
+        return np.array([1.0 - amp, 1.0 + amp, s]), s
+
+    assert prof._follow(solve, np.array([0.5, 1.5, 0.0]), 1.0, 1.0,
+                        1e-6) == 1.0
+    assert [s for s, _ in tried] == [1.0, 0.5, 1.0]
+    assert np.array_equal(tried[-1][1], [0.5, 1.5, 1.0])
+
+
+def test_follow_stall_raises():
+    tried = []
+
+    def solve(s, guess):
+        tried.append(s)
+        if len(tried) % 2:
+            raise prof.NonConvergence("no", 1.0)
+        raise prof.DegenerateJacobian("singular")
+
+    with pytest.raises(prof.ContinuationStalled):
+        prof._follow(solve, np.array([0.5, 1.5, 0.0]), 1.0, 1.0, 1e-3)
+    assert tried == [2.0 ** -k for k in range(10)]
+
+
+def test_descent_starts_from_the_scaled_limit_wave(monkeypatch):
+    # every guess solves the fake problem, so the descent takes its full
+    # steps (0.35, then x1.5 up to 0.7) in log F from F = 100 to F = 8
+    a = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(16) / 16)
+    lp = prof.LimitProfile(q0=0.4, X0=0.45, nu=0.1, c0=0.7, n=16, a=a,
+                           da=0.0 * a, residual_norm=0.0)
+    monkeypatch.setattr(prof, "limit_profile_alpha_m2", lambda *a, **k: lp)
+    calls = []
+
+    def fake(params, seed_tau, tol=1e-8):
+        calls.append((params, np.array(seed_tau)))
+        return prof.WaveProfile(params=params, n=16, tau=seed_tau,
+                                dtau=0.0 * seed_tau, residual_norm=0.0)
+
+    monkeypatch.setattr(prof, "solve_profile", fake)
+    w = prof.profile_from_limit(0.4, 0.45, 8.0, n=16)
+    first, seed = calls[0]
+    assert (first.F, first.q, first.c, first.X) == (
+        100.0, 0.4 * 100.0, 0.7 * 100.0 ** 2, 0.45 * 100.0 ** 2)
+    assert np.array_equal(seed, a / 100.0 ** 2)
+    s = np.cumsum([0.0, 0.35, 0.525, 0.7, 0.7])
+    Fs = [p.F for p, _ in calls]
+    assert Fs[:-1] == pytest.approx(100.0 * np.exp(-s), rel=1e-14)
+    assert Fs[-1] == w.params.F == 8.0
+    for p, seed in calls:
+        assert np.max(np.abs(seed * p.F ** 2 - a)) < 1e-14
+        assert p.c / p.F ** 2 == pytest.approx(0.7, rel=1e-14)
+    calls.clear()
+    assert prof.profile_from_limit(0.4, 0.45, 150.0, n=16).params.F == 150.0
+    assert len(calls) == 1
+
+
 def test_fig1c_wave_regression(fig1c_wave):
     w = fig1c_wave
     assert w.residual_norm <= 1e-8

@@ -68,6 +68,7 @@ _NORM_CAP = 1e8         # ... or sooner, once the frame could grow past this
 _BATCH = 64             # lambda carried through one step loop at most
 _BLOCK = 256            # Magnus steps exponentiated at a time
 _BALANCE_SWEEPS = 20    # passes of the diagonal balancing at most
+_LIOUVILLE_TOL = 1e-6   # Liouville error above which frames are not trusted
 
 # Pade degree m, Higham's bound theta_m on the 1-norm up to which the
 # degree-m approximant is exact to unit roundoff (Higham 2005, "The scaling
@@ -143,7 +144,6 @@ class ScaledFrame:
     U: np.ndarray
     row_scales: np.ndarray
     liouville_error: float
-    untrusted: bool
     n_steps: int
 
 
@@ -346,8 +346,7 @@ class EvansEvaluator:
                 liou = abs(cmath.exp(w) - 1.0)
             frames.append(ScaledFrame(
                 lam=complex(z), Q=Y[k], U=U[k], row_scales=g[k],
-                liouville_error=liou, untrusted=not liou <= 1e-6,
-                n_steps=len(W0)))
+                liouville_error=liou, n_steps=len(W0)))
         return frames
 
     def _calibrate(self) -> float:
@@ -444,20 +443,17 @@ def _det_scaled(frame: ScaledFrame, rho: complex) -> EvansValue:
 
     With Psi = Q diag(e^g) U, det(Psi - rho I) = det(Q) det(D_g U - rho Q*);
     each row of that matrix is scaled by max(e^{g_i}, |rho|) and the scales
-    collected into the exponent.
+    collected into the exponent; |rho| = 1 for real xi, so none exceeds 1.
     """
     Q, U, g = frame.Q, frame.U, frame.row_scales
     d = U.shape[0]
     Qh = Q.conj().T
-    log_rho = math.log(abs(rho)) if rho != 0.0 else -math.inf
+    log_rho = math.log(abs(rho))
     exponent = 0.0
     M = np.empty((d, d), dtype=complex)
     for i in range(d):
         ls = max(g[i], log_rho)
-        if ls == -math.inf:
-            ls = 0.0
-        M[i] = U[i] * math.exp(min(g[i] - ls, 700.0)) \
-            - rho * math.exp(min(-ls, 700.0)) * Qh[i]
+        M[i] = U[i] * math.exp(g[i] - ls) - rho * math.exp(-ls) * Qh[i]
         exponent += ls
     mant = np.linalg.det(Q) * np.linalg.det(M)
     return EvansValue(mantissa=complex(mant), exponent=exponent)
@@ -808,7 +804,7 @@ def polish_root(evaluator: EvansEvaluator, lam0: complex,
     evaluator.frames(zs)
     vs = [evaluator.value(z, xi) for z in zs]
     eref = max(v.exponent for v in vs)
-    fs = [v.mantissa * math.exp(min(v.exponent - eref, 700.0)) for v in vs]
+    fs = [v.mantissa * math.exp(v.exponent - eref) for v in vs]
     scale_log = max(v.log_abs for v in vs)
     target_log = scale_log + math.log(_POLISH_TOL)
     best_z, best_log = zs[-1], vs[-1].log_abs
@@ -833,7 +829,13 @@ def polish_root(evaluator: EvansEvaluator, lam0: complex,
         v3 = evaluator.value(z3, xi)
         zs.append(z3)
         vs.append(v3)
-        f3 = v3.mantissa * math.exp(min(v3.exponent - eref, 700.0))
+        try:
+            f3 = v3.mantissa * math.exp(v3.exponent - eref)
+        except OverflowError:
+            f3 = math.inf
+        if not cmath.isfinite(f3):
+            raise NoConvergence(f"polish from {lam0}: |D({z3})| is beyond "
+                                f"the double range of the seeds' scale")
         fs.append(f3)
         if v3.log_abs < best_log:
             best_z, best_log = z3, v3.log_abs
@@ -889,7 +891,9 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     distinctness (H1).  The technical slope condition 2 nu u_x < F^-2 is
     evaluated and reported but does not enter the overall spectral verdict:
     it concerns the nonlinear (Kawashima-type damping) argument and fails
-    for every wave once F is moderately large.
+    for every wave once F is moderately large.  An answer that rests on
+    Evans frames is indeterminate when one of them fails its Liouville
+    check (error above _LIOUVILLE_TOL).
     """
     conditions: dict[str, bool | None] = {
         "D1": None, "D2": None, "D3": None, "H1": None, "slope": None}
@@ -916,6 +920,12 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
 
     evaluator = EvansEvaluator(problem, tol=evans_tol)
 
+    def untrusted():
+        diag["liouville_max"] = liou = evaluator.liouville_max
+        return None if liou <= _LIOUVILLE_TOL else StabilityVerdict(
+            overall="indeterminate", conditions=conditions, diagnostics=diag,
+            reason=f"Liouville check failed: worst frame error {liou:.3e}")
+
     try:
         exp = origin_taylor(evaluator, R=R0)
     except NearDoubleAlpha as err:
@@ -928,7 +938,8 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
         return StabilityVerdict(
             overall="indeterminate", conditions=conditions,
             reason=f"origin expansion unavailable: {err}", diagnostics=diag)
-    diag["liouville_max"] = evaluator.liouville_max
+    if (distrusted := untrusted()) is not None:
+        return distrusted
     diag["alpha"] = [[z.real, z.imag] for z in exp.alpha]
     diag["beta"] = [[z.real, z.imag] for z in exp.beta]
     conditions["D3"] = exp.double_root_ok
@@ -957,7 +968,8 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     windings = [rep.winding for rep in reports]
     diag["windings"] = windings
     diag["frames_computed"] = evaluator.frames_computed
-    diag["liouville_max"] = evaluator.liouville_max
+    if (distrusted := untrusted()) is not None:
+        return distrusted
     if any(w != 0 for w in windings):
         conditions["D1"] = False
         return StabilityVerdict(

@@ -164,7 +164,7 @@ def corrector_T1(wave: CnoidalWave) -> np.ndarray:
     """
     D1 = fourier.diff_matrix(wave.n, wave.X, 1)
     D3 = fourier.diff_matrix(wave.n, wave.X, 3)
-    A = -D3 - D1 @ np.diag(wave.T0 - wave.sigma0)       # collocated L0
+    A = -D3 - D1 * (wave.T0 - wave.sigma0)[None, :]     # collocated L0
     rhs = fourier.deriv(wave.T0, wave.X, 2) + fourier.deriv(wave.T0, wave.X, 4)
     T1, _, _, sv = np.linalg.lstsq(A, rhs, rcond=1e-10)
     T1 = _drop_nyquist(T1)
@@ -242,7 +242,7 @@ def kdvks_wave(delta: float, k: float, a0: float = 0.0,
     def jacobian(x):
         T, sigma = x[:n], x[n]
         J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = D1 @ np.diag(T - sigma) + Dvisc
+        J[:n, :n] = D1 * (T - sigma)[None, :] + Dvisc
         J[:n, n] = -fourier.deriv(T, X)
         J[n, :n] = dseed / n
         return J

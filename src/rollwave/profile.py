@@ -4,12 +4,14 @@ The Lagrangian traveling-wave problem reduces, after the first integral
 u = q - c tau, to a scalar second-order equation for tau.  We solve its
 residual form
 
-    G(tau) = c^2 tau' - tau'/(F^2 tau^3) - 1 + tau (q - c tau)^2
+    G(tau) = c^2 tau' - tau'/(K tau^3) - 1 + tau (q - eps c tau)^2
              + c nu (tau^-2 tau')' = 0
 
-by Fourier collocation Newton with the wave speed c free and a phase
-condition locking translation against the seed.  Waves are indexed by (q, X);
-c is always an output.
+with (K, eps) = (F^2, 1) for the physical wave and (1, 0) for its alpha = -2
+limit F -> infinity (tau = a/F^2, c = c0 F^2, q = q0 F, X = X0 F^2), by
+Fourier collocation Newton with the wave speed c free and a phase condition
+locking translation against the seed.  Waves are indexed by (q, X); c is
+always an output.
 """
 
 from __future__ import annotations
@@ -80,13 +82,36 @@ class WaveProfile:
                    residual_norm=float(data["residual"]))
 
 
-def ode_residual(tau: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """Pointwise residual of the profile equation at the given samples."""
-    F, nu, q, c, X = params.F, params.nu, params.q, params.c, params.X
+def _equation(tau, c, K, eps, nu, q, X):
+    """G(tau) at the samples, with the coefficients of the module docstring."""
     dt = fourier.deriv(tau, X)
     visc = fourier.deriv(tau ** -2 * dt, X)
-    return (c * c * dt - dt / (F * F * tau ** 3) - 1.0
-            + tau * (q - c * tau) ** 2 + c * nu * visc)
+    return (c * c * dt - dt / (K * tau ** 3) - 1.0
+            + tau * (q - eps * c * tau) ** 2 + c * nu * visc)
+
+
+def _jacobian(tau, c, K, eps, nu, q, X, D1, borders):
+    """Bordered Jacobian of G: dG/dtau and dG/dc filled, `borders` rows and
+    columns left for the caller."""
+    n = len(tau)
+    dt = fourier.deriv(tau, X)
+    u = q - eps * c * tau
+    J = np.zeros((n + borders, n + borders))
+    J[:n, :n] = (c * c * D1
+                 - (1.0 / (K * tau ** 3))[:, None] * D1
+                 + np.diag(3.0 * dt / (K * tau ** 4) + u ** 2
+                           - 2.0 * eps * c * tau * u)
+                 + c * nu * ((D1 * (tau ** -2)[None, :]) @ D1
+                             - 2.0 * D1 * (tau ** -3 * dt)[None, :]))
+    J[:n, n] = (2.0 * c * dt - 2.0 * eps * tau ** 2 * u
+                + nu * fourier.deriv(tau ** -2 * dt, X))
+    return J
+
+
+def ode_residual(tau: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """Pointwise residual of the profile equation at the given samples."""
+    p = params
+    return _equation(tau, p.c, p.F * p.F, 1.0, p.nu, p.q, p.X)
 
 
 def equilibrium(F: float, nu: float, tau0: float = 1.0,
@@ -104,19 +129,17 @@ def equilibrium(F: float, nu: float, tau0: float = 1.0,
 _NEWTON_MAX_ITER = 60
 
 
-def _newton_solve(residual, jacobian, x, tol, admissible, monotone=False,
-                  floor=None):
+def _newton_solve(residual, jacobian, x, tol, admissible, floor=None):
     """Newton's method on a bordered collocation system; returns (x, error).
 
     `residual(x)` is the whole bordered vector (collocation rows plus the
     phase or pin rows), `jacobian(x)` its derivative, and the error is the
-    max norm of the residual.  A step below 1e-13 max(1, |x|) is at the
-    rounding floor and stops the loop.  With `monotone` the step is halved
-    up to ten times until `admissible(x)` holds and the error falls, and the
-    loop stalls when it never does; otherwise the full step is taken and an
-    inadmissible one raises NonConvergence.  An iterate that stops, stalls
-    or runs out of iterations above `tol` is kept only if its error is at
-    most `floor`.
+    max norm of the residual.  Every step is the full Newton step, and one
+    that leaves the region where `admissible(x)` holds raises
+    NonConvergence; the continuation loops halve their own step on it.  A
+    step below 1e-13 max(1, |x|) is at the rounding floor and stops the
+    loop.  An iterate that stops or runs out of iterations above `tol` is
+    kept only if its error is at most `floor`.
     """
     r = residual(x)
     err = float(np.max(np.abs(r)))
@@ -132,63 +155,40 @@ def _newton_solve(residual, jacobian, x, tol, admissible, monotone=False,
             raise DegenerateJacobian("non-finite Newton step")
         if np.max(np.abs(step)) < 1e-13 * max(1.0, np.max(np.abs(x))):
             break
-        if monotone:
-            lam = 1.0
-            for _ in range(10):
-                x_new = x - lam * step
-                if admissible(x_new):
-                    r_new = residual(x_new)
-                    err_new = float(np.max(np.abs(r_new)))
-                    if err_new < err:
-                        break
-                lam *= 0.5
-            else:
-                break           # the line search stalled
-        else:
-            x_new = x - step
-            if not admissible(x_new):
-                raise NonConvergence(
-                    f"Newton step left the admissible region at residual "
-                    f"{err:.3e}", err)
-            r_new = residual(x_new)
-            err_new = float(np.max(np.abs(r_new)))
-        x, r, err = x_new, r_new, err_new
+        x = x - step
+        if not admissible(x):
+            raise NonConvergence(
+                f"Newton step left the admissible region at residual "
+                f"{err:.3e}", err)
+        r = residual(x)
+        err = float(np.max(np.abs(r)))
     if err > (tol if floor is None else max(tol, floor)):
         raise NonConvergence(f"Newton stopped at residual {err:.3e}", err)
     return x, err
 
 
-def _newton(params: PhysicalParams, seed_tau: np.ndarray, tol: float):
-    """Damped Newton for (tau, c) at fixed (F, nu, q, X) from the seed."""
-    n = len(seed_tau)
-    F, nu, X, q = params.F, params.nu, params.X, params.q
-    seed_dtau = fourier.deriv(seed_tau, X)
-    D1 = fourier.diff_matrix(n, X, 1)
+def _locked_newton(G, seed, c, tol, coeffs, floor=None):
+    """Newton for (tau, c) solving G(tau, c) = 0, phase-locked to the seed.
+
+    `coeffs` = (K, eps, nu, q, X) are G's coefficients, for its Jacobian.  G
+    is passed in so that the physical wave goes through `ode_residual`,
+    where a caller may count it.  Returns (tau, c, error) with tau > 0.
+    """
+    n = len(seed)
+    dseed = fourier.deriv(seed, coeffs[-1])
+    D1 = fourier.diff_matrix(n, coeffs[-1], 1)
 
     def residual(x):
-        tau, c = x[:n], x[n]
-        G = ode_residual(tau, params.with_(c=c))
-        phase = float(np.mean((tau - seed_tau) * seed_dtau))
-        return np.concatenate([G, [phase]])
+        phase = float(np.mean((x[:n] - seed) * dseed))
+        return np.concatenate([G(x[:n], x[n]), [phase]])
 
     def jacobian(x):
-        tau, c = x[:n], x[n]
-        dt = fourier.deriv(tau, X)
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = (c * c * D1
-                     - (1.0 / (F * F * tau ** 3))[:, None] * D1
-                     + np.diag(3.0 * dt / (F * F * tau ** 4)
-                               + (q - c * tau) ** 2
-                               - 2.0 * c * tau * (q - c * tau))
-                     + c * nu * ((D1 * (tau ** -2)[None, :]) @ D1
-                                 - 2.0 * D1 * (tau ** -3 * dt)[None, :]))
-        J[:n, n] = (2.0 * c * dt - 2.0 * tau ** 2 * (q - c * tau)
-                    + nu * fourier.deriv(tau ** -2 * dt, X))
-        J[n, :n] = seed_dtau / n
+        J = _jacobian(x[:n], x[n], *coeffs, D1, 1)
+        J[n, :n] = dseed / n
         return J
 
-    x, err = _newton_solve(residual, jacobian, np.append(seed_tau, params.c),
-                           tol, lambda x: np.min(x[:n]) > 0.0, monotone=True)
+    x, err = _newton_solve(residual, jacobian, np.append(seed, c), tol,
+                           lambda x: np.min(x[:n]) > 0.0, floor)
     return x[:n], float(x[n]), err
 
 
@@ -201,7 +201,10 @@ def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
     seed_tau = np.asarray(seed_tau, dtype=float)
     if np.min(seed_tau) <= 0.0:
         raise DomainError("seed profile must be strictly positive")
-    tau, c, err = _newton(params, seed_tau, tol)
+    p = params
+    tau, c, err = _locked_newton(lambda t, c: ode_residual(t, p.with_(c=c)),
+                                 seed_tau, p.c, tol,
+                                 (p.F * p.F, 1.0, p.nu, p.q, p.X))
     out_params = params.with_(c=c)
     return WaveProfile(params=out_params, n=len(tau), tau=tau,
                        dtau=fourier.deriv(tau, out_params.X),
@@ -289,29 +292,6 @@ class LimitProfile:
     residual_norm: float
 
 
-def _limit_jacobian(a: np.ndarray, c0: float, X0: float, nu: float, q0: float,
-                    D1: np.ndarray, borders: int) -> np.ndarray:
-    """Bordered limit Jacobian with its collocation rows in a and c0 filled."""
-    n = len(a)
-    da = fourier.deriv(a, X0)
-    J = np.zeros((n + borders, n + borders))
-    J[:n, :n] = (c0 * c0 * D1 - (a ** -3)[:, None] * D1
-                 + np.diag(3.0 * a ** -4 * da)
-                 + nu * c0 * ((D1 * (a ** -2)[None, :]) @ D1
-                              - 2.0 * D1 * (a ** -3 * da)[None, :])
-                 + q0 * q0 * np.eye(n))
-    J[:n, n] = 2.0 * c0 * da + nu * fourier.deriv(a ** -2 * da, X0)
-    return J
-
-
-def limit_ode_residual(a: np.ndarray, q0: float, c0: float, X0: float,
-                       nu: float) -> np.ndarray:
-    """Residual of the alpha = -2 limiting profile equation."""
-    da = fourier.deriv(a, X0)
-    return (c0 * c0 * da - a ** -3 * da + nu * c0 * fourier.deriv(a ** -2 * da, X0)
-            + q0 * q0 * a - 1.0)
-
-
 def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
                   A: float, tol: float):
     """Newton with the first cosine coefficient pinned to A and X0 free.
@@ -327,7 +307,7 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
 
     def residual(x):
         a, c0, X0 = x[:n], x[n], x[n + 1]
-        G = limit_ode_residual(a, q0, c0, X0, nu)
+        G = _equation(a, c0, 1.0, 0.0, nu, q0, X0)
         pin = 2.0 * float(np.mean(a * cosw)) - A
         phs = 2.0 * float(np.mean(a * sinw))
         return np.concatenate([G, [pin, phs]])
@@ -335,10 +315,10 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
     def jacobian(x):
         a, c0, X0 = x[:n], x[n], x[n + 1]
         D1 = fourier.diff_matrix(n, X0, 1)
-        J = _limit_jacobian(a, c0, X0, nu, q0, D1, 2)
+        J = _jacobian(a, c0, 1.0, 0.0, nu, q0, X0, D1, 2)
         h = 1e-7 * X0
-        J[:n, n + 1] = (limit_ode_residual(a, q0, c0, X0 + h, nu)
-                        - limit_ode_residual(a, q0, c0, X0 - h, nu)) / (2.0 * h)
+        J[:n, n + 1] = (_equation(a, c0, 1.0, 0.0, nu, q0, X0 + h)
+                        - _equation(a, c0, 1.0, 0.0, nu, q0, X0 - h)) / (2.0 * h)
         J[n, :n] = 2.0 * cosw / n
         J[n + 1, :n] = 2.0 * sinw / n
         return J
@@ -432,27 +412,13 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
 
 def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
                   tol: float) -> LimitProfile:
-    n = len(a)
-    seed, dseed = a.copy(), fourier.deriv(a, X0)
-    D1 = fourier.diff_matrix(n, X0, 1)
-
-    def residual(x):
-        a = x[:n]
-        G = limit_ode_residual(a, q0, x[n], X0, nu)
-        return np.concatenate([G, [float(np.mean((a - seed) * dseed))]])
-
-    def jacobian(x):
-        J = _limit_jacobian(x[:n], x[n], X0, nu, q0, D1, 1)
-        J[n, :n] = dseed / n
-        return J
-
+    coeffs = (1.0, 0.0, nu, q0, X0)
     # the attainable residual floor grows with the squared node count
     # (spectral second derivatives amplify rounding)
-    x, err = _newton_solve(residual, jacobian, np.append(a, c0), tol,
-                           lambda x: np.min(x[:n]) > 0.0,
-                           floor=1e-8 * max(1.0, (n / 256.0) ** 2))
-    a = x[:n]
-    return LimitProfile(q0=q0, X0=X0, nu=nu, c0=float(x[n]), n=n, a=a,
+    a, c0, err = _locked_newton(lambda a, c0: _equation(a, c0, *coeffs), a,
+                                c0, tol, coeffs,
+                                floor=1e-8 * max(1.0, (len(a) / 256.0) ** 2))
+    return LimitProfile(q0=q0, X0=X0, nu=nu, c0=c0, n=len(a), a=a,
                         da=fourier.deriv(a, X0), residual_norm=err)
 
 

@@ -1,0 +1,36 @@
+"""The benchmark's tracer (bench/tracing.py) still finds what it wraps.
+
+The tracer patches rollwave functions by name from outside the package; a
+renamed function, or a solver that stops calling `profile.ode_residual`,
+would silently zero a per-layer metric of the benchmark.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from rollwave import kdv_limit
+from rollwave import profile as prof
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_profile_solves_and_residuals():
+    tracing = _load_tracing()
+    w0 = kdv_limit.asymptotic_rollwave(0.1, kdv_limit.k_of_period(12.0), 0.1,
+                                       n=64)
+    solve_profile = prof.solve_profile
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer)
+        prof.solve_profile(w0.params, w0.tau)
+    finally:
+        tracer.restore()
+    assert prof.solve_profile is solve_profile
+    assert tracer.counts["profile.residual_evals"] > 0
+    assert "profile.solve" in [name for _, _, name, _, _ in tracer.spans]

@@ -1,5 +1,6 @@
 """Periodic Evans function: monodromy, winding numbers, origin expansion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_expm_stack_matches_scipy(norm):
 def test_liouville_identity(fig1c_problem):
     frame = evans.EvansEvaluator(fig1c_problem).frame(0.2)
     assert frame.liouville_error < 1e-8
-    assert not frame.untrusted
+    assert frame.liouville_error <= evans._LIOUVILLE_TOL
 
 
 def test_winding_counts_roots(const_problem, constant_state):
@@ -221,3 +222,44 @@ def test_verdict_origin_overflow_is_indeterminate(constant_state, monkeypatch):
     assert v.overall == "indeterminate"
     assert v.reason.startswith("origin expansion unavailable")
     assert 0.0 < v.diagnostics["liouville_max"] < 1e-8
+
+
+def test_verdict_untrusted_frame_is_indeterminate(constant_state,
+                                                  monkeypatch):
+    # an origin expansion that reads unstable, built on a frame whose
+    # Liouville error is past the bound, is no answer
+    def untrusted(evaluator, R=None):
+        fr = evaluator.frame(0.01)
+        evaluator._frames[fr.lam] = dataclasses.replace(fr,
+                                                        liouville_error=1e-3)
+        return evans.OriginExpansion(
+            c=np.zeros((4, 4), dtype=complex), alpha=np.array([0.1j, 0.2j]),
+            beta=np.array([0.5, -0.5]), R=R, reality_error=0.0,
+            representation_residual=0.0)
+
+    monkeypatch.setattr(evans, "max_unstable", lambda cloud, r0: 0.0)
+    monkeypatch.setattr(evans, "origin_taylor", untrusted)
+    v = evans.verdict(constant_state)
+    assert v.overall == "indeterminate"
+    assert v.reason.startswith("Liouville check failed")
+    assert v.diagnostics["liouville_max"] == 1e-3
+
+
+def test_polish_root_past_the_double_range_raises():
+    # a Mueller step whose |D| is beyond the double range relative to the
+    # seeds is no root estimate; it raises rather than continuing clamped
+    class Stub:
+        X = 2.0 * np.pi
+        calls = 0
+
+        def frames(self, zs):
+            pass
+
+        def value(self, z, xi):
+            Stub.calls += 1
+            if Stub.calls <= 3:
+                return evans.EvansValue(z - 0.5, 0.0)
+            return evans.EvansValue(1.0, 800.0)
+
+    with pytest.raises(evans.NoConvergence, match="double range"):
+        evans.polish_root(Stub(), 0.3, 0.1)

@@ -58,9 +58,9 @@ def test_solve_profile_unreachable_tol_reports_its_residual(monkeypatch):
     monkeypatch.setattr(prof, "ode_residual", recording)
     with pytest.raises(prof.NonConvergence) as info:
         prof.solve_profile(w0.params, w0.tau, tol=1e-18)
-    # the damped iteration only accepts decreasing residuals, so the one it
-    # stopped at is the smallest it evaluated
-    assert info.value.residual == min(errors)
+    # the residual reported is the one of the iterate Newton stopped at,
+    # the last it evaluated
+    assert info.value.residual == errors[-1]
     assert 1e-18 < info.value.residual < 1e-10
     assert f"{info.value.residual:.3e}" in str(info.value)
 
@@ -72,11 +72,10 @@ def _scalar(f, df):
 
 def test_newton_solve_converges_and_returns_its_residual():
     residual, jacobian = _scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
-    for monotone in (False, True):
-        x, err = prof._newton_solve(residual, jacobian, np.array([1.0]),
-                                    1e-12, lambda x: True, monotone=monotone)
-        assert x[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
-        assert err == abs(x[0] * x[0] - 2.0) <= 1e-12
+    x, err = prof._newton_solve(residual, jacobian, np.array([1.0]), 1e-12,
+                                lambda x: True)
+    assert x[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert err == abs(x[0] * x[0] - 2.0) <= 1e-12
 
 
 def test_newton_solve_rounding_floor():
@@ -102,32 +101,62 @@ def test_newton_solve_singular_jacobian():
                            lambda x: True)
 
 
-def test_newton_solve_monotone_stall_and_floor():
-    # a Jacobian of the wrong sign points uphill: every damped step raises
-    # the residual, so the line search stalls at the starting error
-    calls = []
-    residual, jacobian = _scalar(lambda x: calls.append(x) or x - 1.0,
-                                 lambda x: -1.0)
-    with pytest.raises(prof.NonConvergence) as info:
-        prof._newton_solve(residual, jacobian, np.array([3.0]), 1e-12,
-                           lambda x: True, monotone=True)
-    assert info.value.residual == 2.0
-    assert len(calls) == 1 + 10
-    x, err = prof._newton_solve(residual, jacobian, np.array([3.0]), 1e-12,
-                                lambda x: True, monotone=True, floor=2.0)
-    assert (x[0], err) == (3.0, 2.0)
-
-
 def test_newton_solve_inadmissible_full_step():
-    # the full step from 1 lands on 1.5; only the damped rule halves it
+    # the full step from 1 lands on 1.5, outside the admissible region
     residual, jacobian = _scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
     below = lambda x: x[0] < 1.45
     with pytest.raises(prof.NonConvergence) as info:
         prof._newton_solve(residual, jacobian, np.array([1.0]), 1e-12, below)
     assert info.value.residual == 1.0
-    x, _ = prof._newton_solve(residual, jacobian, np.array([1.0]), 1e-12,
-                              below, monotone=True)
-    assert x[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
+@pytest.fixture(scope="module")
+def limit_wave():
+    return prof.limit_profile_alpha_m2(0.4, 0.3)
+
+
+def _central_jacobian(G, tau, c, h=1e-6):
+    """dG/dtau and dG/dc of G(tau, c) by central differences."""
+    cols = []
+    for j in range(len(tau)):
+        e = np.zeros(len(tau))
+        e[j] = h
+        cols.append((G(tau + e, c) - G(tau - e, c)) / (2.0 * h))
+    return np.column_stack(cols + [(G(tau, c + h) - G(tau, c - h)) / (2.0 * h)])
+
+
+def test_jacobian_matches_central_differences(limit_wave):
+    # one Jacobian for both (K, eps): the physical wave at (F^2, 1) and the
+    # alpha = -2 limit at (1, 0)
+    from rollwave import kdv_limit
+    w0 = kdv_limit.asymptotic_rollwave(0.1, kdv_limit.k_of_period(12.0), 0.1,
+                                       n=64)
+    p, lp = w0.params, limit_wave
+    cases = [(w0.tau, p.c, (p.F * p.F, 1.0, p.nu, p.q, p.X)),
+             (fourier.resample(lp.a, 64), lp.c0,
+              (1.0, 0.0, lp.nu, lp.q0, lp.X0))]
+    for tau, c, coeffs in cases:
+        D1 = fourier.diff_matrix(64, coeffs[-1], 1)
+        J = prof._jacobian(tau, c, *coeffs, D1, 1)[:64]
+        fd = _central_jacobian(lambda t, c: prof._equation(t, c, *coeffs),
+                               tau, c)
+        assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
+
+
+def test_limit_equation_is_the_large_F_limit(limit_wave):
+    # on tau = a/F^2, c = c0 F^2, q = q0 F, X = X0 F^2 the physical residual
+    # differs from the (K, eps) = (1, 0) one by a (q0 - c0 a/F)^2 - a q0^2,
+    # which vanishes like 1/F
+    lp = limit_wave
+    G0 = prof._equation(lp.a, lp.c0, 1.0, 0.0, lp.nu, lp.q0, lp.X0)
+    assert np.max(np.abs(G0)) <= 1e-8
+    scaled = []
+    for F in (1e2, 1e3, 1e4, 1e5, 1e6):
+        p = PhysicalParams(F=F, nu=lp.nu, q=lp.q0 * F, c=lp.c0 * F * F,
+                           X=lp.X0 * F * F)
+        scaled.append(F * np.max(np.abs(prof.ode_residual(lp.a / F ** 2, p)
+                                        - G0)))
+    assert max(scaled) <= 1.05 * min(scaled)
 
 
 def test_continue_profile_rejects_unknown_parameter(constant_state):

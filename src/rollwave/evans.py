@@ -4,8 +4,12 @@ Monodromy matrices of the first-order Bloch systems Z' = (A0 + lambda A1) Z
 are propagated by a fourth-order Magnus (commutator-corrected midpoint)
 stepper on a step grid adapted to the local coefficient magnitude, with the
 frame periodically re-orthogonalized by QR and the radial growth extracted
-into a running log-scale.  A batch of lambda shares one step loop, and each
-block of step exponentials uses the lowest Pade degree its norm allows.
+into a running log-scale.  A batch of lambda shares one QR schedule.  The
+step exponentials are truncated Taylor series (Paterson-Stockmeyer, no linear
+solve) of the lowest degree the steps' norm bounds allow, built for whole QR
+segments at a time in a (d, d, steps, lambda) layout; each segment's steps
+are multiplied together there, so the sequential loop applies one product
+and one QR per segment.
 The Evans determinant
 
     D(lambda, xi) = det(Psi(X, lambda) - e^{i xi X} Id)
@@ -17,7 +21,9 @@ root polishing all consume only ratios and argument increments.
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,6 +68,11 @@ class NearDoubleAlpha(EvansError):
     """The two origin slopes alpha_j are too close to distinguish."""
 
 
+class UntrustedFrames(EvansError):
+    """A monodromy frame missed Liouville's identity by more than
+    _LIOUVILLE_TOL."""
+
+
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _QR_STRIDE = 16         # Magnus steps between re-orthogonalizations
 _NORM_CAP = 1e8         # ... or sooner, once the frame could grow past this
@@ -70,20 +81,13 @@ _BLOCK = 256            # Magnus steps exponentiated at a time
 _BALANCE_SWEEPS = 20    # passes of the diagonal balancing at most
 _LIOUVILLE_TOL = 1e-6   # Liouville error above which frames are not trusted
 
-# Pade degree m, Higham's bound theta_m on the 1-norm up to which the
-# degree-m approximant is exact to unit roundoff (Higham 2005, "The scaling
-# and squaring method for the matrix exponential revisited"), and the
-# numerator coefficients b_0..b_m.
-_PADE = (
-    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (5, 2.539398330063230e-1,
-     (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (13, 5.371920351148152,
-     (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-      1187353796428800.0, 129060195264000.0, 10559470521600.0,
-      670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-      960960.0, 16380.0, 182.0, 1.0)),
-)
+# Taylor degree m of the step exponential and the bound theta_m on the 1-norm
+# up to which the degree-m truncated series is exact to unit roundoff: the
+# largest theta with theta^(m+1) / (m+1)! e^(2 theta) <= 2^-53, a bound on
+# the relative truncation error since ||e^A|| >= e^-||A||.  Rounded down.
+_TAYLOR = ((6, 1.768062661e-2), (9, 1.123969815e-1), (12, 3.197188032e-1),
+           (18, 1.029093919))
+_INV_FACT = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR[-1][0] + 1))
 
 
 # ----------------------------------------------------------------------------
@@ -165,45 +169,77 @@ def _balance_diag(M: np.ndarray) -> np.ndarray:
     return d
 
 
-def _norm1(M: np.ndarray) -> np.ndarray:
-    """1-norms (largest column sums) of a stack of matrices."""
-    return np.abs(M).sum(axis=-2).max(axis=-1)
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Products of two matrix stacks in the (d, d, ...) layout.
 
-
-def _expm_stack(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a stack of small matrices.
-
-    The Pade degree is the smallest in _PADE whose theta_m bounds the
-    largest 1-norm in the stack; past theta_13 the stack is scaled by 2^-s
-    and the Pade-13 result squared s times.
+    The matrix indices lead, so each term of sum_k A[:, k] B[k, :] is one
+    elementwise product over the whole stack.
     """
-    nmax = float(_norm1(M).max()) if M.size else 0.0
-    for m, theta, b in _PADE:
+    C = A[:, 0, None] * B[None, 0]
+    for k in range(1, A.shape[1]):
+        C += A[:, k, None] * B[None, k]
+    return C
+
+
+def _expm_stack(M: np.ndarray, nmax: float) -> np.ndarray:
+    """Matrix exponential of a (d, d, ...) stack with 1-norms at most nmax.
+
+    The truncated Taylor series of the smallest degree m in _TAYLOR whose
+    theta_m covers nmax, summed by Paterson-Stockmeyer: the powers A^2..A^p
+    with p = ceil(sqrt(m)), then a Horner recursion in A^p over blocks of p
+    coefficients, p - 1 + ceil(m / p) - 1 products in all and no linear
+    solve.  Past theta_18 the stack is scaled by 2^-s and the degree-18
+    result squared s times.
+    """
+    for m, theta in _TAYLOR:
         if nmax <= theta:
             break
-    s = max(0, int(np.ceil(np.log2(max(nmax, 1e-300) / theta))))
-    A = M / (2.0 ** s)
-    ident = np.broadcast_to(np.eye(A.shape[-1], dtype=A.dtype), A.shape)
-    A2 = A @ A
-    if m == 3:
-        u = b[3] * A2 + b[1] * ident
-        v = b[2] * A2 + b[0] * ident
-    elif m == 5:
-        A4 = A2 @ A2
-        u = b[5] * A4 + b[3] * A2 + b[1] * ident
-        v = b[4] * A4 + b[2] * A2 + b[0] * ident
-    else:
-        A4 = A2 @ A2
-        A6 = A2 @ A4
-        u = (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-        v = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    U = A @ u
-    E = np.linalg.solve(v - U, v + U)
+    s = 0 if nmax <= theta else math.ceil(math.log2(nmax / theta))
+    A = M / 2.0 ** s if s else M
+    diag = np.arange(M.shape[0])
+    p = math.isqrt(m - 1) + 1
+    powers = [None, A]
+    for _ in range(p - 1):
+        powers.append(_matmul(powers[-1], A))
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        # sum of A^(k - lo) / k! for k = lo..hi
+        B = _INV_FACT[lo + 1] * powers[1]
+        for j in range(2, hi - lo + 1):
+            B += _INV_FACT[lo + j] * powers[j]
+        B[diag, diag] += _INV_FACT[lo]
+        return B
+
+    top = (m - 1) // p
+    E = block(top * p, m)
+    for i in range(top - 1, -1, -1):
+        E = _matmul(E, powers[p])
+        E += block(i * p, i * p + p - 1)
     for _ in range(s):
-        E = E @ E
+        E = _matmul(E, E)
     return E
+
+
+def _qr_schedule(bounds: list[float], d: int) -> list[int]:
+    """Start of every QR segment of a step loop, then len(bounds).
+
+    A segment ends after _QR_STRIDE steps, or sooner where the running
+    bound on every frame would pass _NORM_CAP: ||Q||_1 <= sqrt(d) after a
+    QR, and step j multiplies ||Y||_1 (which bounds max|Y|) by at most
+    exp(bounds[j]).  Every segment holds at least one step.
+    """
+    log_fresh = 0.5 * math.log(d)
+    log_cap = math.log(_NORM_CAP)
+    starts = [0]
+    growth = log_fresh
+    for j, nj in enumerate(bounds):
+        if j > starts[-1] and (j - starts[-1] >= _QR_STRIDE
+                               or growth + nj > log_cap):
+            starts.append(j)
+            growth = log_fresh
+        growth += nj
+    starts.append(len(bounds))
+    return starts
 
 
 class EvansEvaluator:
@@ -246,7 +282,10 @@ class EvansEvaluator:
         extraction cannot absorb.  Step j's fourth-order exponent is
         W0[j] + lambda W1[j] + lambda^2 W2[j]: the midpoint term and the
         commutator of the Gauss-node values B1, B2 of A0 + lambda A1,
-        expanded in lambda; returns (W0, W1, W2).
+        expanded in lambda.  Returns the exponents as one (3, d, d, n_steps)
+        array W, with W[0], W[1], W[2] the stacks W0, W1, W2 in the
+        (d, d, ...) layout of _matmul, and their per-step 1-norms as a
+        (3, n_steps) array.
         """
         if cap in self._grids:
             return self._grids[cap]
@@ -285,10 +324,12 @@ class EvansEvaluator:
         G1, G2, H1, H2 = B1[:, 0], B2[:, 0], B1[:, 1], B2[:, 1]
         hc = h[:, None, None]
         c = (math.sqrt(3.0) / 12.0) * hc * hc
-        grid = (0.5 * hc * (G1 + G2) + c * (G2 @ G1 - G1 @ G2),
-                0.5 * hc * (H1 + H2) + c * (G2 @ H1 - H1 @ G2
-                                            + H2 @ G1 - G1 @ H2),
-                c * (H2 @ H1 - H1 @ H2))
+        W = np.stack([0.5 * hc * (G1 + G2) + c * (G2 @ G1 - G1 @ G2),
+                      0.5 * hc * (H1 + H2) + c * (G2 @ H1 - H1 @ G2
+                                                  + H2 @ G1 - G1 @ H2),
+                      c * (H2 @ H1 - H1 @ H2)])
+        W = np.ascontiguousarray(W.transpose(0, 2, 3, 1))
+        grid = (W, np.abs(W).sum(axis=1).max(axis=1))
         self._grids[cap] = grid
         return grid
 
@@ -297,43 +338,30 @@ class EvansEvaluator:
     def _propagate(self, lams: list[complex], cap: float) -> list[ScaledFrame]:
         """Monodromy frames of every lambda in `lams` through one step loop.
 
-        The Magnus exponents are built and exponentiated _BLOCK steps at a
-        time for the whole batch.  The batch shares one QR schedule: every
-        _QR_STRIDE steps, or sooner where the running bound exp(sum of the
-        step 1-norms) on any member's frame would pass _NORM_CAP.
+        The batch shares one QR schedule (_qr_schedule).  Whole segments of
+        it, about _BLOCK steps at a time, have their step exponentials built
+        and multiplied together for the whole batch at once, so the
+        sequential loop applies one product and one re-orthogonalization per
+        segment.
         """
-        W0, W1, W2 = self._step_grid(cap)
+        W, norms = self._step_grid(cap)
         lam = np.asarray(lams, dtype=complex)
-        lam4 = lam[None, :, None, None]
-        d = self.dim
+        d, n_steps = self.dim, W.shape[-1]
         Y = np.broadcast_to(np.eye(d, dtype=complex), (len(lam), d, d)).copy()
         U = Y.copy()
         g = np.zeros((len(lam), d))
         logdet = np.zeros(len(lam), dtype=complex)
-        # growth is the log of a bound on every member's ||Y||_1 (which
-        # bounds max|Y|): ||Q||_1 <= sqrt(d) after a QR, each step multiplies
-        # by at most exp(||omega||_1), and ||omega||_1 <= ||W0||_1
-        # + r ||W1||_1 + r^2 ||W2||_1 with r the batch's largest |lambda|
+        # ||omega||_1 <= ||W0||_1 + r ||W1||_1 + r^2 ||W2||_1 for every
+        # member, with r the batch's largest |lambda|
         r = float(np.abs(lam).max())
-        bounds = (_norm1(W0) + r * (_norm1(W1) + r * _norm1(W2))).tolist()
-        log_fresh = 0.5 * math.log(d)
-        log_cap = math.log(_NORM_CAP)
-        growth = log_fresh
-        since_qr = 0
-        for start in range(0, len(W0), _BLOCK):
-            blk = slice(start, start + _BLOCK)
-            omega = W0[blk, None] + lam4 * (W1[blk, None]
-                                            + lam4 * W2[blk, None])
-            E = _expm_stack(omega)
-            for Ej, nj in zip(E, bounds[blk]):
-                if since_qr >= _QR_STRIDE or growth + nj > log_cap:
-                    Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
-                    since_qr = 0
-                    growth = log_fresh
-                Y = Ej @ Y
-                since_qr += 1
-                growth += nj
-        Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
+        bounds = norms[0] + r * (norms[1] + r * norms[2])
+        starts = _qr_schedule(bounds.tolist(), d)
+        a = 0
+        while a < len(starts) - 1:
+            b = max(a + 1, bisect.bisect_right(starts, starts[a] + _BLOCK) - 1)
+            for P in _segment_products(W, lam, starts[a:b + 1], bounds):
+                Y, U, g, logdet = _qr_extract(P @ Y, U, g, logdet)
+            a = b
         logdet = logdet + np.log(np.linalg.det(Y))
 
         frames = []
@@ -346,7 +374,7 @@ class EvansEvaluator:
                 liou = abs(cmath.exp(w) - 1.0)
             frames.append(ScaledFrame(
                 lam=complex(z), Q=Y[k], U=U[k], row_scales=g[k],
-                liouville_error=liou, n_steps=len(W0)))
+                liouville_error=liou, n_steps=n_steps))
         return frames
 
     def _calibrate(self) -> float:
@@ -359,7 +387,7 @@ class EvansEvaluator:
         prev_n = -1
         target = max(100.0 * self.tol, 1e-12)
         while cap >= 1e-3:
-            n = len(self._step_grid(cap)[0])
+            n = self._step_grid(cap)[0].shape[-1]
             if n == prev_n:
                 # the step-count floor made this grid identical to the last;
                 # a comparison would be vacuous
@@ -411,6 +439,41 @@ class EvansEvaluator:
         return _det_scaled(self.frame(lam), rho)
 
 
+def _segment_products(W: np.ndarray, lam: np.ndarray, starts: list[int],
+                      bounds: np.ndarray) -> np.ndarray:
+    """Products E_last ... E_first of the step exponentials of each segment.
+
+    W holds the step exponents as from _step_grid, `starts` the edges of
+    consecutive segments and `bounds` the per-step bounds on the 1-norm of
+    omega.  Segments shorter than the longest are padded with zero
+    exponents, whose exponentials are exactly the identity, and the product
+    takes one stacked step per position within a segment.  Returns an
+    (n_segments, L, d, d) array.
+    """
+    st = np.asarray(starts)
+    lengths = np.diff(st)
+    width = int(lengths.max())
+    pos = np.arange(width)
+    Wb = W[..., np.minimum(st[:-1, None] + pos, st[-1] - 1), None]
+    omega = Wb[0] + lam * (Wb[1] + lam * Wb[2])
+    pad = pos >= lengths[:, None]
+    if pad.any():
+        omega[:, :, pad] = 0.0
+    E = _expm_stack(omega, float(bounds[st[0]:st[-1]].max()))
+    P = E[:, :, :, 0]
+    for j in range(1, width):
+        P = _matmul(E[:, :, :, j], P)
+    return np.ascontiguousarray(P.transpose(2, 3, 0, 1))
+
+
+@functools.cache
+def _upper(d: int) -> np.ndarray:
+    """The (d, d) upper-triangular mask of _qr_extract, built once per d."""
+    mask = np.triu(np.ones((d, d), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def _qr_extract(Y, U, g, logdet):
     """One re-orthogonalization step of a batch of scaled frames.
 
@@ -427,8 +490,9 @@ def _qr_extract(Y, U, g, logdet):
     # suffix maxima of g: row i of R only touches rows k >= i of diag(e^g) U,
     # so row i is scaled by e^{h_i} and R_ik e^{g_k - h_i} never overflows
     h = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
+    upper = _upper(R.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        W = np.triu(R * np.exp(g[:, None, :] - h[:, :, None]))
+        W = np.where(upper, R * np.exp(g[:, None, :] - h[:, :, None]), 0.0)
     rows = W @ U
     m = np.abs(rows).max(axis=2, keepdims=True)
     live = m > 0.0

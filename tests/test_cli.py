@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rollwave import cli, linearize
+from rollwave import cli, evans, linearize
 from rollwave import profile as prof
 
 
@@ -118,6 +118,22 @@ def test_evans_winding_around_unstable_root(tmp_path):
     (tmp_path / "m2.json").write_text(json.dumps(doc))
     assert cli.main(["--from-manifest", str(tmp_path / "m2.json")]) == 0
     assert (tmp_path / "e2.json").read_text() == out.read_text()
+
+
+def test_untrusted_frames_exit_2_without_a_report(tmp_path, monkeypatch,
+                                                  fig1c_wave):
+    # with a Liouville tolerance of 0 every frame is untrusted, so `evans`
+    # and `taylor` exit 2 and write neither report nor manifest
+    monkeypatch.setattr(evans, "_LIOUVILLE_TOL", 0.0)
+    pin = tmp_path / "w.json"
+    pin.write_text(fig1c_wave.to_json())
+    out = tmp_path / "e.json"
+    assert cli.main(["evans", "--in", str(pin), "--xi", "0.1",
+                     "--contour", "circle:c=0.3,r=0.01",
+                     "--out", str(out)]) == 2
+    out_t = tmp_path / "t.json"
+    assert cli.main(["taylor", "--in", str(pin), "--out", str(out_t)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
 
 
 def test_fit_roundtrip(tmp_path):

@@ -86,14 +86,79 @@ def test_frames_batch_matches_single_frames(fig1c_problem):
 
 @pytest.mark.parametrize("norm", [0.01, 0.2, 3.0, 40.0])
 def test_expm_stack_matches_scipy(norm):
-    # the 1-norms pick Pade 3, Pade 5, Pade 13, and Pade 13 with squaring
+    # the 1-norms pick Taylor degree 6, degree 12, and degree 18 with
+    # scaling and squaring (s = 2 and s = 6)
     rng = np.random.default_rng(7)
     M = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
     M *= norm / np.abs(M).sum(axis=-2).max(axis=-1)[:, None, None]
-    got = evans._expm_stack(M)
-    for m, e in zip(M, got):
+    got = evans._expm_stack(np.moveaxis(M, 0, -1),
+                            float(np.abs(M).sum(axis=-2).max()))
+    for m, e in zip(M, np.moveaxis(got, -1, 0)):
         ref = scipy.linalg.expm(m)
         assert np.abs(e - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_taylor_thetas_meet_their_bound():
+    # theta_m is (just below) the largest theta whose truncation bound
+    # theta^(m+1) / (m+1)! e^(2 theta) stays within unit roundoff
+    def bound(m, theta):
+        return theta ** (m + 1) / math.factorial(m + 1) * math.exp(2 * theta)
+
+    degrees = [m for m, _ in evans._TAYLOR]
+    assert degrees == [6, 9, 12, 18]
+    for m, theta in evans._TAYLOR:
+        assert bound(m, theta) <= 2.0 ** -53
+        assert bound(m, 1.001 * theta) > 2.0 ** -53
+
+
+@pytest.mark.parametrize("m, theta", evans._TAYLOR)
+def test_expm_stack_at_theta_matches_scipy(m, theta):
+    # a stack whose 1-norms sit exactly at theta_m gets degree m unscaled
+    rng = np.random.default_rng(m)
+    M = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
+    M *= theta / np.abs(M).sum(axis=-2).max(axis=-1)[:, None, None]
+    got = evans._expm_stack(np.moveaxis(M, 0, -1), theta)
+    for a, e in zip(M, np.moveaxis(got, -1, 0)):
+        ref = scipy.linalg.expm(a)
+        assert np.abs(e - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("norm_cap", [None, 30.0])
+def test_propagate_matches_product_of_step_exponentials(fig1c_problem,
+                                                        monkeypatch, norm_cap):
+    # on a coarse grid each frame, rebuilt as Q diag(e^g) U and unbalanced,
+    # is the plain product of scipy's exponentials of the step exponents; a
+    # small _NORM_CAP makes the growth rule cut segments short of _QR_STRIDE
+    ev = evans.EvansEvaluator(fig1c_problem)
+    cap = 0.6
+    W, _ = ev._step_grid(cap)
+    n = W.shape[-1]
+    assert n <= 150
+    if norm_cap is not None:
+        monkeypatch.setattr(evans, "_NORM_CAP", norm_cap)
+    qr_calls = []
+    qr_extract = evans._qr_extract
+
+    def counted(*args):
+        qr_calls.append(1)
+        return qr_extract(*args)
+
+    monkeypatch.setattr(evans, "_qr_extract", counted)
+    lams = [0.17 + 0.09j, -0.3 + 0.5j]
+    frames = ev._propagate(lams, cap)
+    # at the default cap the growth rule already ends most segments early
+    assert len(qr_calls) > -(-n // evans._QR_STRIDE)
+    if norm_cap is not None:
+        assert len(qr_calls) > n / 3
+    b = ev.balance
+    for lam, fr in zip(lams, frames):
+        ref = np.eye(ev.dim)
+        for j in range(n):
+            ref = scipy.linalg.expm(W[0, :, :, j] + lam * W[1, :, :, j]
+                                    + lam ** 2 * W[2, :, :, j]) @ ref
+        psi = fr.Q @ (np.exp(fr.row_scales)[:, None] * fr.U)
+        psi, ref = (b[:, None] * m / b[None, :] for m in (psi, ref))
+        assert np.abs(psi - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def test_liouville_identity(fig1c_problem):

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier
-from .hill import max_unstable, spectrum
+from .hill import first_unstable
+from .hill import spectrum  # unused; bench/tracing.py wraps evans.spectrum
 from .linearize import SpectralProblem, bloch_coeffs
 from .model import DomainError, slope_margin
 from .profile import WaveProfile
@@ -710,7 +711,7 @@ def winding_sweep(evaluator: EvansEvaluator, contour: Contour, xis,
 class OriginExpansion:
     """Taylor data of D(lambda, xi) at the origin through total order 3.
 
-    c[a, b] multiplies lambda^a xi^b.  alpha solves
+    c[a, b] e^{log_scale} multiplies lambda^a xi^b.  alpha solves
     c20 a^2 + c11 a + c02 = 0 (the two spectral curves lambda ~ alpha xi
     + beta xi^2), beta is the second-order coefficient; both are ordered
     by (Im alpha, Re alpha).
@@ -722,6 +723,7 @@ class OriginExpansion:
     R: float
     reality_error: float
     representation_residual: float
+    log_scale: float = 0.0
 
     @property
     def double_root_ok(self) -> bool:
@@ -739,6 +741,7 @@ class OriginExpansion:
             "R": self.R,
             "reality_error": self.reality_error,
             "representation_residual": self.representation_residual,
+            "log_scale": self.log_scale,
         }
 
 
@@ -747,17 +750,15 @@ _MAX_SHRINK = 6         # halvings of R allowed to find the double root alone
 _DISTINCT_TOL = 1e-4    # relative |alpha1 - alpha2| below which H1 is undecided
 
 
-def _taylor_circle(frames: list[ScaledFrame], R: float, X: float,
-                   xi: float) -> np.ndarray:
-    """Taylor coefficients d_j, j = 0.._TAYLOR_ORDER, of D(., xi) at 0.
+def _taylor_circle(vals: np.ndarray, R: float) -> np.ndarray:
+    """Taylor coefficients d_j, j = 0.._TAYLOR_ORDER, at 0 from values on a
+    circle.
 
-    `frames` sit at lambda_k = R e^{2 pi i k / n}.  The trapezoid rule on
+    `vals` sit at lambda_k = R e^{2 pi i k / n}.  The trapezoid rule on
     that circle, exponentially accurate for the periodic analytic
     integrand, turns the Cauchy integrals into one FFT:
-    d_j = R^-j fft(D(lambda_k))_j / n.
+    d_j = R^-j fft(vals)_j / n.
     """
-    rho = cmath.exp(1j * xi * X)
-    vals = np.array([complex(_det_scaled(fr, rho)) for fr in frames])
     j = np.arange(_TAYLOR_ORDER + 1)
     return np.fft.fft(vals)[j] / len(vals) * R ** (-j)
 
@@ -770,7 +771,10 @@ def origin_taylor(evaluator: EvansEvaluator,
     K + 1 Floquet samples at the (K+1)-th roots of unity of e^{i xi X}
     determine it; the lambda Taylor coefficients per sample come from
     Cauchy integrals on |lambda| = R, evaluated on the _CONTOUR_NODES
-    frames the winding check on that circle has already computed.
+    frames the winding check on that circle has already computed.  Every
+    D is divided by one common e^{log_scale} before it leaves the scaled
+    form, so no magnitude past the double range is formed; alpha, beta and
+    the checks are ratios of the c_{a,b}, which that factor leaves alone.
     """
     X = evaluator.X
     if R is None:
@@ -792,7 +796,21 @@ def origin_taylor(evaluator: EvansEvaluator,
     K = _TAYLOR_ORDER
     m = K + 1
     xis = np.pi * 2.0 * np.arange(m) / (m * X)       # rho at m-th roots of 1
-    d = np.array([_taylor_circle(frames, R, X, x) for x in xis])
+    # held-out Floquet sample; lambda well inside the circle so the order-K
+    # lambda truncation does not pollute the rho-basis check
+    xi_h = np.pi / (3.0 * X)
+    rho_h = cmath.exp(1j * xi_h * X)
+    lam_h = 0.1 * R * cmath.exp(0.7j)
+    held = evaluator.value(lam_h, xi_h)
+    D = [[_det_scaled(fr, cmath.exp(1j * x * X)) for fr in frames]
+         for x in xis]
+    log_scale = max(held.exponent, *(v.exponent for row in D for v in row))
+
+    def unscaled(v: EvansValue) -> complex:
+        return v.mantissa * math.exp(v.exponent - log_scale)
+
+    d = np.array([_taylor_circle(np.array([unscaled(v) for v in row]), R)
+                  for row in D])
     # d[r, j] = sum_k f[k, j] rho_r^k with rho_r = exp(+2 pi i r / m), so the
     # inverse transform is the *forward* FFT (numpy's fft kernel carries the
     # minus sign) divided by m.
@@ -813,14 +831,9 @@ def origin_taylor(evaluator: EvansEvaluator,
             bad = abs(c[a, b].imag) if b % 2 == 0 else abs(c[a, b].real)
             rerr = max(rerr, bad / scale)
 
-    # held-out Floquet sample; lambda well inside the circle so the order-K
-    # lambda truncation does not pollute the rho-basis check
-    xi_h = np.pi / (3.0 * X)
-    rho_h = cmath.exp(1j * xi_h * X)
-    lam_h = 0.1 * R * cmath.exp(0.7j)
     pred = sum((sum(f[k, j] * lam_h ** j for j in range(K + 1))) * rho_h ** k
                for k in range(m))
-    truth = complex(evaluator.value(lam_h, xi_h))
+    truth = unscaled(held)
     rep_res = abs(pred - truth) / max(abs(truth), 1e-300)
 
     c20 = c[2, 0]
@@ -843,7 +856,8 @@ def origin_taylor(evaluator: EvansEvaluator,
         / (2.0 * c20 * a + c[1, 1]) for a in alpha])
     return OriginExpansion(c=c, alpha=alpha, beta=beta, R=R,
                            reality_error=rerr,
-                           representation_residual=rep_res)
+                           representation_residual=rep_res,
+                           log_scale=log_scale)
 
 
 # -- root polishing ----------------------------------------------------------
@@ -952,10 +966,13 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     the origin plus right-half-plane winding checks on the semicircle of
     radius winding_R (D1), the origin Taylor expansion (D2: Re beta < 0 with
     alpha on the imaginary axis; D3: double root at the origin), and slope
-    distinctness (H1).  The technical slope condition 2 nu u_x < F^-2 is
-    evaluated and reported but does not enter the overall spectral verdict:
-    it concerns the nonlinear (Kawashima-type damping) argument and fails
-    for every wave once F is moderately large.  An answer that rests on
+    distinctness (H1).  The Hill scan stops at its first unstable row, so
+    the diagnostics' hill_max_real and hill_eigensolves cover the rows
+    solved: every row on a wave it does not find unstable.  The technical
+    slope condition 2 nu u_x < F^-2 is evaluated and reported but does not
+    enter the overall spectral verdict: it concerns the nonlinear
+    (Kawashima-type damping) argument and fails for every wave once F is
+    moderately large.  An answer that rests on
     Evans frames is indeterminate when one of them fails its Liouville
     check (error above _LIOUVILLE_TOL).
     """
@@ -970,10 +987,9 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
 
     X = problem.period
     R0 = 1e-2 * (2.0 * np.pi / X)
-    cloud = spectrum(problem, N, n_xi=n_xi)
-    mu = max_unstable(cloud, r0=2.0 * R0)
+    mu, solves = first_unstable(problem, N, n_xi, 2.0 * R0, _HILL_TOL)
     diag["hill_max_real"] = mu
-    diag["hill_eigensolves"] = cloud.eigensolves
+    diag["hill_eigensolves"] = solves
     if mu > _HILL_TOL:
         conditions["D1"] = False
         return StabilityVerdict(

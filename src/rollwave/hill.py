@@ -166,6 +166,19 @@ def _require_real(op: OperatorForm) -> None:
                         "needs real coefficients; got a complex one")
 
 
+def _solved_rows(problem: SpectralProblem, N: int, n_xi: int):
+    """(k, eigenvalues) of each row `spectrum` eigensolves, in its order.
+
+    Row k = 0 (xi = -pi/X) comes first, then xi > 0 ascending; the rows
+    with xi < 0 are left to mirroring, which needs real coefficients.
+    """
+    _require_real(problem.operator)
+    trunc = truncate(problem, N)
+    for k, x in zip(_xi_indices(n_xi), default_xi_grid(problem.period, n_xi)):
+        if k == 0 or 2 * k > n_xi:
+            yield k, eigenvalues(trunc, N, x)
+
+
 def spectrum(problem: SpectralProblem, N: int, n_xi: int = 64) -> SpectralCloud:
     """Bloch spectrum over default_xi_grid.
 
@@ -174,16 +187,17 @@ def spectrum(problem: SpectralProblem, N: int, n_xi: int = 64) -> SpectralCloud:
     xi_{n_xi - k} holds the conjugates of row k.  Deterministic: eigenvalues
     per xi are sorted, xi order preserved.
     """
-    _require_real(problem.operator)
-    trunc = truncate(problem, N)
-    ks = _xi_indices(n_xi)
-    xi_grid = default_xi_grid(problem.period, n_xi)
-    solved = {k: eigenvalues(trunc, N, x) for k, x in zip(ks, xi_grid)
-              if k == 0 or 2 * k > n_xi}
+    solved = dict(_solved_rows(problem, N, n_xi))
     eigs = [solved[k] if k in solved else _sorted(np.conj(solved[n_xi - k]))
-            for k in ks]
-    return SpectralCloud(kind=problem.kind, N=N, xi=xi_grid, eigs=eigs,
+            for k in _xi_indices(n_xi)]
+    return SpectralCloud(kind=problem.kind, N=N,
+                         xi=default_xi_grid(problem.period, n_xi), eigs=eigs,
                          eigensolves=len(solved))
+
+
+def _max_real(evs: np.ndarray, r0: float) -> float:
+    keep = evs[np.abs(evs) > r0]
+    return float(np.max(keep.real)) if len(keep) else -np.inf
 
 
 def max_unstable(cloud: SpectralCloud, r0: float = 0.0) -> float:
@@ -194,7 +208,24 @@ def max_unstable(cloud: SpectralCloud, r0: float = 0.0) -> float:
     """
     best = -np.inf
     for evs in cloud.eigs:
-        keep = evs[np.abs(evs) > r0]
-        if len(keep):
-            best = max(best, float(np.max(keep.real)))
+        best = max(best, _max_real(evs, r0))
     return best
+
+
+def first_unstable(problem: SpectralProblem, N: int, n_xi: int, r0: float,
+                   tol: float) -> tuple[float, int]:
+    """(mu, solves): `max_unstable` over the rows solved until one exceeds tol.
+
+    Rows are solved in `spectrum`'s order and the scan stops after the
+    first whose largest real part (|lambda| > r0) is above tol.  A mirrored
+    row has its partner's moduli and real parts, so on a spectrum with no
+    such row mu is bitwise max_unstable(spectrum(problem, N, n_xi), r0)
+    and solves is that spectrum's eigensolves.
+    """
+    best, solves = -np.inf, 0
+    for _, evs in _solved_rows(problem, N, n_xi):
+        solves += 1
+        best = max(best, _max_real(evs, r0))
+        if best > tol:
+            break
+    return best, solves

@@ -256,14 +256,9 @@ def kdvks_wave(delta: float, k: float, a0: float = 0.0,
     return wave, x[:n], float(x[n])
 
 
-def kdvks_spectrum(delta: float, k: float, N: int = 40,
-                   n_xi: int = 48, a0: float = 0.0) -> dict[float, np.ndarray]:
-    """Bloch spectrum of KdV-KS linearized about the converged wave.
-
-    For each Floquet exponent xi in (0, pi/X] returns the Hill eigenvalues
-    (modes |j| <= N) of Lambda z = -(W z)' - z''' - delta (z'' + z''''),
-    W = T - sigma.
-    """
+def _kdvks_rows(delta: float, k: float, N: int = 40, n_xi: int = 48,
+                a0: float = 0.0):
+    """(xi, Hill eigenvalues) for xi in (0, pi/X] ascending, solved lazily."""
     wave, T, sigma = kdvks_wave(delta, k, a0=a0, n=max(512, 4 * N + 2))
     X = wave.X
     W = T - sigma
@@ -272,8 +267,19 @@ def kdvks_spectrum(delta: float, k: float, N: int = 40,
     problem = SpectralProblem(kind="kdvks", period=X,
                               operator=OperatorForm(m=1, M1=M1))
     trunc = hill.truncate(problem, N)
-    return {float(xi): hill.eigenvalues(trunc, N, xi)
-            for xi in np.linspace(np.pi / X / n_xi, np.pi / X, n_xi)}
+    for xi in np.linspace(np.pi / X / n_xi, np.pi / X, n_xi):
+        yield float(xi), hill.eigenvalues(trunc, N, xi)
+
+
+def kdvks_spectrum(delta: float, k: float, N: int = 40,
+                   n_xi: int = 48, a0: float = 0.0) -> dict[float, np.ndarray]:
+    """Bloch spectrum of KdV-KS linearized about the converged wave.
+
+    For each Floquet exponent xi in (0, pi/X] returns the Hill eigenvalues
+    (modes |j| <= N) of Lambda z = -(W z)' - z''' - delta (z'' + z''''),
+    W = T - sigma.
+    """
+    return dict(_kdvks_rows(delta, k, N=N, n_xi=n_xi, a0=a0))
 
 
 def kdvks_max_growth(delta: float, X: float, N: int = 40) -> float:
@@ -290,5 +296,10 @@ STABLE_GROWTH_TOL = 1e-7
 
 
 def kdvks_stable(delta: float, X: float) -> bool:
-    """Spectral stability verdict for the period-X wave at the given delta."""
-    return kdvks_max_growth(delta, X) <= STABLE_GROWTH_TOL
+    """Spectral stability verdict for the period-X wave at the given delta.
+
+    Rows are solved only until one grows faster than STABLE_GROWTH_TOL; a
+    non-finite growth rate counts as unstable.
+    """
+    return all(float(np.max(eigs.real)) <= STABLE_GROWTH_TOL
+               for _, eigs in _kdvks_rows(delta, k_of_period(X)))

@@ -97,12 +97,23 @@ def _jacobian(tau, c, K, eps, nu, q, X, D1, borders):
     dt = fourier.deriv(tau, X)
     u = q - eps * c * tau
     J = np.zeros((n + borders, n + borders))
-    J[:n, :n] = (c * c * D1
-                 - (1.0 / (K * tau ** 3))[:, None] * D1
-                 + np.diag(3.0 * dt / (K * tau ** 4) + u ** 2
-                           - 2.0 * eps * c * tau * u)
-                 + c * nu * ((D1 * (tau ** -2)[None, :]) @ D1
-                             - 2.0 * D1 * (tau ** -3 * dt)[None, :]))
+    # dG/dtau = c^2 D1 - diag(1/(K tau^3)) D1 + diag(...)
+    #           + c nu (D1 diag(tau^-2) D1 - 2 D1 diag(tau^-3 tau')),
+    # summed in that order in place, with one work matrix besides the
+    # viscous product
+    G = J[:n, :n]
+    tmp = np.multiply(D1, (tau ** -2)[None, :])
+    visc = tmp @ D1
+    np.multiply(2.0, D1, out=tmp)
+    tmp *= (tau ** -3 * dt)[None, :]
+    visc -= tmp
+    visc *= c * nu
+    np.multiply(c * c, D1, out=G)
+    np.multiply((1.0 / (K * tau ** 3))[:, None], D1, out=tmp)
+    G -= tmp
+    G[np.diag_indices(n)] += (3.0 * dt / (K * tau ** 4) + u ** 2
+                              - 2.0 * eps * c * tau * u)
+    G += visc
     J[:n, n] = (2.0 * c * dt - 2.0 * eps * tau ** 2 * u
                 + nu * fourier.deriv(tau ** -2 * dt, X))
     return J

@@ -213,6 +213,7 @@ def evaluate_point(point: dict, solver=None, n: int = 512) -> SweepRecord:
     meta["residual_norm"] = wave.residual_norm
     meta["amplitude"] = float(np.ptp(wave.tau))
     meta["hill_max_real"] = v.diagnostics.get("hill_max_real")
+    meta["hill_eigensolves"] = v.diagnostics.get("hill_eigensolves")
     if "alpha" in v.diagnostics:
         meta["origin_alpha"] = v.diagnostics["alpha"]
         meta["origin_beta"] = v.diagnostics["beta"]

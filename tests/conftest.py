@@ -2,13 +2,14 @@
 
 Profiles are built once per session from first principles (no stored data):
 the weakly nonlinear seed route for the moderate-F wave and the large-F
-scaling-family route for the F = 6 and F = 10 waves.
+scaling-family route for the F = 6 and F = 10 waves.  `hill_solves` records
+the Hill eigensolves of one test.
 """
 
 import numpy as np
 import pytest
 
-from rollwave import kdv_limit
+from rollwave import hill, kdv_limit
 from rollwave import profile as prof
 
 
@@ -38,3 +39,17 @@ def f10_x50_wave():
 def constant_state():
     """The constant profile tau = 1 at F = 3 on a 2 pi period."""
     return prof.equilibrium(3.0, 0.1, tau0=1.0, X=2.0 * np.pi, n=64)
+
+
+@pytest.fixture
+def hill_solves(monkeypatch):
+    """The Floquet parameters of every `hill.eigenvalues` call, in order."""
+    solved = []
+    direct = hill.eigenvalues
+
+    def counting(problem, N, xi):
+        solved.append(xi)
+        return direct(problem, N, xi)
+
+    monkeypatch.setattr(hill, "eigenvalues", counting)
+    return solved

@@ -8,7 +8,7 @@ would silently zero a per-layer metric of the benchmark.
 import importlib.util
 from pathlib import Path
 
-from rollwave import kdv_limit
+from rollwave import evans, kdv_limit
 from rollwave import profile as prof
 
 
@@ -34,3 +34,18 @@ def test_tracer_sees_profile_solves_and_residuals():
     assert prof.solve_profile is solve_profile
     assert tracer.counts["profile.residual_evals"] > 0
     assert "profile.solve" in [name for _, _, name, _, _ in tracer.spans]
+
+
+def test_tracer_counts_the_verdicts_hill_solves(constant_state):
+    # every name the tracer wraps is still bound where it looks, and every
+    # row the verdict's Hill scan solves goes through hill.eigenvalues
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer)
+        v = evans.verdict(constant_state)
+    finally:
+        tracer.restore()
+    solves = [name for _, _, name, _, _ in tracer.spans
+              if name == "hill.eigensolve"]
+    assert len(solves) == v.diagnostics["hill_eigensolves"] > 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rollwave import evans, linearize
+from rollwave import evans, hill, linearize
 from rollwave.model import DomainError
 
 
@@ -200,6 +200,30 @@ def test_origin_double_root(fig1c_problem):
         assert b == want
 
 
+def test_origin_taylor_past_the_double_range(fig1c_problem, monkeypatch):
+    # every D scaled by e^1000, far past 1e308: alpha, beta and both checks
+    # are ratios of the c[a, b], so only log_scale may move
+    ev = evans.EvansEvaluator(fig1c_problem)
+    base = evans.origin_taylor(ev)
+    det_scaled = evans._det_scaled
+
+    def huge(frame, rho):
+        v = det_scaled(frame, rho)
+        return evans.EvansValue(v.mantissa, v.exponent + 1000.0)
+
+    monkeypatch.setattr(evans, "_det_scaled", huge)
+    big = evans.origin_taylor(ev)
+    assert big.log_scale > math.log(np.finfo(float).max)
+    assert big.log_scale == pytest.approx(base.log_scale + 1000.0, abs=1e-9)
+    for got, want in ((big.alpha, base.alpha), (big.beta, base.beta),
+                      (big.c, base.c)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # both checks are relative errors already
+    assert abs(big.reality_error - base.reality_error) <= 1e-12
+    assert abs(big.representation_residual
+               - base.representation_residual) <= 1e-12
+
+
 def test_origin_taylor_reuses_winding_frames(fig1c_problem):
     # the Cauchy integrals run on the winding check's own circle nodes, so
     # the expansion adds only the held-out frame
@@ -270,8 +294,20 @@ def test_verdict_on_constant_state(constant_state):
     v = evans.verdict(constant_state)
     assert v.overall == "unstable"
     assert v.to_dict()["overall"] == "unstable"
-    assert v.diagnostics["hill_max_real"] > 0.0
-    assert v.diagnostics["hill_eigensolves"] == 24
+    # the Hill scan stops at its first unstable row: k = 0 (xi = -pi/X),
+    # then xi > 0 ascending, at the verdict's N = 60, n_xi = 48
+    sp = linearize.bloch_coeffs(constant_state)
+    X = sp.period
+    grid = hill.default_xi_grid(X, 48)
+    r0 = 2.0 * 1e-2 * (2.0 * np.pi / X)
+    rows = []
+    for xi in [grid[0], *grid[grid > 0]]:
+        lam = hill.eigenvalues(sp, 60, xi)
+        rows.append(float(np.max(lam[np.abs(lam) > r0].real)))
+        if rows[-1] > evans._HILL_TOL:
+            break
+    assert v.diagnostics["hill_eigensolves"] == len(rows)
+    assert v.diagnostics["hill_max_real"] == max(rows) > evans._HILL_TOL
 
 
 def test_verdict_origin_overflow_is_indeterminate(constant_state, monkeypatch):
@@ -281,7 +317,8 @@ def test_verdict_origin_overflow_is_indeterminate(constant_state, monkeypatch):
         evaluator.frame(0.01)
         complex(evans.EvansValue(1.0, 800.0))
 
-    monkeypatch.setattr(evans, "max_unstable", lambda cloud, r0: 0.0)
+    monkeypatch.setattr(evans, "first_unstable",
+                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
     monkeypatch.setattr(evans, "origin_taylor", overflow)
     v = evans.verdict(constant_state)
     assert v.overall == "indeterminate"
@@ -302,7 +339,8 @@ def test_verdict_untrusted_frame_is_indeterminate(constant_state,
             beta=np.array([0.5, -0.5]), R=R, reality_error=0.0,
             representation_residual=0.0)
 
-    monkeypatch.setattr(evans, "max_unstable", lambda cloud, r0: 0.0)
+    monkeypatch.setattr(evans, "first_unstable",
+                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
     monkeypatch.setattr(evans, "origin_taylor", untrusted)
     v = evans.verdict(constant_state)
     assert v.overall == "indeterminate"

@@ -71,6 +71,36 @@ def test_max_unstable_excludes_origin_ball(constant_state):
     assert big <= 0.0
 
 
+def test_first_unstable_stops_at_the_first_row_above_tol(constant_state,
+                                                        hill_solves):
+    # rows in spectrum's order: k = 0 (xi = -pi/X), then xi > 0 ascending;
+    # tol sits between the first two, so the scan stops after row 1
+    sp = linearize.bloch_coeffs(constant_state)
+    N, n_xi = 6, 16
+    grid = hill.default_xi_grid(sp.period, n_xi)
+    rows = [float(np.max(hill.eigenvalues(sp, N, x).real))
+            for x in [grid[0], *grid[grid > 0]]]
+    tol = 0.5 * (rows[0] + rows[1])
+    assert rows[0] < tol < rows[1]
+    hill_solves.clear()
+    mu, solves = hill.first_unstable(sp, N, n_xi, 0.0, tol)
+    assert solves == len(hill_solves) == 2
+    assert mu == rows[1]
+
+
+def test_first_unstable_scans_every_row_of_a_stable_problem(hill_solves):
+    # lambda z = z'' + z' - z: Re lambda = -(xi + 2 pi l / X)^2 - 1 < 0, so
+    # nothing stops the scan and it matches the mirrored full spectrum
+    op = OperatorForm(m=1, M1={(0, 0): [(2, 1.0), (1, 1.0), (0, -1.0)]})
+    sp = SpectralProblem(kind="test", period=3.0, operator=op)
+    cloud = hill.spectrum(sp, 8, n_xi=12)
+    for r0 in (0.0, 1.5):
+        hill_solves.clear()
+        mu, solves = hill.first_unstable(sp, 8, 12, r0, 1e-7)
+        assert solves == len(hill_solves) == cloud.eigensolves == 6
+        assert mu == hill.max_unstable(cloud, r0) < -1.0
+
+
 def _set_distance(a, b):
     """Largest distance from a point of either set to the other set."""
     d = np.abs(a[:, None] - b[None, :])
@@ -78,19 +108,11 @@ def _set_distance(a, b):
 
 
 @pytest.mark.parametrize("n_xi", [8, 7])
-def test_spectrum_solves_half_the_grid(constant_state, monkeypatch, n_xi):
+def test_spectrum_solves_half_the_grid(constant_state, hill_solves, n_xi):
     # xi > 0 and -pi/X are solved; each xi < 0 row mirrors its partner
     sp = linearize.bloch_coeffs(constant_state)
-    solved = []
-    direct = hill.eigenvalues
-
-    def counting(problem, N, xi):
-        solved.append(xi)
-        return direct(problem, N, xi)
-
-    monkeypatch.setattr(hill, "eigenvalues", counting)
     cloud = hill.spectrum(sp, N=6, n_xi=n_xi)
-    assert len(solved) == 4 == cloud.eigensolves
+    assert len(hill_solves) == 4 == cloud.eigensolves
     assert np.array_equal(cloud.xi, hill.default_xi_grid(sp.period, n_xi))
     assert len(cloud.eigs) == len(cloud.xi)
 

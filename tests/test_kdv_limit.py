@@ -116,6 +116,11 @@ def test_kdvks_translation_mode_near_zero():
     assert np.min(np.abs(cloud[xi_min])) < 1e-2
 
 
-def test_kdvks_stable_band_midpoint():
+def test_kdvks_stable_band_midpoint(hill_solves):
+    # a classification solves rows only until one is unstable: X = 7 is
+    # decided by its first row, X = 17 needs all 48
     assert kdv_limit.kdvks_stable(0.05, 17.0)
+    assert len(hill_solves) == 48
+    hill_solves.clear()
     assert not kdv_limit.kdvks_stable(0.05, 7.0)
+    assert len(hill_solves) == 1

@@ -3,13 +3,14 @@
 Monodromy matrices of the first-order Bloch systems Z' = (A0 + lambda A1) Z
 are propagated by a fourth-order Magnus (commutator-corrected midpoint)
 stepper on a step grid adapted to the local coefficient magnitude, with the
-frame periodically re-orthogonalized by QR and the radial growth extracted
-into a running log-scale.  A batch of lambda shares one QR schedule.  The
-step exponentials are truncated Taylor series (Paterson-Stockmeyer, no linear
-solve) of the lowest degree the steps' norm bounds allow, built for whole QR
-segments at a time in a (d, d, steps, lambda) layout; each segment's steps
-are multiplied together there, so the sequential loop applies one product
-and one QR per segment.
+frame re-orthogonalized by QR every _QR_STRIDE steps, or sooner where it
+could grow past _NORM_CAP, and the radial growth extracted into a running
+log-scale.  A batch of lambda shares one QR schedule.  The step exponentials
+are truncated Taylor series (Paterson-Stockmeyer, no linear solve) of the
+lowest degree the steps' norm bounds allow, built _BLOCK steps at a time in
+a (d, d, chunks, steps, lambda) layout and multiplied there pairwise as a
+tree, so the sequential loop applies one product per chunk of at most
+_BLOCK steps and one QR per segment.
 The Evans determinant
 
     D(lambda, xi) = det(Psi(X, lambda) - e^{i xi X} Id)
@@ -75,10 +76,10 @@ class UntrustedFrames(EvansError):
 
 
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_QR_STRIDE = 16         # Magnus steps between re-orthogonalizations
+_QR_STRIDE = 256        # Magnus steps between re-orthogonalizations
 _NORM_CAP = 1e8         # ... or sooner, once the frame could grow past this
 _BATCH = 64             # lambda carried through one step loop at most
-_BLOCK = 256            # Magnus steps exponentiated at a time
+_BLOCK = 64             # Magnus steps exponentiated and multiplied at a time
 _BALANCE_SWEEPS = 20    # passes of the diagonal balancing at most
 _LIOUVILLE_TOL = 1e-6   # Liouville error above which frames are not trusted
 
@@ -339,11 +340,12 @@ class EvansEvaluator:
     def _propagate(self, lams: list[complex], cap: float) -> list[ScaledFrame]:
         """Monodromy frames of every lambda in `lams` through one step loop.
 
-        The batch shares one QR schedule (_qr_schedule).  Whole segments of
-        it, about _BLOCK steps at a time, have their step exponentials built
-        and multiplied together for the whole batch at once, so the
-        sequential loop applies one product and one re-orthogonalization per
-        segment.
+        The batch shares one QR schedule (_qr_schedule).  Each segment of it
+        is cut into chunks of at most _BLOCK steps from its start; about
+        _BLOCK steps of chunks at a time have their step exponentials built
+        and multiplied together for the whole batch at once.  The
+        sequential loop applies one product per chunk and one
+        re-orthogonalization per segment.
         """
         W, norms = self._step_grid(cap)
         lam = np.asarray(lams, dtype=complex)
@@ -357,11 +359,17 @@ class EvansEvaluator:
         r = float(np.abs(lam).max())
         bounds = norms[0] + r * (norms[1] + r * norms[2])
         starts = _qr_schedule(bounds.tolist(), d)
+        ends = set(starts)
+        edges = [e for s, t in zip(starts, starts[1:])
+                 for e in range(s, t, _BLOCK)] + [n_steps]
         a = 0
-        while a < len(starts) - 1:
-            b = max(a + 1, bisect.bisect_right(starts, starts[a] + _BLOCK) - 1)
-            for P in _segment_products(W, lam, starts[a:b + 1], bounds):
-                Y, U, g, logdet = _qr_extract(P @ Y, U, g, logdet)
+        while a < len(edges) - 1:
+            b = max(a + 1, bisect.bisect_right(edges, edges[a] + _BLOCK) - 1)
+            products = _segment_products(W, lam, edges[a:b + 1], bounds)
+            for e, P in zip(edges[a + 1:b + 1], products):
+                Y = P @ Y
+                if e in ends:
+                    Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
             a = b
         logdet = logdet + np.log(np.linalg.det(Y))
 
@@ -440,18 +448,20 @@ class EvansEvaluator:
         return _det_scaled(self.frame(lam), rho)
 
 
-def _segment_products(W: np.ndarray, lam: np.ndarray, starts: list[int],
+def _segment_products(W: np.ndarray, lam: np.ndarray, edges: list[int],
                       bounds: np.ndarray) -> np.ndarray:
-    """Products E_last ... E_first of the step exponentials of each segment.
+    """Products E_last ... E_first of the step exponentials of each chunk.
 
-    W holds the step exponents as from _step_grid, `starts` the edges of
-    consecutive segments and `bounds` the per-step bounds on the 1-norm of
-    omega.  Segments shorter than the longest are padded with zero
-    exponents, whose exponentials are exactly the identity, and the product
-    takes one stacked step per position within a segment.  Returns an
-    (n_segments, L, d, d) array.
+    W holds the step exponents as from _step_grid, `edges` the edges of
+    consecutive chunks and `bounds` the per-step bounds on the 1-norm of
+    omega.  Chunks shorter than the longest are padded with zero exponents,
+    whose exponentials are exactly the identity.  The steps are multiplied
+    pairwise as a tree, later factor on the left, one stacked product per
+    level (an odd last factor is carried up a level), so a width-w chunk
+    takes ceil(log2 w) stacked products.  Returns an (n_chunks, L, d, d)
+    array.
     """
-    st = np.asarray(starts)
+    st = np.asarray(edges)
     lengths = np.diff(st)
     width = int(lengths.max())
     pos = np.arange(width)
@@ -460,11 +470,14 @@ def _segment_products(W: np.ndarray, lam: np.ndarray, starts: list[int],
     pad = pos >= lengths[:, None]
     if pad.any():
         omega[:, :, pad] = 0.0
-    E = _expm_stack(omega, float(bounds[st[0]:st[-1]].max()))
-    P = E[:, :, :, 0]
-    for j in range(1, width):
-        P = _matmul(E[:, :, :, j], P)
-    return np.ascontiguousarray(P.transpose(2, 3, 0, 1))
+    P = _expm_stack(omega, float(bounds[st[0]:st[-1]].max()))
+    while P.shape[3] > 1:
+        half = P.shape[3] // 2
+        pairs = _matmul(P[:, :, :, 1:2 * half:2], P[:, :, :, 0:2 * half:2])
+        if P.shape[3] % 2:
+            pairs = np.concatenate([pairs, P[:, :, :, -1:]], axis=3)
+        P = pairs
+    return np.ascontiguousarray(P[:, :, :, 0].transpose(2, 3, 0, 1))
 
 
 @functools.cache
@@ -714,7 +727,8 @@ class OriginExpansion:
     c[a, b] e^{log_scale} multiplies lambda^a xi^b.  alpha solves
     c20 a^2 + c11 a + c02 = 0 (the two spectral curves lambda ~ alpha xi
     + beta xi^2), beta is the second-order coefficient; both are ordered
-    by (Im alpha, Re alpha).
+    by Im alpha, or by Re alpha where the imaginary parts tie to within
+    _IMAG_TIE relative.
     """
 
     c: np.ndarray                # (4, 4) complex, c[a, b] for a + b <= 3
@@ -748,6 +762,7 @@ class OriginExpansion:
 _TAYLOR_ORDER = 3       # total order of the origin expansion
 _MAX_SHRINK = 6         # halvings of R allowed to find the double root alone
 _DISTINCT_TOL = 1e-4    # relative |alpha1 - alpha2| below which H1 is undecided
+_IMAG_TIE = 1e-8        # relative Im alpha gap up to which Re orders alpha
 
 
 def _taylor_circle(vals: np.ndarray, R: float) -> np.ndarray:
@@ -841,12 +856,13 @@ def origin_taylor(evaluator: EvansEvaluator,
         raise DegenerateQuadratic(
             f"|c20| = {abs(c20):.3e} is below the degeneracy floor")
     disc = cmath.sqrt(c[1, 1] ** 2 - 4.0 * c20 * c[0, 2])
-    # sorted by (Im, Re): when both alpha are imaginary the discriminant
-    # sits on the branch cut of sqrt, and roundoff alone would swap them
-    alpha = np.array(sorted([(-c[1, 1] + disc) / (2.0 * c20),
-                             (-c[1, 1] - disc) / (2.0 * c20)],
-                            key=lambda z: (z.imag, z.real)))
+    # a fixed order, since the sign of the square root follows roundoff
+    # (both alpha imaginary put the discriminant on its branch cut): by Im,
+    # or by Re where the imaginary parts agree to rounding (alpha = +-a + ib)
+    alpha = [(-c[1, 1] + disc) / (2.0 * c20), (-c[1, 1] - disc) / (2.0 * c20)]
     amax = max(abs(alpha[0]), abs(alpha[1]), 1e-300)
+    tied = abs(alpha[0].imag - alpha[1].imag) <= _IMAG_TIE * amax
+    alpha = np.array(sorted(alpha, key=lambda z: z.real if tied else z.imag))
     if abs(alpha[0] - alpha[1]) < _DISTINCT_TOL * amax:
         raise NearDoubleAlpha(
             f"|alpha1 - alpha2| = {abs(alpha[0] - alpha[1]):.3e} "
@@ -974,7 +990,9 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     (Kawashima-type damping) argument and fails for every wave once F is
     moderately large.  An answer that rests on
     Evans frames is indeterminate when one of them fails its Liouville
-    check (error above _LIOUVILLE_TOL).
+    check (error above _LIOUVILLE_TOL).  Once Evans runs, the diagnostics
+    carry its step cap and steps per frame, and after the winding checks
+    their refinement rounds (summed over xi) and largest relative jump.
     """
     conditions: dict[str, bool | None] = {
         "D1": None, "D2": None, "D3": None, "H1": None, "slope": None}
@@ -999,6 +1017,9 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
             diagnostics=diag)
 
     evaluator = EvansEvaluator(problem, tol=evans_tol)
+    diag["evans_cap"] = evaluator.cap
+    diag["evans_steps_per_frame"] = (
+        evaluator._step_grid(evaluator.cap)[0].shape[-1])
 
     def untrusted():
         diag["liouville_max"] = liou = evaluator.liouville_max
@@ -1047,6 +1068,8 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     reports = winding_sweep(evaluator, Contour("semicircle", winding_R), xi_w)
     windings = [rep.winding for rep in reports]
     diag["windings"] = windings
+    diag["winding_refinements"] = sum(rep.refinements for rep in reports)
+    diag["winding_max_jump"] = max(rep.max_jump for rep in reports)
     diag["frames_computed"] = evaluator.frames_computed
     if (distrusted := untrusted()) is not None:
         return distrusted

@@ -58,16 +58,34 @@ def interp(values: np.ndarray, period: float, x: np.ndarray | float) -> np.ndarr
     (len(x), *values.shape[1:]), without the leading axis for scalar x.
     Points are evaluated _INTERP_BLOCK at a time, so the phase matrix never
     holds more than _INTERP_BLOCK rows.
+
+    The phases factor over the signed frequency m = B h + l, with B the
+    largest power of two at most sqrt(n) and -B/2 <= l < B/2:
+    e^{i x k_m} = e^{i x k_{B h}} e^{i x k_l}, the product of two small
+    tables.  Each point costs about n / B + B complex exponentials and n
+    products instead of n exponentials.  The centred l gives the low modes
+    |m| < B/2, which carry most of a smooth function's weight, their direct
+    phase from the l table alone (h = 0).
     """
     values = np.asarray(values)
     n = len(values)
     coeffs = np.fft.fft(values, axis=0).reshape(n, -1) / n
-    k = wavenumbers(n, period)
+    B = 1 << (n.bit_length() - 1) // 2
+    m = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+    h = (m + B // 2) // B
+    h_lo = int(h.min())
+    k_hi = 2.0 * np.pi * (B * np.arange(h_lo, h.max() + 1)) / period
+    k_lo = 2.0 * np.pi * np.arange(-(B // 2), B - B // 2) / period
+    # coefficient rows in (h, l) order, zero where no m falls
+    ordered = np.zeros((len(k_hi) * B, coeffs.shape[1]), dtype=complex)
+    ordered[(h - h_lo) * B + m - B * h + B // 2] = coeffs
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((len(x_arr), coeffs.shape[1]), dtype=complex)
     for s in range(0, len(x_arr), _INTERP_BLOCK):
-        out[s:s + _INTERP_BLOCK] = (
-            np.exp(1j * np.outer(x_arr[s:s + _INTERP_BLOCK], k)) @ coeffs)
+        xb = x_arr[s:s + _INTERP_BLOCK, None]
+        ph = (np.exp(1j * xb * k_hi)[:, :, None]
+              * np.exp(1j * xb * k_lo)[:, None, :])
+        out[s:s + _INTERP_BLOCK] = ph.reshape(len(xb), -1) @ ordered
     out = out.reshape(len(x_arr), *values.shape[1:])
     if np.isrealobj(values):
         out = out.real

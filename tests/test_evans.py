@@ -161,6 +161,32 @@ def test_propagate_matches_product_of_step_exponentials(fig1c_problem,
         assert np.abs(psi - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("edges", [[0, 1], [0, 2], [0, 3], [0, 63], [0, 64],
+                                   [5, 8, 9, 72, 74, 75]])
+def test_segment_products_match_sequential_expm(edges):
+    # the pairwise tree gives each chunk the product E_last ... E_first of
+    # its steps' exponentials; the last case pads chunks of 3, 1, 63, 2 and
+    # 1 steps to 63 in one call
+    rng = np.random.default_rng(len(edges) + edges[-1])
+    d, n = 3, 80
+    re, im = rng.standard_normal((2, 3, d, d, n))
+    W = re + 1j * im
+    W *= np.array([0.3, 0.2, 0.1])[:, None, None, None] / d
+    lam = np.array([0.4 - 0.3j, -0.7 + 0.1j])
+    r = np.abs(lam).max()
+    norms = np.abs(W).sum(axis=1).max(axis=1)
+    bounds = norms[0] + r * (norms[1] + r * norms[2])
+    got = evans._segment_products(W, lam, edges, bounds)
+    assert got.shape == (len(edges) - 1, len(lam), d, d)
+    for s, t, P in zip(edges, edges[1:], got):
+        for z, Pz in zip(lam, P):
+            ref = np.eye(d)
+            for j in range(s, t):
+                ref = scipy.linalg.expm(W[0, :, :, j] + z * W[1, :, :, j]
+                                        + z ** 2 * W[2, :, :, j]) @ ref
+            assert np.abs(Pz - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_liouville_identity(fig1c_problem):
     frame = evans.EvansEvaluator(fig1c_problem).frame(0.2)
     assert frame.liouville_error < 1e-8
@@ -198,6 +224,17 @@ def test_origin_double_root(fig1c_problem):
         want = -(c[3, 0] * a ** 3 + c[2, 1] * a ** 2 + c[1, 2] * a + c[0, 3]) \
             / (2.0 * c[2, 0] * a + c[1, 1])
         assert b == want
+
+
+def test_origin_slopes_with_equal_imaginary_parts_order_by_real_part(
+        f6_waves):
+    # alpha = +-0.329 + 0.0582i on the F = 6, X = 7.83 wave: the imaginary
+    # parts tie, so rounding may not choose the order
+    ev = evans.EvansEvaluator(linearize.bloch_coeffs(f6_waves[7.83]))
+    exp = evans.origin_taylor(ev)
+    a0, a1 = exp.alpha
+    assert abs(a0.imag - a1.imag) <= 1e-8 * max(abs(a0), abs(a1))
+    assert a0.real < a1.real
 
 
 def test_origin_taylor_past_the_double_range(fig1c_problem, monkeypatch):
@@ -346,6 +383,35 @@ def test_verdict_untrusted_frame_is_indeterminate(constant_state,
     assert v.overall == "indeterminate"
     assert v.reason.startswith("Liouville check failed")
     assert v.diagnostics["liouville_max"] == 1e-3
+
+
+def test_verdict_reports_evans_counters(constant_state, monkeypatch):
+    # past the Hill scan and a stable-looking origin expansion, the verdict
+    # reports the Evans cap and steps per frame and the windings' refinement
+    # rounds and largest jump, as a fresh evaluator computes them
+    def stable(evaluator, R=None):
+        return evans.OriginExpansion(
+            c=np.zeros((4, 4), dtype=complex), alpha=np.array([0.1j, 0.2j]),
+            beta=np.array([-0.5, -0.5]), R=R, reality_error=0.0,
+            representation_residual=0.0)
+
+    monkeypatch.setattr(evans, "first_unstable",
+                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
+    monkeypatch.setattr(evans, "origin_taylor", stable)
+    v = evans.verdict(constant_state)
+    sp = linearize.bloch_coeffs(constant_state)
+    ev = evans.EvansEvaluator(sp)
+    xis = np.pi / sp.period * np.linspace(0.1, 1.0, evans._N_XI_WINDING)
+    reports = evans.winding_sweep(ev, evans.Contour("semicircle", 0.2), xis)
+    assert v.diagnostics["windings"] == [rep.winding for rep in reports]
+    assert v.diagnostics["frames_computed"] == ev.frames_computed
+    assert v.diagnostics["evans_cap"] == ev.cap
+    assert v.diagnostics["evans_steps_per_frame"] == ev.frame(
+        reports[0].lam[0]).n_steps
+    assert v.diagnostics["winding_refinements"] == sum(
+        rep.refinements for rep in reports) > 0
+    assert v.diagnostics["winding_max_jump"] == max(
+        rep.max_jump for rep in reports)
 
 
 def test_polish_root_past_the_double_range_raises():

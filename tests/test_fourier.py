@@ -80,6 +80,36 @@ def test_interp_matrix_values_across_point_blocks():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 9, 64, 512, 2048])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_interp_factored_phases_match_direct(n, dtype):
+    # the factored phases against the direct e^{i x k} @ coeffs, at more
+    # points of one period than one block holds and at a scalar point; 9 is
+    # odd, so no power of two above 1 divides it.  The random coefficients
+    # fall geometrically to 1e-6 at the Nyquist mode, as a smooth
+    # coefficient field's do: on a flat spectrum the two phase roundings
+    # alone differ by up to |x k| 2^-53 per mode, 3e-13 at n = 2048
+    rng = np.random.default_rng(n)
+    X = 7.83
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    c = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+    c *= 1e-6 ** (np.abs(m) / (n / 2))[:, None]
+    values = np.fft.ifft(c, axis=0) * n
+    if dtype is float:
+        values = values.real
+    x = rng.uniform(0.0, X, fourier._INTERP_BLOCK + 77)
+    coeffs = np.fft.fft(values, axis=0) / n
+    want = np.exp(1j * np.outer(x, fourier.wavenumbers(n, X))) @ coeffs
+    if dtype is float:
+        want = want.real
+    got = fourier.interp(values, X, x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    one = fourier.interp(values, X, x[-1])
+    assert one.shape == (2,)
+    assert np.abs(one - want[-1]).max() <= 1e-13 * np.abs(want).max()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=3, max_value=6), st.integers(min_value=3, max_value=6),
        st.floats(min_value=0.5, max_value=20.0))

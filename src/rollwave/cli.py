@@ -121,7 +121,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "store": (str, None, "JSON-lines result store (appended, resumable)"),
     },
     "fit": {
-        "in": (str, None, "boundary CSV alpha,F,nu,q,X_lower,X_upper"),
+        "in": (str, None, "sweep store (JSON lines) holding the brackets"),
         "which": (str, "lower", "lower|upper"),
         "out": (str, None, "output fit JSON"),
     },
@@ -320,20 +320,12 @@ def _cmd_sweep(o: dict):
 
 def _cmd_fit(o: dict):
     _require(o, "in", "out")
-    if o["which"] not in ("lower", "upper"):
-        raise DomainError(f"--which must be lower or upper, got {o['which']!r}")
+    # Only complete lines, and no ResultStore: its repair of a torn final
+    # line would truncate a store that a running sweep is appending to.
     text = open(o["in"], "r", encoding="utf-8").read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    want = ["alpha", "F", "nu", "q", "X_lower", "X_upper"]
-    if header != want:
-        raise DomainError(f"boundary CSV header must be {','.join(want)}")
-    col = want.index("X_lower" if o["which"] == "lower" else "X_upper")
-    points = []
-    for ln in lines[1:]:
-        vals = [float(v) for v in ln.split(",")]
-        points.append((vals[1], vals[3], vals[col]))
-    fit = sweep.powerlaw_fit(points)
+    records = [sweep.SweepRecord.from_json(line) for line in
+               text[:text.rfind("\n") + 1].splitlines() if line.strip()]
+    fit = sweep.powerlaw_fit(sweep.boundary_points(records, o["which"]))
     _atomic_write(o["out"], _json_text(fit.to_dict()))
 
 
@@ -394,14 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for sub, schema in _SCHEMAS.items():
         sp = subs.add_parser(sub)
         for name, (caster, default, help_text) in {**schema, **_COMMON}.items():
-            kwargs = {"help": help_text, "default": None, "dest": name}
-            if caster is int:
-                kwargs["type"] = int
-            elif caster is float:
-                kwargs["type"] = float
-            elif caster is _floats:
-                kwargs["type"] = _floats
-            sp.add_argument(f"--{name}", **kwargs)
+            sp.add_argument(f"--{name}", type=caster, help=help_text,
+                            default=None, dest=name)
     return parser
 
 

@@ -5,10 +5,10 @@ Kuramoto-Sivashinsky traveling-wave problem
 
     (T^2/2 - sigma T)' + T''' + delta (T'' + T'''') = 0,
 
-whose delta -> 0 solutions are the KdV cnoidal waves
+whose delta -> 0 solutions are the KdV cnoidal waves (baseline zero)
 
-    T0(theta) = a0 + 12 k^2 kappa^2 cn^2(kappa theta, k),
-    sigma0 = a0 + 4 kappa^2 (2 k^2 - 1),
+    T0(theta) = 12 k^2 kappa^2 cn^2(kappa theta, k),
+    sigma0 = 4 kappa^2 (2 k^2 - 1),
 
 with period X = 2 K(k) / kappa.  The singular perturbation selects the scale
 kappa = G(k); the first corrector T1 solves L0 T1 = T0'' + T0'''' where
@@ -91,7 +91,6 @@ def k_of_period(X: float) -> float:
 class CnoidalWave:
     """A selected cnoidal wave sampled on a uniform periodic grid."""
 
-    a0: float
     k: float
     kappa: float
     sigma0: float
@@ -105,17 +104,16 @@ class CnoidalWave:
         return fourier.grid(self.n, self.X)
 
 
-def cnoidal_profile(k: float, a0: float = 0.0, n: int = 256) -> CnoidalWave:
-    """Sample the selected cnoidal wave with modulus k and baseline a0."""
+def cnoidal_profile(k: float, n: int = 256) -> CnoidalWave:
+    """Sample the selected cnoidal wave with modulus k."""
     kappa = selection_kappa(k)
     X = 2.0 * elliptic_K(k) / kappa
     theta = fourier.grid(n, X)
-    T0 = a0 + 12.0 * k * k * kappa * kappa * jacobi_cn(kappa * theta, k) ** 2
-    sigma0 = a0 + 4.0 * kappa * kappa * (2.0 * k * k - 1.0)
-    qtilde = (24.0 * k * k * (1.0 - k * k) * kappa ** 4
-              - a0 * (0.5 * a0 + 4.0 * kappa * kappa * (2.0 * k * k - 1.0)))
-    return CnoidalWave(a0=a0, k=k, kappa=kappa, sigma0=sigma0,
-                       qtilde=qtilde, X=X, n=n, T0=np.asarray(T0))
+    T0 = 12.0 * k * k * kappa * kappa * jacobi_cn(kappa * theta, k) ** 2
+    sigma0 = 4.0 * kappa * kappa * (2.0 * k * k - 1.0)
+    qtilde = 24.0 * k * k * (1.0 - k * k) * kappa ** 4
+    return CnoidalWave(k=k, kappa=kappa, sigma0=sigma0, qtilde=qtilde, X=X,
+                       n=n, T0=np.asarray(T0))
 
 
 def selection_residual(wave: CnoidalWave) -> float:
@@ -177,9 +175,8 @@ def corrector_T1(wave: CnoidalWave) -> np.ndarray:
     return T1
 
 
-def asymptotic_rollwave(delta: float, k: float, nu: float,
-                        tau0: float = 1.0, a0: float = 0.0, n: int = 256):
-    """Approximate roll wave of the full system at F = 2 + delta^2.
+def asymptotic_rollwave(delta: float, k: float, nu: float, n: int = 256):
+    """Approximate roll wave of the full system at F = 2 + delta^2, tau0 = 1.
 
     Returns a WaveProfile built from the two-term KdV-KS expansion
     T0 + delta_tilde * T1 mapped back through the weakly nonlinear scalings;
@@ -188,25 +185,24 @@ def asymptotic_rollwave(delta: float, k: float, nu: float,
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
     F = 2.0 + delta * delta
-    wave = cnoidal_profile(k, a0=a0, n=n)
-    dtil = delta / (2.0 * tau0 ** 0.25 * np.sqrt(nu))
+    wave = cnoidal_profile(k, n=n)
+    dtil = delta / (2.0 * np.sqrt(nu))
     T1 = corrector_T1(wave)
     tau_tilde = -(wave.T0 + dtil * T1)
 
-    X = np.sqrt(nu) * wave.X / (tau0 ** 1.25 * delta)
-    tau = tau0 + delta * delta * (tau0 / 3.0) * tau_tilde
-    c = tau0 ** -1.5 / F + delta * delta * wave.sigma0 / (4.0 * tau0 ** 1.5)
-    u0 = tau0 ** -0.5
-    q = u0 + c * tau0 + delta * delta * wave.qtilde / (12.0 * np.sqrt(tau0))
+    X = np.sqrt(nu) * wave.X / delta
+    tau = 1.0 + delta * delta * (1.0 / 3.0) * tau_tilde
+    c = 1.0 / F + delta * delta * wave.sigma0 / 4.0
+    q = 1.0 + c + delta * delta * wave.qtilde / 12.0
 
-    params = PhysicalParams(F=F, nu=nu, q=q, c=c, X=X, tau0=tau0)
+    params = PhysicalParams(F=F, nu=nu, q=q, c=c, X=X, tau0=1.0)
     dtau = fourier.deriv(tau, X)
     res = float(np.max(np.abs(ode_residual(tau, params))))
     return WaveProfile(params=params, n=n, tau=tau, dtau=dtau,
                        residual_norm=res)
 
 
-def kdvks_wave(delta: float, k: float, a0: float = 0.0,
+def kdvks_wave(delta: float, k: float,
                n: int = 256) -> tuple[CnoidalWave, np.ndarray, float]:
     """Newton-converged KdV-KS wave of period X(k) at finite delta.
 
@@ -221,7 +217,7 @@ def kdvks_wave(delta: float, k: float, a0: float = 0.0,
     stability information.  Raises NonConvergence when Newton stops above
     a residual of 1e-4.
     """
-    wave = cnoidal_profile(k, a0=a0, n=n)
+    wave = cnoidal_profile(k, n=n)
     X = wave.X
     seed = wave.T0 + delta * corrector_T1(wave)
     dseed = fourier.deriv(seed, X)
@@ -256,10 +252,9 @@ def kdvks_wave(delta: float, k: float, a0: float = 0.0,
     return wave, x[:n], float(x[n])
 
 
-def _kdvks_rows(delta: float, k: float, N: int = 40, n_xi: int = 48,
-                a0: float = 0.0):
+def _kdvks_rows(delta: float, k: float, N: int = 40, n_xi: int = 48):
     """(xi, Hill eigenvalues) for xi in (0, pi/X] ascending, solved lazily."""
-    wave, T, sigma = kdvks_wave(delta, k, a0=a0, n=max(512, 4 * N + 2))
+    wave, T, sigma = kdvks_wave(delta, k, n=max(512, 4 * N + 2))
     X = wave.X
     W = T - sigma
     M1: Terms = {(0, 0): [(1, -W), (0, -fourier.deriv(W, X)), (3, -1.0),
@@ -272,14 +267,14 @@ def _kdvks_rows(delta: float, k: float, N: int = 40, n_xi: int = 48,
 
 
 def kdvks_spectrum(delta: float, k: float, N: int = 40,
-                   n_xi: int = 48, a0: float = 0.0) -> dict[float, np.ndarray]:
+                   n_xi: int = 48) -> dict[float, np.ndarray]:
     """Bloch spectrum of KdV-KS linearized about the converged wave.
 
     For each Floquet exponent xi in (0, pi/X] returns the Hill eigenvalues
     (modes |j| <= N) of Lambda z = -(W z)' - z''' - delta (z'' + z''''),
     W = T - sigma.
     """
-    return dict(_kdvks_rows(delta, k, N=N, n_xi=n_xi, a0=a0))
+    return dict(_kdvks_rows(delta, k, N=N, n_xi=n_xi))
 
 
 def kdvks_max_growth(delta: float, X: float, N: int = 40) -> float:

@@ -4,7 +4,9 @@ Records are keyed by the physical parameter tuple (alpha, F, nu, q, X) and
 persisted to an append-only JSON-lines store, one record per line, so an
 interrupted sweep resumes by skipping keys already present.  Wall-clock
 timings are carried on the in-memory records but excluded from the store so
-that two runs of the same grid produce byte-identical files.
+that two runs of the same grid produce byte-identical files.  Maps and
+bisection probes append to the same store, and boundary_points reads its
+brackets back for powerlaw_fit.
 
 The alpha = -2 scaling family is parameterized by q0: the physical discharge
 is q = q0 F and the physical period X = X0 F^2 for the rescaled period X0.
@@ -17,7 +19,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,12 +40,7 @@ class NotBracketed(Exception):
 
 
 class ProbeFailed(Exception):
-    """A bisection probe failed; carries the failing period."""
-
-    def __init__(self, X: float, cause: Exception):
-        super().__init__(f"probe at X = {X:.6g} failed: {cause}")
-        self.X = X
-        self.cause = cause
+    """A bisection probe was decided neither stable nor unstable."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class SweepRecord:
     verdict: str                       # "stable" | "unstable" | "indeterminate" | "failed"
     witness: str | None = None
     conditions: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)   # q0, X0, solver settings, diagnostics
+    meta: dict = field(default_factory=dict)   # q0, X0, n, residual, diagnostics
     elapsed: float | None = None               # not serialized
 
     @property
@@ -182,13 +179,12 @@ def enumerate_grid(spec: dict) -> list[dict]:
     return points
 
 
-def default_solver(point: dict, n: int = 512, tol: float = 1e-10
-                   ) -> WaveProfile:
+def default_solver(point: dict, n: int = 512) -> WaveProfile:
     """Profile solve for one grid point on the alpha = -2 family."""
     if point["alpha"] != -2.0:
         raise DomainError("default solver covers only alpha = -2")
     return profile_from_limit(point["q0"], point["X0"], point["F"],
-                              nu=point["nu"], n=n, tol=tol)
+                              nu=point["nu"], n=n, tol=1e-10)
 
 
 def evaluate_point(point: dict, solver=None, n: int = 512) -> SweepRecord:
@@ -212,11 +208,7 @@ def evaluate_point(point: dict, solver=None, n: int = 512) -> SweepRecord:
                            elapsed=time.monotonic() - t0)
     meta["residual_norm"] = wave.residual_norm
     meta["amplitude"] = float(np.ptp(wave.tau))
-    meta["hill_max_real"] = v.diagnostics.get("hill_max_real")
-    meta["hill_eigensolves"] = v.diagnostics.get("hill_eigensolves")
-    if "alpha" in v.diagnostics:
-        meta["origin_alpha"] = v.diagnostics["alpha"]
-        meta["origin_beta"] = v.diagnostics["beta"]
+    meta.update(v.diagnostics)
     return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
                        q=point["q"], X=point["X"], verdict=v.overall,
                        witness=v.witness or v.reason,
@@ -254,13 +246,20 @@ def _binary_class(rec: SweepRecord) -> bool:
         return True
     if rec.verdict == "unstable":
         return False
-    raise ProbeFailed(rec.X, RuntimeError(
-        f"verdict {rec.verdict!r}: {rec.witness}"))
+    raise ProbeFailed(f"probe at X = {rec.X:.6g} failed: verdict "
+                      f"{rec.verdict!r}: {rec.witness}")
+
+
+def _stable_above(which: str) -> bool:
+    """Whether the stable side of a `which` boundary lies at the larger X."""
+    if which not in ("lower", "upper"):
+        raise DomainError(f"which must be 'lower' or 'upper', got {which!r}")
+    return which == "lower"
 
 
 def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
                     X_lo: float, X_hi: float, which: str = "lower",
-                    rel_tol: float = 1e-2, n: int = 512,
+                    rel_tol: float = 1e-2,
                     store: ResultStore | None = None) -> float:
     """Bisect the period X across a stability boundary at fixed (F, q0).
 
@@ -272,19 +271,14 @@ def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
     at the endpoints raise NotBracketed.  Returns the midpoint of the final
     bracket, of relative width <= rel_tol.
     """
-    if which not in ("lower", "upper"):
-        raise DomainError(f"which must be 'lower' or 'upper', got {which!r}")
+    want_hi_stable = _stable_above(which)
     if not (0.0 < X_lo < X_hi):
         raise DomainError(f"need 0 < X_lo < X_hi, got ({X_lo}, {X_hi})")
 
     def probe(X: float) -> bool:
         point = family_point(alpha, F, nu, q0, X)
-        rec = stability_map([point], store=store, n=n)[0]
-        if rec.verdict == "failed":
-            raise ProbeFailed(X, RuntimeError(rec.witness or "solve failed"))
-        return _binary_class(rec)
+        return _binary_class(stability_map([point], store=store)[0])
 
-    want_hi_stable = (which == "lower")
     lo_stable = probe(X_lo)
     hi_stable = probe(X_hi)
     if lo_stable == hi_stable:
@@ -305,6 +299,31 @@ def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
     return math.sqrt(X_lo * X_hi)
 
 
+def boundary_points(records, which: str = "lower") -> list[tuple]:
+    """(F, q, X) boundary estimates from stored verdicts, for powerlaw_fit.
+
+    Stable and unstable records are grouped by (alpha, F, nu, q) and ordered
+    by X; of the adjacent pairs that cross in the `which` orientation (see
+    boundary_bisect), the narrowest in X_hi / X_lo gives sqrt(X_lo X_hi), as
+    boundary_bisect does.  Indeterminate and failed records are skipped.
+    """
+    hi_stable = _stable_above(which)
+    groups: dict[tuple, list[SweepRecord]] = {}
+    for rec in records:
+        if rec.verdict in ("stable", "unstable"):
+            groups.setdefault(rec.key[:4], []).append(rec)
+    points = []
+    for (_, F, _, q), recs in sorted(groups.items()):
+        recs.sort(key=lambda r: r.X)
+        pairs = [(a.X, b.X) for a, b in zip(recs, recs[1:])
+                 if a.verdict != b.verdict
+                 and (b.verdict == "stable") == hi_stable]
+        if pairs:
+            X_lo, X_hi = min(pairs, key=lambda p: p[1] / p[0])
+            points.append((F, q, math.sqrt(X_lo * X_hi)))
+    return points
+
+
 @dataclass(frozen=True)
 class BoundaryFit:
     """OLS fit log X = b1 log F + b2 log q + b3 over boundary points."""
@@ -320,12 +339,7 @@ class BoundaryFit:
     restricted: tuple[str, ...] = ()   # columns dropped as unidentifiable
 
     def to_dict(self) -> dict:
-        return {"b1": self.b1, "b2": self.b2, "b3": self.b3,
-                "max_abs_error": self.max_abs_error,
-                "mean_abs_error": self.mean_abs_error,
-                "max_rel_error": self.max_rel_error,
-                "mean_rel_error": self.mean_rel_error,
-                "rank": self.rank, "restricted": list(self.restricted)}
+        return {**asdict(self), "restricted": list(self.restricted)}
 
 
 def powerlaw_fit(points) -> BoundaryFit:

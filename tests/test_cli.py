@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rollwave import cli, evans, linearize
+from rollwave import cli, evans, linearize, sweep
 from rollwave import profile as prof
 
 
@@ -136,20 +136,61 @@ def test_untrusted_frames_exit_2_without_a_report(tmp_path, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
 
 
-def test_fit_roundtrip(tmp_path):
-    lines = ["alpha,F,nu,q,X_lower,X_upper"]
-    for F in (3.0, 4.5, 6.0, 9.0):
-        lines.append(",".join(f"{v:.17g}" for v in (
-            -2.0, F, 0.1, 0.4 * F, np.exp(2.1 * np.log(F) - 1.0),
-            np.exp(1.9 * np.log(F) + 1.0))))
-    pin = tmp_path / "b.csv"
-    pin.write_text("\n".join(lines) + "\n")
+def _bisected_store(path, monkeypatch):
+    """A store that four bisections filled under a stub X*(F) = 0.05 F^2.83."""
+    def evaluate(point, solver=None, n=512):
+        stable = point["X"] > 0.05 * point["F"] ** 2.83
+        return sweep.SweepRecord(
+            alpha=point["alpha"], F=point["F"], nu=point["nu"], q=point["q"],
+            X=point["X"], verdict="stable" if stable else "unstable")
+
+    monkeypatch.setattr(sweep, "evaluate_point", evaluate)
+    store = sweep.ResultStore(str(path))
+    return {F: sweep.boundary_bisect(-2.0, F, 0.1, 0.4, 1.0, 32.0,
+                                     rel_tol=1e-3, store=store)
+            for F in (4.0, 5.0, 6.0, 8.0)}
+
+
+def test_fit_reads_a_bisected_store(tmp_path, monkeypatch):
+    lowers = _bisected_store(tmp_path / "s.jsonl", monkeypatch)
     out = tmp_path / "fit.json"
-    assert cli.main(["fit", "--in", str(pin), "--which", "lower",
-                     "--out", str(out)]) == 0
+    assert cli.main(["fit", "--in", str(tmp_path / "s.jsonl"),
+                     "--which", "lower", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["b1"] == pytest.approx(2.1, abs=1e-10)
+    want = sweep.powerlaw_fit([(F, 0.4 * F, X) for F, X in lowers.items()])
+    assert doc == want.to_dict()
+    assert doc["b1"] == pytest.approx(2.83, abs=3e-3)
     assert doc["restricted"] == ["log q"]
+    # every bracket is lower-oriented: no upper boundary, too few points
+    assert cli.main(["fit", "--in", str(tmp_path / "s.jsonl"),
+                     "--which", "upper", "--out", str(out)]) == 1
+
+
+def test_fit_leaves_a_torn_store_untouched(tmp_path, monkeypatch):
+    # a sweep still appending leaves a torn last line; fit reads the
+    # complete lines and writes nothing to the store
+    path = tmp_path / "s.jsonl"
+    _bisected_store(path, monkeypatch)
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["fit", "--in", str(path), "--out", str(out1)]) == 0
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"F":4.0,"X":3.1')
+    torn = path.read_bytes()
+    assert cli.main(["fit", "--in", str(path), "--out", str(out2)]) == 0
+    assert path.read_bytes() == torn
+    assert out2.read_text() == out1.read_text()
+
+
+def test_fit_manifest_replay_is_byte_identical(tmp_path, monkeypatch):
+    _bisected_store(tmp_path / "s.jsonl", monkeypatch)
+    out = tmp_path / "a.json"
+    assert cli.main(["fit", "--in", str(tmp_path / "s.jsonl"),
+                     "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "a.json.manifest.json").read_text())
+    doc["options"]["out"] = str(tmp_path / "b.json")
+    (tmp_path / "m2.json").write_text(json.dumps(doc))
+    assert cli.main(["--from-manifest", str(tmp_path / "m2.json")]) == 0
+    assert (tmp_path / "b.json").read_text() == out.read_text()
 
 
 def test_fit_missing_file_exits_1(tmp_path):

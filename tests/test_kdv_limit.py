@@ -48,7 +48,7 @@ def test_selection_residual_nonzero_off_selection():
     theta = fourier.grid(wave.n, X)
     T0 = 12.0 * k * k * kappa * kappa * kdv_limit.jacobi_cn(
         kappa * theta, k) ** 2
-    off = kdv_limit.CnoidalWave(a0=0.0, k=k, kappa=kappa, sigma0=wave.sigma0,
+    off = kdv_limit.CnoidalWave(k=k, kappa=kappa, sigma0=wave.sigma0,
                                 qtilde=wave.qtilde, X=X, n=wave.n, T0=T0)
     scale = fourier.quad(off.T0 ** 2, off.X)
     assert abs(kdv_limit.selection_residual(off)) > 1e-4 * scale

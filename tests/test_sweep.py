@@ -1,9 +1,12 @@
 """Sweep orchestration: grids, stores, bisection, and power-law fits."""
 
+import math
+import types
+
 import numpy as np
 import pytest
 
-from rollwave import sweep
+from rollwave import evans, sweep
 from rollwave.model import DomainError
 from rollwave.profile import NonConvergence
 
@@ -111,6 +114,22 @@ def test_evaluate_point_records_only_numeric_failures():
         sweep.evaluate_point(point, solver=buggy)
 
 
+def test_evaluate_point_meta_carries_the_diagnostics(monkeypatch):
+    diagnostics = {"hill_max_real": -1e-3, "hill_eigensolves": 24,
+                   "evans_cap": 96, "alpha": [[0.0, 1.5], [0.0, -0.5]],
+                   "beta": [[-0.2, 0.0], [-0.1, 0.0]], "windings": [0] * 6}
+    monkeypatch.setattr(evans, "verdict", lambda wave: evans.StabilityVerdict(
+        overall="stable", conditions={"D1": True}, diagnostics=diagnostics))
+    wave = types.SimpleNamespace(residual_norm=2e-11,
+                                 tau=np.array([0.5, 1.0, 1.25]))
+    point = sweep.family_point(-2.0, 4.0, 0.1, 0.4, 8.0)
+    rec = sweep.evaluate_point(point, solver=lambda p: wave)
+    assert rec.meta == {"q0": 0.4, "X0": 0.5, "n": 512,
+                        "residual_norm": 2e-11, "amplitude": 0.75,
+                        **diagnostics}
+    assert sweep.SweepRecord.from_json(rec.to_json()).meta == rec.meta
+
+
 def test_store_rejects_duplicate_key(tmp_path):
     store = sweep.ResultStore(str(tmp_path / "s.jsonl"))
     rec = _stub_record(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 7.0))
@@ -163,6 +182,48 @@ def test_boundary_bisect_probe_failure(monkeypatch):
     _patch_classifier(monkeypatch, lambda p: "failed")
     with pytest.raises(sweep.ProbeFailed):
         sweep.boundary_bisect(-2.0, 4.0, 0.1, 0.4, 6.0, 12.0)
+
+
+def _stub_boundary(p):
+    # a stand-in lower boundary X*(F) = 0.05 F^2.83
+    return "stable" if p["X"] > 0.05 * p["F"] ** 2.83 else "unstable"
+
+
+def test_boundary_points_reproduce_the_bisections(tmp_path, monkeypatch):
+    # a coarse map and four bisections share one store; each F's narrowest
+    # bracket in it is the final bracket of that F's bisection
+    _patch_classifier(monkeypatch, _stub_boundary)
+    path = tmp_path / "s.jsonl"
+    store = sweep.ResultStore(str(path))
+    sweep.stability_map({"alpha": -2, "nu": 0.1, "q0": 0.4,
+                         "F": [4.0, 5.0, 6.0, 8.0],
+                         "X": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]}, store=store)
+    brackets = {4.0: (2.0, 4.0), 5.0: (4.0, 8.0), 6.0: (4.0, 8.0),
+                8.0: (16.0, 32.0)}
+    got = {F: sweep.boundary_bisect(-2.0, F, 0.1, 0.4, lo, hi,
+                                    rel_tol=1e-3, store=store)
+           for F, (lo, hi) in brackets.items()}
+    points = sweep.boundary_points(sweep.ResultStore(str(path)).records)
+    assert points == [(F, 0.4 * F, got[F]) for F in sorted(got)]
+    assert sweep.powerlaw_fit(points).b1 == pytest.approx(2.83, abs=3e-3)
+
+
+def test_boundary_points_orientation_and_undecided_records():
+    def rec(F, X, verdict):
+        return _stub_record(sweep.family_point(-2.0, F, 0.1, 0.4, X), verdict)
+
+    records = [rec(4.0, 5.0, "stable"), rec(4.0, 6.0, "unstable"),
+               rec(4.0, 6.5, "indeterminate"), rec(4.0, 7.0, "stable"),
+               rec(4.0, 7.1, "failed"), rec(4.0, 7.2, "unstable"),
+               rec(5.0, 6.0, "stable"), rec(5.0, 9.0, "stable")]
+    # the undecided 6.5 and 7.1 are skipped; F = 5 has no crossing
+    assert sweep.boundary_points(records, "lower") == [
+        (4.0, 1.6, math.sqrt(6.0 * 7.0))]
+    # of the upper crossings (5, 6) and (7, 7.2) the narrower one wins
+    assert sweep.boundary_points(records[::-1], "upper") == [
+        (4.0, 1.6, math.sqrt(7.0 * 7.2))]
+    with pytest.raises(DomainError):
+        sweep.boundary_points(records, "middle")
 
 
 def test_powerlaw_fit_exact_recovery():

@@ -260,15 +260,6 @@ def _xi_list(o: dict, X: float) -> list[float]:
     return [float(v) for v in np.concatenate([-pos[::-1], pos])]
 
 
-def _require_trusted(evaluator: evans.EvansEvaluator):
-    """Refuse to report from frames that failed their Liouville check."""
-    liou = evaluator.liouville_max
-    if liou > evans._LIOUVILLE_TOL:
-        raise evans.UntrustedFrames(
-            f"Liouville check failed: worst frame error {liou:.3e} above "
-            f"{evans._LIOUVILLE_TOL:g}")
-
-
 def _cmd_evans(o: dict):
     _require(o, "in", "out")
     w = _load_profile(o["in"])
@@ -278,7 +269,6 @@ def _cmd_evans(o: dict):
     evaluator = evans.EvansEvaluator(problem, tol=o["tol"])
     reports = evans.winding_sweep(evaluator, contour, xis,
                                   rel_jump=o["rel-jump"])
-    _require_trusted(evaluator)
     if o["format"] == "json":
         _atomic_write(o["out"], _json_text([r.to_dict() for r in reports]))
     elif o["format"] == "csv":
@@ -296,7 +286,6 @@ def _cmd_taylor(o: dict):
     w = _load_profile(o["in"])
     evaluator = evans.EvansEvaluator(linearize.bloch_coeffs(w), tol=o["tol"])
     exp = evans.origin_taylor(evaluator, R=o["radius"])
-    _require_trusted(evaluator)
     _atomic_write(o["out"], _json_text(exp.to_dict()))
 
 

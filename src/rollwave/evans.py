@@ -75,6 +75,11 @@ class UntrustedFrames(EvansError):
     _LIOUVILLE_TOL."""
 
 
+class InaccurateExpansion(EvansError):
+    """The origin expansion misses its held-out sample of D by more than
+    _REPRESENTATION_TOL."""
+
+
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _QR_STRIDE = 256        # Magnus steps between re-orthogonalizations
 _NORM_CAP = 1e8         # ... or sooner, once the frame could grow past this
@@ -425,13 +430,21 @@ class EvansEvaluator:
         """Frames for many lambda; each distinct lambda is integrated once.
 
         The lambda not yet cached go through the step loop _BATCH at a time.
+        Raises UntrustedFrames when a frame asked for, cached or new, misses
+        Liouville's identity by more than _LIOUVILLE_TOL; new frames are
+        cached first, so liouville_max covers the bad one.
         """
         lams = [complex(z) for z in lams]
         missing = list(dict.fromkeys(z for z in lams if z not in self._frames))
         for k in range(0, len(missing), _BATCH):
             chunk = missing[k:k + _BATCH]
             self._frames.update(zip(chunk, self._propagate(chunk, self.cap)))
-        return [self._frames[z] for z in lams]
+        out = [self._frames[z] for z in lams]
+        errors = [fr.liouville_error for fr in out]
+        if not all(e <= _LIOUVILLE_TOL for e in errors):    # a NaN fails too
+            raise UntrustedFrames(
+                f"Liouville check failed: worst frame error {max(errors):.3e}")
+        return out
 
     @property
     def frames_computed(self) -> int:
@@ -634,20 +647,16 @@ def winding_number(evaluator: EvansEvaluator, contour: Contour, xi: float,
     Starting from _CONTOUR_NODES equispaced parameters, points are inserted
     at parameter midpoints until every consecutive relative jump is at most
     rel_jump (Rouche criterion); the accumulated argument must round to an
-    integer with margin >= 0.25.
+    integer with margin >= 0.25.  A contour on which D vanishes is tried
+    once more with its radius 1e-3 larger (the report's `perturbed`).
     """
-    perturbed = False
-    for attempt in range(2):
-        try:
-            return _winding_once(evaluator, contour, xi, rel_jump, perturbed)
-        except ZeroOnContour:
-            if attempt == 1:
-                raise
-            contour = Contour(kind=contour.kind,
-                              radius=contour.radius * (1.0 + 1e-3),
-                              center=contour.center)
-            perturbed = True
-    raise AssertionError("unreachable")
+    try:
+        return _winding_once(evaluator, contour, xi, rel_jump, False)
+    except ZeroOnContour:
+        pass
+    contour = Contour(kind=contour.kind, radius=contour.radius * (1.0 + 1e-3),
+                      center=contour.center)
+    return _winding_once(evaluator, contour, xi, rel_jump, True)
 
 
 def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
@@ -763,6 +772,7 @@ _TAYLOR_ORDER = 3       # total order of the origin expansion
 _MAX_SHRINK = 6         # halvings of R allowed to find the double root alone
 _DISTINCT_TOL = 1e-4    # relative |alpha1 - alpha2| below which H1 is undecided
 _IMAG_TIE = 1e-8        # relative Im alpha gap up to which Re orders alpha
+_REPRESENTATION_TOL = 1e-4  # relative miss of the held-out D refused
 
 
 def _taylor_circle(vals: np.ndarray, R: float) -> np.ndarray:
@@ -790,6 +800,8 @@ def origin_taylor(evaluator: EvansEvaluator,
     D is divided by one common e^{log_scale} before it leaves the scaled
     form, so no magnitude past the double range is formed; alpha, beta and
     the checks are ratios of the c_{a,b}, which that factor leaves alone.
+    Raises InaccurateExpansion when the expansion misses D at a held-out
+    (lambda, xi) by more than _REPRESENTATION_TOL relative.
     """
     X = evaluator.X
     if R is None:
@@ -850,6 +862,10 @@ def origin_taylor(evaluator: EvansEvaluator,
                for k in range(m))
     truth = unscaled(held)
     rep_res = abs(pred - truth) / max(abs(truth), 1e-300)
+    if not rep_res <= _REPRESENTATION_TOL:
+        raise InaccurateExpansion(
+            f"representation residual {rep_res:.3e} at the held-out sample "
+            f"above {_REPRESENTATION_TOL:g}")
 
     c20 = c[2, 0]
     if abs(c20) < 1e-10 * scale:
@@ -988,15 +1004,23 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     slope condition 2 nu u_x < F^-2 is evaluated and reported but does not
     enter the overall spectral verdict: it concerns the nonlinear
     (Kawashima-type damping) argument and fails for every wave once F is
-    moderately large.  An answer that rests on
-    Evans frames is indeterminate when one of them fails its Liouville
-    check (error above _LIOUVILLE_TOL).  Once Evans runs, the diagnostics
-    carry its step cap and steps per frame, and after the winding checks
-    their refinement rounds (summed over xi) and largest relative jump.
+    moderately large.  The answer is indeterminate, with the reason, when
+    a frame it reads fails its Liouville check (UntrustedFrames) or the
+    origin expansion is unavailable.  Once Evans runs, the diagnostics
+    carry its step cap, steps per frame and worst Liouville error, and
+    after the winding checks their refinement rounds (summed over xi) and
+    largest relative jump.
     """
     conditions: dict[str, bool | None] = {
         "D1": None, "D2": None, "D3": None, "H1": None, "slope": None}
     diag: dict = {}
+    evaluator = None
+
+    def answer(overall: str, **text) -> StabilityVerdict:
+        if evaluator is not None:
+            diag["liouville_max"] = evaluator.liouville_max
+        return StabilityVerdict(overall=overall, conditions=conditions,
+                                diagnostics=diag, **text)
 
     problem = bloch_coeffs(profile)
     margin = slope_margin(profile)
@@ -1010,86 +1034,58 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     diag["hill_eigensolves"] = solves
     if mu > _HILL_TOL:
         conditions["D1"] = False
-        return StabilityVerdict(
-            overall="unstable", conditions=conditions,
-            witness=f"Hill eigenvalue with Re lambda = {mu:.3e} "
-                    f"away from the origin",
-            diagnostics=diag)
+        return answer("unstable",
+                      witness=f"Hill eigenvalue with Re lambda = {mu:.3e} "
+                              f"away from the origin")
 
     evaluator = EvansEvaluator(problem, tol=evans_tol)
     diag["evans_cap"] = evaluator.cap
     diag["evans_steps_per_frame"] = (
         evaluator._step_grid(evaluator.cap)[0].shape[-1])
-
-    def untrusted():
-        diag["liouville_max"] = liou = evaluator.liouville_max
-        return None if liou <= _LIOUVILLE_TOL else StabilityVerdict(
-            overall="indeterminate", conditions=conditions, diagnostics=diag,
-            reason=f"Liouville check failed: worst frame error {liou:.3e}")
-
     try:
         exp = origin_taylor(evaluator, R=R0)
-    except NearDoubleAlpha as err:
-        diag["liouville_max"] = evaluator.liouville_max
-        return StabilityVerdict(
-            overall="indeterminate", conditions=conditions,
-            reason=f"near-coincident origin slopes: {err}", diagnostics=diag)
-    except (WrongRootCountAtR, DegenerateQuadratic, OverflowError) as err:
-        diag["liouville_max"] = evaluator.liouville_max
-        return StabilityVerdict(
-            overall="indeterminate", conditions=conditions,
-            reason=f"origin expansion unavailable: {err}", diagnostics=diag)
-    if (distrusted := untrusted()) is not None:
-        return distrusted
-    diag["alpha"] = [[z.real, z.imag] for z in exp.alpha]
-    diag["beta"] = [[z.real, z.imag] for z in exp.beta]
-    conditions["D3"] = exp.double_root_ok
-    conditions["H1"] = True
-    amax = max(abs(z) for z in exp.alpha)
-    alpha_imag = all(abs(z.real) <= _IMAG_TOL * max(abs(z), amax * 1e-3)
-                     for z in exp.alpha)
-    re_beta = [z.real for z in exp.beta]
-    if any(rb > _BETA_MARGIN for rb in re_beta) or not alpha_imag:
-        conditions["D2"] = False
-        return StabilityVerdict(
-            overall="unstable", conditions=conditions,
-            witness=f"origin expansion: alpha = {exp.alpha.tolist()}, "
-                    f"Re beta = {re_beta}",
-            diagnostics=diag)
-    if any(abs(rb) <= _BETA_MARGIN for rb in re_beta):
-        conditions["D2"] = None
-        return StabilityVerdict(
-            overall="indeterminate", conditions=conditions,
-            reason=f"Re beta = {re_beta} within margin of zero",
-            diagnostics=diag)
-    conditions["D2"] = True
+        diag["alpha"] = [[z.real, z.imag] for z in exp.alpha]
+        diag["beta"] = [[z.real, z.imag] for z in exp.beta]
+        conditions["D3"] = exp.double_root_ok
+        conditions["H1"] = True
+        amax = max(abs(z) for z in exp.alpha)
+        alpha_imag = all(abs(z.real) <= _IMAG_TOL * max(abs(z), amax * 1e-3)
+                         for z in exp.alpha)
+        re_beta = [z.real for z in exp.beta]
+        if any(rb > _BETA_MARGIN for rb in re_beta) or not alpha_imag:
+            conditions["D2"] = False
+            return answer("unstable",
+                          witness=f"origin expansion: alpha = "
+                                  f"{exp.alpha.tolist()}, Re beta = {re_beta}")
+        if any(abs(rb) <= _BETA_MARGIN for rb in re_beta):
+            return answer("indeterminate",
+                          reason=f"Re beta = {re_beta} within margin of zero")
+        conditions["D2"] = True
 
-    xi_w = np.pi / X * np.linspace(0.1, 1.0, _N_XI_WINDING)
-    reports = winding_sweep(evaluator, Contour("semicircle", winding_R), xi_w)
+        xi_w = np.pi / X * np.linspace(0.1, 1.0, _N_XI_WINDING)
+        reports = winding_sweep(evaluator, Contour("semicircle", winding_R),
+                                xi_w)
+    except UntrustedFrames as err:
+        return answer("indeterminate", reason=str(err))
+    except NearDoubleAlpha as err:
+        return answer("indeterminate",
+                      reason=f"near-coincident origin slopes: {err}")
+    except (WrongRootCountAtR, DegenerateQuadratic, InaccurateExpansion,
+            OverflowError) as err:
+        return answer("indeterminate",
+                      reason=f"origin expansion unavailable: {err}")
     windings = [rep.winding for rep in reports]
     diag["windings"] = windings
     diag["winding_refinements"] = sum(rep.refinements for rep in reports)
     diag["winding_max_jump"] = max(rep.max_jump for rep in reports)
     diag["frames_computed"] = evaluator.frames_computed
-    if (distrusted := untrusted()) is not None:
-        return distrusted
     if any(w != 0 for w in windings):
         conditions["D1"] = False
-        return StabilityVerdict(
-            overall="unstable", conditions=conditions,
-            witness=f"nonzero right-half-plane winding {windings}",
-            diagnostics=diag)
+        return answer("unstable",
+                      witness=f"nonzero right-half-plane winding {windings}")
     conditions["D1"] = True
 
-    spectral = ("D1", "D2", "D3", "H1")
-    if all(conditions[k] for k in spectral):
-        return StabilityVerdict(overall="stable", conditions=conditions,
-                                diagnostics=diag)
-    failed = [k for k in spectral if conditions[k] is False]
+    failed = [k for k in ("D1", "D2", "D3", "H1") if not conditions[k]]
     if failed:
-        return StabilityVerdict(overall="unstable", conditions=conditions,
-                                witness=f"conditions failed: {failed}",
-                                diagnostics=diag)
-    return StabilityVerdict(overall="indeterminate", conditions=conditions,
-                            reason="some conditions undecided",
-                            diagnostics=diag)
+        return answer("unstable", witness=f"conditions failed: {failed}")
+    return answer("stable")

@@ -215,7 +215,7 @@ def kdvks_wave(delta: float, k: float,
     the wave matters: the Bloch spectrum about the truncated expansion splits
     the defective translation pair by O(delta), drowning the O(delta^2)
     stability information.  Raises NonConvergence when Newton stops above
-    a residual of 1e-4.
+    its tolerance, the rounding floor of the fourth derivative.
     """
     wave = cnoidal_profile(k, n=n)
     X = wave.X
@@ -248,7 +248,7 @@ def kdvks_wave(delta: float, k: float,
     tol = max(1e-11, 64.0 * np.finfo(float).eps * (2.0 * np.pi * n / X) ** 4
               * max(1.0, np.max(np.abs(seed))))
     x, _ = _newton_solve(residual, jacobian, np.append(seed, wave.sigma0), tol,
-                         lambda x: True, floor=1e-4)
+                         lambda x: True)
     return wave, x[:n], float(x[n])
 
 

@@ -140,7 +140,7 @@ def equilibrium(F: float, nu: float, tau0: float = 1.0,
 _NEWTON_MAX_ITER = 60
 
 
-def _newton_solve(residual, jacobian, x, tol, admissible, floor=None):
+def _newton_solve(residual, jacobian, x, tol, admissible, floor=0.0):
     """Newton's method on a bordered collocation system; returns (x, error).
 
     `residual(x)` is the whole bordered vector (collocation rows plus the
@@ -173,17 +173,19 @@ def _newton_solve(residual, jacobian, x, tol, admissible, floor=None):
                 f"{err:.3e}", err)
         r = residual(x)
         err = float(np.max(np.abs(r)))
-    if err > (tol if floor is None else max(tol, floor)):
+    if err > max(tol, floor):
         raise NonConvergence(f"Newton stopped at residual {err:.3e}", err)
     return x, err
 
 
-def _locked_newton(G, seed, c, tol, coeffs, floor=None):
+def _locked_newton(G, seed, c, tol, coeffs):
     """Newton for (tau, c) solving G(tau, c) = 0, phase-locked to the seed.
 
     `coeffs` = (K, eps, nu, q, X) are G's coefficients, for its Jacobian.  G
     is passed in so that the physical wave goes through `ode_residual`,
     where a caller may count it.  Returns (tau, c, error) with tau > 0.
+    An iterate at the rounding floor of G on n nodes is kept: that floor
+    grows with n^2, since spectral second derivatives amplify rounding.
     """
     n = len(seed)
     dseed = fourier.deriv(seed, coeffs[-1])
@@ -199,7 +201,8 @@ def _locked_newton(G, seed, c, tol, coeffs, floor=None):
         return J
 
     x, err = _newton_solve(residual, jacobian, np.append(seed, c), tol,
-                           lambda x: np.min(x[:n]) > 0.0, floor)
+                           lambda x: np.min(x[:n]) > 0.0,
+                           1e-8 * max(1.0, (n / 256.0) ** 2))
     return x[:n], float(x[n]), err
 
 
@@ -424,11 +427,8 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
 def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
                   tol: float) -> LimitProfile:
     coeffs = (1.0, 0.0, nu, q0, X0)
-    # the attainable residual floor grows with the squared node count
-    # (spectral second derivatives amplify rounding)
     a, c0, err = _locked_newton(lambda a, c0: _equation(a, c0, *coeffs), a,
-                                c0, tol, coeffs,
-                                floor=1e-8 * max(1.0, (len(a) / 256.0) ** 2))
+                                c0, tol, coeffs)
     return LimitProfile(q0=q0, X0=X0, nu=nu, c0=c0, n=len(a), a=a,
                         da=fourier.deriv(a, X0), residual_norm=err)
 

@@ -135,12 +135,16 @@ def _point_key(point: dict) -> tuple:
     return (point["alpha"], point["F"], point["nu"], point["q"], point["X"])
 
 
-def family_point(alpha: float, F: float, nu: float, q0: float,
-                 X: float) -> dict:
-    """Physical parameter point of the alpha = -2 family at (F, q0, X)."""
+def _require_family(alpha: float):
     if alpha != -2.0:
         raise DomainError(f"only the alpha = -2 family is implemented, "
                           f"got alpha = {alpha}")
+
+
+def family_point(alpha: float, F: float, nu: float, q0: float,
+                 X: float) -> dict:
+    """Physical parameter point of the alpha = -2 family at (F, q0, X)."""
+    _require_family(alpha)
     return {"alpha": alpha, "F": F, "nu": nu, "q": q0 * F, "X": X,
             "q0": q0, "X0": X / F ** 2}
 
@@ -148,9 +152,10 @@ def family_point(alpha: float, F: float, nu: float, q0: float,
 def enumerate_grid(spec: dict) -> list[dict]:
     """Expand a grid spec into an ordered list of parameter points.
 
-    Keys: alpha (scalar), nu (scalar), F (scalar or list), X (scalar or
-    list), and exactly one of q0 (scaling family, scalar) or q (explicit,
-    scalar or list).  Points are ordered F-major, then q, then X.
+    Keys: alpha (scalar, -2: the only family implemented), nu (scalar), F
+    (scalar or list), X (scalar or list), and exactly one of q0 (scaling
+    family, scalar) or q (explicit, scalar or list).  Points are ordered
+    F-major, then q, then X.
     """
     known = {"alpha", "nu", "F", "X", "q0", "q"}
     unknown = set(spec) - known
@@ -163,6 +168,7 @@ def enumerate_grid(spec: dict) -> list[dict]:
         return [float(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
 
     alpha = float(spec.get("alpha", -2.0))
+    _require_family(alpha)
     nu = float(spec.get("nu", 0.1))
     Fs = listify(spec["F"])
     Xs = listify(spec["X"])
@@ -192,7 +198,8 @@ def evaluate_point(point: dict, solver=None, n: int = 512) -> SweepRecord:
 
     A numeric failure (NUMERIC_ERRORS, a domain error or a failed linear
     solve) is recorded as a "failed" record; any other exception is a bug
-    and propagates.
+    and propagates.  Meta's n is the grid the wave was solved on, or the
+    requested n on a failed record.
     """
     t0 = time.monotonic()
     meta = {"q0": point.get("q0"), "X0": point.get("X0"), "n": n}
@@ -206,6 +213,7 @@ def evaluate_point(point: dict, solver=None, n: int = 512) -> SweepRecord:
                            q=point["q"], X=point["X"], verdict="failed",
                            witness=f"{type(err).__name__}: {err}", meta=meta,
                            elapsed=time.monotonic() - t0)
+    meta["n"] = wave.n
     meta["residual_norm"] = wave.residual_norm
     meta["amplitude"] = float(np.ptp(wave.tau))
     meta.update(v.diagnostics)

@@ -136,6 +136,16 @@ def test_untrusted_frames_exit_2_without_a_report(tmp_path, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.json"]
 
 
+def test_sweep_unsupported_alpha_exits_1_without_a_store(tmp_path):
+    # both routes, the scaling family (--q0) and explicit outflows (--q),
+    # reject alpha != -2 before any point is solved or stored
+    store = tmp_path / "s.jsonl"
+    for route in (["--q0", "0.4"], ["--q", "1.6"]):
+        assert cli.main(["sweep", "--alpha", "-1.5", *route, "--F", "4",
+                         "--X", "8,9", "--store", str(store)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def _bisected_store(path, monkeypatch):
     """A store that four bisections filled under a stub X*(F) = 0.05 F^2.83."""
     def evaluate(point, solver=None, n=512):

@@ -371,6 +371,7 @@ def test_verdict_untrusted_frame_is_indeterminate(constant_state,
         fr = evaluator.frame(0.01)
         evaluator._frames[fr.lam] = dataclasses.replace(fr,
                                                         liouville_error=1e-3)
+        evaluator.frame(0.01)
         return evans.OriginExpansion(
             c=np.zeros((4, 4), dtype=complex), alpha=np.array([0.1j, 0.2j]),
             beta=np.array([0.5, -0.5]), R=R, reality_error=0.0,
@@ -383,6 +384,47 @@ def test_verdict_untrusted_frame_is_indeterminate(constant_state,
     assert v.overall == "indeterminate"
     assert v.reason.startswith("Liouville check failed")
     assert v.diagnostics["liouville_max"] == 1e-3
+
+
+def test_untrusted_cached_frame_refuses_every_read(const_problem):
+    # a cached frame past the Liouville bound is refused by frames(),
+    # value() and polish_root alike, and stays counted in liouville_max
+    ev = evans.EvansEvaluator(const_problem)
+    lam = 0.3 + 0.1j
+    fr = ev.frame(lam)
+    ev._frames[lam] = dataclasses.replace(fr, liouville_error=2e-6)
+    want = "Liouville check failed: worst frame error 2.000e-06"
+    with pytest.raises(evans.UntrustedFrames, match=want):
+        ev.frames([0.5, lam])
+    assert ev.liouville_max == 2e-6
+    with pytest.raises(evans.UntrustedFrames, match=want):
+        ev.value(lam, 0.1)
+    with pytest.raises(evans.UntrustedFrames, match=want):
+        evans.polish_root(ev, lam, 0.1)
+    assert ev.frames([0.5])[0].liouville_error <= evans._LIOUVILLE_TOL
+
+
+def test_inaccurate_origin_expansion_is_refused(fig1c_problem, constant_state,
+                                               monkeypatch):
+    # Taylor coefficients 1 % off miss the held-out sample: origin_taylor
+    # raises, and the verdict reads that as an unavailable expansion
+    ev = evans.EvansEvaluator(fig1c_problem)
+    taylor_circle = evans._taylor_circle
+    monkeypatch.setattr(evans, "_taylor_circle",
+                        lambda vals, R: 1.01 * taylor_circle(vals, R))
+    with pytest.raises(evans.InaccurateExpansion) as info:
+        evans.origin_taylor(ev)
+
+    def inaccurate(evaluator, R=None):
+        raise info.value
+
+    monkeypatch.setattr(evans, "first_unstable",
+                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
+    monkeypatch.setattr(evans, "origin_taylor", inaccurate)
+    v = evans.verdict(constant_state)
+    assert v.overall == "indeterminate"
+    assert v.reason == f"origin expansion unavailable: {info.value}"
+    assert str(info.value).startswith("representation residual")
 
 
 def test_verdict_reports_evans_counters(constant_state, monkeypatch):

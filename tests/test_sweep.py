@@ -40,6 +40,10 @@ def test_enumerate_grid_validation():
         sweep.enumerate_grid({"F": 4.0, "X": 7.0, "q": 1.0, "q0": 0.4})
     with pytest.raises(DomainError):
         sweep.enumerate_grid({"F": 4.0, "X": 7.0, "q0": 0.4, "zeta": 1})
+    for route in ({"q0": 0.4}, {"q": 1.6}):        # only alpha = -2 exists
+        with pytest.raises(DomainError, match="alpha = -1.5"):
+            sweep.enumerate_grid({"alpha": -1.5, "F": 4.0, "X": 7.0,
+                                  **route})
 
 
 def test_family_point_requires_alpha_m2():
@@ -106,6 +110,7 @@ def test_evaluate_point_records_only_numeric_failures():
     rec = sweep.evaluate_point(point, solver=stalls)
     assert rec.verdict == "failed"
     assert rec.witness == "NonConvergence: line search stalled"
+    assert rec.meta["n"] == 512        # no wave: the n requested
 
     def buggy(p):
         raise TypeError("a programming error")
@@ -120,14 +125,25 @@ def test_evaluate_point_meta_carries_the_diagnostics(monkeypatch):
                    "beta": [[-0.2, 0.0], [-0.1, 0.0]], "windings": [0] * 6}
     monkeypatch.setattr(evans, "verdict", lambda wave: evans.StabilityVerdict(
         overall="stable", conditions={"D1": True}, diagnostics=diagnostics))
-    wave = types.SimpleNamespace(residual_norm=2e-11,
+    # the wave's n, not the 512 requested: the descent may refine the grid
+    wave = types.SimpleNamespace(n=2048, residual_norm=2e-11,
                                  tau=np.array([0.5, 1.0, 1.25]))
     point = sweep.family_point(-2.0, 4.0, 0.1, 0.4, 8.0)
     rec = sweep.evaluate_point(point, solver=lambda p: wave)
-    assert rec.meta == {"q0": 0.4, "X0": 0.5, "n": 512,
+    assert rec.meta == {"q0": 0.4, "X0": 0.5, "n": 2048,
                         "residual_norm": 2e-11, "amplitude": 0.75,
                         **diagnostics}
     assert sweep.SweepRecord.from_json(rec.to_json()).meta == rec.meta
+
+
+@pytest.mark.slow
+def test_f4_x8_point_is_decided():
+    # the descent's first physical solve (F = 100, n = 2048) stalls near
+    # 1e-9, above tol 1e-10 but within the rounding floor its limit seed
+    # was accepted under; the point is decided, and meta holds the wave's n
+    rec = sweep.evaluate_point(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 8.0))
+    assert rec.verdict == "stable"
+    assert rec.meta["n"] == 2048
 
 
 def test_store_rejects_duplicate_key(tmp_path):

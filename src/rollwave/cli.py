@@ -91,23 +91,15 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "xi": (_floats, None, "comma-separated Floquet parameters"),
         "xi-band": (int, None, "2n Floquet parameters in "
                                "+-[pi/(10X), pi/X]"),
-        "rel-jump": (float, 0.2, "relative-jump refinement criterion"),
-        "tol": (float, 1e-10, "propagation tolerance"),
         "format": (str, "json", "csv|json"),
         "out": (str, None, "output winding report"),
     },
     "taylor": {
         "in": (str, None, "input profile JSON"),
-        "radius": (float, None, "lambda expansion radius"),
-        "tol": (float, 1e-10, "propagation tolerance"),
         "out": (str, None, "output expansion JSON"),
     },
     "verdict": {
         "in": (str, None, "input profile JSON"),
-        "modes": (int, 121, "Hill Fourier modes 2N+1"),
-        "xi-points": (int, 48, "Hill Floquet parameters"),
-        "winding-R": (float, 0.2, "right-half-plane semicircle radius"),
-        "evans-tol": (float, 1e-10, "Evans propagation tolerance"),
         "report": (str, None, "output verdict JSON"),
     },
     "sweep": {
@@ -117,7 +109,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "q0": (float, None, "rescaled outflow (scaling family)"),
         "q": (_floats, None, "comma-separated explicit outflows"),
         "X": (_floats, None, "comma-separated periods"),
-        "n": (int, 512, "profile grid points"),
         "store": (str, None, "JSON-lines result store (appended, resumable)"),
     },
     "fit": {
@@ -129,7 +120,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "X": (float, None, "selected-wave period"),
         "k": (float, None, "elliptic modulus (alternative input)"),
         "delta": (float, None, "KdV-KS parameter for a stability check"),
-        "modes": (int, 81, "Fourier modes 2N+1 for the stability check"),
         "out": (str, None, "output JSON"),
     },
     "limit-inf": {
@@ -266,9 +256,7 @@ def _cmd_evans(o: dict):
     problem = linearize.bloch_coeffs(w)
     contour = evans.Contour.parse(o["contour"])
     xis = _xi_list(o, problem.period)
-    evaluator = evans.EvansEvaluator(problem, tol=o["tol"])
-    reports = evans.winding_sweep(evaluator, contour, xis,
-                                  rel_jump=o["rel-jump"])
+    reports = evans.winding_sweep(evans.EvansEvaluator(problem), contour, xis)
     if o["format"] == "json":
         _atomic_write(o["out"], _json_text([r.to_dict() for r in reports]))
     elif o["format"] == "csv":
@@ -284,16 +272,14 @@ def _cmd_evans(o: dict):
 def _cmd_taylor(o: dict):
     _require(o, "in", "out")
     w = _load_profile(o["in"])
-    evaluator = evans.EvansEvaluator(linearize.bloch_coeffs(w), tol=o["tol"])
-    exp = evans.origin_taylor(evaluator, R=o["radius"])
+    exp = evans.origin_taylor(evans.EvansEvaluator(linearize.bloch_coeffs(w)))
     _atomic_write(o["out"], _json_text(exp.to_dict()))
 
 
 def _cmd_verdict(o: dict):
     _require(o, "in", "report")
     w = _load_profile(o["in"])
-    v = evans.verdict(w, N=(o["modes"] - 1) // 2, n_xi=o["xi-points"],
-                      winding_R=o["winding-R"], evans_tol=o["evans-tol"])
+    v = evans.verdict(w)
     _atomic_write(o["report"], _json_text(v.to_dict()))
 
 
@@ -304,7 +290,7 @@ def _cmd_sweep(o: dict):
         grid["q0"] = o["q0"]
     if o["q"] is not None:
         grid["q"] = o["q"]
-    sweep.stability_map(grid, store=o["store"], n=o["n"])
+    sweep.stability_map(grid, store=o["store"])
 
 
 def _cmd_fit(o: dict):
@@ -328,8 +314,7 @@ def _cmd_kdv(o: dict):
         X, k = o["X"], kdv_limit.k_of_period(o["X"])
     out = {"X": X, "k": k}
     if o["delta"] is not None:
-        N = (o["modes"] - 1) // 2
-        growth = kdv_limit.kdvks_max_growth(o["delta"], X, N=N)
+        growth = kdv_limit.kdvks_max_growth(o["delta"], X)
         out.update(delta=o["delta"], max_growth=growth,
                    stable=growth <= kdv_limit.STABLE_GROWTH_TOL)
     _atomic_write(o["out"], _json_text(out))
@@ -373,7 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="replay a run from its manifest")
     subs = parser.add_subparsers(dest="subcommand")
     for sub, schema in _SCHEMAS.items():
-        sp = subs.add_parser(sub)
+        # no prefix matching: a removed flag such as sweep's --n must not
+        # resolve to a longer one (--nu)
+        sp = subs.add_parser(sub, allow_abbrev=False)
         for name, (caster, default, help_text) in {**schema, **_COMMON}.items():
             sp.add_argument(f"--{name}", type=caster, help=help_text,
                             default=None, dest=name)

@@ -87,6 +87,7 @@ _BATCH = 64             # lambda carried through one step loop at most
 _BLOCK = 64             # Magnus steps exponentiated and multiplied at a time
 _BALANCE_SWEEPS = 20    # passes of the diagonal balancing at most
 _LIOUVILLE_TOL = 1e-6   # Liouville error above which frames are not trusted
+_CALIBRATION_TOL = 1e-8  # relative change of D that ends the calibration
 
 # Taylor degree m of the step exponential and the bound theta_m on the 1-norm
 # up to which the degree-m truncated series is exact to unit roundoff: the
@@ -257,16 +258,14 @@ class EvansEvaluator:
     monodromy; `frames_computed` counts the distinct integrations done.
     """
 
-    def __init__(self, problem: SpectralProblem, tol: float = 1e-10):
+    def __init__(self, problem: SpectralProblem):
         fo = problem.first_order
         if fo is None:
             raise DomainError(
                 f"problem kind {problem.kind!r} has no first-order form")
         self.X = float(problem.period)
         self.n, self.dim = fo.A0.shape[:2]
-        self.tol = tol
         self._frames: dict[complex, ScaledFrame] = {}
-        self._grids: dict[float, tuple] = {}
         # constant diagonal balancing D^-1 A D: a similarity leaves D(lambda,
         # xi), the multipliers, and the trace untouched but can shrink the
         # integrated coefficient norm (hence the step count) enormously
@@ -277,7 +276,8 @@ class EvansEvaluator:
         self._A1 = fo.A1 * scale[None, :, :]
         self._tr0 = complex(np.mean(np.trace(fo.A0, axis1=1, axis2=2)))
         self._tr1 = complex(np.mean(np.trace(fo.A1, axis1=1, axis2=2)))
-        self.cap = self._calibrate()
+        self.cap, self._grid = self._calibrate()
+        self.n_steps = self._grid[0].shape[-1]
 
     # -- step grid -------------------------------------------------------
 
@@ -294,8 +294,6 @@ class EvansEvaluator:
         (d, d, ...) layout of _matmul, and their per-step 1-norms as a
         (3, n_steps) array.
         """
-        if cap in self._grids:
-            return self._grids[cap]
         omega = (np.abs(self._A0).sum(axis=2).max(axis=1)
                  + np.abs(self._A1).sum(axis=2).max(axis=1))
         # Magnus error density: the fourth-order local error scales like
@@ -336,14 +334,13 @@ class EvansEvaluator:
                                                   + H2 @ G1 - G1 @ H2),
                       c * (H2 @ H1 - H1 @ H2)])
         W = np.ascontiguousarray(W.transpose(0, 2, 3, 1))
-        grid = (W, np.abs(W).sum(axis=1).max(axis=1))
-        self._grids[cap] = grid
-        return grid
+        return W, np.abs(W).sum(axis=1).max(axis=1)
 
     # -- monodromy -------------------------------------------------------
 
-    def _propagate(self, lams: list[complex], cap: float) -> list[ScaledFrame]:
-        """Monodromy frames of every lambda in `lams` through one step loop.
+    def _propagate(self, lams: list[complex], grid) -> list[ScaledFrame]:
+        """Monodromy frames of every lambda in `lams` through one step loop
+        on `grid`, the exponents and norms of _step_grid.
 
         The batch shares one QR schedule (_qr_schedule).  Each segment of it
         is cut into chunks of at most _BLOCK steps from its start; about
@@ -352,7 +349,7 @@ class EvansEvaluator:
         sequential loop applies one product per chunk and one
         re-orthogonalization per segment.
         """
-        W, norms = self._step_grid(cap)
+        W, norms = grid
         lam = np.asarray(lams, dtype=complex)
         d, n_steps = self.dim, W.shape[-1]
         Y = np.broadcast_to(np.eye(d, dtype=complex), (len(lam), d, d)).copy()
@@ -391,7 +388,10 @@ class EvansEvaluator:
                 liouville_error=liou, n_steps=n_steps))
         return frames
 
-    def _calibrate(self) -> float:
+    def _calibrate(self):
+        """(cap, grid): the first cap, halving from 8, at which D at two
+        probes moves by at most _CALIBRATION_TOL relative from the last
+        grid's, and the step grid at that cap."""
         s = 2.0 * np.pi / self.X
         probes = [0.5j * s, 0.05 * s * (1.0 + 1.0j)]
         xi_probe = np.pi / self.X
@@ -399,24 +399,24 @@ class EvansEvaluator:
         cap = 8.0
         prev = None
         prev_n = -1
-        target = max(100.0 * self.tol, 1e-12)
         while cap >= 1e-3:
-            n = self._step_grid(cap)[0].shape[-1]
+            grid = self._step_grid(cap)
+            n = grid[0].shape[-1]
             if n == prev_n:
                 # the step-count floor made this grid identical to the last;
                 # a comparison would be vacuous
                 cap *= 0.5
                 continue
             vals = [_det_scaled(fr, rho)
-                    for fr in self._propagate(probes, cap)]
+                    for fr in self._propagate(probes, grid)]
             if prev is not None:
                 try:
                     err = max(abs(v.ratio(p) - 1.0) if p.mantissa != 0.0
                               else 1.0 for v, p in zip(vals, prev))
                 except OverflowError:
                     err = math.inf      # a probe moved past the double range
-                if err <= target:
-                    return cap
+                if err <= _CALIBRATION_TOL:
+                    return cap, grid
             prev = vals
             prev_n = n
             cap *= 0.5
@@ -438,7 +438,7 @@ class EvansEvaluator:
         missing = list(dict.fromkeys(z for z in lams if z not in self._frames))
         for k in range(0, len(missing), _BATCH):
             chunk = missing[k:k + _BATCH]
-            self._frames.update(zip(chunk, self._propagate(chunk, self.cap)))
+            self._frames.update(zip(chunk, self._propagate(chunk, self._grid)))
         out = [self._frames[z] for z in lams]
         errors = [fr.liouville_error for fr in out]
         if not all(e <= _LIOUVILLE_TOL for e in errors):    # a NaN fails too
@@ -638,29 +638,30 @@ def _relative_jump(a: EvansValue, b: EvansValue) -> float:
 
 _CONTOUR_NODES = 32     # equispaced starting points of every contour
 _MAX_POINTS = 4000      # refinement budget per contour
+_REL_JUMP = 0.2         # largest relative jump of D between contour neighbours
 
 
-def winding_number(evaluator: EvansEvaluator, contour: Contour, xi: float,
-                   rel_jump: float = 0.2) -> ContourReport:
+def winding_number(evaluator: EvansEvaluator, contour: Contour,
+                   xi: float) -> ContourReport:
     """Adaptive winding number of D(., xi) along the contour.
 
     Starting from _CONTOUR_NODES equispaced parameters, points are inserted
     at parameter midpoints until every consecutive relative jump is at most
-    rel_jump (Rouche criterion); the accumulated argument must round to an
+    _REL_JUMP (Rouche criterion); the accumulated argument must round to an
     integer with margin >= 0.25.  A contour on which D vanishes is tried
     once more with its radius 1e-3 larger (the report's `perturbed`).
     """
     try:
-        return _winding_once(evaluator, contour, xi, rel_jump, False)
+        return _winding_once(evaluator, contour, xi, False)
     except ZeroOnContour:
         pass
     contour = Contour(kind=contour.kind, radius=contour.radius * (1.0 + 1e-3),
                       center=contour.center)
-    return _winding_once(evaluator, contour, xi, rel_jump, True)
+    return _winding_once(evaluator, contour, xi, True)
 
 
 def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
-                  rel_jump: float, perturbed: bool) -> ContourReport:
+                  perturbed: bool) -> ContourReport:
     ts = list(np.linspace(0.0, 1.0, _CONTOUR_NODES, endpoint=False))
     lam = [contour.point(t) for t in ts]
     evaluator.frames(lam)
@@ -671,7 +672,7 @@ def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
             raise ZeroOnContour(f"D vanished on the contour at xi={xi:g}")
         jumps = [_relative_jump(vals[i], vals[(i + 1) % len(vals)])
                  for i in range(len(vals))]
-        bad = [i for i, j in enumerate(jumps) if j > rel_jump]
+        bad = [i for i, j in enumerate(jumps) if j > _REL_JUMP]
         if not bad:
             break
         if len(ts) + len(bad) > _MAX_POINTS:
@@ -715,14 +716,14 @@ def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
                          perturbed=perturbed)
 
 
-def winding_sweep(evaluator: EvansEvaluator, contour: Contour, xis,
-                  rel_jump: float = 0.2) -> list[ContourReport]:
+def winding_sweep(evaluator: EvansEvaluator, contour: Contour,
+                  xis) -> list[ContourReport]:
     """Winding numbers over many Floquet parameters with shared monodromies.
 
     Frames depend only on lambda, so all xi values reuse one cache; the
     total integration count is evaluator.frames_computed afterwards.
     """
-    return [winding_number(evaluator, contour, float(x), rel_jump=rel_jump)
+    return [winding_number(evaluator, contour, float(x))
             for x in np.atleast_1d(xis)]
 
 
@@ -775,6 +776,11 @@ _IMAG_TIE = 1e-8        # relative Im alpha gap up to which Re orders alpha
 _REPRESENTATION_TOL = 1e-4  # relative miss of the held-out D refused
 
 
+def _origin_radius(X: float) -> float:
+    """Starting radius of the origin expansion's circle: 1 % of 2 pi / X."""
+    return 1e-2 * (2.0 * np.pi / X)
+
+
 def _taylor_circle(vals: np.ndarray, R: float) -> np.ndarray:
     """Taylor coefficients d_j, j = 0.._TAYLOR_ORDER, at 0 from values on a
     circle.
@@ -788,15 +794,16 @@ def _taylor_circle(vals: np.ndarray, R: float) -> np.ndarray:
     return np.fft.fft(vals)[j] / len(vals) * R ** (-j)
 
 
-def origin_taylor(evaluator: EvansEvaluator,
-                  R: float | None = None) -> OriginExpansion:
+def origin_taylor(evaluator: EvansEvaluator) -> OriginExpansion:
     """Origin expansion c_{a,b}, alpha_j, beta_j of the Evans function.
 
     The xi-dependence is exactly a degree-d polynomial in e^{i xi X}, so
     K + 1 Floquet samples at the (K+1)-th roots of unity of e^{i xi X}
     determine it; the lambda Taylor coefficients per sample come from
     Cauchy integrals on |lambda| = R, evaluated on the _CONTOUR_NODES
-    frames the winding check on that circle has already computed.  Every
+    frames the winding check on that circle has already computed.  R starts
+    at _origin_radius(X) and halves, at most _MAX_SHRINK times, until the
+    circle holds the double root at the origin alone.  Every
     D is divided by one common e^{log_scale} before it leaves the scaled
     form, so no magnitude past the double range is formed; alpha, beta and
     the checks are ratios of the c_{a,b}, which that factor leaves alone.
@@ -804,9 +811,7 @@ def origin_taylor(evaluator: EvansEvaluator,
     (lambda, xi) by more than _REPRESENTATION_TOL relative.
     """
     X = evaluator.X
-    if R is None:
-        R = 1e-2 * (2.0 * np.pi / X)
-
+    R = _origin_radius(X)
     for shrink in range(_MAX_SHRINK + 1):
         rep = winding_number(evaluator, Contour("circle", R), 0.0)
         if rep.winding == 2:
@@ -971,6 +976,9 @@ _HILL_TOL = 1e-7        # Hill instability threshold away from the origin
 _N_XI_WINDING = 6       # Floquet subsample for the winding check
 _IMAG_TOL = 1e-4        # |Re alpha| / |alpha| for "alpha in iR"
 _BETA_MARGIN = 1e-8     # |Re beta| below this is indeterminate
+_HILL_N = 60            # Hill truncation: Fourier modes |j| <= _HILL_N
+_HILL_XI = 48           # Floquet samples of the Hill scan
+_WINDING_R = 0.2        # radius of the right-half-plane winding semicircle
 
 
 @dataclass(frozen=True)
@@ -989,18 +997,17 @@ class StabilityVerdict:
                 "diagnostics": dict(self.diagnostics)}
 
 
-def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
-            winding_R: float = 0.2,
-            evans_tol: float = 1e-10) -> StabilityVerdict:
+def verdict(profile: WaveProfile) -> StabilityVerdict:
     """Stability classification of a periodic wave.
 
-    Combines the Hill scan (truncation N, n_xi Floquet samples) away from
-    the origin plus right-half-plane winding checks on the semicircle of
-    radius winding_R (D1), the origin Taylor expansion (D2: Re beta < 0 with
-    alpha on the imaginary axis; D3: double root at the origin), and slope
-    distinctness (H1).  The Hill scan stops at its first unstable row, so
-    the diagnostics' hill_max_real and hill_eigensolves cover the rows
-    solved: every row on a wave it does not find unstable.  The technical
+    Combines the Hill scan (truncation _HILL_N, _HILL_XI Floquet samples)
+    outside twice _origin_radius(X), plus right-half-plane winding checks
+    on the semicircle of radius _WINDING_R (D1), the origin Taylor
+    expansion (D2: Re beta < 0 with alpha on the imaginary axis; D3: double
+    root at the origin), and slope distinctness (H1).  The Hill scan stops
+    at its first unstable row, so the diagnostics' hill_max_real and
+    hill_eigensolves cover the rows solved: every row on a wave it does not
+    find unstable.  The technical
     slope condition 2 nu u_x < F^-2 is evaluated and reported but does not
     enter the overall spectral verdict: it concerns the nonlinear
     (Kawashima-type damping) argument and fails for every wave once F is
@@ -1028,8 +1035,8 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
     conditions["slope"] = margin > 0.0
 
     X = problem.period
-    R0 = 1e-2 * (2.0 * np.pi / X)
-    mu, solves = first_unstable(problem, N, n_xi, 2.0 * R0, _HILL_TOL)
+    mu, solves = first_unstable(problem, _HILL_N, _HILL_XI,
+                                2.0 * _origin_radius(X), _HILL_TOL)
     diag["hill_max_real"] = mu
     diag["hill_eigensolves"] = solves
     if mu > _HILL_TOL:
@@ -1038,12 +1045,11 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
                       witness=f"Hill eigenvalue with Re lambda = {mu:.3e} "
                               f"away from the origin")
 
-    evaluator = EvansEvaluator(problem, tol=evans_tol)
+    evaluator = EvansEvaluator(problem)
     diag["evans_cap"] = evaluator.cap
-    diag["evans_steps_per_frame"] = (
-        evaluator._step_grid(evaluator.cap)[0].shape[-1])
+    diag["evans_steps_per_frame"] = evaluator.n_steps
     try:
-        exp = origin_taylor(evaluator, R=R0)
+        exp = origin_taylor(evaluator)
         diag["alpha"] = [[z.real, z.imag] for z in exp.alpha]
         diag["beta"] = [[z.real, z.imag] for z in exp.beta]
         conditions["D3"] = exp.double_root_ok
@@ -1063,7 +1069,7 @@ def verdict(profile: WaveProfile, *, N: int = 60, n_xi: int = 48,
         conditions["D2"] = True
 
         xi_w = np.pi / X * np.linspace(0.1, 1.0, _N_XI_WINDING)
-        reports = winding_sweep(evaluator, Contour("semicircle", winding_R),
+        reports = winding_sweep(evaluator, Contour("semicircle", _WINDING_R),
                                 xi_w)
     except UntrustedFrames as err:
         return answer("indeterminate", reason=str(err))

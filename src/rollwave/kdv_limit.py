@@ -22,17 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, hill
-from .elliptic import elliptic_E, elliptic_K, jacobi_cn, selection_kappa
+from .elliptic import elliptic_K, jacobi_cn, selection_kappa
 from .linearize import OperatorForm, SpectralProblem, Terms
 from .model import DomainError, PhysicalParams
 from .profile import WaveProfile, _newton_solve, ode_residual
-
-__all__ = [
-    "elliptic_K", "elliptic_E", "jacobi_cn", "selection_kappa",
-    "CnoidalWave", "cnoidal_profile", "period_of_k", "k_of_period",
-    "selection_residual", "SolvabilityError", "corrector_T1",
-    "asymptotic_rollwave", "kdvks_spectrum", "kdvks_max_growth",
-]
 
 
 class SolvabilityError(RuntimeError):
@@ -277,10 +270,12 @@ def kdvks_spectrum(delta: float, k: float, N: int = 40,
     return dict(_kdvks_rows(delta, k, N=N, n_xi=n_xi))
 
 
-def kdvks_max_growth(delta: float, X: float, N: int = 40) -> float:
-    """Largest Bloch growth rate of the selected wave with period X."""
+def kdvks_max_growth(delta: float, X: float) -> float:
+    """Largest Bloch growth rate of the selected wave with period X, over
+    the default spectrum (N = 40, 48 Floquet samples) that kdvks_stable
+    scans too."""
     k = k_of_period(X)
-    cloud = kdvks_spectrum(delta, k, N=N)
+    cloud = kdvks_spectrum(delta, k)
     return max(float(np.max(eigs.real)) for eigs in cloud.values())
 
 

@@ -14,7 +14,6 @@ is q = q0 F and the physical period X = X0 F^2 for the rescaled period X0.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -33,6 +32,10 @@ from .profile import (ContinuationStalled, DegenerateJacobian, NonConvergence,
 # as "failed" points and the CLI maps them to exit code 2.
 NUMERIC_ERRORS = (NonConvergence, ContinuationStalled, DegenerateJacobian,
                   SolvabilityError, evans.EvansError)
+
+# Grid points asked of every profile solve; the limit solve refines it when
+# it needs to, so a record's meta n may be larger.
+_PROFILE_N = 512
 
 
 class NotBracketed(Exception):
@@ -185,26 +188,26 @@ def enumerate_grid(spec: dict) -> list[dict]:
     return points
 
 
-def default_solver(point: dict, n: int = 512) -> WaveProfile:
+def default_solver(point: dict) -> WaveProfile:
     """Profile solve for one grid point on the alpha = -2 family."""
     if point["alpha"] != -2.0:
         raise DomainError("default solver covers only alpha = -2")
     return profile_from_limit(point["q0"], point["X0"], point["F"],
-                              nu=point["nu"], n=n, tol=1e-10)
+                              nu=point["nu"], n=_PROFILE_N, tol=1e-10)
 
 
-def evaluate_point(point: dict, solver=None, n: int = 512) -> SweepRecord:
+def evaluate_point(point: dict, solver=None) -> SweepRecord:
     """Solve the wave at one grid point and classify its stability.
 
     A numeric failure (NUMERIC_ERRORS, a domain error or a failed linear
     solve) is recorded as a "failed" record; any other exception is a bug
     and propagates.  Meta's n is the grid the wave was solved on, or the
-    requested n on a failed record.
+    requested _PROFILE_N on a failed record.
     """
     t0 = time.monotonic()
-    meta = {"q0": point.get("q0"), "X0": point.get("X0"), "n": n}
+    meta = {"q0": point.get("q0"), "X0": point.get("X0"), "n": _PROFILE_N}
     if solver is None:
-        solver = functools.partial(default_solver, n=n)
+        solver = default_solver
     try:
         wave = solver(point)
         v = evans.verdict(wave)
@@ -224,8 +227,8 @@ def evaluate_point(point: dict, solver=None, n: int = 512) -> SweepRecord:
                        elapsed=time.monotonic() - t0)
 
 
-def stability_map(grid, store: ResultStore | str | None = None, solver=None,
-                  n: int = 512) -> list[SweepRecord]:
+def stability_map(grid, store: ResultStore | str | None = None,
+                  solver=None) -> list[SweepRecord]:
     """Stability verdicts over a grid, checkpointed and resumable.
 
     `grid` is a spec dict (see enumerate_grid) or an iterable of points,
@@ -242,7 +245,7 @@ def stability_map(grid, store: ResultStore | str | None = None, solver=None,
     by_key = {r.key: r for r in store.records}
     for p in points:
         if _point_key(p) not in by_key:
-            rec = evaluate_point(p, solver=solver, n=n)
+            rec = evaluate_point(p, solver=solver)
             store.append(rec)
             by_key[rec.key] = rec
     return [by_key[_point_key(p)] for p in points]

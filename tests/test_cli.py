@@ -120,6 +120,72 @@ def test_evans_winding_around_unstable_root(tmp_path):
     assert (tmp_path / "e2.json").read_text() == out.read_text()
 
 
+def test_verdict_report_and_manifest_replay(tmp_path, constant_state):
+    # the report is the library verdict of the wave read back from its file,
+    # and the manifest replays it byte for byte
+    pin = tmp_path / "const.json"
+    pin.write_text(constant_state.to_json())
+    report = tmp_path / "v.json"
+    assert cli.main(["verdict", "--in", str(pin),
+                     "--report", str(report)]) == 0
+    assert report.read_text() == cli._json_text(
+        evans.verdict(constant_state).to_dict())
+    doc = json.loads((tmp_path / "v.json.manifest.json").read_text())
+    doc["options"]["report"] = str(tmp_path / "v2.json")
+    (tmp_path / "m2.json").write_text(json.dumps(doc))
+    assert cli.main(["--from-manifest", str(tmp_path / "m2.json")]) == 0
+    assert (tmp_path / "v2.json").read_text() == report.read_text()
+
+
+# Flags of numerical settings that are module constants, each given the
+# constant's value: the parser refuses them before anything runs, and sweep's
+# --n is not read as a prefix of --nu.
+_REMOVED_FLAGS = [
+    ("evans", ["--xi", "0.1", "--out", "o.json"], "--tol", "1e-10"),
+    ("evans", ["--xi", "0.1", "--out", "o.json"], "--rel-jump", "0.2"),
+    ("taylor", ["--out", "o.json"], "--tol", "1e-10"),
+    ("taylor", ["--out", "o.json"], "--radius", "0.01"),
+    ("verdict", ["--report", "o.json"], "--modes", "121"),
+    ("verdict", ["--report", "o.json"], "--xi-points", "48"),
+    ("verdict", ["--report", "o.json"], "--winding-R", "0.2"),
+    ("verdict", ["--report", "o.json"], "--evans-tol", "1e-10"),
+    ("kdv", ["--X", "17", "--delta", "0.05", "--out", "o.json"],
+     "--modes", "81"),
+    ("sweep", ["--F", "4", "--q0", "0.4", "--X", "3.28",
+               "--store", "o.jsonl"], "--n", "512"),
+]
+
+
+@pytest.mark.parametrize("sub, args, flag, value", _REMOVED_FLAGS,
+                         ids=[f"{s}{f}" for s, _, f, _ in _REMOVED_FLAGS])
+def test_removed_flag_exits_1_and_writes_nothing(tmp_path, monkeypatch,
+                                                 constant_state, sub, args,
+                                                 flag, value):
+    monkeypatch.chdir(tmp_path)
+    pin = tmp_path / "w.json"
+    pin.write_text(constant_state.to_json())
+    wave = [] if sub in ("kdv", "sweep") else ["--in", str(pin)]
+    assert cli.main([sub, *wave, *args, flag, value]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
+
+
+def test_removed_keys_in_manifest_and_config_exit_1(tmp_path,
+                                                    constant_state):
+    pin = tmp_path / "w.json"
+    pin.write_text(constant_state.to_json())
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subcommand": "verdict", "options": {
+        "in": str(pin), "report": str(tmp_path / "v.json"),
+        "config": None, "manifest": None, "evans-tol": 1e-10}}))
+    assert cli.main(["--from-manifest", str(manifest)]) == 1
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("radius = 0.01\n")
+    assert cli.main(["taylor", "--config", str(cfg), "--in", str(pin),
+                     "--out", str(tmp_path / "t.json")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "m.json", "t.cfg", "w.json"]
+
+
 def test_untrusted_frames_exit_2_without_a_report(tmp_path, monkeypatch,
                                                   fig1c_wave):
     # with a Liouville tolerance of 0 every frame is untrusted, so `evans`

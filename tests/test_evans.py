@@ -130,8 +130,8 @@ def test_propagate_matches_product_of_step_exponentials(fig1c_problem,
     # is the plain product of scipy's exponentials of the step exponents; a
     # small _NORM_CAP makes the growth rule cut segments short of _QR_STRIDE
     ev = evans.EvansEvaluator(fig1c_problem)
-    cap = 0.6
-    W, _ = ev._step_grid(cap)
+    grid = ev._step_grid(0.6)
+    W, _ = grid
     n = W.shape[-1]
     assert n <= 150
     if norm_cap is not None:
@@ -145,7 +145,7 @@ def test_propagate_matches_product_of_step_exponentials(fig1c_problem,
 
     monkeypatch.setattr(evans, "_qr_extract", counted)
     lams = [0.17 + 0.09j, -0.3 + 0.5j]
-    frames = ev._propagate(lams, cap)
+    frames = ev._propagate(lams, grid)
     # at the default cap the growth rule already ends most segments early
     assert len(qr_calls) > -(-n // evans._QR_STRIDE)
     if norm_cap is not None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rollwave import fourier, kdv_limit
+from rollwave.elliptic import elliptic_E, elliptic_K, jacobi_cn
 from rollwave.model import DomainError
 
 
@@ -44,9 +45,9 @@ def test_selection_residual_nonzero_off_selection():
     k = 0.7
     wave = kdv_limit.cnoidal_profile(k, n=512)
     kappa = 1.1 * wave.kappa
-    X = 2.0 * kdv_limit.elliptic_K(k) / kappa
+    X = 2.0 * elliptic_K(k) / kappa
     theta = fourier.grid(wave.n, X)
-    T0 = 12.0 * k * k * kappa * kappa * kdv_limit.jacobi_cn(
+    T0 = 12.0 * k * k * kappa * kappa * jacobi_cn(
         kappa * theta, k) ** 2
     off = kdv_limit.CnoidalWave(k=k, kappa=kappa, sigma0=wave.sigma0,
                                 qtilde=wave.qtilde, X=X, n=wave.n, T0=T0)
@@ -60,8 +61,8 @@ def test_cnoidal_profile_mean_and_speed_identities():
     k = 0.8
     wave = kdv_limit.cnoidal_profile(k, n=512)
     mean = fourier.quad(wave.T0, wave.X) / wave.X
-    E = kdv_limit.elliptic_E(k)
-    K = kdv_limit.elliptic_K(k)
+    E = elliptic_E(k)
+    K = elliptic_K(k)
     mean_exact = 12.0 * wave.kappa ** 2 * (E / K - (1.0 - k * k))
     assert mean == pytest.approx(mean_exact, rel=1e-12)
 

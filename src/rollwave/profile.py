@@ -343,6 +343,8 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
 
 
 _LIMIT_TOL = 1e-10      # final residual of the limiting wave
+_LIMIT_N0 = 256         # grid the limit walk starts on and the descent from
+                        # it runs on, unless the wave needs a finer one
 
 
 def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
@@ -373,7 +375,7 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
 
     # walk onto the bifurcated branch at coarse resolution; stop early if
     # the spectral tail outgrows the grid (deep waves need refinement first)
-    n0 = min(n, 256)
+    n0 = min(n, _LIMIT_N0)
     rough = 1e-8        # continuation residual; the last solve tightens it
     x = fourier.grid(n0, 1.0)
     A = 0.01 * a_star
@@ -443,11 +445,15 @@ def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
     Solves the F = infinity limiting profile, seeds the physical problem at
     _F_START where the O(1/F) model error is small, and descends to the
     target F with _follow in s = log(_F_START / F), carrying the wave in the
-    scaled unknowns (a = tau F^2, c / F^2).
+    scaled unknowns (a = tau F^2, c / F^2).  The descent runs on the grid
+    the limit solve resolved, at least min(n, _LIMIT_N0) nodes; its waves
+    only seed the next step.  A wave on fewer than n nodes is resampled to
+    n and solved once more at the target F, so n is a floor: the returned
+    grid is the larger of n and the limit's.
     """
     if F <= 0.0:
         raise DomainError(f"F must be positive, got {F}")
-    lp = limit_profile_alpha_m2(q0, X0, nu=nu, n=n)
+    lp = limit_profile_alpha_m2(q0, X0, nu=nu, n=min(n, _LIMIT_N0))
     F_top = max(F, _F_START)
     length = np.log(F_top / F)
 
@@ -460,9 +466,11 @@ def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
         return np.append(w.tau * Fv ** 2, w.params.c / Fv ** 2), w
 
     x, w = solve(0.0, np.append(lp.a, lp.c0))
-    if F >= _F_START:
-        return w
-    return _follow(solve, x, length, 0.35, 1e-4)
+    if F < _F_START:
+        w = _follow(solve, x, length, 0.35, 1e-4)
+    if w.n < n:
+        w = solve_profile(w.params, fourier.resample(w.tau, n), tol)
+    return w
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,9 @@ from .profile import (ContinuationStalled, DegenerateJacobian, NonConvergence,
 NUMERIC_ERRORS = (NonConvergence, ContinuationStalled, DegenerateJacobian,
                   SolvabilityError, evans.EvansError)
 
-# Grid points asked of every profile solve; the limit solve refines it when
-# it needs to, so a record's meta n may be larger.
+# Least grid points of every profile: profile_from_limit returns the larger
+# of this and the grid its limit wave resolved on, so a record's meta n may
+# be larger.
 _PROFILE_N = 512
 
 

@@ -269,6 +269,52 @@ def test_descent_starts_from_the_scaled_limit_wave(monkeypatch):
     assert len(calls) == 1
 
 
+def _record_solves(monkeypatch):
+    """Wrap solve_profile so that each call appends its seed's length."""
+    sizes = []
+    solve = prof.solve_profile
+
+    def recording(params, seed_tau, tol=1e-8):
+        sizes.append(len(seed_tau))
+        return solve(params, seed_tau, tol)
+
+    monkeypatch.setattr(prof, "solve_profile", recording)
+    return sizes
+
+
+def test_descent_runs_on_the_limit_grid_and_solves_n_once(monkeypatch):
+    # the limit wave at X0 = 0.205 resolves on 256 nodes: the descent stays
+    # there and only the wave at the target F is solved on the n asked for
+    sizes = _record_solves(monkeypatch)
+    w = prof.profile_from_limit(0.4, 0.205, 8.0, n=512, tol=1e-10)
+    assert len(sizes) > 2
+    assert sizes[:-1] == [256] * (len(sizes) - 1)
+    assert sizes[-1] == w.n == len(w.tau) == 512
+    p = w.params
+    assert p.c == pytest.approx(2.771599663698633, rel=1e-10)
+    assert abs(np.mean(w.tau * (p.q - p.c * w.tau) ** 2) - 1.0) <= 1e-10
+
+
+def test_descent_keeps_a_limit_grid_finer_than_n(monkeypatch):
+    # at X0 = 0.3 the limit refines past n = 64 to 256 nodes: every solve
+    # runs there, none on 64 nodes, and the wave keeps the limit's grid
+    limit_n = []
+    limit = prof.limit_profile_alpha_m2
+
+    def recording_limit(*args, **kwargs):
+        lp = limit(*args, **kwargs)
+        limit_n.append(lp.n)
+        return lp
+
+    monkeypatch.setattr(prof, "limit_profile_alpha_m2", recording_limit)
+    sizes = _record_solves(monkeypatch)
+    w = prof.profile_from_limit(0.4, 0.3, 8.0, n=64)
+    assert limit_n == [256]
+    assert sizes == [256] * len(sizes)
+    assert w.n == 256
+    assert w.residual_norm <= 1e-8
+
+
 def test_fig1c_wave_regression(fig1c_wave):
     w = fig1c_wave
     assert w.residual_norm <= 1e-8

@@ -314,9 +314,9 @@ def _cmd_kdv(o: dict):
         X, k = o["X"], kdv_limit.k_of_period(o["X"])
     out = {"X": X, "k": k}
     if o["delta"] is not None:
-        growth = kdv_limit.kdvks_max_growth(o["delta"], X)
-        out.update(delta=o["delta"], max_growth=growth,
-                   stable=growth <= kdv_limit.STABLE_GROWTH_TOL)
+        mu, solves = kdv_limit.kdvks_scan(o["delta"], X)
+        out.update(delta=o["delta"], stable=mu <= kdv_limit.STABLE_GROWTH_TOL,
+                   hill_max_real=mu, hill_eigensolves=solves)
     _atomic_write(o["out"], _json_text(out))
 
 

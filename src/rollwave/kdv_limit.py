@@ -195,9 +195,22 @@ def asymptotic_rollwave(delta: float, k: float, nu: float, n: int = 256):
                        residual_norm=res)
 
 
-def kdvks_wave(delta: float, k: float,
-               n: int = 256) -> tuple[CnoidalWave, np.ndarray, float]:
-    """Newton-converged KdV-KS wave of period X(k) at finite delta.
+# The KdV-KS classification: the wave's grid, the Hill truncation (modes
+# |j| <= N) and the Floquet grid, whose 48 solved rows are xi = -pi/X and
+# j pi/(48 X), j = 1..47.
+_KDVKS_WAVE_N = 512
+_KDVKS_N = 40
+_KDVKS_XI = 96
+
+# Largest growth rate that still counts as stable.  It absorbs the
+# numerically neutral xi -> 0 tangency of the critical Bloch curves, which
+# sits at the wave's residual floor (~1e-10).
+STABLE_GROWTH_TOL = 1e-7
+
+
+def kdvks_wave(delta: float,
+               k: float) -> tuple[CnoidalWave, np.ndarray, float]:
+    """Newton-converged KdV-KS wave of period X(k) on _KDVKS_WAVE_N nodes.
 
     Seeds with the two-term expansion T0 + delta_tilde T1 and solves
 
@@ -210,6 +223,7 @@ def kdvks_wave(delta: float, k: float,
     stability information.  Raises NonConvergence when Newton stops above
     its tolerance, the rounding floor of the fourth derivative.
     """
+    n = _KDVKS_WAVE_N
     wave = cnoidal_profile(k, n=n)
     X = wave.X
     seed = wave.T0 + delta * corrector_T1(wave)
@@ -245,51 +259,36 @@ def kdvks_wave(delta: float, k: float,
     return wave, x[:n], float(x[n])
 
 
-def _kdvks_rows(delta: float, k: float, N: int = 40, n_xi: int = 48):
-    """(xi, Hill eigenvalues) for xi in (0, pi/X] ascending, solved lazily."""
-    wave, T, sigma = kdvks_wave(delta, k, n=max(512, 4 * N + 2))
-    X = wave.X
+def _kdvks_problem(delta: float, X: float) -> SpectralProblem:
+    """Linearization Lambda z = -(W z)' - z''' - delta (z'' + z''''),
+    W = T - sigma, about the converged KdV-KS wave of period X."""
+    wave, T, sigma = kdvks_wave(delta, k_of_period(X))
     W = T - sigma
-    M1: Terms = {(0, 0): [(1, -W), (0, -fourier.deriv(W, X)), (3, -1.0),
+    M1: Terms = {(0, 0): [(1, -W), (0, -fourier.deriv(W, wave.X)), (3, -1.0),
                           (2, -delta), (4, -delta)]}
-    problem = SpectralProblem(kind="kdvks", period=X,
-                              operator=OperatorForm(m=1, M1=M1))
-    trunc = hill.truncate(problem, N)
-    for xi in np.linspace(np.pi / X / n_xi, np.pi / X, n_xi):
-        yield float(xi), hill.eigenvalues(trunc, N, xi)
+    return SpectralProblem(kind="kdvks", period=wave.X,
+                           operator=OperatorForm(m=1, M1=M1))
 
 
-def kdvks_spectrum(delta: float, k: float, N: int = 40,
-                   n_xi: int = 48) -> dict[float, np.ndarray]:
-    """Bloch spectrum of KdV-KS linearized about the converged wave.
-
-    For each Floquet exponent xi in (0, pi/X] returns the Hill eigenvalues
-    (modes |j| <= N) of Lambda z = -(W z)' - z''' - delta (z'' + z''''),
-    W = T - sigma.
-    """
-    return dict(_kdvks_rows(delta, k, N=N, n_xi=n_xi))
+def kdvks_spectrum(delta: float, X: float) -> hill.SpectralCloud:
+    """Bloch spectrum of the period-X wave on the classification's grid;
+    no classification calls it, but the benchmark's tracer wraps it."""
+    return hill.spectrum(_kdvks_problem(delta, X), _KDVKS_N, _KDVKS_XI)
 
 
-def kdvks_max_growth(delta: float, X: float) -> float:
-    """Largest Bloch growth rate of the selected wave with period X, over
-    the default spectrum (N = 40, 48 Floquet samples) that kdvks_stable
-    scans too."""
-    k = k_of_period(X)
-    cloud = kdvks_spectrum(delta, k)
-    return max(float(np.max(eigs.real)) for eigs in cloud.values())
-
-
-# Largest growth rate that still counts as stable.  It absorbs the
-# numerically neutral xi -> 0 tangency of the critical Bloch curves, which
-# sits at the wave's residual floor (~1e-10).
-STABLE_GROWTH_TOL = 1e-7
+def kdvks_scan(delta: float, X: float) -> tuple[float, int]:
+    """(mu, solves) of `hill.first_unstable` on the period-X wave: the
+    largest growth rate over the rows solved until one exceeds
+    STABLE_GROWTH_TOL, and the number of those rows."""
+    return hill.first_unstable(_kdvks_problem(delta, X), _KDVKS_N, _KDVKS_XI,
+                               0.0, STABLE_GROWTH_TOL)
 
 
 def kdvks_stable(delta: float, X: float) -> bool:
     """Spectral stability verdict for the period-X wave at the given delta.
 
-    Rows are solved only until one grows faster than STABLE_GROWTH_TOL; a
-    non-finite growth rate counts as unstable.
+    The scan drops non-finite eigenvalues, but none can arise: `kdvks_wave`'s
+    Newton raises on a NaN iterate, and `np.linalg.eigvals` raises LinAlgError
+    on a non-finite matrix.
     """
-    return all(float(np.max(eigs.real)) <= STABLE_GROWTH_TOL
-               for _, eigs in _kdvks_rows(delta, k_of_period(X)))
+    return kdvks_scan(delta, X)[0] <= STABLE_GROWTH_TOL

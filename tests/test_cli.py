@@ -23,7 +23,20 @@ def test_kdv_stability_check(tmp_path):
                      "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["stable"] is True
-    assert doc["max_growth"] <= 1e-7
+    assert doc["hill_max_real"] <= 1e-7
+    assert doc["hill_eigensolves"] == 48
+
+
+def test_kdv_stability_check_unstable(tmp_path):
+    # an unstable wave is an answer, not an error; its scan stops at the
+    # first unstable row, the second one solved
+    out = tmp_path / "kdv.json"
+    assert cli.main(["kdv", "--X", "7", "--delta", "0.05",
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["stable"] is False
+    assert doc["hill_max_real"] > 1e-7
+    assert doc["hill_eigensolves"] == 2
 
 
 def test_limit_inf_ham_route(tmp_path):

@@ -97,8 +97,7 @@ def test_asymptotic_rollwave_parameters():
 
 
 def test_kdvks_wave_converges():
-    wave, T, sigma = kdv_limit.kdvks_wave(0.05, kdv_limit.k_of_period(17.0),
-                                          n=512)
+    wave, T, sigma = kdv_limit.kdvks_wave(0.05, kdv_limit.k_of_period(17.0))
     res = (fourier.deriv(0.5 * T * T - sigma * T, wave.X)
            + fourier.deriv(T, wave.X, 3)
            + 0.05 * (fourier.deriv(T, wave.X, 2)
@@ -111,17 +110,21 @@ def test_kdvks_wave_converges():
 def test_kdvks_translation_mode_near_zero():
     # the derivative of the wave is a xi -> 0 kernel mode; the smallest
     # eigenvalue at the smallest xi must sit near the origin
-    cloud = kdv_limit.kdvks_spectrum(0.05, kdv_limit.k_of_period(17.0), N=40,
-                                     n_xi=8)
-    xi_min = min(cloud)
-    assert np.min(np.abs(cloud[xi_min])) < 1e-2
+    cloud = kdv_limit.kdvks_spectrum(0.05, 17.0)
+    row = np.argmin(np.abs(cloud.xi))
+    assert np.min(np.abs(cloud.eigs[row])) < 1e-2
 
 
 def test_kdvks_stable_band_midpoint(hill_solves):
-    # a classification solves rows only until one is unstable: X = 7 is
-    # decided by its first row, X = 17 needs all 48
+    # a classification solves rows only until one is unstable: X = 17 needs
+    # all 48, whose |xi| are j pi/(48 X), j = 1..48 (xi = -pi/X stands in
+    # for pi/X); X = 7 is decided by its second row, as -pi/X is stable
+    X = kdv_limit.period_of_k(kdv_limit.k_of_period(17.0))
     assert kdv_limit.kdvks_stable(0.05, 17.0)
     assert len(hill_solves) == 48
+    np.testing.assert_allclose(np.sort(np.abs(hill_solves)),
+                               np.linspace(np.pi / (48 * X), np.pi / X, 48),
+                               rtol=1e-14, atol=0.0)
     hill_solves.clear()
     assert not kdv_limit.kdvks_stable(0.05, 7.0)
-    assert len(hill_solves) == 1
+    assert len(hill_solves) == 2

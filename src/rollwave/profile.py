@@ -16,6 +16,8 @@ always an output.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 from dataclasses import dataclass
 
@@ -225,6 +227,14 @@ def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
                        residual_norm=err)
 
 
+def _collapsed(old: np.ndarray, new: np.ndarray) -> bool:
+    """Whether a continuation step fell from the wave `old` onto the
+    constant branch: its amplitude is below 0.2 of the last one's, when
+    that exceeded 1e-3 of its mean."""
+    amp = np.ptp(old)
+    return bool(amp > 1e-3 * np.mean(old) and np.ptp(new) < 0.2 * amp)
+
+
 _MIN_STEP = 1e-6        # smallest continuation step, as a share of the segment
 _GROWTH = 1.5           # step growth after a converged continuation step
 
@@ -236,9 +246,8 @@ def _follow(solve, x, length, h, h_min):
     them at s and returns them with the object they describe.  Once two
     points have converged, the guess is the secant through them extended by
     the proposed step, unless that leaves the profile non-positive; else it
-    is the last point.  A profile whose amplitude falls below 0.2 of the
-    last one's, when that exceeded 1e-3 of its mean, has fallen onto the
-    constant branch and counts as a failed step.  A failed step is halved
+    is the last point.  A profile that has _collapsed onto the constant
+    branch counts as a failed step.  A failed step is halved
     and a converged one grows by _GROWTH, up to twice the first step.
     Returns the object of the last solve; raises ContinuationStalled when
     the step falls below h_min.
@@ -257,9 +266,7 @@ def _follow(solve, x, length, h, h_min):
             x_new, out = solve(s_try, guess)
         except (NonConvergence, DegenerateJacobian):
             x_new = None
-        amp = np.ptp(x[:-1])
-        if x_new is None or (amp > 1e-3 * np.mean(x[:-1])
-                             and np.ptp(x_new[:-1]) < 0.2 * amp):
+        if x_new is None or _collapsed(x[:-1], x_new[:-1]):
             h = 0.5 * (s_try - s)
             if h < h_min:
                 raise ContinuationStalled(
@@ -343,8 +350,39 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
 
 
 _LIMIT_TOL = 1e-10      # final residual of the limiting wave
+_LIMIT_ROUGH = 1e-8     # residual of the walk and continuation steps
 _LIMIT_N0 = 256         # grid the limit walk starts on and the descent from
                         # it runs on, unless the wave needs a finer one
+
+# The limit waves solved so far in the open _limit_table block, keyed by
+# (q0, nu, n) and then by X0; None outside a block.
+_LIMITS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "rollwave_limit_waves", default=None)
+
+
+@contextlib.contextmanager
+def _limit_table():
+    """Share limit waves among the limit_profile_alpha_m2 calls of a block.
+
+    sweep.stability_map and sweep.boundary_bisect run inside one.  A nested
+    block reuses the table of the outer one, and the outermost block drops
+    it on exit, so no wave outlives the call that opened it.
+    """
+    if _LIMITS.get() is not None:
+        yield
+        return
+    token = _LIMITS.set({})
+    try:
+        yield
+    finally:
+        _LIMITS.reset(token)
+
+
+def _tail_ratio(a: np.ndarray) -> float:
+    """Largest |FFT| at the Nyquist modes relative to the largest overall."""
+    ahat = np.abs(np.fft.fft(a))
+    m = len(a) // 2
+    return float(np.max(ahat[m - 1:m + 2]) / np.max(ahat))
 
 
 def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
@@ -354,69 +392,114 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
     Walks onto the branch bifurcating at X_onset = 2 pi sqrt(nu) q0^{5/2}
     by amplitude-pinned continuation (period free), then continues in the
     period to the requested X0.  The speed c0 is always a Newton unknown.
+
+    Inside a map or a bisection (a _limit_table block) each (q0, X0, nu, n)
+    is solved once and the same wave is returned for it again.  A new X0
+    continues in the period, up or down, from the wave of that (q0, nu, n)
+    nearest in log X0 (one refined past n seeds only a larger X0), and is
+    walked from onset only if no wave can seed it or the continuation
+    fails.  Such a wave depends on the neighbour that seeded it at the
+    level of rounding; the same calls in the same order give the same bits.
     """
     if q0 <= 0.0 or X0 <= 0.0:
         raise DomainError("q0 and X0 must be positive")
-    a_star = q0 ** -2
     X_onset = 2.0 * np.pi * np.sqrt(nu) * q0 ** 2.5
     if X0 <= X_onset:
         raise DomainError(
             f"limiting waves exist only for X0 > {X_onset:.6g}, got {X0}")
+    family, seeds = _LIMITS.get(), []
+    if family is not None:
+        family = family.setdefault((q0, nu, n), {})
+        if X0 in family:
+            return family[X0]
+        # the continuation never coarsens, so a wave refined past n seeds
+        # only larger periods
+        seeds = [w for w in family.values() if w.X0 < X0 or w.n == n]
+    prof = None
+    if seeds:
+        near = min(seeds, key=lambda w: abs(np.log(w.X0 / X0)))
+        try:
+            prof = _limit_continue(near, X0, n)
+        except (NonConvergence, ContinuationStalled, DegenerateJacobian):
+            pass
+    if prof is None:
+        prof = _limit_continue(_limit_walk(q0, X0, nu, min(n, _LIMIT_N0),
+                                           X_onset), X0, n)
+    if family is not None:
+        family[X0] = prof
+    return prof
 
-    def tail_ratio(a: np.ndarray) -> float:
-        ahat = np.abs(np.fft.fft(a))
-        m = len(a) // 2
-        return float(np.max(ahat[m - 1:m + 2]) / np.max(ahat))
 
-    def refine(prof: "LimitProfile", m: int, tol_r: float) -> "LimitProfile":
-        a_seed = np.maximum(fourier.resample(prof.a, m),
-                            0.05 * np.min(prof.a))
-        return _limit_newton(a_seed, q0, prof.c0, prof.X0, nu, tol_r)
+def _limit_walk(q0: float, X0: float, nu: float, n0: int,
+                X_onset: float) -> LimitProfile:
+    """Walk from onset onto the bifurcated branch, up to the period X0.
 
-    # walk onto the bifurcated branch at coarse resolution; stop early if
-    # the spectral tail outgrows the grid (deep waves need refinement first)
-    n0 = min(n, _LIMIT_N0)
-    rough = 1e-8        # continuation residual; the last solve tightens it
+    Steps the pinned amplitude up by 1.3 from 1 % of the constant state on
+    n0 nodes, and stops early if the spectral tail outgrows the grid (deep
+    waves need refinement first) or the pinned Newton breaks down near
+    a = 0.  Returns the natural wave at the period reached, at most X0.
+    """
+    a_star = q0 ** -2
     x = fourier.grid(n0, 1.0)
     A = 0.01 * a_star
     a = a_star + A * np.cos(2.0 * np.pi * x)
     c0, X_cur = q0 ** 3, X_onset * 1.0001
     while True:
         try:
-            a, c0, X_cur = _limit_pinned(a, q0, c0, X_cur, nu, A, rough)
+            a, c0, X_cur = _limit_pinned(a, q0, c0, X_cur, nu, A,
+                                         _LIMIT_ROUGH)
         except (NonConvergence, DegenerateJacobian):
             # amplitude stepping broke down (profile close to a = 0);
             # fall back to natural continuation in X0 from the last wave
             break
-        if X_cur >= X0 or A > 2.0 * a_star or tail_ratio(a) > 1e-3:
+        if X_cur >= X0 or A > 2.0 * a_star or _tail_ratio(a) > 1e-3:
             break
         A *= 1.3
-    prof = _limit_newton(a, q0, c0, min(X_cur, X0), nu, rough)
+    return _limit_newton(a, q0, c0, min(X_cur, X0), nu, _LIMIT_ROUGH)
 
-    # continue in X0, doubling the grid whenever the tail is unresolved;
-    # a converged-but-unresolved iterate is a spurious discrete solution
+
+def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
+    """Continue a limit wave in its period to X0 and finish it on n nodes.
+
+    Steps by at most a factor 1.2 towards X0, up or down, halving a step
+    whose Newton fails or has _collapsed onto the constant branch, and
+    doubles the grid whenever the spectral tail is unresolved: a converged
+    but unresolved iterate is a spurious discrete solution.  The wave is
+    then refined to at least n nodes (never coarsened) and its residual
+    tightened to _LIMIT_TOL.
+    """
+    q0, nu = prof.q0, prof.nu
+
+    def refine(prof: LimitProfile, m: int) -> LimitProfile:
+        a_seed = np.maximum(fourier.resample(prof.a, m),
+                            0.05 * np.min(prof.a))
+        return _limit_newton(a_seed, q0, prof.c0, prof.X0, nu, _LIMIT_ROUGH)
+
     while True:
-        while tail_ratio(prof.a) > 1e-4 and prof.n < 8192:
-            prof = refine(prof, 2 * prof.n, rough)
-        if prof.X0 >= X0:
+        while _tail_ratio(prof.a) > 1e-4 and prof.n < 8192:
+            prof = refine(prof, 2 * prof.n)
+        if prof.X0 == X0:
             break
-        X_next = min(X0, prof.X0 * 1.2)
+        if X0 > prof.X0:
+            X_next = min(X0, prof.X0 * 1.2)
+        else:
+            X_next = max(X0, prof.X0 / 1.2)
         while True:
             try:
                 nxt = _limit_newton(prof.a.copy(), q0, prof.c0, X_next,
-                                    nu, rough)
-                break
+                                    nu, _LIMIT_ROUGH)
+                if not _collapsed(prof.a, nxt.a):
+                    break
             except NonConvergence:
-                X_next = 0.5 * (prof.X0 + X_next)
-                if X_next - prof.X0 < 1e-8 * X0:
-                    raise ContinuationStalled(
-                        f"limit-profile continuation stalled at "
-                        f"X0={prof.X0}") from None
+                pass
+            X_next = 0.5 * (prof.X0 + X_next)
+            if abs(X_next - prof.X0) < 1e-8 * X0:
+                raise ContinuationStalled(
+                    f"limit-profile continuation stalled at X0={prof.X0}")
         prof = nxt
 
-    # requested resolution (never coarsened below what convergence needed)
     while prof.n < n:
-        prof = refine(prof, min(2 * prof.n, n), rough)
+        prof = refine(prof, min(2 * prof.n, n))
     if prof.residual_norm > _LIMIT_TOL:
         try:
             prof = _limit_newton(prof.a.copy(), q0, prof.c0, X0, nu,

@@ -8,6 +8,14 @@ that two runs of the same grid produce byte-identical files.  Maps and
 bisection probes append to the same store, and boundary_points reads its
 brackets back for powerlaw_fit.
 
+One stability_map call, or one boundary_bisect call with all of its probes,
+shares its F = infinity limit waves: each (q0, X0, nu, n) is solved once,
+and a new X0 continues in the period, up or down, from the nearest one
+solved (see profile.limit_profile_alpha_m2).  The waves are dropped when the
+call returns.  A point whose X0 matches no wave solved before it therefore
+depends, at the level of rounding, on the neighbour that seeded it; the same
+grid in the same order replays byte-identical.
+
 The alpha = -2 scaling family is parameterized by q0: the physical discharge
 is q = q0 F and the physical period X = X0 F^2 for the rescaled period X0.
 """
@@ -26,7 +34,7 @@ from . import evans
 from .kdv_limit import SolvabilityError
 from .model import DomainError
 from .profile import (ContinuationStalled, DegenerateJacobian, NonConvergence,
-                      WaveProfile, profile_from_limit)
+                      WaveProfile, _limit_table, profile_from_limit)
 
 # Failures of the numerics rather than of the program: a sweep records them
 # as "failed" points and the CLI maps them to exit code 2.
@@ -244,11 +252,12 @@ def stability_map(grid, store: ResultStore | str | None = None,
     elif store is None:
         store = ResultStore()
     by_key = {r.key: r for r in store.records}
-    for p in points:
-        if _point_key(p) not in by_key:
-            rec = evaluate_point(p, solver=solver)
-            store.append(rec)
-            by_key[rec.key] = rec
+    with _limit_table():
+        for p in points:
+            if _point_key(p) not in by_key:
+                rec = evaluate_point(p, solver=solver)
+                store.append(rec)
+                by_key[rec.key] = rec
     return [by_key[_point_key(p)] for p in points]
 
 
@@ -291,23 +300,25 @@ def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
         point = family_point(alpha, F, nu, q0, X)
         return _binary_class(stability_map([point], store=store)[0])
 
-    lo_stable = probe(X_lo)
-    hi_stable = probe(X_hi)
-    if lo_stable == hi_stable:
-        raise NotBracketed(
-            f"both endpoints {'stable' if lo_stable else 'unstable'} at "
-            f"F = {F}, q0 = {q0}, X in ({X_lo}, {X_hi})")
-    if hi_stable != want_hi_stable:
-        raise NotBracketed(
-            f"bracket orientation is inverted for the {which} boundary at "
-            f"F = {F}: stable side is at X_{'lo' if lo_stable else 'hi'}")
+    with _limit_table():
+        lo_stable = probe(X_lo)
+        hi_stable = probe(X_hi)
+        if lo_stable == hi_stable:
+            raise NotBracketed(
+                f"both endpoints {'stable' if lo_stable else 'unstable'} at "
+                f"F = {F}, q0 = {q0}, X in ({X_lo}, {X_hi})")
+        if hi_stable != want_hi_stable:
+            raise NotBracketed(
+                f"bracket orientation is inverted for the {which} boundary "
+                f"at F = {F}: stable side is at "
+                f"X_{'lo' if lo_stable else 'hi'}")
 
-    while (X_hi - X_lo) > rel_tol * 0.5 * (X_hi + X_lo):
-        X_mid = math.sqrt(X_lo * X_hi)
-        if probe(X_mid) == hi_stable:
-            X_hi = X_mid
-        else:
-            X_lo = X_mid
+        while (X_hi - X_lo) > rel_tol * 0.5 * (X_hi + X_lo):
+            X_mid = math.sqrt(X_lo * X_hi)
+            if probe(X_mid) == hi_stable:
+                X_hi = X_mid
+            else:
+                X_lo = X_mid
     return math.sqrt(X_lo * X_hi)
 
 

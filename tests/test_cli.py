@@ -227,7 +227,7 @@ def test_sweep_unsupported_alpha_exits_1_without_a_store(tmp_path):
 
 def _bisected_store(path, monkeypatch):
     """A store that four bisections filled under a stub X*(F) = 0.05 F^2.83."""
-    def evaluate(point, solver=None, n=512):
+    def evaluate(point, solver=None):
         stable = point["X"] > 0.05 * point["F"] ** 2.83
         return sweep.SweepRecord(
             alpha=point["alpha"], F=point["F"], nu=point["nu"], q=point["q"],

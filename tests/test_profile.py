@@ -351,6 +351,75 @@ def test_limit_profile_alpha_m2_basic():
     assert fourier.quad(1.0 / lp.a, lp.X0) / lp.X0 > 0.0
 
 
+def _count_walks(monkeypatch):
+    """Wrap the onset walk of the limit solve; returns the X0 of each walk."""
+    walks = []
+    walk = prof._limit_walk
+
+    def counting(*args):
+        walks.append(args[1])
+        return walk(*args)
+
+    monkeypatch.setattr(prof, "_limit_walk", counting)
+    return walks
+
+
+def test_limit_table_continues_in_x0_both_ways(monkeypatch):
+    # in one table the X0 = 0.205 wave seeds 0.25 above it and 0.203 below
+    # it (onset is at 0.2011); each lands on a fresh walk's c0, a repeated
+    # X0 returns the stored wave, and a nested block shares the table
+    walks = _count_walks(monkeypatch)
+    with prof._limit_table():
+        base = prof.limit_profile_alpha_m2(0.4, 0.205)
+        with prof._limit_table():
+            up = prof.limit_profile_alpha_m2(0.4, 0.25)
+        down = prof.limit_profile_alpha_m2(0.4, 0.203)
+        assert prof.limit_profile_alpha_m2(0.4, 0.205) is base
+    assert walks == [0.205]
+    for lp in (up, down):
+        fresh = prof.limit_profile_alpha_m2(0.4, lp.X0)
+        assert (lp.n, lp.X0) == (fresh.n, fresh.X0)
+        assert lp.c0 == pytest.approx(fresh.c0, rel=1e-10, abs=0.0)
+        assert lp.residual_norm <= 1e-10
+    assert walks == [0.205, 0.25, 0.203]
+
+
+def test_limit_table_seeds_smaller_periods_only_from_unrefined_waves(
+        monkeypatch):
+    # the X0 = 0.36 wave needs 512 nodes and the 0.33 wave 256; continuing
+    # down never coarsens the grid, so 0.33 is walked from onset instead
+    walks = _count_walks(monkeypatch)
+    with prof._limit_table():
+        assert prof.limit_profile_alpha_m2(0.4, 0.36).n == 512
+        assert prof.limit_profile_alpha_m2(0.4, 0.33).n == 256
+    assert walks == [0.36, 0.33]
+
+
+@pytest.mark.parametrize("error", [prof.NonConvergence("forced", 1.0),
+                                   prof.ContinuationStalled("forced"),
+                                   prof.DegenerateJacobian("forced")])
+def test_limit_table_falls_back_to_the_walk(monkeypatch, error):
+    # a continuation from a stored wave that raises leaves the wave to the
+    # walk from onset, the path outside a table: the same bits
+    fresh = prof.limit_profile_alpha_m2(0.4, 0.25)
+    walks = _count_walks(monkeypatch)
+    cont = prof._limit_continue
+    stored = []
+
+    def failing(start, X0, n):
+        if any(start is lp for lp in stored):
+            raise error
+        return cont(start, X0, n)
+
+    monkeypatch.setattr(prof, "_limit_continue", failing)
+    with prof._limit_table():
+        stored.append(prof.limit_profile_alpha_m2(0.4, 0.205))
+        lp = prof.limit_profile_alpha_m2(0.4, 0.25)
+    assert walks == [0.205, 0.25]
+    assert lp.c0 == fresh.c0
+    assert np.array_equal(lp.a, fresh.a)
+
+
 def test_ham_orbit_energy_invariant():
     orbit = prof.ham_orbit(0.5, n=512)
     mu = orbit.h - np.log(orbit.h) + 0.5 * orbit.dh ** 2

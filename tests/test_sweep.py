@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rollwave import evans, sweep
+from rollwave import profile as prof
 from rollwave.model import DomainError
 from rollwave.profile import NonConvergence
 
@@ -19,7 +20,7 @@ def _stub_record(point, verdict="stable"):
 
 
 def _patch_classifier(monkeypatch, classify):
-    def fake_evaluate(point, solver=None, n=512):
+    def fake_evaluate(point, solver=None):
         return _stub_record(point, classify(point))
     monkeypatch.setattr(sweep, "evaluate_point", fake_evaluate)
 
@@ -134,6 +135,39 @@ def test_evaluate_point_meta_carries_the_diagnostics(monkeypatch):
                         "residual_norm": 2e-11, "amplitude": 0.75,
                         **diagnostics}
     assert sweep.SweepRecord.from_json(rec.to_json()).meta == rec.meta
+
+
+def test_map_walks_each_limit_wave_once(monkeypatch):
+    # three map points of one X0 (0.205 exactly at these F) share one walk
+    # from onset; the next map walks again, and outside a map every
+    # profile_from_limit walks, to the same bits as the map's waves
+    walks = []
+    walk = prof._limit_walk
+
+    def counting(*args):
+        walks.append(args[1])
+        return walk(*args)
+
+    monkeypatch.setattr(prof, "_limit_walk", counting)
+    points = [sweep.family_point(-2.0, F, 0.1, 0.4, 0.205 * F * F)
+              for F in (4.0, 6.0, 8.0)]
+    assert [p["X0"] for p in points] == [0.205] * 3
+    waves = []
+
+    def solver(point):
+        waves.append(sweep.default_solver(point))
+        return waves[-1]
+
+    records = sweep.stability_map(points, solver=solver)
+    assert [r.verdict for r in records] == ["unstable"] * 3
+    assert walks == [0.205]
+    sweep.stability_map(points)
+    assert walks == [0.205] * 2
+    for point, wave in zip(points, waves):
+        plain = sweep.default_solver(point)
+        assert plain.params == wave.params
+        assert np.array_equal(plain.tau, wave.tau)
+    assert walks == [0.205] * 5
 
 
 @pytest.mark.slow

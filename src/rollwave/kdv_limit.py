@@ -92,10 +92,6 @@ class CnoidalWave:
     n: int
     T0: np.ndarray
 
-    @property
-    def theta(self) -> np.ndarray:
-        return fourier.grid(self.n, self.X)
-
 
 def cnoidal_profile(k: float, n: int = 256) -> CnoidalWave:
     """Sample the selected cnoidal wave with modulus k."""

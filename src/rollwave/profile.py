@@ -57,10 +57,6 @@ class WaveProfile:
     def u(self) -> np.ndarray:
         return self.params.q - self.params.c * self.tau
 
-    @property
-    def x(self) -> np.ndarray:
-        return fourier.grid(self.n, self.params.X)
-
     def to_json(self) -> str:
         p = self.params
         return json.dumps({
@@ -149,10 +145,10 @@ def _newton_solve(residual, jacobian, x, tol, admissible, floor=0.0):
     phase or pin rows), `jacobian(x)` its derivative, and the error is the
     max norm of the residual.  Every step is the full Newton step, and one
     that leaves the region where `admissible(x)` holds raises
-    NonConvergence; the continuation loops halve their own step on it.  A
-    step below 1e-13 max(1, |x|) is at the rounding floor and stops the
-    loop.  An iterate that stops or runs out of iterations above `tol` is
-    kept only if its error is at most `floor`.
+    NonConvergence; _follow halves its step on it.  A step below
+    1e-13 max(1, |x|) is at the rounding floor and stops the loop.  An
+    iterate that stops or runs out of iterations above `tol` is kept only
+    if its error is at most `floor`.
     """
     r = residual(x)
     err = float(np.max(np.abs(r)))
@@ -227,14 +223,6 @@ def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
                        residual_norm=err)
 
 
-def _collapsed(old: np.ndarray, new: np.ndarray) -> bool:
-    """Whether a continuation step fell from the wave `old` onto the
-    constant branch: its amplitude is below 0.2 of the last one's, when
-    that exceeded 1e-3 of its mean."""
-    amp = np.ptp(old)
-    return bool(amp > 1e-3 * np.mean(old) and np.ptp(new) < 0.2 * amp)
-
-
 _MIN_STEP = 1e-6        # smallest continuation step, as a share of the segment
 _GROWTH = 1.5           # step growth after a converged continuation step
 
@@ -243,14 +231,15 @@ def _follow(solve, x, length, h, h_min):
     """Follow Newton unknowns x(s) along a branch from s = 0 to s = length.
 
     x[:-1] is the profile and x[-1] the speed; `solve(s, guess)` converges
-    them at s and returns them with the object they describe.  Once two
-    points have converged, the guess is the secant through them extended by
-    the proposed step, unless that leaves the profile non-positive; else it
-    is the last point.  A profile that has _collapsed onto the constant
-    branch counts as a failed step.  A failed step is halved
-    and a converged one grows by _GROWTH, up to twice the first step.
-    Returns the object of the last solve; raises ContinuationStalled when
-    the step falls below h_min.
+    them at s and returns them with the object they describe, possibly on a
+    finer grid.  Once two points have converged on the same grid, the guess
+    is the secant through them extended by the proposed step, unless that
+    leaves the profile non-positive; else it is the last point.  A profile
+    whose amplitude falls below 0.2 of the last one's, when that exceeded
+    1e-3 of its mean, has collapsed onto the constant branch and counts as
+    a failed step.  A failed step is halved and a converged one grows by
+    _GROWTH, up to twice the first step.  Returns the object of the last
+    solve; raises ContinuationStalled when the step falls below h_min.
     """
     cap = 2.0 * h
     s = 0.0
@@ -258,7 +247,7 @@ def _follow(solve, x, length, h, h_min):
     while s < length:
         s_try = length if h >= length - s else s + h
         guess = x
-        if x_prev is not None:
+        if x_prev is not None and len(x_prev) == len(x):
             guess = x + (x - x_prev) * ((s_try - s) / (s - s_prev))
             if np.min(guess[:-1]) <= 0.0:
                 guess = x
@@ -266,7 +255,9 @@ def _follow(solve, x, length, h, h_min):
             x_new, out = solve(s_try, guess)
         except (NonConvergence, DegenerateJacobian):
             x_new = None
-        if x_new is None or _collapsed(x[:-1], x_new[:-1]):
+        amp = np.ptp(x[:-1])
+        if x_new is None or (amp > 1e-3 * np.mean(x[:-1])
+                             and np.ptp(x_new[:-1]) < 0.2 * amp):
             h = 0.5 * (s_try - s)
             if h < h_min:
                 raise ContinuationStalled(
@@ -390,8 +381,9 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
     """Converge the alpha = -2 limiting wave with period X0 at fixed q0.
 
     Walks onto the branch bifurcating at X_onset = 2 pi sqrt(nu) q0^{5/2}
-    by amplitude-pinned continuation (period free), then continues in the
-    period to the requested X0.  The speed c0 is always a Newton unknown.
+    by amplitude-pinned continuation (period free), then follows the wave in
+    its period to the requested X0 with _follow (_limit_continue).  The
+    speed c0 is always a Newton unknown.
 
     Inside a map or a bisection (a _limit_table block) each (q0, X0, nu, n)
     is solved once and the same wave is returned for it again.  A new X0
@@ -461,42 +453,39 @@ def _limit_walk(q0: float, X0: float, nu: float, n0: int,
 def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
     """Continue a limit wave in its period to X0 and finish it on n nodes.
 
-    Steps by at most a factor 1.2 towards X0, up or down, halving a step
-    whose Newton fails or has _collapsed onto the constant branch, and
-    doubles the grid whenever the spectral tail is unresolved: a converged
-    but unresolved iterate is a spurious discrete solution.  The wave is
-    then refined to at least n nodes (never coarsened) and its residual
-    tightened to _LIMIT_TOL.
+    Follows (a, c0) with _follow in s = |ln(X0 / X_from)|, up or down, with
+    steps of at most a factor 1.2 and a stall below 1e-8 in ln X0.  Each
+    point, the starting one first, has its grid doubled while the spectral
+    tail is unresolved: a converged but unresolved iterate is a spurious
+    discrete solution.  The wave is then refined to at least n nodes (never
+    coarsened) and its residual tightened to _LIMIT_TOL.
     """
-    q0, nu = prof.q0, prof.nu
+    q0, nu, X_from = prof.q0, prof.nu, prof.X0
 
     def refine(prof: LimitProfile, m: int) -> LimitProfile:
         a_seed = np.maximum(fourier.resample(prof.a, m),
                             0.05 * np.min(prof.a))
         return _limit_newton(a_seed, q0, prof.c0, prof.X0, nu, _LIMIT_ROUGH)
 
-    while True:
+    def resolved(prof: LimitProfile) -> LimitProfile:
         while _tail_ratio(prof.a) > 1e-4 and prof.n < 8192:
             prof = refine(prof, 2 * prof.n)
-        if prof.X0 == X0:
-            break
-        if X0 > prof.X0:
-            X_next = min(X0, prof.X0 * 1.2)
-        else:
-            X_next = max(X0, prof.X0 / 1.2)
-        while True:
-            try:
-                nxt = _limit_newton(prof.a.copy(), q0, prof.c0, X_next,
-                                    nu, _LIMIT_ROUGH)
-                if not _collapsed(prof.a, nxt.a):
-                    break
-            except NonConvergence:
-                pass
-            X_next = 0.5 * (prof.X0 + X_next)
-            if abs(X_next - prof.X0) < 1e-8 * X0:
-                raise ContinuationStalled(
-                    f"limit-profile continuation stalled at X0={prof.X0}")
-        prof = nxt
+        return prof
+
+    prof = resolved(prof)
+    if X0 != X_from:
+        length = abs(np.log(X0 / X_from))
+        up = X0 > X_from
+
+        def solve(s, x):
+            # X0 exactly at the end of the path
+            X = X0 if s == length else X_from * np.exp(s if up else -s)
+            w = resolved(_limit_newton(x[:-1], q0, x[-1], X, nu,
+                                       _LIMIT_ROUGH))
+            return np.append(w.a, w.c0), w
+
+        prof = _follow(solve, np.append(prof.a, prof.c0), length,
+                       0.5 * np.log(1.2), 1e-8)
 
     while prof.n < n:
         prof = refine(prof, min(2 * prof.n, n))

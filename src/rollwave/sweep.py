@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -68,7 +67,6 @@ class SweepRecord:
     witness: str | None = None
     conditions: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)   # q0, X0, n, residual, diagnostics
-    elapsed: float | None = None               # not serialized
 
     @property
     def key(self) -> tuple:
@@ -213,7 +211,6 @@ def evaluate_point(point: dict, solver=None) -> SweepRecord:
     and propagates.  Meta's n is the grid the wave was solved on, or the
     requested _PROFILE_N on a failed record.
     """
-    t0 = time.monotonic()
     meta = {"q0": point.get("q0"), "X0": point.get("X0"), "n": _PROFILE_N}
     if solver is None:
         solver = default_solver
@@ -223,8 +220,7 @@ def evaluate_point(point: dict, solver=None) -> SweepRecord:
     except NUMERIC_ERRORS + (DomainError, np.linalg.LinAlgError) as err:
         return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
                            q=point["q"], X=point["X"], verdict="failed",
-                           witness=f"{type(err).__name__}: {err}", meta=meta,
-                           elapsed=time.monotonic() - t0)
+                           witness=f"{type(err).__name__}: {err}", meta=meta)
     meta["n"] = wave.n
     meta["residual_norm"] = wave.residual_norm
     meta["amplitude"] = float(np.ptp(wave.tau))
@@ -232,8 +228,7 @@ def evaluate_point(point: dict, solver=None) -> SweepRecord:
     return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
                        q=point["q"], X=point["X"], verdict=v.overall,
                        witness=v.witness or v.reason,
-                       conditions=dict(v.conditions), meta=meta,
-                       elapsed=time.monotonic() - t0)
+                       conditions=dict(v.conditions), meta=meta)
 
 
 def stability_map(grid, store: ResultStore | str | None = None,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rollwave import cli, evans, linearize, sweep
+from rollwave import cli, evans, hill, linearize, sweep
 from rollwave import profile as prof
 
 
@@ -304,3 +304,94 @@ def test_profile_scratch_route(tmp_path):
     w = prof.WaveProfile.from_json(out.read_text())
     assert w.residual_norm <= 1e-9
     assert np.ptp(w.tau) > 0.1
+
+
+def test_profile_family_route(tmp_path):
+    # --q0 --X0 is profile_from_limit on the alpha = -2 family: the file
+    # holds the library's wave, and q = q0 F, X = X0 F^2
+    out = tmp_path / "w.json"
+    assert cli.main(["profile", "--F", "4", "--q0", "0.4", "--X0", "0.25",
+                     "--out", str(out)]) == 0
+    w = prof.WaveProfile.from_json(out.read_text())
+    want = prof.profile_from_limit(0.4, 0.25, 4.0, n=256)
+    assert w.params == want.params
+    assert np.array_equal(w.tau, want.tau)
+    assert w.params.q == pytest.approx(1.6, rel=1e-15)
+    assert w.params.X == pytest.approx(4.0, rel=1e-15)
+    assert cli.main(["profile", "--F", "4", "--q0", "0.4",
+                     "--out", str(tmp_path / "x.json")]) == 1
+
+
+def test_continue_reads_and_writes_profiles(tmp_path, fig1c_wave):
+    # `continue` is continue_profile on the wave read back from its file
+    pin = tmp_path / "w.json"
+    pin.write_text(fig1c_wave.to_json())
+    out = tmp_path / "c.json"
+    assert cli.main(["continue", "--in", str(pin), "--X", "17.5",
+                     "--tol", "1e-9", "--out", str(out)]) == 0
+    w = prof.WaveProfile.from_json(out.read_text())
+    want = prof.continue_profile(fig1c_wave, tol=1e-9, X=17.5)
+    assert w.params == want.params
+    assert np.array_equal(w.tau, want.tau)
+    assert w.params.X == 17.5
+    assert cli.main(["continue", "--in", str(pin),
+                     "--out", str(tmp_path / "x.json")]) == 1
+
+
+def test_spectrum_json_of_constant_state_is_its_dispersion(tmp_path,
+                                                           constant_state):
+    # 41 modes are exact for constant coefficients: every eigenvalue of
+    # every row is a root of the constant state's folded dispersion
+    pin = tmp_path / "const.json"
+    pin.write_text(constant_state.to_json())
+    out = tmp_path / "s.json"
+    assert cli.main(["spectrum", "--in", str(pin), "--modes", "41",
+                     "--xi-points", "4", "--format", "json",
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    p = constant_state.params
+    assert doc["N"] == 20
+    assert doc["xi"] == list(hill.default_xi_grid(p.X, 4))
+    for xi, row in zip(doc["xi"], doc["eigs"]):
+        got = np.array([complex(re, im) for re, im in row])
+        eta = xi + 2.0 * np.pi * np.arange(-20, 21) / p.X
+        want = linearize.constant_dispersion(p, p.tau0, eta).ravel()
+        assert len(got) == len(want)
+        assert np.max(np.abs(got[:, None] - want[None, :]).min(axis=1)) < 1e-10
+
+
+def test_spectrum_even_modes_exits_1(tmp_path, constant_state):
+    pin = tmp_path / "const.json"
+    pin.write_text(constant_state.to_json())
+    assert cli.main(["spectrum", "--in", str(pin), "--modes", "40",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["const.json"]
+
+
+def test_evans_xi_band_json_and_csv(tmp_path, constant_state):
+    # --xi-band 2 is +-linspace(pi/(10X), pi/X, 2); on the constant state
+    # each winding counts the folded dispersion roots inside the circle,
+    # and the CSV report carries the JSON report's rows
+    p = constant_state.params
+    roots = linearize.constant_dispersion(p, p.tau0, np.pi / p.X)[0]
+    lam0 = complex(max(roots, key=lambda z: z.real))
+    pin = tmp_path / "const.json"
+    pin.write_text(constant_state.to_json())
+    args = ["evans", "--in", str(pin), "--xi-band", "2",
+            "--contour", f"circle:c={lam0!r},r=0.01"]
+    out_json, out_csv = tmp_path / "e.json", tmp_path / "e.csv"
+    assert cli.main([*args, "--out", str(out_json)]) == 0
+    assert cli.main([*args, "--format", "csv", "--out", str(out_csv)]) == 0
+    reports = json.loads(out_json.read_text())
+    pos = np.linspace(np.pi / (10.0 * p.X), np.pi / p.X, 2)
+    assert [r["xi"] for r in reports] == list(np.concatenate([-pos[::-1],
+                                                              pos]))
+    for r in reports:
+        eta = r["xi"] + 2.0 * np.pi * np.arange(-5, 6) / p.X
+        roots = linearize.constant_dispersion(p, p.tau0, eta).ravel()
+        assert r["winding"] == int(np.sum(np.abs(roots - lam0) < 0.01))
+    assert [r["winding"] for r in reports] == [1, 0, 0, 1]
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "xi,winding,points,max_jump"
+    assert lines[1:] == [f"{r['xi']:.17g},{r['winding']},{len(r['points'])},"
+                         f"{r['max_jump']:.17g}" for r in reports]

@@ -237,6 +237,25 @@ def test_follow_stall_raises():
     assert tried == [2.0 ** -k for k in range(10)]
 
 
+def test_follow_guesses_the_last_point_after_a_grid_change():
+    # the second solve returns the wave on a doubled grid: no secant runs
+    # through points of different lengths, so the next guess is the last
+    # point, and the secant comes back once two points share the grid
+    tried = []
+
+    def solve(s, guess):
+        tried.append((s, guess))
+        wave = [0.5, 1.5] if len(tried) < 2 else [0.5, 1.5, 0.5, 1.5]
+        return np.append(wave, s), s
+
+    assert prof._follow(solve, np.array([0.5, 1.5, 0.0]), 1.5, 0.25,
+                        1e-6) == 1.5
+    assert [s for s, _ in tried] == [0.25, 0.625, 1.125, 1.5]
+    assert np.array_equal(tried[1][1], [0.5, 1.5, 0.625])
+    assert np.array_equal(tried[2][1], [0.5, 1.5, 0.5, 1.5, 0.625])
+    assert np.array_equal(tried[3][1], [0.5, 1.5, 0.5, 1.5, 1.5])
+
+
 def test_descent_starts_from_the_scaled_limit_wave(monkeypatch):
     # every guess solves the fake problem, so the descent takes its full
     # steps (0.35, then x1.5 up to 0.7) in log F from F = 100 to F = 8
@@ -349,6 +368,14 @@ def test_limit_profile_alpha_m2_basic():
     assert np.max(np.abs(lp.da - fourier.deriv(lp.a, lp.X0))) < 1e-6
     # mean outflow constraint of the scaled family
     assert fourier.quad(1.0 / lp.a, lp.X0) / lp.X0 > 0.0
+
+
+def test_limit_wave_x0_045_frozen():
+    # the deep limit wave of profile-f8: its tail refines 256 -> 1024
+    # nodes on the way up from the walk
+    lp = prof.limit_profile_alpha_m2(0.4, 0.45, 0.1, 256)
+    assert lp.n == 1024
+    assert lp.c0 == pytest.approx(0.06358999881189556, rel=1e-9, abs=0.0)
 
 
 def _count_walks(monkeypatch):

@@ -5,12 +5,12 @@ are propagated by a fourth-order Magnus (commutator-corrected midpoint)
 stepper on a step grid adapted to the local coefficient magnitude, with the
 frame re-orthogonalized by QR every _QR_STRIDE steps, or sooner where it
 could grow past _NORM_CAP, and the radial growth extracted into a running
-log-scale.  A batch of lambda shares one QR schedule.  The step exponentials
+log-scale.  A batch of lambda shares one QR schedule, whose segments are
+cut into chunks of at most _BLOCK steps.  The step exponentials of a chunk
 are truncated Taylor series (Paterson-Stockmeyer, no linear solve) of the
-lowest degree the steps' norm bounds allow, built _BLOCK steps at a time in
-a (d, d, chunks, steps, lambda) layout and multiplied there pairwise as a
-tree, so the sequential loop applies one product per chunk of at most
-_BLOCK steps and one QR per segment.
+lowest degree the chunk's norm bounds allow, built in a (d, d, steps,
+lambda) layout and multiplied there pairwise as a tree, so the sequential
+loop applies one product per chunk and one QR per segment.
 The Evans determinant
 
     D(lambda, xi) = det(Psi(X, lambda) - e^{i xi X} Id)
@@ -22,9 +22,7 @@ root polishing all consume only ratios and argument increments.
 
 from __future__ import annotations
 
-import bisect
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -108,16 +106,6 @@ class EvansValue:
 
     mantissa: complex
     exponent: float
-
-    def __complex__(self) -> complex:
-        if self.mantissa == 0.0:
-            return 0.0 + 0.0j
-        try:
-            return self.mantissa * math.exp(self.exponent)
-        except OverflowError:
-            raise OverflowError(
-                f"Evans value exp({self.exponent:.1f}) is beyond the double "
-                f"range") from None
 
     @property
     def log_abs(self) -> float:
@@ -343,11 +331,10 @@ class EvansEvaluator:
         on `grid`, the exponents and norms of _step_grid.
 
         The batch shares one QR schedule (_qr_schedule).  Each segment of it
-        is cut into chunks of at most _BLOCK steps from its start; about
-        _BLOCK steps of chunks at a time have their step exponentials built
-        and multiplied together for the whole batch at once.  The
-        sequential loop applies one product per chunk and one
-        re-orthogonalization per segment.
+        is cut into chunks of at most _BLOCK steps from its start; a chunk's
+        step exponentials are built and multiplied together for the whole
+        batch at once (_chunk_product).  The sequential loop applies one
+        product per chunk and one re-orthogonalization per segment.
         """
         W, norms = grid
         lam = np.asarray(lams, dtype=complex)
@@ -361,18 +348,12 @@ class EvansEvaluator:
         r = float(np.abs(lam).max())
         bounds = norms[0] + r * (norms[1] + r * norms[2])
         starts = _qr_schedule(bounds.tolist(), d)
-        ends = set(starts)
-        edges = [e for s, t in zip(starts, starts[1:])
-                 for e in range(s, t, _BLOCK)] + [n_steps]
-        a = 0
-        while a < len(edges) - 1:
-            b = max(a + 1, bisect.bisect_right(edges, edges[a] + _BLOCK) - 1)
-            products = _segment_products(W, lam, edges[a:b + 1], bounds)
-            for e, P in zip(edges[a + 1:b + 1], products):
-                Y = P @ Y
-                if e in ends:
-                    Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
-            a = b
+        for s, t in zip(starts, starts[1:]):
+            for a in range(s, t, _BLOCK):
+                b = min(a + _BLOCK, t)
+                Y = _chunk_product(W[..., a:b, None], lam,
+                                   float(bounds[a:b].max())) @ Y
+            Y, U, g, logdet = _qr_extract(Y, U, g, logdet)
         logdet = logdet + np.log(np.linalg.det(Y))
 
         frames = []
@@ -461,44 +442,25 @@ class EvansEvaluator:
         return _det_scaled(self.frame(lam), rho)
 
 
-def _segment_products(W: np.ndarray, lam: np.ndarray, edges: list[int],
-                      bounds: np.ndarray) -> np.ndarray:
-    """Products E_last ... E_first of the step exponentials of each chunk.
+def _chunk_product(W: np.ndarray, lam: np.ndarray,
+                   nmax: float) -> np.ndarray:
+    """Product E_last ... E_first of the step exponentials of one chunk.
 
-    W holds the step exponents as from _step_grid, `edges` the edges of
-    consecutive chunks and `bounds` the per-step bounds on the 1-norm of
-    omega.  Chunks shorter than the longest are padded with zero exponents,
-    whose exponentials are exactly the identity.  The steps are multiplied
-    pairwise as a tree, later factor on the left, one stacked product per
-    level (an odd last factor is carried up a level), so a width-w chunk
-    takes ceil(log2 w) stacked products.  Returns an (n_chunks, L, d, d)
-    array.
+    W holds the chunk's step exponents as a (3, d, d, steps, 1) slice of
+    _step_grid's array and nmax bounds the 1-norm of every step's omega.
+    The steps are multiplied pairwise as a tree, later factor on the left,
+    one stacked product per level (an odd last factor is carried up a
+    level), so a width-w chunk takes ceil(log2 w) stacked products.
+    Returns an (L, d, d) array.
     """
-    st = np.asarray(edges)
-    lengths = np.diff(st)
-    width = int(lengths.max())
-    pos = np.arange(width)
-    Wb = W[..., np.minimum(st[:-1, None] + pos, st[-1] - 1), None]
-    omega = Wb[0] + lam * (Wb[1] + lam * Wb[2])
-    pad = pos >= lengths[:, None]
-    if pad.any():
-        omega[:, :, pad] = 0.0
-    P = _expm_stack(omega, float(bounds[st[0]:st[-1]].max()))
-    while P.shape[3] > 1:
-        half = P.shape[3] // 2
-        pairs = _matmul(P[:, :, :, 1:2 * half:2], P[:, :, :, 0:2 * half:2])
-        if P.shape[3] % 2:
-            pairs = np.concatenate([pairs, P[:, :, :, -1:]], axis=3)
+    P = _expm_stack(W[0] + lam * (W[1] + lam * W[2]), nmax)
+    while P.shape[2] > 1:
+        half = P.shape[2] // 2
+        pairs = _matmul(P[:, :, 1:2 * half:2], P[:, :, 0:2 * half:2])
+        if P.shape[2] % 2:
+            pairs = np.concatenate([pairs, P[:, :, -1:]], axis=2)
         P = pairs
-    return np.ascontiguousarray(P[:, :, :, 0].transpose(2, 3, 0, 1))
-
-
-@functools.cache
-def _upper(d: int) -> np.ndarray:
-    """The (d, d) upper-triangular mask of _qr_extract, built once per d."""
-    mask = np.triu(np.ones((d, d), dtype=bool))
-    mask.flags.writeable = False
-    return mask
+    return np.ascontiguousarray(P[:, :, 0].transpose(2, 0, 1))
 
 
 def _qr_extract(Y, U, g, logdet):
@@ -517,9 +479,8 @@ def _qr_extract(Y, U, g, logdet):
     # suffix maxima of g: row i of R only touches rows k >= i of diag(e^g) U,
     # so row i is scaled by e^{h_i} and R_ik e^{g_k - h_i} never overflows
     h = np.maximum.accumulate(g[:, ::-1], axis=1)[:, ::-1]
-    upper = _upper(R.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        W = np.where(upper, R * np.exp(g[:, None, :] - h[:, :, None]), 0.0)
+        W = np.triu(R * np.exp(g[:, None, :] - h[:, :, None]))
     rows = W @ U
     m = np.abs(rows).max(axis=2, keepdims=True)
     live = m > 0.0
@@ -660,22 +621,31 @@ def winding_number(evaluator: EvansEvaluator, contour: Contour,
     return _winding_once(evaluator, contour, xi, True)
 
 
-def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
-                  perturbed: bool) -> ContourReport:
-    ts = list(np.linspace(0.0, 1.0, _CONTOUR_NODES, endpoint=False))
+def _contour_points(evaluator: EvansEvaluator, contour: Contour, xi: float,
+                    ts: list[float]) -> list[tuple]:
+    """(t, lambda, D(lambda, xi)) at each parameter in `ts`; the frames go
+    through one batch."""
     lam = [contour.point(t) for t in ts]
     evaluator.frames(lam)
-    vals = [evaluator.value(z, xi) for z in lam]
+    return [(t, z, evaluator.value(z, xi)) for t, z in zip(ts, lam)]
+
+
+def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
+                  perturbed: bool) -> ContourReport:
+    points = _contour_points(
+        evaluator, contour, xi,
+        list(np.linspace(0.0, 1.0, _CONTOUR_NODES, endpoint=False)))
     refinements = 0
     while True:
+        vals = [v for _, _, v in points]
         if any(v.mantissa == 0.0 for v in vals):
             raise ZeroOnContour(f"D vanished on the contour at xi={xi:g}")
-        jumps = [_relative_jump(vals[i], vals[(i + 1) % len(vals)])
-                 for i in range(len(vals))]
+        pairs = list(zip(vals, vals[1:] + vals[:1]))   # neighbours, closed
+        jumps = [_relative_jump(a, b) for a, b in pairs]
         bad = [i for i, j in enumerate(jumps) if j > _REL_JUMP]
         if not bad:
             break
-        if len(ts) + len(bad) > _MAX_POINTS:
+        if len(points) + len(bad) > _MAX_POINTS:
             scale_log = max(v.log_abs for v in vals)
             if min(v.log_abs for v in vals) < scale_log - 30.0:
                 raise ZeroOnContour(
@@ -683,36 +653,24 @@ def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
                     f"refining past {_MAX_POINTS} points")
             raise MaxPointsExceeded(
                 f"contour refinement exceeded {_MAX_POINTS} points")
-        new_ts = []
-        for i in bad:
-            t0 = ts[i]
-            t1 = ts[(i + 1) % len(ts)] + (1.0 if i + 1 == len(ts) else 0.0)
-            new_ts.append(0.5 * (t0 + t1) % 1.0)
-        new_lam = [contour.point(t) for t in new_ts]
-        evaluator.frames(new_lam)
-        for t, z in zip(new_ts, new_lam):
-            vals.append(evaluator.value(z, xi))
-            ts.append(t)
-        order = np.argsort(ts)
-        ts = [ts[i] for i in order]
-        lam = [contour.point(t) for t in ts]
-        vals = [vals[i] for i in order]
+        # t = 0 stays the first point, so the last gap ends at t = 1 and
+        # every midpoint merges in right after the start of its gap
+        mids = [0.5 * (points[i][0] + (points[i + 1][0] if i + 1 < len(points)
+                                       else 1.0)) for i in bad]
+        new = dict(zip(bad, _contour_points(evaluator, contour, xi, mids)))
+        points = [q for i, p in enumerate(points)
+                  for q in ((p, new[i]) if i in new else (p,))]
         refinements += 1
-    total = 0.0
-    max_jump = 0.0
-    for i in range(len(vals)):
-        r = vals[(i + 1) % len(vals)].ratio(vals[i])
-        total += cmath.phase(r)
-        max_jump = max(max_jump, _relative_jump(vals[i],
-                                                vals[(i + 1) % len(vals)]))
+    total = sum(cmath.phase(b.ratio(a)) for a, b in pairs)
     w = total / (2.0 * np.pi)
     wi = round(w)
     if abs(w - wi) > 0.25:
         raise MaxPointsExceeded(
             f"winding {w:.3f} did not round to an integer with margin 0.25")
+    ts, lam, _ = zip(*points)
     return ContourReport(contour=contour, xi=xi, t=np.asarray(ts),
                          lam=np.asarray(lam), values=vals, winding=int(wi),
-                         max_jump=max_jump, refinements=refinements,
+                         max_jump=max(jumps), refinements=refinements,
                          perturbed=perturbed)
 
 

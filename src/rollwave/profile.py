@@ -490,11 +490,7 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
     while prof.n < n:
         prof = refine(prof, min(2 * prof.n, n))
     if prof.residual_norm > _LIMIT_TOL:
-        try:
-            prof = _limit_newton(prof.a.copy(), q0, prof.c0, X0, nu,
-                                 _LIMIT_TOL)
-        except NonConvergence:
-            pass        # at the rounding floor of the discretization
+        prof = _limit_newton(prof.a.copy(), q0, prof.c0, X0, nu, _LIMIT_TOL)
     return prof
 
 

@@ -129,9 +129,6 @@ class ResultStore:
         self.records.append(rec)
         self._keys.add(rec.key)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def append(self, rec: SweepRecord):
         self._absorb(rec)
         if self.path is not None:

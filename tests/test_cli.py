@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rollwave import cli, evans, hill, linearize, sweep
+from rollwave import cli, evans, hill, kdv_limit, linearize, sweep
 from rollwave import profile as prof
 
 
@@ -15,6 +15,17 @@ def test_kdv_inverts_period(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["k"] == pytest.approx(0.9996570910754125, abs=1e-10)
     assert doc["X"] == pytest.approx(17.0)
+
+
+def test_kdv_period_of_modulus(tmp_path):
+    # --k goes the other way: k = 0.9421 is criterion 1's anchor, whose
+    # period lies in [8.33, 8.55]
+    out = tmp_path / "kdv.json"
+    assert cli.main(["kdv", "--k", "0.9421", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["k"] == 0.9421
+    assert doc["X"] == kdv_limit.period_of_k(0.9421)
+    assert 8.33 <= doc["X"] <= 8.55
 
 
 def test_kdv_stability_check(tmp_path):
@@ -110,6 +121,26 @@ def test_taylor_on_constant_profile_exits_2(tmp_path):
     code = cli.main(["taylor", "--in", str(pin),
                      "--out", str(tmp_path / "t.json")])
     assert code == 2
+
+
+def test_taylor_writes_the_origin_expansion(tmp_path, f6_waves):
+    # on the stable F = 6, X = 8.78 wave the report carries every field of
+    # evans.origin_taylor on the same wave
+    w = f6_waves[8.78]
+    pin, out = tmp_path / "w.json", tmp_path / "t.json"
+    pin.write_text(w.to_json())
+    assert cli.main(["taylor", "--in", str(pin), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    exp = evans.origin_taylor(evans.EvansEvaluator(linearize.bloch_coeffs(w)))
+    assert sorted(doc) == ["R", "alpha", "beta", "c", "log_scale",
+                           "reality_error", "representation_residual"]
+    assert doc["c"] == [[[exp.c[a, b].real, exp.c[a, b].imag]
+                         for b in range(4)] for a in range(4)]
+    assert doc["alpha"] == [[z.real, z.imag] for z in exp.alpha]
+    assert doc["beta"] == [[z.real, z.imag] for z in exp.beta]
+    for key in ("R", "reality_error", "representation_residual",
+                "log_scale"):
+        assert doc[key] == getattr(exp, key)
 
 
 def test_evans_winding_around_unstable_root(tmp_path):
@@ -341,13 +372,14 @@ def test_continue_reads_and_writes_profiles(tmp_path, fig1c_wave):
 def test_spectrum_json_of_constant_state_is_its_dispersion(tmp_path,
                                                            constant_state):
     # 41 modes are exact for constant coefficients: every eigenvalue of
-    # every row is a root of the constant state's folded dispersion
+    # every row is a root of the constant state's folded dispersion; the
+    # CSV report carries the same eigenvalues, one per line
     pin = tmp_path / "const.json"
     pin.write_text(constant_state.to_json())
-    out = tmp_path / "s.json"
-    assert cli.main(["spectrum", "--in", str(pin), "--modes", "41",
-                     "--xi-points", "4", "--format", "json",
-                     "--out", str(out)]) == 0
+    out, out_csv = tmp_path / "s.json", tmp_path / "s.csv"
+    args = ["spectrum", "--in", str(pin), "--modes", "41", "--xi-points", "4"]
+    assert cli.main([*args, "--format", "json", "--out", str(out)]) == 0
+    assert cli.main([*args, "--format", "csv", "--out", str(out_csv)]) == 0
     doc = json.loads(out.read_text())
     p = constant_state.params
     assert doc["N"] == 20
@@ -358,6 +390,11 @@ def test_spectrum_json_of_constant_state_is_its_dispersion(tmp_path,
         want = linearize.constant_dispersion(p, p.tau0, eta).ravel()
         assert len(got) == len(want)
         assert np.max(np.abs(got[:, None] - want[None, :]).min(axis=1)) < 1e-10
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "xi,re,im"
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == [
+        [xi, re, im] for xi, row in zip(doc["xi"], doc["eigs"])
+        for re, im in row]
 
 
 def test_spectrum_even_modes_exits_1(tmp_path, constant_state):

@@ -162,12 +162,13 @@ def test_propagate_matches_product_of_step_exponentials(fig1c_problem,
 
 
 @pytest.mark.parametrize("edges", [[0, 1], [0, 2], [0, 3], [0, 63], [0, 64],
-                                   [5, 8, 9, 72, 74, 75]])
+                                   [5, 8], [9, 72], [72, 75]])
 def test_segment_products_match_sequential_expm(edges):
-    # the pairwise tree gives each chunk the product E_last ... E_first of
-    # its steps' exponentials; the last case pads chunks of 3, 1, 63, 2 and
-    # 1 steps to 63 in one call
-    rng = np.random.default_rng(len(edges) + edges[-1])
+    # the pairwise tree gives the chunk [a, b) of a segment the product
+    # E_last ... E_first of its steps' exponentials, from a view of the
+    # exponents
+    a, b = edges
+    rng = np.random.default_rng(a + b)
     d, n = 3, 80
     re, im = rng.standard_normal((2, 3, d, d, n))
     W = re + 1j * im
@@ -176,15 +177,14 @@ def test_segment_products_match_sequential_expm(edges):
     r = np.abs(lam).max()
     norms = np.abs(W).sum(axis=1).max(axis=1)
     bounds = norms[0] + r * (norms[1] + r * norms[2])
-    got = evans._segment_products(W, lam, edges, bounds)
-    assert got.shape == (len(edges) - 1, len(lam), d, d)
-    for s, t, P in zip(edges, edges[1:], got):
-        for z, Pz in zip(lam, P):
-            ref = np.eye(d)
-            for j in range(s, t):
-                ref = scipy.linalg.expm(W[0, :, :, j] + z * W[1, :, :, j]
-                                        + z ** 2 * W[2, :, :, j]) @ ref
-            assert np.abs(Pz - ref).max() <= 1e-13 * np.abs(ref).max()
+    got = evans._chunk_product(W[..., a:b, None], lam, bounds[a:b].max())
+    assert got.shape == (len(lam), d, d)
+    for z, Pz in zip(lam, got):
+        ref = np.eye(d)
+        for j in range(a, b):
+            ref = scipy.linalg.expm(W[0, :, :, j] + z * W[1, :, :, j]
+                                    + z ** 2 * W[2, :, :, j]) @ ref
+        assert np.abs(Pz - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_liouville_identity(fig1c_problem):
@@ -277,19 +277,19 @@ def test_contour_parse_roundtrip():
     c2 = evans.Contour.parse("circle:c=1+2j,r=0.01")
     assert c2.center == 1 + 2j and c2.radius == 0.01
     assert evans.Contour.parse(c2.describe()).center == c2.center
+    c3 = evans.Contour("semicircle", 0.35)
+    assert c3.describe() == "semicircle:R=0.35"
+    assert evans.Contour.parse(c3.describe()) == c3
     with pytest.raises(DomainError):
         evans.Contour.parse("ellipse:a=1")
 
 
 def test_evans_value_scaling():
     v = evans.EvansValue(mantissa=2.0 + 0.0j, exponent=3.0)
-    assert complex(v) == pytest.approx(2.0 * np.exp(3.0))
     w = evans.EvansValue(mantissa=1.0 + 0.0j, exponent=2.0)
     assert v.ratio(w) == pytest.approx(2.0 * np.e)
     # beyond the double range: an error, never a clamped value
     big = evans.EvansValue(1.0, 800.0)
-    with pytest.raises(OverflowError):
-        complex(big)
     with pytest.raises(OverflowError):
         big.ratio(w)
     assert big.ratio(evans.EvansValue(1.0, 95.0)) == pytest.approx(
@@ -352,7 +352,7 @@ def test_verdict_origin_overflow_is_indeterminate(constant_state, monkeypatch):
     # indeterminate with its reason, and the frames' Liouville check shows
     def overflow(evaluator, R=None):
         evaluator.frame(0.01)
-        complex(evans.EvansValue(1.0, 800.0))
+        evans.EvansValue(1.0, 800.0).ratio(evans.EvansValue(1.0, 0.0))
 
     monkeypatch.setattr(evans, "first_unstable",
                         lambda problem, N, n_xi, r0, tol: (0.0, 0))

@@ -378,6 +378,25 @@ def test_limit_wave_x0_045_frozen():
     assert lp.c0 == pytest.approx(0.06358999881189556, rel=1e-9, abs=0.0)
 
 
+def test_limit_wave_raises_when_its_final_solve_fails(monkeypatch):
+    # the X0 = 0.25 wave is tightened to _LIMIT_TOL after its rough solve;
+    # an iterate at the rounding floor would be kept, so a raise there is a
+    # real failure and reaches the caller instead of the rough wave
+    newton = prof._limit_newton
+    tight = []
+
+    def failing(a, q0, c0, X0, nu, tol):
+        if tol == prof._LIMIT_TOL:
+            tight.append(X0)
+            raise prof.NonConvergence("forced", 1.0)
+        return newton(a, q0, c0, X0, nu, tol)
+
+    monkeypatch.setattr(prof, "_limit_newton", failing)
+    with pytest.raises(prof.NonConvergence):
+        prof.limit_profile_alpha_m2(0.4, 0.25)
+    assert tight == [0.25]
+
+
 def _count_walks(monkeypatch):
     """Wrap the onset walk of the limit solve; returns the X0 of each walk."""
     walks = []

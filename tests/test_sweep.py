@@ -34,6 +34,18 @@ def test_enumerate_grid_family_order():
     assert pts[0]["X0"] == pytest.approx(7.0 / 16.0)
 
 
+def test_enumerate_grid_explicit_q_order():
+    # the explicit-q route: F-major, then q, then X, each point carrying
+    # its family coordinates q0 = q / F and X0 = X / F^2
+    pts = sweep.enumerate_grid({"nu": 0.1, "q": [1.6, 2.0], "F": [4.0, 5.0],
+                                "X": 7.0})
+    assert [(p["F"], p["q"], p["X"]) for p in pts] == [
+        (4.0, 1.6, 7.0), (4.0, 2.0, 7.0), (5.0, 1.6, 7.0), (5.0, 2.0, 7.0)]
+    assert all(p["alpha"] == -2.0 and p["nu"] == 0.1 for p in pts)
+    assert [p["q0"] for p in pts] == [0.4, 0.5, 1.6 / 5.0, 0.4]
+    assert [p["X0"] for p in pts] == [7.0 / 16.0] * 2 + [7.0 / 25.0] * 2
+
+
 def test_enumerate_grid_validation():
     with pytest.raises(DomainError):
         sweep.enumerate_grid({"F": 4.0, "X": 7.0})        # no q/q0
@@ -100,6 +112,23 @@ def test_store_drops_torn_final_line(tmp_path):
     path.write_text("{\n" + first.to_json() + "\n")
     with pytest.raises(ValueError):
         sweep.ResultStore(str(path))
+
+
+def test_store_completes_a_final_line_without_newline(tmp_path):
+    # a whole record that lost only its newline is kept, and the newline is
+    # written so the next append starts a line of its own
+    path = tmp_path / "s.jsonl"
+    first = _stub_record(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 7.0))
+    second = _stub_record(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 8.0))
+    path.write_text(first.to_json() + "\n" + second.to_json())
+    store = sweep.ResultStore(str(path))
+    assert [r.key for r in store.records] == [first.key, second.key]
+    assert path.read_text() == first.to_json() + "\n" + second.to_json() + "\n"
+    third = _stub_record(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 9.0))
+    store.append(third)
+    again = sweep.ResultStore(str(path))
+    assert [r.key for r in again.records] == [first.key, second.key,
+                                              third.key]
 
 
 def test_evaluate_point_records_only_numeric_failures():

@@ -340,7 +340,7 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
     return x[:n], float(x[n]), float(x[n + 1])
 
 
-_LIMIT_TOL = 1e-10      # final residual of the limiting wave
+_LIMIT_TOL = 1e-10      # residual the limit wave's final solve aims at
 _LIMIT_ROUGH = 1e-8     # residual of the walk and continuation steps
 _LIMIT_N0 = 256         # grid the limit walk starts on and the descent from
                         # it runs on, unless the wave needs a finer one
@@ -458,7 +458,8 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
     point, the starting one first, has its grid doubled while the spectral
     tail is unresolved: a converged but unresolved iterate is a spurious
     discrete solution.  The wave is then refined to at least n nodes (never
-    coarsened) and its residual tightened to _LIMIT_TOL.
+    coarsened) and, above _LIMIT_TOL, solved once more toward it: Newton
+    may stop at G's rounding floor instead, 1e-8 max(1, (n / 256)^2).
     """
     q0, nu, X_from = prof.q0, prof.nu, prof.X0
 

@@ -194,8 +194,7 @@ def enumerate_grid(spec: dict) -> list[dict]:
 
 def default_solver(point: dict) -> WaveProfile:
     """Profile solve for one grid point on the alpha = -2 family."""
-    if point["alpha"] != -2.0:
-        raise DomainError("default solver covers only alpha = -2")
+    _require_family(point["alpha"])
     return profile_from_limit(point["q0"], point["X0"], point["F"],
                               nu=point["nu"], n=_PROFILE_N, tol=1e-10)
 

@@ -456,6 +456,58 @@ def test_verdict_reports_evans_counters(constant_state, monkeypatch):
         rep.max_jump for rep in reports)
 
 
+def _verdict_on_expansion(wave, monkeypatch, alpha, beta):
+    """The verdict on `wave` past a Hill scan that finds nothing, with the
+    origin expansion stubbed to the given alpha and beta."""
+    def stub(evaluator, R=None):
+        return evans.OriginExpansion(
+            c=np.zeros((4, 4), dtype=complex), alpha=np.array(alpha),
+            beta=np.array(beta), R=R, reality_error=0.0,
+            representation_residual=0.0)
+
+    monkeypatch.setattr(evans, "first_unstable",
+                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
+    monkeypatch.setattr(evans, "origin_taylor", stub)
+    return evans.verdict(wave)
+
+
+def test_verdict_near_coincident_slopes_are_indeterminate(constant_state,
+                                                         monkeypatch):
+    # |alpha1 - alpha2| = 1e-6 < 1e-4 max|alpha|: H1 is undecided, and the
+    # verdict answers before it sets D1-D3
+    v = _verdict_on_expansion(constant_state, monkeypatch,
+                              [0.1j, 0.1j * (1.0 + 1e-5)], [-0.5, -0.5])
+    assert v.overall == "indeterminate"
+    assert v.reason == ("near-coincident origin slopes: |alpha1 - alpha2| "
+                        "= 1.000e-06 < 0.0001 * 1.000e-01")
+    assert v.witness is None
+    assert [v.conditions[k] for k in ("D1", "D2", "D3", "H1")] == [None] * 4
+
+
+def test_verdict_off_axis_slope_pair_fails_d2(constant_state, monkeypatch):
+    # alpha = +-7e-6 + 0.1i: each |Re alpha| is within 1e-4 |alpha|, but
+    # (alpha1 - alpha2)^2 = 1.96e-10 > 0 puts the pair off the imaginary
+    # axis, whatever beta says
+    v = _verdict_on_expansion(constant_state, monkeypatch,
+                              [-7e-6 + 0.1j, 7e-6 + 0.1j], [-0.5, -0.5])
+    assert v.overall == "unstable"
+    assert v.witness.startswith("origin expansion: alpha = ")
+    assert v.conditions["D2"] is False
+    assert v.conditions["H1"] is True
+
+
+@pytest.mark.parametrize("beta, text", [([0.5, -0.5], "witness"),
+                                        ([1e-9, -0.5], "reason")])
+def test_verdict_prints_plain_floats(constant_state, monkeypatch, beta, text):
+    # Re beta reaches the origin witness and the margin reason as plain
+    # floats, never as numpy 2's np.float64(...) repr
+    v = _verdict_on_expansion(constant_state, monkeypatch,
+                              [0.1j, 0.2j], beta)
+    printed = getattr(v, text)
+    assert f"Re beta = [{beta[0]!r}, -0.5]" in printed
+    assert "np.float64" not in printed
+
+
 def test_polish_root_past_the_double_range_raises():
     # a Mueller step whose |D| is beyond the double range relative to the
     # seeds is no root estimate; it raises rather than continuing clamped

@@ -379,9 +379,10 @@ def test_limit_wave_x0_045_frozen():
 
 
 def test_limit_wave_raises_when_its_final_solve_fails(monkeypatch):
-    # the X0 = 0.25 wave is tightened to _LIMIT_TOL after its rough solve;
-    # an iterate at the rounding floor would be kept, so a raise there is a
-    # real failure and reaches the caller instead of the rough wave
+    # the X0 = 0.25 wave is solved once more toward _LIMIT_TOL after its
+    # rough solve; that solve keeps an iterate at the rounding floor, so a
+    # raise there is a real failure and reaches the caller instead of the
+    # rough wave
     newton = prof._limit_newton
     tight = []
 

@@ -64,6 +64,12 @@ def test_family_point_requires_alpha_m2():
         sweep.family_point(-1.0, 4.0, 0.1, 0.4, 7.0)
 
 
+def test_default_solver_requires_alpha_m2():
+    point = dict(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 7.0), alpha=-1.0)
+    with pytest.raises(DomainError, match="alpha = -1.0"):
+        sweep.default_solver(point)
+
+
 def test_record_json_roundtrip_excludes_timing():
     pt = sweep.family_point(-2.0, 4.0, 0.1, 0.4, 7.0)
     rec = _stub_record(pt)

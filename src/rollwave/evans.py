@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier
-from .hill import first_unstable
+from .hill import checked_scan
 from .hill import spectrum  # unused; bench/tracing.py wraps evans.spectrum
 from .linearize import SpectralProblem, bloch_coeffs
 from .model import DomainError, slope_margin
@@ -562,6 +562,7 @@ class ContourReport:
     lam: np.ndarray
     values: list[EvansValue] = field(repr=False)
     winding: int = 0
+    winding_error: float = 0.0   # |w - winding| of the accumulated argument
     max_jump: float = 0.0
     refinements: int = 0
     perturbed: bool = False
@@ -574,6 +575,7 @@ class ContourReport:
             "values": [[v.mantissa.real, v.mantissa.imag, v.exponent]
                        for v in self.values],
             "winding": self.winding,
+            "winding_error": self.winding_error,
             "max_jump": self.max_jump,
             "refinements": self.refinements,
             "perturbed": self.perturbed,
@@ -666,8 +668,8 @@ def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
     ts, lam, _ = zip(*points)
     return ContourReport(contour=contour, xi=xi, t=np.asarray(ts),
                          lam=np.asarray(lam), values=vals, winding=int(wi),
-                         max_jump=max(jumps), refinements=refinements,
-                         perturbed=perturbed)
+                         winding_error=abs(w - wi), max_jump=max(jumps),
+                         refinements=refinements, perturbed=perturbed)
 
 
 def winding_sweep(evaluator: EvansEvaluator, contour: Contour,
@@ -925,7 +927,6 @@ _HILL_TOL = 1e-7        # Hill instability threshold away from the origin
 _N_XI_WINDING = 6       # Floquet subsample for the winding check
 _DISTINCT_TOL = 1e-4    # relative |alpha1 - alpha2| below which H1 is undecided
 _BETA_MARGIN = 1e-8     # |Re beta| below this is indeterminate
-_HILL_N = 60            # Hill truncation: Fourier modes |j| <= _HILL_N
 _HILL_XI = 48           # Floquet samples of the Hill scan
 _WINDING_R = 0.2        # radius of the right-half-plane winding semicircle
 
@@ -949,17 +950,23 @@ class StabilityVerdict:
 def verdict(profile: WaveProfile) -> StabilityVerdict:
     """Stability classification of a periodic wave.
 
-    Combines the Hill scan (truncation _HILL_N, _HILL_XI Floquet samples)
+    Combines the Hill scan (`hill.checked_scan` on _HILL_XI Floquet samples)
     outside twice _origin_radius(X), plus right-half-plane winding checks
     on the semicircle of radius _WINDING_R (D1), the origin Taylor
     expansion (D2: Re beta < 0 with alpha on the imaginary axis; D3: double
     root at the origin), and slope distinctness (H1).  One number judges
     the alpha pair: with delta = alpha1 - alpha2, H1 is undecided, and the
     answer indeterminate, when |delta| < _DISTINCT_TOL max|alpha|; past
-    that, delta^2 > 0 (a pair +-a + ib) fails D2.  The Hill scan stops
-    at its first unstable row, so the diagnostics' hill_max_real and
-    hill_eigensolves cover the rows solved: every row on a wave it does not
-    find unstable.  The technical
+    that, delta^2 > 0 (a pair +-a + ib) fails D2.  The Hill scan picks its
+    truncation N from the coefficients' Fourier tails and stops at its first
+    unstable row; the deciding row is re-solved at 3N/2, and the scan is
+    repeated at 3N/2 until the two agree.  The diagnostics report hill_N
+    (the N that decided), hill_max_real (the largest Re lambda over the
+    rows solved at hill_N: every row on a wave it does not find unstable),
+    hill_check (the deciding row's at 3N/2) and hill_eigensolves (every
+    Hill eigensolve, checks and rescans included).  When N would pass
+    hill._N_CAP first, the answer is indeterminate with both mu and both N
+    in the reason.  The technical
     slope condition 2 nu u_x < F^-2 is evaluated and reported but does not
     enter the overall spectral verdict: it concerns the nonlinear
     (Kawashima-type damping) argument and fails for every wave once F is
@@ -967,8 +974,9 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
     a frame it reads fails its Liouville check (UntrustedFrames) or the
     origin expansion is unavailable.  Once Evans runs, the diagnostics
     carry its step cap, steps per frame and worst Liouville error, and
-    after the winding checks their refinement rounds (summed over xi) and
-    largest relative jump.
+    after the winding checks their refinement rounds (summed over xi),
+    largest relative jump and largest distance of a winding from its
+    integer (winding_max_error, below 0.25 on every accepted contour).
     """
     conditions: dict[str, bool | None] = {
         "D1": None, "D2": None, "D3": None, "H1": None, "slope": None}
@@ -987,10 +995,15 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
     conditions["slope"] = margin > 0.0
 
     X = problem.period
-    mu, solves = first_unstable(problem, _HILL_N, _HILL_XI,
-                                2.0 * _origin_radius(X), _HILL_TOL)
+    scan = checked_scan(problem, _HILL_XI, 2.0 * _origin_radius(X),
+                        _HILL_TOL)
+    mu = scan.mu
     diag["hill_max_real"] = mu
-    diag["hill_eigensolves"] = solves
+    diag["hill_eigensolves"] = scan.solves
+    diag["hill_N"] = scan.N
+    diag["hill_check"] = scan.check
+    if scan.reason is not None:
+        return answer("indeterminate", reason=scan.reason)
     if mu > _HILL_TOL:
         conditions["D1"] = False
         return answer("unstable",
@@ -1039,6 +1052,7 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
     diag["windings"] = windings
     diag["winding_refinements"] = sum(rep.refinements for rep in reports)
     diag["winding_max_jump"] = max(rep.max_jump for rep in reports)
+    diag["winding_max_error"] = max(rep.winding_error for rep in reports)
     diag["frames_computed"] = evaluator.frames_computed
     if any(w != 0 for w in windings):
         conditions["D1"] = False

@@ -5,6 +5,11 @@ products with the 2N + 1 retained modes are alias-free; each block becomes a
 Toeplitz-like convolution matrix weighted by the Bloch symbol
 (i (xi + 2 pi l / X))^order of its derivative factor.  The convolution
 matrices do not depend on xi and are built once per truncation.
+
+`checked_scan` picks the truncation from the wave: N covers half the last
+Fourier mode of any coefficient above _TAIL_TOL of that coefficient's
+largest (the convolution matrices carry the modes |j - l| <= 2N), and the
+deciding Floquet row is re-solved at 3N/2 to check the answer.
 """
 
 from __future__ import annotations
@@ -167,7 +172,7 @@ def _require_real(op: OperatorForm) -> None:
 
 
 def _solved_rows(problem: SpectralProblem, N: int, n_xi: int):
-    """(k, eigenvalues) of each row `spectrum` eigensolves, in its order.
+    """(k, xi, eigenvalues) of each row `spectrum` eigensolves, in its order.
 
     Row k = 0 (xi = -pi/X) comes first, then xi > 0 ascending; the rows
     with xi < 0 are left to mirroring, which needs real coefficients.
@@ -176,7 +181,7 @@ def _solved_rows(problem: SpectralProblem, N: int, n_xi: int):
     trunc = truncate(problem, N)
     for k, x in zip(_xi_indices(n_xi), default_xi_grid(problem.period, n_xi)):
         if k == 0 or 2 * k > n_xi:
-            yield k, eigenvalues(trunc, N, x)
+            yield k, x, eigenvalues(trunc, N, x)
 
 
 def spectrum(problem: SpectralProblem, N: int, n_xi: int = 64) -> SpectralCloud:
@@ -187,7 +192,7 @@ def spectrum(problem: SpectralProblem, N: int, n_xi: int = 64) -> SpectralCloud:
     xi_{n_xi - k} holds the conjugates of row k.  Deterministic: eigenvalues
     per xi are sorted, xi order preserved.
     """
-    solved = dict(_solved_rows(problem, N, n_xi))
+    solved = {k: evs for k, _, evs in _solved_rows(problem, N, n_xi)}
     eigs = [solved[k] if k in solved else _sorted(np.conj(solved[n_xi - k]))
             for k in _xi_indices(n_xi)]
     return SpectralCloud(kind=problem.kind, N=N,
@@ -213,19 +218,100 @@ def max_unstable(cloud: SpectralCloud, r0: float = 0.0) -> float:
 
 
 def first_unstable(problem: SpectralProblem, N: int, n_xi: int, r0: float,
-                   tol: float) -> tuple[float, int]:
-    """(mu, solves): `max_unstable` over the rows solved until one exceeds tol.
+                   tol: float) -> tuple[float, int, float]:
+    """(mu, solves, xi): `max_unstable` over the rows solved until one
+    exceeds tol, and the Floquet parameter of the row that attains mu.
 
     Rows are solved in `spectrum`'s order and the scan stops after the
-    first whose largest real part (|lambda| > r0) is above tol.  A mirrored
-    row has its partner's moduli and real parts, so on a spectrum with no
-    such row mu is bitwise max_unstable(spectrum(problem, N, n_xi), r0)
-    and solves is that spectrum's eigensolves.
+    first whose largest real part (|lambda| > r0) is above tol, which is
+    then the row of mu.  A mirrored row has its partner's moduli and real
+    parts, so on a spectrum with no such row mu is bitwise
+    max_unstable(spectrum(problem, N, n_xi), r0) and solves is that
+    spectrum's eigensolves.
     """
-    best, solves = -np.inf, 0
-    for _, evs in _solved_rows(problem, N, n_xi):
+    best, solves, xi_best = -np.inf, 0, None
+    for _, x, evs in _solved_rows(problem, N, n_xi):
         solves += 1
-        best = max(best, _max_real(evs, r0))
+        row = _max_real(evs, r0)
+        if xi_best is None or row > best:
+            best, xi_best = row, float(x)
         if best > tol:
             break
-    return best, solves
+    return best, solves, xi_best
+
+
+# The truncation rule of `checked_scan`: the last Fourier mode kept in a
+# coefficient's tail, relative to its largest mode; the least and the most
+# modes |l| <= N a scan may use; the relative agreement with the row
+# re-solved at 3N/2 that accepts N.
+_TAIL_TOL = 1e-8
+_N_FLOOR = 16
+_N_CAP = 120
+_CHECK_TOL = 1e-3
+
+
+def _tail_mode(coeff: np.ndarray) -> int:
+    """Last Fourier mode |k| of a sampled coefficient above _TAIL_TOL of
+    its largest mode; 0 for a coefficient that is zero."""
+    chat = np.abs(fourier.fourier_coeffs(np.asarray(coeff)))
+    if not chat.max() > 0.0:
+        return 0
+    k = np.abs(np.rint(np.fft.fftfreq(len(chat), d=1.0 / len(chat))))
+    return int(k[chat > _TAIL_TOL * chat.max()].max())
+
+
+def _truncation_size(problem: SpectralProblem) -> int:
+    """Starting N of `checked_scan`: half the largest `_tail_mode` of the
+    operator's sampled coefficients, rounded up to a multiple of 4 and
+    held within [_N_FLOOR, _N_CAP]."""
+    op = problem.operator
+    K = max((_tail_mode(coeff) for terms in (op.M1, op.M2 or {})
+             for termlist in terms.values() for _, coeff in termlist
+             if not np.isscalar(coeff)), default=0)
+    N = 4 * -(-K // 8)
+    return min(max(N, _N_FLOOR), _N_CAP)
+
+
+@dataclass(frozen=True)
+class HillScan:
+    """A `first_unstable` scan at N with its deciding row re-solved at 3N/2.
+
+    reason is None when the two agree; otherwise it says why no N up to
+    _N_CAP gave a checked answer, and N is the last one scanned.
+    """
+
+    mu: float
+    N: int
+    check: float                 # mu of the deciding row at 3N/2
+    solves: int                  # every eigensolve: scans and checks
+    reason: str | None = None
+
+
+def checked_scan(problem: SpectralProblem, n_xi: int, r0: float,
+                 tol: float) -> HillScan:
+    """`first_unstable` at the truncation the wave needs, checked.
+
+    Starts at _truncation_size(problem) and re-solves the deciding row (the
+    first unstable one, else the row of mu) at 3N/2.  The answer is
+    accepted when that row's mu agrees to _CHECK_TOL relative and lies on
+    the same side of tol; otherwise the scan is repeated at 3N/2.  Once N
+    would pass _N_CAP the scan gives up, with a reason naming both mu and
+    both N.  Every eigensolve goes through `eigenvalues`.
+    """
+    N, solves = _truncation_size(problem), 0
+    while True:
+        mu, rows, xi = first_unstable(problem, N, n_xi, r0, tol)
+        M = 3 * N // 2
+        check = _max_real(eigenvalues(problem, M, xi), r0)
+        solves += rows + 1
+        if abs(mu - check) <= _CHECK_TOL * abs(mu) and \
+                (mu > tol) == (check > tol):
+            return HillScan(mu=mu, N=N, check=check, solves=solves)
+        if M > _N_CAP:
+            return HillScan(
+                mu=mu, N=N, check=check, solves=solves,
+                reason=f"Hill truncation unresolved: max Re lambda "
+                       f"{mu:.6e} at N = {N} against {check:.6e} at N = {M} "
+                       f"(xi = {xi:.6g}), and N = {M} passes the cap "
+                       f"{_N_CAP}")
+        N = M

@@ -276,8 +276,9 @@ def kdvks_scan(delta: float, X: float) -> tuple[float, int]:
     """(mu, solves) of `hill.first_unstable` on the period-X wave: the
     largest growth rate over the rows solved until one exceeds
     STABLE_GROWTH_TOL, and the number of those rows."""
-    return hill.first_unstable(_kdvks_problem(delta, X), _KDVKS_N, _KDVKS_XI,
-                               0.0, STABLE_GROWTH_TOL)
+    mu, solves, _ = hill.first_unstable(_kdvks_problem(delta, X), _KDVKS_N,
+                                        _KDVKS_XI, 0.0, STABLE_GROWTH_TOL)
+    return mu, solves
 
 
 def kdvks_stable(delta: float, X: float) -> bool:

@@ -138,17 +138,19 @@ def test_criterion_6_winding_replication(f10_x50_wave):
     band = np.linspace(np.pi / (10.0 * X), np.pi / X, 21)
     xis = np.concatenate([-band[::-1], band])
     assert len(xis) == 42
-    windings, max_pts, max_jump = [], 0, 0.0
+    windings, max_pts, max_jump, max_error = [], 0, 0.0, 0.0
     for xi in xis:
         rep = evans.winding_number(ev, contour, float(xi))
         windings.append(rep.winding)
         max_pts = max(max_pts, len(rep.lam))
         max_jump = max(max_jump, rep.max_jump)
+        max_error = max(max_error, rep.winding_error)
     ok = (all(wd == 0 for wd in windings)
           and max_jump <= 0.2
           and max_pts <= 3 * 277)
     _report(6, ok, f"42 windings all zero: {set(windings) == {0}}, "
                    f"max jump {max_jump:.4f} (<= 0.2), "
+                   f"max |w - round(w)| {max_error:.1e} (< 0.25), "
                    f"max {max_pts} points/contour (budget {3 * 277})")
 
 

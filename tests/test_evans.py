@@ -1,5 +1,6 @@
 """Periodic Evans function: monodromy, winding numbers, origin expansion."""
 
+import cmath
 import dataclasses
 import math
 
@@ -209,6 +210,28 @@ def test_winding_counts_roots(const_problem, constant_state):
     assert rep0.max_jump <= 0.2
 
 
+def test_winding_error_is_the_distance_to_the_integer(const_problem,
+                                                      constant_state):
+    # the report's winding_error recomputes from its own values: the
+    # argument increments of D between closed-contour neighbours, summed,
+    # over 2 pi, against the integer it rounds to
+    p = constant_state.params
+    xi = 0.23
+    lam0 = max(linearize.constant_dispersion(p, p.tau0, xi)[0],
+               key=lambda z: z.real)
+    ev = evans.EvansEvaluator(const_problem)
+    for center, winding in ((lam0, 1), (lam0 + 0.3 + 0.4j, 0)):
+        rep = evans.winding_number(
+            ev, evans.Contour(kind="circle", radius=1e-2, center=center), xi)
+        vals = rep.values
+        total = sum(cmath.phase(b.ratio(a))
+                    for a, b in zip(vals, vals[1:] + vals[:1]))
+        w = total / (2.0 * np.pi)
+        assert rep.winding == winding
+        assert rep.winding_error == abs(w - winding) < 0.25
+        assert rep.to_dict()["winding_error"] == rep.winding_error
+
+
 def test_origin_double_root(fig1c_problem):
     exp = evans.origin_taylor(evans.EvansEvaluator(fig1c_problem))
     assert exp.double_root_ok
@@ -332,19 +355,77 @@ def test_verdict_on_constant_state(constant_state):
     assert v.overall == "unstable"
     assert v.to_dict()["overall"] == "unstable"
     # the Hill scan stops at its first unstable row: k = 0 (xi = -pi/X),
-    # then xi > 0 ascending, at the verdict's N = 60, n_xi = 48
+    # then xi > 0 ascending, at the rule's N (the floor, 16, for constant
+    # coefficients) and n_xi = 48; that row is re-solved at 3N/2 = 24
     sp = linearize.bloch_coeffs(constant_state)
     X = sp.period
+    N = hill._truncation_size(sp)
     grid = hill.default_xi_grid(X, 48)
     r0 = 2.0 * 1e-2 * (2.0 * np.pi / X)
+
+    def row(n_modes, xi):
+        lam = hill.eigenvalues(sp, n_modes, xi)
+        return float(np.max(lam[np.abs(lam) > r0].real))
+
     rows = []
     for xi in [grid[0], *grid[grid > 0]]:
-        lam = hill.eigenvalues(sp, 60, xi)
-        rows.append(float(np.max(lam[np.abs(lam) > r0].real)))
+        rows.append(row(N, xi))
         if rows[-1] > evans._HILL_TOL:
             break
-    assert v.diagnostics["hill_eigensolves"] == len(rows)
+    assert v.diagnostics["hill_N"] == N == 16
+    assert v.diagnostics["hill_eigensolves"] == len(rows) + 1
     assert v.diagnostics["hill_max_real"] == max(rows) > evans._HILL_TOL
+    assert v.diagnostics["hill_check"] == row(3 * N // 2, xi)
+
+
+def test_verdict_unresolved_hill_truncation_is_indeterminate(constant_state,
+                                                             monkeypatch):
+    # a deciding row whose mu moves by 1/(3N) relative between N and 3N/2
+    # fails every check: the scan goes 16, 24, 36, 54, 81, and the check at
+    # 121 would rescan past the cap of 120, so the verdict gives up before
+    # any Evans evaluator is built
+    solved = []
+
+    def drifting(problem, N, xi):
+        solved.append(N)
+        return np.array([-1.0 - 1.0 / N + 0.5j])
+
+    monkeypatch.setattr(hill, "eigenvalues", drifting)
+    v = evans.verdict(constant_state)
+    assert v.overall == "indeterminate"
+    assert v.reason == (
+        f"Hill truncation unresolved: max Re lambda {-1.0 - 1.0 / 81:.6e} "
+        f"at N = 81 against {-1.0 - 1.0 / 121:.6e} at N = 121 "
+        f"(xi = {hill.default_xi_grid(2.0 * np.pi, 48)[0]:.6g}), and "
+        f"N = 121 passes the cap 120")
+    assert v.diagnostics["hill_N"] == 81
+    assert v.diagnostics["hill_check"] == -1.0 - 1.0 / 121
+    assert v.diagnostics["hill_eigensolves"] == len(solved) == 5 * (24 + 1)
+    assert sorted(set(solved)) == [16, 24, 36, 54, 81, 121]
+    assert "evans_cap" not in v.diagnostics
+    assert [v.conditions[c] for c in ("D1", "D2", "D3", "H1")] == [None] * 4
+
+
+def test_hill_stage_on_the_f10_x50_wave(f10_x50_wave):
+    # the tail of this long wave reaches the Nyquist mode, so the scan
+    # starts at the cap; its answer is either checked at N <= 120 or
+    # unresolved, with a reason naming both N, and needs no Evans evaluator
+    sp = linearize.bloch_coeffs(f10_x50_wave)
+    scan = hill.checked_scan(sp, evans._HILL_XI,
+                             2.0 * evans._origin_radius(sp.period),
+                             evans._HILL_TOL)
+    assert scan.N == hill._truncation_size(sp) == 120
+    if scan.reason is None:
+        assert abs(scan.mu - scan.check) <= 1e-3 * abs(scan.mu)
+        assert (scan.mu > evans._HILL_TOL) == (scan.check > evans._HILL_TOL)
+    else:
+        assert scan.reason.startswith("Hill truncation unresolved")
+        assert "N = 120" in scan.reason and "N = 180" in scan.reason
+
+
+def _no_hill_instability(problem, n_xi, r0, tol):
+    """A checked Hill scan that finds nothing unstable."""
+    return hill.HillScan(mu=0.0, N=16, check=0.0, solves=0)
 
 
 def test_verdict_origin_overflow_is_indeterminate(constant_state, monkeypatch):
@@ -354,8 +435,7 @@ def test_verdict_origin_overflow_is_indeterminate(constant_state, monkeypatch):
         evaluator.frame(0.01)
         evans.EvansValue(1.0, 800.0).ratio(evans.EvansValue(1.0, 0.0))
 
-    monkeypatch.setattr(evans, "first_unstable",
-                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
+    monkeypatch.setattr(evans, "checked_scan", _no_hill_instability)
     monkeypatch.setattr(evans, "origin_taylor", overflow)
     v = evans.verdict(constant_state)
     assert v.overall == "indeterminate"
@@ -377,8 +457,7 @@ def test_verdict_untrusted_frame_is_indeterminate(constant_state,
             beta=np.array([0.5, -0.5]), R=R, reality_error=0.0,
             representation_residual=0.0)
 
-    monkeypatch.setattr(evans, "first_unstable",
-                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
+    monkeypatch.setattr(evans, "checked_scan", _no_hill_instability)
     monkeypatch.setattr(evans, "origin_taylor", untrusted)
     v = evans.verdict(constant_state)
     assert v.overall == "indeterminate"
@@ -418,8 +497,7 @@ def test_inaccurate_origin_expansion_is_refused(fig1c_problem, constant_state,
     def inaccurate(evaluator, R=None):
         raise info.value
 
-    monkeypatch.setattr(evans, "first_unstable",
-                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
+    monkeypatch.setattr(evans, "checked_scan", _no_hill_instability)
     monkeypatch.setattr(evans, "origin_taylor", inaccurate)
     v = evans.verdict(constant_state)
     assert v.overall == "indeterminate"
@@ -437,8 +515,7 @@ def test_verdict_reports_evans_counters(constant_state, monkeypatch):
             beta=np.array([-0.5, -0.5]), R=R, reality_error=0.0,
             representation_residual=0.0)
 
-    monkeypatch.setattr(evans, "first_unstable",
-                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
+    monkeypatch.setattr(evans, "checked_scan", _no_hill_instability)
     monkeypatch.setattr(evans, "origin_taylor", stable)
     v = evans.verdict(constant_state)
     sp = linearize.bloch_coeffs(constant_state)
@@ -454,6 +531,8 @@ def test_verdict_reports_evans_counters(constant_state, monkeypatch):
         rep.refinements for rep in reports) > 0
     assert v.diagnostics["winding_max_jump"] == max(
         rep.max_jump for rep in reports)
+    assert v.diagnostics["winding_max_error"] == max(
+        rep.winding_error for rep in reports)
 
 
 def _verdict_on_expansion(wave, monkeypatch, alpha, beta):
@@ -465,8 +544,7 @@ def _verdict_on_expansion(wave, monkeypatch, alpha, beta):
             beta=np.array(beta), R=R, reality_error=0.0,
             representation_residual=0.0)
 
-    monkeypatch.setattr(evans, "first_unstable",
-                        lambda problem, N, n_xi, r0, tol: (0.0, 0))
+    monkeypatch.setattr(evans, "checked_scan", _no_hill_instability)
     monkeypatch.setattr(evans, "origin_taylor", stub)
     return evans.verdict(wave)
 

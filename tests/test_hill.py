@@ -83,9 +83,10 @@ def test_first_unstable_stops_at_the_first_row_above_tol(constant_state,
     tol = 0.5 * (rows[0] + rows[1])
     assert rows[0] < tol < rows[1]
     hill_solves.clear()
-    mu, solves = hill.first_unstable(sp, N, n_xi, 0.0, tol)
+    mu, solves, xi = hill.first_unstable(sp, N, n_xi, 0.0, tol)
     assert solves == len(hill_solves) == 2
     assert mu == rows[1]
+    assert xi == hill_solves[-1] == grid[grid > 0][0]
 
 
 def test_first_unstable_scans_every_row_of_a_stable_problem(hill_solves):
@@ -96,9 +97,13 @@ def test_first_unstable_scans_every_row_of_a_stable_problem(hill_solves):
     cloud = hill.spectrum(sp, 8, n_xi=12)
     for r0 in (0.0, 1.5):
         hill_solves.clear()
-        mu, solves = hill.first_unstable(sp, 8, 12, r0, 1e-7)
+        mu, solves, xi = hill.first_unstable(sp, 8, 12, r0, 1e-7)
         assert solves == len(hill_solves) == cloud.eigensolves == 6
         assert mu == hill.max_unstable(cloud, r0) < -1.0
+        # xi is the first solved row that attains mu
+        rows = [hill._max_real(hill.eigenvalues(sp, 8, x), r0)
+                for x in list(hill_solves)]
+        assert xi == hill_solves[rows.index(mu)]
 
 
 def _set_distance(a, b):
@@ -184,3 +189,29 @@ def test_truncation_gives_the_problems_eigenvalues(fig1c_wave):
                               hill.eigenvalues(sp, 12, xi))
     with pytest.raises(DomainError):
         hill.eigenvalues(trunc, 13, 0.05)
+
+
+def test_constant_state_gets_the_floor(constant_state):
+    # constant coefficients have no tail: K = 0 gives the floor
+    sp = linearize.bloch_coeffs(constant_state)
+    assert hill._truncation_size(sp) == hill._N_FLOOR == 16
+
+
+@pytest.mark.parametrize("K, N", [(8, 16), (50, 28), (61, 32), (98, 52),
+                                  (300, 120)])
+def test_truncation_size_follows_the_coefficient_tail(K, N):
+    # a coefficient whose modes fall from 1 at k = 0 towards 1e-9 at
+    # |k| = K, where they are raised to 2e-8 and stop: its last mode above
+    # 1e-8 of the largest is K, so N = ceil(K/2) rounded up to a multiple
+    # of 4 and held within [16, 120]; constant and scalar coefficients add
+    # no tail
+    n = 1024
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    chat = np.where(k < K, 10.0 ** (-9.0 * k / K), 0.0)
+    chat[k == K] = 2e-8
+    coeff = np.fft.ifft(chat * n).real
+    op = OperatorForm(m=1, M1={(0, 0): [(2, 1.0), (1, coeff),
+                                        (0, np.full(n, 3.0))]})
+    sp = SpectralProblem(kind="test", period=5.0, operator=op)
+    assert hill._tail_mode(coeff) == K
+    assert hill._truncation_size(sp) == N

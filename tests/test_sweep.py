@@ -156,7 +156,8 @@ def test_evaluate_point_records_only_numeric_failures():
 
 
 def test_evaluate_point_meta_carries_the_diagnostics(monkeypatch):
-    diagnostics = {"hill_max_real": -1e-3, "hill_eigensolves": 24,
+    diagnostics = {"hill_N": 44, "hill_max_real": -1e-3,
+                   "hill_check": -1e-3, "hill_eigensolves": 25,
                    "evans_cap": 96, "alpha": [[0.0, 1.5], [0.0, -0.5]],
                    "beta": [[-0.2, 0.0], [-0.1, 0.0]], "windings": [0] * 6}
     monkeypatch.setattr(evans, "verdict", lambda wave: evans.StabilityVerdict(

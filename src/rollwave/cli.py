@@ -314,9 +314,11 @@ def _cmd_kdv(o: dict):
         X, k = o["X"], kdv_limit.k_of_period(o["X"])
     out = {"X": X, "k": k}
     if o["delta"] is not None:
-        mu, solves = kdv_limit.kdvks_scan(o["delta"], X)
-        out.update(delta=o["delta"], stable=mu <= kdv_limit.STABLE_GROWTH_TOL,
-                   hill_max_real=mu, hill_eigensolves=solves)
+        scan = kdv_limit.kdvks_scan(o["delta"], X)
+        out.update(delta=o["delta"],
+                   stable=scan.mu <= kdv_limit.STABLE_GROWTH_TOL,
+                   hill_max_real=scan.mu, hill_eigensolves=scan.solves,
+                   hill_N=scan.N, hill_check=scan.check)
     _atomic_write(o["out"], _json_text(out))
 
 

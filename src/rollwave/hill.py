@@ -6,7 +6,8 @@ Toeplitz-like convolution matrix weighted by the Bloch symbol
 (i (xi + 2 pi l / X))^order of its derivative factor.  The convolution
 matrices do not depend on xi and are built once per truncation.
 
-`checked_scan` picks the truncation from the wave: N covers half the last
+`checked_scan` picks the truncation from the wave for both stability
+answers, the St. Venant verdict and the KdV-KS check: N covers half the last
 Fourier mode of any coefficient above _TAIL_TOL of that coefficient's
 largest (the convolution matrices carry the modes |j - l| <= 2N), and the
 deciding Floquet row is re-solved at 3N/2 to check the answer.
@@ -205,29 +206,14 @@ def _max_real(evs: np.ndarray, r0: float) -> float:
     return float(np.max(keep.real)) if len(keep) else -np.inf
 
 
-def max_unstable(cloud: SpectralCloud, r0: float = 0.0) -> float:
-    """Largest real part over the cloud, excluding |lambda| <= r0.
-
-    With r0 > 0 this implements the away-from-origin part of condition (D1);
-    the origin neighborhood is the business of the Evans Taylor expansion.
-    """
-    best = -np.inf
-    for evs in cloud.eigs:
-        best = max(best, _max_real(evs, r0))
-    return best
-
-
 def first_unstable(problem: SpectralProblem, N: int, n_xi: int, r0: float,
                    tol: float) -> tuple[float, int, float]:
-    """(mu, solves, xi): `max_unstable` over the rows solved until one
-    exceeds tol, and the Floquet parameter of the row that attains mu.
+    """(mu, solves, xi): the largest Re lambda, |lambda| > r0, over the rows
+    solved until one exceeds tol; their number; the xi of mu's row.
 
-    Rows are solved in `spectrum`'s order and the scan stops after the
-    first whose largest real part (|lambda| > r0) is above tol, which is
-    then the row of mu.  A mirrored row has its partner's moduli and real
-    parts, so on a spectrum with no such row mu is bitwise
-    max_unstable(spectrum(problem, N, n_xi), r0) and solves is that
-    spectrum's eigensolves.
+    Rows are solved in `spectrum`'s order.  A mirrored row has its
+    partner's moduli and real parts, so with tol = inf, mu is bitwise the
+    largest over spectrum(problem, N, n_xi).  Only `checked_scan` calls it.
     """
     best, solves, xi_best = -np.inf, 0, None
     for _, x, evs in _solved_rows(problem, N, n_xi):
@@ -240,10 +226,11 @@ def first_unstable(problem: SpectralProblem, N: int, n_xi: int, r0: float,
     return best, solves, xi_best
 
 
-# The truncation rule of `checked_scan`: the last Fourier mode kept in a
-# coefficient's tail, relative to its largest mode; the least and the most
-# modes |l| <= N a scan may use; the relative agreement with the row
-# re-solved at 3N/2 that accepts N.
+# The truncation rule of `checked_scan`, for both the St. Venant verdict
+# and the KdV-KS check: the last Fourier mode kept in a coefficient's tail,
+# relative to its largest mode; the least and the most modes |l| <= N a
+# scan may use; the agreement with the row re-solved at 3N/2 that accepts
+# N, relative to max(|mu|, tol).
 _TAIL_TOL = 1e-8
 _N_FLOOR = 16
 _N_CAP = 120
@@ -287,16 +274,22 @@ class HillScan:
     reason: str | None = None
 
 
+class TruncationUnresolved(RuntimeError):
+    """No Hill truncation up to _N_CAP gave a checked answer."""
+
+
 def checked_scan(problem: SpectralProblem, n_xi: int, r0: float,
                  tol: float) -> HillScan:
     """`first_unstable` at the truncation the wave needs, checked.
 
     Starts at _truncation_size(problem) and re-solves the deciding row (the
     first unstable one, else the row of mu) at 3N/2.  The answer is
-    accepted when that row's mu agrees to _CHECK_TOL relative and lies on
-    the same side of tol; otherwise the scan is repeated at 3N/2.  Once N
-    would pass _N_CAP the scan gives up, with a reason naming both mu and
-    both N.  Every eigensolve goes through `eigenvalues`.
+    accepted when that row's mu agrees to _CHECK_TOL of max(|mu|, tol) (a
+    mu at the noise floor, as a stable KdV-KS wave's xi -> 0 tangency, can
+    do no better) and lies on the same side of tol; otherwise the scan is
+    repeated at 3N/2.  Once N would pass _N_CAP the scan gives up, with a
+    reason naming both mu and both N.  Every eigensolve goes through
+    `eigenvalues`.
     """
     N, solves = _truncation_size(problem), 0
     while True:
@@ -304,7 +297,7 @@ def checked_scan(problem: SpectralProblem, n_xi: int, r0: float,
         M = 3 * N // 2
         check = _max_real(eigenvalues(problem, M, xi), r0)
         solves += rows + 1
-        if abs(mu - check) <= _CHECK_TOL * abs(mu) and \
+        if abs(mu - check) <= _CHECK_TOL * max(abs(mu), tol) and \
                 (mu > tol) == (check > tol):
             return HillScan(mu=mu, N=N, check=check, solves=solves)
         if M > _N_CAP:

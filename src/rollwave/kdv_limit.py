@@ -191,11 +191,10 @@ def asymptotic_rollwave(delta: float, k: float, nu: float, n: int = 256):
                        residual_norm=res)
 
 
-# The KdV-KS classification: the wave's grid, the Hill truncation (modes
-# |j| <= N) and the Floquet grid, whose 48 solved rows are xi = -pi/X and
-# j pi/(48 X), j = 1..47.
+# The KdV-KS classification: the wave's grid and the Floquet grid, whose 48
+# solved rows are xi = -pi/X and j pi/(48 X), j = 1..47; `hill.checked_scan`
+# picks the Hill truncation.
 _KDVKS_WAVE_N = 512
-_KDVKS_N = 40
 _KDVKS_XI = 96
 
 # Largest growth rate that still counts as stable.  It absorbs the
@@ -267,18 +266,20 @@ def _kdvks_problem(delta: float, X: float) -> SpectralProblem:
 
 
 def kdvks_spectrum(delta: float, X: float) -> hill.SpectralCloud:
-    """Bloch spectrum of the period-X wave on the classification's grid;
-    no classification calls it, but the benchmark's tracer wraps it."""
-    return hill.spectrum(_kdvks_problem(delta, X), _KDVKS_N, _KDVKS_XI)
+    """Bloch spectrum of the period-X wave on the classification's grid at
+    the checked scan's first N; the benchmark's tracer wraps it."""
+    problem = _kdvks_problem(delta, X)
+    return hill.spectrum(problem, hill._truncation_size(problem), _KDVKS_XI)
 
 
-def kdvks_scan(delta: float, X: float) -> tuple[float, int]:
-    """(mu, solves) of `hill.first_unstable` on the period-X wave: the
-    largest growth rate over the rows solved until one exceeds
-    STABLE_GROWTH_TOL, and the number of those rows."""
-    mu, solves, _ = hill.first_unstable(_kdvks_problem(delta, X), _KDVKS_N,
-                                        _KDVKS_XI, 0.0, STABLE_GROWTH_TOL)
-    return mu, solves
+def kdvks_scan(delta: float, X: float) -> hill.HillScan:
+    """`hill.checked_scan` of the period-X wave against STABLE_GROWTH_TOL;
+    raises hill.TruncationUnresolved with the reason of an unresolved one."""
+    scan = hill.checked_scan(_kdvks_problem(delta, X), _KDVKS_XI, 0.0,
+                             STABLE_GROWTH_TOL)
+    if scan.reason is not None:
+        raise hill.TruncationUnresolved(scan.reason)
+    return scan
 
 
 def kdvks_stable(delta: float, X: float) -> bool:
@@ -288,4 +289,4 @@ def kdvks_stable(delta: float, X: float) -> bool:
     Newton raises on a NaN iterate, and `np.linalg.eigvals` raises LinAlgError
     on a non-finite matrix.
     """
-    return kdvks_scan(delta, X)[0] <= STABLE_GROWTH_TOL
+    return kdvks_scan(delta, X).mu <= STABLE_GROWTH_TOL

@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import evans
+from .hill import TruncationUnresolved
 from .kdv_limit import SolvabilityError
 from .model import DomainError
 from .profile import (ContinuationStalled, DegenerateJacobian, NonConvergence,
@@ -38,7 +39,7 @@ from .profile import (ContinuationStalled, DegenerateJacobian, NonConvergence,
 # Failures of the numerics rather than of the program: a sweep records them
 # as "failed" points and the CLI maps them to exit code 2.
 NUMERIC_ERRORS = (NonConvergence, ContinuationStalled, DegenerateJacobian,
-                  SolvabilityError, evans.EvansError)
+                  SolvabilityError, TruncationUnresolved, evans.EvansError)
 
 # Least grid points of every profile: profile_from_limit returns the larger
 # of this and the grid its limit wave resolved on, so a record's meta n may

@@ -157,7 +157,7 @@ def test_criterion_6_winding_replication(f10_x50_wave):
 def test_criterion_7_infinite_froude_instability():
     lp = prof.limit_profile_alpha_m2(0.4, 0.5, nu=0.1, n=512)
     sp = linearize.limit_matrices_alpha_m2(lp)
-    m_eval = [hill.max_unstable(hill.spectrum(sp, N=N, n_xi=24), r0=1e-4)
+    m_eval = [hill.first_unstable(sp, N, 24, 1e-4, math.inf)[0]
               for N in (40, 80)]
     eval_ok = (m_eval[0] > 0.0 and m_eval[1] > 0.0
                and abs(m_eval[1] - m_eval[0]) <= 0.05 * m_eval[0])
@@ -166,7 +166,7 @@ def test_criterion_7_infinite_froude_instability():
     for h_minus in (0.3, 0.5, 0.7):
         orbit = prof.ham_orbit(h_minus, n=512)
         spo = linearize.ham_limit_operator(orbit)
-        m = [hill.max_unstable(hill.spectrum(spo, N=N, n_xi=24), r0=1e-4)
+        m = [hill.first_unstable(spo, N, 24, 1e-4, math.inf)[0]
              for N in (40, 80)]
         ham_vals.append(m[1])
         ham_ok = ham_ok and m[0] > 0.0 and m[1] > 0.0 \

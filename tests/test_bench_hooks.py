@@ -49,3 +49,19 @@ def test_tracer_counts_the_verdicts_hill_solves(constant_state):
     solves = [name for _, _, name, _, _ in tracer.spans
               if name == "hill.eigensolve"]
     assert len(solves) == v.diagnostics["hill_eigensolves"] > 0
+
+
+def test_tracer_counts_the_kdvks_classifications_hill_solves():
+    # the onset workload's path: one classification, every row of its
+    # checked scan (scans and checks) through hill.eigenvalues
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer)
+        assert kdv_limit.kdvks_stable(0.05, 17.0)
+    finally:
+        tracer.restore()
+    assert tracer.counts["kdv_limit.classifications"] == 1
+    solves = [name for _, _, name, _, _ in tracer.spans
+              if name == "hill.eigensolve"]
+    assert len(solves) == kdv_limit.kdvks_scan(0.05, 17.0).solves > 0

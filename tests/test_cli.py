@@ -35,19 +35,35 @@ def test_kdv_stability_check(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["stable"] is True
     assert doc["hill_max_real"] <= 1e-7
-    assert doc["hill_eigensolves"] == 48
+    assert doc["hill_eigensolves"] == 98
+    # N = 16 failed its check, so N = 24 decided, checked at 36
+    assert doc["hill_N"] == 24
+    assert abs(doc["hill_check"] - doc["hill_max_real"]) <= 1e-3 * 1e-4
 
 
 def test_kdv_stability_check_unstable(tmp_path):
     # an unstable wave is an answer, not an error; its scan stops at the
-    # first unstable row, the second one solved
+    # first unstable row, the second one solved, and checks it at 3N/2
     out = tmp_path / "kdv.json"
     assert cli.main(["kdv", "--X", "7", "--delta", "0.05",
                      "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["stable"] is False
     assert doc["hill_max_real"] > 1e-7
-    assert doc["hill_eigensolves"] == 2
+    assert doc["hill_eigensolves"] == 3
+    assert doc["hill_N"] == 16
+    assert doc["hill_check"] > 1e-7
+    assert abs(doc["hill_check"] - doc["hill_max_real"]) \
+        <= 1e-3 * doc["hill_max_real"]
+
+
+def test_kdv_unresolved_truncation_exits_2(tmp_path, monkeypatch):
+    # no N up to the cap checks, so the wave gets no class and no file
+    monkeypatch.setattr(hill, "eigenvalues",
+                        lambda problem, N, xi: np.array([-1.0 - 1.0 / N]))
+    assert cli.main(["kdv", "--X", "17", "--delta", "0.05",
+                     "--out", str(tmp_path / "kdv.json")]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_limit_inf_ham_route(tmp_path):

@@ -64,11 +64,11 @@ def test_ham_limit_excludes_zero_floquet():
     assert np.all(np.isfinite(lam))
 
 
-def test_max_unstable_excludes_origin_ball(constant_state):
+def test_first_unstable_excludes_origin_ball(constant_state):
     sp = linearize.bloch_coeffs(constant_state)
-    cloud = hill.spectrum(sp, N=8, n_xi=4)
-    big = hill.max_unstable(cloud, r0=1e3)
+    big, solves, _ = hill.first_unstable(sp, 8, 4, 1e3, np.inf)
     assert big <= 0.0
+    assert solves == hill.spectrum(sp, N=8, n_xi=4).eigensolves
 
 
 def test_first_unstable_stops_at_the_first_row_above_tol(constant_state,
@@ -99,7 +99,9 @@ def test_first_unstable_scans_every_row_of_a_stable_problem(hill_solves):
         hill_solves.clear()
         mu, solves, xi = hill.first_unstable(sp, 8, 12, r0, 1e-7)
         assert solves == len(hill_solves) == cloud.eigensolves == 6
-        assert mu == hill.max_unstable(cloud, r0) < -1.0
+        assert mu == max(hill._max_real(evs, r0) for evs in cloud.eigs) \
+            < -1.0
+        assert hill.first_unstable(sp, 8, 12, r0, np.inf)[0] == mu
         # xi is the first solved row that attains mu
         rows = [hill._max_real(hill.eigenvalues(sp, 8, x), r0)
                 for x in list(hill_solves)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rollwave import fourier, kdv_limit
+from rollwave import fourier, hill, kdv_limit
 from rollwave.elliptic import elliptic_E, elliptic_K, jacobi_cn
 from rollwave.model import DomainError
 
@@ -116,15 +116,44 @@ def test_kdvks_translation_mode_near_zero():
 
 
 def test_kdvks_stable_band_midpoint(hill_solves):
-    # a classification solves rows only until one is unstable: X = 17 needs
-    # all 48, whose |xi| are j pi/(48 X), j = 1..48 (xi = -pi/X stands in
-    # for pi/X); X = 7 is decided by its second row, as -pi/X is stable
+    # a classification solves rows only until one is unstable, then
+    # re-solves the deciding row at 3N/2.  X = 17 starts at N = 16, whose
+    # check at 24 fails, so it scans all 48 rows twice (N = 16 and 24) with
+    # one check each; the |xi| of the final scan are j pi/(48 X),
+    # j = 1..48 (xi = -pi/X stands in for pi/X).  X = 7 is decided at
+    # N = 16 by its second row, as -pi/X is stable, and one check
     X = kdv_limit.period_of_k(kdv_limit.k_of_period(17.0))
     assert kdv_limit.kdvks_stable(0.05, 17.0)
-    assert len(hill_solves) == 48
-    np.testing.assert_allclose(np.sort(np.abs(hill_solves)),
+    assert len(hill_solves) == 98
+    np.testing.assert_allclose(np.sort(np.abs(hill_solves[49:97])),
                                np.linspace(np.pi / (48 * X), np.pi / X, 48),
                                rtol=1e-14, atol=0.0)
     hill_solves.clear()
     assert not kdv_limit.kdvks_stable(0.05, 7.0)
-    assert len(hill_solves) == 2
+    assert len(hill_solves) == 3
+
+
+def test_kdvks_scan_accepts_a_growth_rate_at_the_noise_floor():
+    # at X = 24 the first N = 20 reads a spurious 7.4e-6 on its first row,
+    # which the check at N = 30 corrects; at N = 30 the stable mu is the
+    # xi -> 0 tangency, ~1e-10, and agrees with its check to well under
+    # 1e-3 * STABLE_GROWTH_TOL though not to 1e-3 of itself
+    tol = kdv_limit.STABLE_GROWTH_TOL
+    problem = kdv_limit._kdvks_problem(0.05, 24.0)
+    assert hill._truncation_size(problem) == 20
+    scan = hill.checked_scan(problem, kdv_limit._KDVKS_XI, 0.0, tol)
+    assert scan.reason is None
+    assert (scan.N, scan.solves) == (30, 2 + 49)
+    assert abs(scan.mu) < 1e-9 and abs(scan.check) < 1e-9
+    assert 1e-3 * abs(scan.mu) < abs(scan.mu - scan.check) <= 1e-3 * tol
+
+
+def test_kdvks_unresolved_truncation_has_no_class(monkeypatch):
+    # a deciding row whose mu moves by 1/(3N) relative between N and 3N/2
+    # fails every check: the scan goes 16, 24, 36, 54, 81 and gives up
+    # before the check at 121 would pass the cap of 120
+    monkeypatch.setattr(hill, "eigenvalues",
+                        lambda problem, N, xi: np.array([-1.0 - 1.0 / N]))
+    with pytest.raises(hill.TruncationUnresolved,
+                       match=r"at N = 81 .* at N = 121 .* cap 120"):
+        kdv_limit.kdvks_stable(0.05, 17.0)

@@ -88,6 +88,9 @@ def _equation(tau, c, K, eps, nu, q, X):
             + tau * (q - eps * c * tau) ** 2 + c * nu * visc)
 
 
+_JAC_ROWS = 64          # rows of dG/dtau built at a time in _jacobian
+
+
 def _jacobian(tau, c, K, eps, nu, q, X, D1, borders):
     """Bordered Jacobian of G: dG/dtau and dG/dc filled, `borders` rows and
     columns left for the caller."""
@@ -95,23 +98,28 @@ def _jacobian(tau, c, K, eps, nu, q, X, D1, borders):
     dt = fourier.deriv(tau, X)
     u = q - eps * c * tau
     J = np.zeros((n + borders, n + borders))
-    # dG/dtau = c^2 D1 - diag(1/(K tau^3)) D1 + diag(...)
+    # dG/dtau = (c^2 - 1/(K tau^3)) D1 + diag(...)
     #           + c nu (D1 diag(tau^-2) D1 - 2 D1 diag(tau^-3 tau')),
-    # summed in that order in place, with one work matrix besides the
-    # viscous product
-    G = J[:n, :n]
-    tmp = np.multiply(D1, (tau ** -2)[None, :])
-    visc = tmp @ D1
-    np.multiply(2.0, D1, out=tmp)
-    tmp *= (tau ** -3 * dt)[None, :]
-    visc -= tmp
-    visc *= c * nu
-    np.multiply(c * c, D1, out=G)
-    np.multiply((1.0 / (K * tau ** 3))[:, None], D1, out=tmp)
-    G -= tmp
-    G[np.diag_indices(n)] += (3.0 * dt / (K * tau ** 4) + u ** 2
+    # written into J _JAC_ROWS rows at a time.  D1 is antisymmetric, so a
+    # row r of D1 diag(tau^-2) times D1 is -r': the viscous product is a
+    # derivative along the rows, taken by FFT without its Nyquist mode as
+    # in fourier.deriv.
+    mult = -c * nu * 1j * fourier.wavenumbers(n, X)[:n // 2 + 1]
+    if n % 2 == 0:
+        mult[n // 2] = 0.0
+    inv_sq = tau ** -2
+    row_scale = c * c - 1.0 / (K * tau ** 3)
+    col_scale = 2.0 * c * nu * tau ** -3 * dt
+    for a in range(0, n, _JAC_ROWS):
+        b = min(a + _JAC_ROWS, n)
+        rows = D1[a:b]
+        block = J[a:b, :n]
+        np.multiply(rows, inv_sq, out=block)
+        block[:] = np.fft.irfft(mult * np.fft.rfft(block, axis=1), n, axis=1)
+        block += row_scale[a:b, None] * rows
+        block -= rows * col_scale
+    J[np.diag_indices(n)] += (3.0 * dt / (K * tau ** 4) + u ** 2
                               - 2.0 * eps * c * tau * u)
-    G += visc
     J[:n, n] = (2.0 * c * dt - 2.0 * eps * tau ** 2 * u
                 + nu * fourier.deriv(tau ** -2 * dt, X))
     return J

@@ -155,6 +155,53 @@ def test_jacobian_matches_central_differences(limit_wave):
         assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
 
 
+def _wavy(n, X):
+    """A positive test profile with every Fourier mode present."""
+    x = fourier.grid(n, X)
+    noise = np.random.default_rng(n).standard_normal(n)
+    return (1.0 + 0.3 * np.cos(2.0 * np.pi * x / X)
+            + 0.1 * np.sin(4.0 * np.pi * x / X) + 1e-3 * noise)
+
+
+@pytest.mark.parametrize("n", [64, 200, 256])
+@pytest.mark.parametrize("borders", [1, 2])
+@pytest.mark.parametrize("coeffs", [(9.0, 1.0, 0.1, 1.2, 10.0),
+                                    (1.0, 0.0, 0.1, 0.4, 0.45)])
+def test_jacobian_rows_match_the_dense_product(n, borders, coeffs):
+    # the row-block build against dG/dtau written out with dense products
+    K, eps, nu, q, X = coeffs
+    tau, c = _wavy(n, X), 0.35
+    D1 = fourier.diff_matrix(n, X, 1)
+    J = prof._jacobian(tau, c, *coeffs, D1, borders)
+    dt = fourier.deriv(tau, X)
+    u = q - eps * c * tau
+    dense = (c * c * D1 - (1.0 / (K * tau ** 3))[:, None] * D1
+             + np.diag(3.0 * dt / (K * tau ** 4) + u ** 2
+                       - 2.0 * eps * c * tau * u)
+             + c * nu * ((D1 * tau ** -2) @ D1 - 2.0 * D1 * (tau ** -3 * dt)))
+    assert J.shape == (n + borders, n + borders)
+    assert np.max(np.abs(J[:n, :n] - dense)) <= 1e-13 * np.max(np.abs(J))
+    dc = (2.0 * c * dt - 2.0 * eps * tau ** 2 * u
+          + nu * fourier.deriv(tau ** -2 * dt, X))
+    assert np.array_equal(J[:n, n], dc)
+    # the border rows and every border column but dG/dc are the caller's
+    assert not np.any(J[n:]) and not np.any(J[:, n + 1:])
+
+
+def test_jacobian_allocates_no_dense_temporary():
+    import tracemalloc
+    n, coeffs = 512, (64.0, 1.0, 0.1, 3.2, 28.8)
+    tau = _wavy(n, coeffs[-1])
+    D1 = fourier.diff_matrix(n, coeffs[-1], 1)
+    tracemalloc.start()
+    try:
+        J = prof._jacobian(tau, 0.2, *coeffs, D1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * J.nbytes
+
+
 def test_limit_equation_is_the_large_F_limit(limit_wave):
     # on tau = a/F^2, c = c0 F^2, q = q0 F, X = X0 F^2 the physical residual
     # differs from the (K, eps) = (1, 0) one by a (q0 - c0 a/F)^2 - a q0^2,

@@ -225,6 +225,8 @@ def _cmd_spectrum(o: dict):
     _require(o, "in", "out")
     if o["modes"] < 3 or o["modes"] % 2 == 0:
         raise DomainError(f"--modes must be an odd count >= 3, got {o['modes']}")
+    if o["xi-points"] < 1:
+        raise DomainError(f"--xi-points must be >= 1, got {o['xi-points']}")
     w = _load_profile(o["in"])
     problem = linearize.bloch_coeffs(w)
     N = (o["modes"] - 1) // 2
@@ -246,6 +248,8 @@ def _xi_list(o: dict, X: float) -> list[float]:
     if o["xi"] is not None:
         return list(o["xi"])
     m = o["xi-band"]
+    if m < 1:
+        raise DomainError(f"--xi-band must be >= 1, got {m}")
     pos = np.linspace(np.pi / (10.0 * X), np.pi / X, m)
     return [float(v) for v in np.concatenate([-pos[::-1], pos])]
 

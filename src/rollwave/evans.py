@@ -283,10 +283,7 @@ class EvansEvaluator:
         # Magnus error density: the fourth-order local error scales like
         # h^5 ||A||^2 ||A''||, so equidistribute its fifth root; keep
         # h * ||A|| bounded as well so no single step spans a huge range
-        k = fourier.wavenumbers(self.n, self.X)
-        d2 = np.fft.ifft(-(k ** 2)[:, None, None]
-                         * np.fft.fft(self._A0 + self._A1, axis=0),
-                         axis=0).real
+        d2 = fourier.deriv(self._A0 + self._A1, self.X, 2)
         curv = np.abs(d2).sum(axis=2).max(axis=1)
         dens = (omega ** 2 * curv) ** 0.2
         # cap-independent floor so halving the cap always refines the grid

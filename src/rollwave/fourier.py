@@ -1,13 +1,14 @@
 """Fourier collocation utilities on uniform periodic grids.
 
 All grids are uniform over [0, X) with no endpoint duplication; node counts
-are powers of two so transforms never need padding logic.
+are powers of two so transforms never need padding logic.  Samples run along
+axis 0, and `deriv` and `interp` treat trailing axes alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 _INTERP_BLOCK = 512     # points per phase-matrix block in interp
 
@@ -23,26 +24,28 @@ def wavenumbers(n: int, period: float) -> np.ndarray:
 
 
 def deriv(values: np.ndarray, period: float, order: int = 1) -> np.ndarray:
-    """Spectral derivative of periodic samples."""
+    """Spectral derivative along axis 0; real samples go through rfft."""
     n = len(values)
-    k = wavenumbers(n, period)
-    mult = (1j * k) ** order
+    mult = (1j * wavenumbers(n, period)) ** order
     if order % 2 == 1 and n % 2 == 0:
         # Nyquist mode has no well-defined odd derivative; drop it.
         mult[n // 2] = 0.0
-    out = np.fft.ifft(mult * np.fft.fft(values))
-    return out.real if np.isrealobj(values) else out
+    mult = mult.reshape(n, *[1] * (values.ndim - 1))
+    if np.isrealobj(values):
+        return np.fft.irfft(mult[:n // 2 + 1] * np.fft.rfft(values, axis=0),
+                            n, axis=0)
+    return np.fft.ifft(mult * np.fft.fft(values, axis=0), axis=0)
 
 
 def diff_matrix(n: int, period: float, order: int = 1) -> np.ndarray:
-    """Dense trigonometric differentiation matrix.
+    """Trigonometric differentiation matrix as a read-only view, no copy.
 
-    Differentiation commutes with grid shifts, so the matrix is circulant
-    with first column the derivative of the unit sample e_0.
+    Differentiation commutes with grid shifts, so D[i, j] = col[(i - j) mod n]
+    with col the derivative of the unit sample e_0: windows onto two copies
+    of the reversed col.
     """
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    return scipy.linalg.circulant(deriv(e0, period, order))
+    col = deriv(np.eye(1, n)[0], period, order)
+    return sliding_window_view(np.tile(col[::-1], 2), n)[n - 1::-1]
 
 
 def quad(values: np.ndarray, period: float) -> float:

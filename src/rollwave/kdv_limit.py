@@ -120,7 +120,7 @@ def _derivative_floor(n: int, X: float, scale: float) -> float:
     """Rounding floor of a spectral fourth derivative on n nodes.
 
     Each Fourier mode of relative size eps is amplified by up to
-    (2 pi n / X)^4, so least-squares residuals of corrector equations
+    (pi n / X)^4, so least-squares residuals of corrector equations
     cannot be driven below this level however consistent the equation is.
     """
     return 64.0 * np.finfo(float).eps * (np.pi * n / X) ** 4 * max(1.0, scale)
@@ -215,9 +215,12 @@ def kdvks_wave(delta: float,
     (cnoidal seed, converged samples T, converged speed sigma).  Converging
     the wave matters: the Bloch spectrum about the truncated expansion splits
     the defective translation pair by O(delta), drowning the O(delta^2)
-    stability information.  Raises NonConvergence when Newton stops above
-    its tolerance, the rounding floor of the fourth derivative.
+    stability information.  Raises DomainError for delta <= 0, and
+    NonConvergence when Newton stops above 16 times the fourth derivative's
+    rounding floor.
     """
+    if delta <= 0.0:
+        raise DomainError(f"delta must be positive, got {delta}")
     n = _KDVKS_WAVE_N
     wave = cnoidal_profile(k, n=n)
     X = wave.X
@@ -245,10 +248,7 @@ def kdvks_wave(delta: float,
         J[n, :n] = dseed / n
         return J
 
-    # Fourth derivatives amplify rounding by (2 pi n / X)^4; the attainable
-    # residual floor scales accordingly.
-    tol = max(1e-11, 64.0 * np.finfo(float).eps * (2.0 * np.pi * n / X) ** 4
-              * max(1.0, np.max(np.abs(seed))))
+    tol = max(1e-11, 16.0 * _derivative_floor(n, X, np.max(np.abs(seed))))
     x, _ = _newton_solve(residual, jacobian, np.append(seed, wave.sigma0), tol,
                          lambda x: True)
     return wave, x[:n], float(x[n])

@@ -91,7 +91,7 @@ def _equation(tau, c, K, eps, nu, q, X):
 _JAC_ROWS = 64          # rows of dG/dtau built at a time in _jacobian
 
 
-def _jacobian(tau, c, K, eps, nu, q, X, D1, borders):
+def _jacobian(tau, c, K, eps, nu, q, X, borders):
     """Bordered Jacobian of G: dG/dtau and dG/dc filled, `borders` rows and
     columns left for the caller."""
     n = len(tau)
@@ -102,11 +102,8 @@ def _jacobian(tau, c, K, eps, nu, q, X, D1, borders):
     #           + c nu (D1 diag(tau^-2) D1 - 2 D1 diag(tau^-3 tau')),
     # written into J _JAC_ROWS rows at a time.  D1 is antisymmetric, so a
     # row r of D1 diag(tau^-2) times D1 is -r': the viscous product is a
-    # derivative along the rows, taken by FFT without its Nyquist mode as
-    # in fourier.deriv.
-    mult = -c * nu * 1j * fourier.wavenumbers(n, X)[:n // 2 + 1]
-    if n % 2 == 0:
-        mult[n // 2] = 0.0
+    # derivative along the rows.
+    D1 = fourier.diff_matrix(n, X, 1)
     inv_sq = tau ** -2
     row_scale = c * c - 1.0 / (K * tau ** 3)
     col_scale = 2.0 * c * nu * tau ** -3 * dt
@@ -115,7 +112,7 @@ def _jacobian(tau, c, K, eps, nu, q, X, D1, borders):
         rows = D1[a:b]
         block = J[a:b, :n]
         np.multiply(rows, inv_sq, out=block)
-        block[:] = np.fft.irfft(mult * np.fft.rfft(block, axis=1), n, axis=1)
+        np.multiply(fourier.deriv(block.T, X).T, -c * nu, out=block)
         block += row_scale[a:b, None] * rows
         block -= rows * col_scale
     J[np.diag_indices(n)] += (3.0 * dt / (K * tau ** 4) + u ** 2
@@ -195,14 +192,13 @@ def _locked_newton(G, seed, c, tol, coeffs):
     """
     n = len(seed)
     dseed = fourier.deriv(seed, coeffs[-1])
-    D1 = fourier.diff_matrix(n, coeffs[-1], 1)
 
     def residual(x):
         phase = float(np.mean((x[:n] - seed) * dseed))
         return np.concatenate([G(x[:n], x[n]), [phase]])
 
     def jacobian(x):
-        J = _jacobian(x[:n], x[n], *coeffs, D1, 1)
+        J = _jacobian(x[:n], x[n], *coeffs, 1)
         J[n, :n] = dseed / n
         return J
 
@@ -334,8 +330,7 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
 
     def jacobian(x):
         a, c0, X0 = x[:n], x[n], x[n + 1]
-        D1 = fourier.diff_matrix(n, X0, 1)
-        J = _jacobian(a, c0, 1.0, 0.0, nu, q0, X0, D1, 2)
+        J = _jacobian(a, c0, 1.0, 0.0, nu, q0, X0, 2)
         h = 1e-7 * X0
         J[:n, n + 1] = (_equation(a, c0, 1.0, 0.0, nu, q0, X0 + h)
                         - _equation(a, c0, 1.0, 0.0, nu, q0, X0 - h)) / (2.0 * h)

@@ -66,6 +66,13 @@ def test_kdv_unresolved_truncation_exits_2(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("delta", ["0", "-0.05"])
+def test_kdv_nonpositive_delta_exits_1(tmp_path, delta):
+    assert cli.main(["kdv", "--X", "17", "--delta", delta,
+                     "--out", str(tmp_path / "kdv.json")]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_limit_inf_ham_route(tmp_path):
     out = tmp_path / "ham.json"
     assert cli.main(["limit-inf", "--h-minus", "0.5", "--out", str(out)]) == 0
@@ -418,6 +425,23 @@ def test_spectrum_even_modes_exits_1(tmp_path, constant_state):
     pin.write_text(constant_state.to_json())
     assert cli.main(["spectrum", "--in", str(pin), "--modes", "40",
                      "--out", str(tmp_path / "s.csv")]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["const.json"]
+
+
+def test_spectrum_no_xi_points_exits_1(tmp_path, constant_state):
+    pin = tmp_path / "const.json"
+    pin.write_text(constant_state.to_json())
+    assert cli.main(["spectrum", "--in", str(pin), "--xi-points", "0",
+                     "--out", str(tmp_path / "s.csv")]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["const.json"]
+
+
+def test_evans_no_xi_band_exits_1(tmp_path, constant_state):
+    pin = tmp_path / "const.json"
+    pin.write_text(constant_state.to_json())
+    assert cli.main(["evans", "--in", str(pin), "--xi-band", "0",
+                     "--contour", "circle:c=0.1,r=0.01",
+                     "--out", str(tmp_path / "e.json")]) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["const.json"]
 
 

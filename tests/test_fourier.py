@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +48,48 @@ def test_diff_matrix_agrees_with_deriv():
     f = np.cos(x) + 0.3 * np.sin(4.0 * x)
     D = fourier.diff_matrix(32, X)
     assert np.max(np.abs(D @ f - fourier.deriv(f, X))) < 1e-12
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_deriv_runs_along_axis_0(order):
+    # trailing axes are differentiated alike, column by column, and a
+    # complex stack keeps the complex path
+    n, X = 64, 5.0
+    rng = np.random.default_rng(order)
+    stacks = [rng.standard_normal((n, 3, 3)),
+              rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))]
+    for values in stacks:
+        got = fourier.deriv(values, X, order)
+        assert got.shape == values.shape
+        assert np.iscomplexobj(got) == np.iscomplexobj(values)
+        cols = values.reshape(n, -1)
+        want = np.stack([fourier.deriv(cols[:, j], X, order)
+                         for j in range(cols.shape[1])], axis=1)
+        assert np.abs(got.reshape(n, -1) - want).max() \
+            <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [8, 64, 200, 256])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_diff_matrix_is_the_circulant_of_deriv(n, order):
+    X = 7.83
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    D = fourier.diff_matrix(n, X, order)
+    want = scipy.linalg.circulant(fourier.deriv(e0, X, order))
+    assert np.array_equal(D, want)
+    assert not D.flags.writeable
+
+
+def test_diff_matrix_copies_no_dense_matrix():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fourier.diff_matrix(1024, 7.83)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_quad_exact_on_trig():

@@ -107,6 +107,13 @@ def test_kdvks_wave_converges():
     assert np.max(np.abs(res)) < 1e-4 * max(1.0, np.max(np.abs(T)))
 
 
+def test_kdvks_stable_rejects_nonpositive_delta(hill_solves):
+    # delta is the KdV-KS dissipation; without it there is no wave to scan
+    with pytest.raises(DomainError, match="delta must be positive"):
+        kdv_limit.kdvks_stable(0.0, 10.0)
+    assert hill_solves == []
+
+
 def test_kdvks_translation_mode_near_zero():
     # the derivative of the wave is a xi -> 0 kernel mode; the smallest
     # eigenvalue at the smallest xi must sit near the origin

@@ -148,8 +148,7 @@ def test_jacobian_matches_central_differences(limit_wave):
              (fourier.resample(lp.a, 64), lp.c0,
               (1.0, 0.0, lp.nu, lp.q0, lp.X0))]
     for tau, c, coeffs in cases:
-        D1 = fourier.diff_matrix(64, coeffs[-1], 1)
-        J = prof._jacobian(tau, c, *coeffs, D1, 1)[:64]
+        J = prof._jacobian(tau, c, *coeffs, 1)[:64]
         fd = _central_jacobian(lambda t, c: prof._equation(t, c, *coeffs),
                                tau, c)
         assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
@@ -172,7 +171,7 @@ def test_jacobian_rows_match_the_dense_product(n, borders, coeffs):
     K, eps, nu, q, X = coeffs
     tau, c = _wavy(n, X), 0.35
     D1 = fourier.diff_matrix(n, X, 1)
-    J = prof._jacobian(tau, c, *coeffs, D1, borders)
+    J = prof._jacobian(tau, c, *coeffs, borders)
     dt = fourier.deriv(tau, X)
     u = q - eps * c * tau
     dense = (c * c * D1 - (1.0 / (K * tau ** 3))[:, None] * D1
@@ -192,10 +191,9 @@ def test_jacobian_allocates_no_dense_temporary():
     import tracemalloc
     n, coeffs = 512, (64.0, 1.0, 0.1, 3.2, 28.8)
     tau = _wavy(n, coeffs[-1])
-    D1 = fourier.diff_matrix(n, coeffs[-1], 1)
     tracemalloc.start()
     try:
-        J = prof._jacobian(tau, 0.2, *coeffs, D1, 1)
+        J = prof._jacobian(tau, 0.2, *coeffs, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

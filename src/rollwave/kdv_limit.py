@@ -1,9 +1,9 @@
 """Weakly unstable limit F -> 2+: selected cnoidal waves of KdV-KS.
 
 In the scaled variables the wave equation is the Korteweg-de Vries /
-Kuramoto-Sivashinsky traveling-wave problem
+Kuramoto-Sivashinsky traveling-wave problem, integrated once,
 
-    (T^2/2 - sigma T)' + T''' + delta (T'' + T'''') = 0,
+    T^2/2 - sigma T + T'' + delta (T' + T''') = C,
 
 whose delta -> 0 solutions are the KdV cnoidal waves (baseline zero)
 
@@ -11,8 +11,8 @@ whose delta -> 0 solutions are the KdV cnoidal waves (baseline zero)
     sigma0 = 4 kappa^2 (2 k^2 - 1),
 
 with period X = 2 K(k) / kappa.  The singular perturbation selects the scale
-kappa = G(k); the first corrector T1 solves L0 T1 = T0'' + T0'''' where
-L0 = -d^3 - d((T0 - sigma0) . ).
+kappa = G(k); the first corrector T1 solves L0 T1 = -(T0' + T0''') where
+L0 = d^2 + T0 - sigma0.
 """
 
 from __future__ import annotations
@@ -38,10 +38,13 @@ def period_of_k(k: float, mc: float | None = None) -> float:
 
 
 def k_of_period(X: float) -> float:
-    """Invert X(k) = 2K(k)/G(k) by bisection.
+    """Invert X(k) = 2K(k)/G(k) by the Illinois method.
 
-    X(k) increases from 2*pi (k -> 0) to infinity (k -> 1); the bisection runs
-    in t = log(1 - k^2) so waves with k within 1e-12 of 1 stay resolvable.
+    X(k) increases from 2*pi (k -> 0) to infinity (k -> 1); the root is
+    sought in t = log(1 - k^2) so waves with k within 1e-12 of 1 stay
+    resolvable.  The Illinois variant of regula falsi halves the stored
+    value at an end that survives twice, which keeps its convergence
+    superlinear (Dowell & Jarratt, BIT 11, 1971).
     """
     if X <= 2.0 * np.pi:
         raise DomainError(f"selected periods satisfy X > 2*pi, got X={X}")
@@ -52,24 +55,30 @@ def k_of_period(X: float) -> float:
         return period_of_k(k, mc) - X
 
     lo, hi = -80.0, np.log(1.0 - 1e-8)
-    if f(lo) < 0.0:
+    flo = f(lo)
+    if flo < 0.0:
         raise DomainError(f"period X={X} out of reachable range")
-    while f(hi) > 0.0:
-        hi = hi + 0.5 * (0.0 - hi)
+    fhi = f(hi)
+    while fhi > 0.0:
+        hi *= 0.5
         if hi > -1e-15:
             raise DomainError(f"period X={X} out of reachable range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm > 0.0:
-            lo = mid
+        fhi = f(hi)
+    side = 0
+    for _ in range(100):
+        t = (lo * fhi - hi * flo) / (fhi - flo)
+        ft = f(t)
+        if ft > 0.0:
+            lo, flo, fhi = t, ft, fhi * (0.5 if side > 0 else 1.0)
+            side = 1
         else:
-            hi = mid
-        if abs(fm) <= 1e-13 or hi - lo < 1e-16 * max(1.0, abs(mid)):
+            hi, fhi, flo = t, ft, flo * (0.5 if side < 0 else 1.0)
+            side = -1
+        if ft == 0.0 or hi - lo <= 4.0 * np.finfo(float).eps * -lo:
             break
-    k = float(np.sqrt(1.0 - np.exp(0.5 * (lo + hi))))
-    # The bisection variable resolves X far below the spacing of double k near
-    # k = 1; snap to whichever representable neighbor reproduces X best.
+    k = float(np.sqrt(1.0 - np.exp(t)))
+    # t resolves X far below the spacing of double k near k = 1; snap to
+    # whichever representable neighbor reproduces X best.
     best, err = k, np.inf
     for cand in (np.nextafter(k, 0.0), k, np.nextafter(k, 1.0)):
         if not 0.0 < cand < 1.0:
@@ -117,51 +126,49 @@ def selection_residual(wave: CnoidalWave) -> float:
 
 
 def _derivative_floor(n: int, X: float, scale: float) -> float:
-    """Rounding floor of a spectral fourth derivative on n nodes.
+    """Rounding floor of a spectral third derivative on n nodes.
 
-    Each Fourier mode of relative size eps is amplified by up to
-    (pi n / X)^4, so least-squares residuals of corrector equations
-    cannot be driven below this level however consistent the equation is.
+    The third is the highest order of the integrated KdV-KS equation.  Each
+    Fourier mode of relative size eps is amplified by up to (pi n / X)^3, so
+    its residuals cannot be driven below this level however consistent the
+    equation is.
     """
-    return 64.0 * np.finfo(float).eps * (np.pi * n / X) ** 4 * max(1.0, scale)
+    return 64.0 * np.finfo(float).eps * (np.pi * n / X) ** 3 * max(1.0, scale)
 
 
-def _drop_nyquist(f: np.ndarray) -> np.ndarray:
-    """Remove the unpaired Nyquist mode from a real sample vector.
-
-    The collocated third-derivative matrix annihilates the Nyquist mode, so
-    least-squares corrector solves leave it undetermined up to rounding;
-    even-order derivatives later amplify that noise by (pi n / X)^4.
-    """
-    n = len(f)
-    if n % 2:
-        return f
-    c = np.fft.fft(f)
-    c[n // 2] = 0.0
-    return np.real(np.fft.ifft(c))
+def _kdvks_operator(W: np.ndarray, delta: float, X: float) -> np.ndarray:
+    """Collocated D2 + delta (D1 + D3) + diag(W): the linearization of the
+    integrated wave equation about T, with W = T - sigma."""
+    n = len(W)
+    A = fourier.diff_matrix(n, X, 2) + delta * (fourier.diff_matrix(n, X, 1)
+                                                + fourier.diff_matrix(n, X, 3))
+    A[np.diag_indices(n)] += W
+    return A
 
 
 def corrector_T1(wave: CnoidalWave) -> np.ndarray:
-    """First corrector: solves L0 T1 = T0'' + T0'''' orthogonal to ker L0.
+    """First corrector: L0 T1 = -(T0' + T0''') with <T0', T1> = 0.
 
-    The right side is even about the crest and L0 exchanges parities, so the
-    minimum-norm least-squares solution is the odd corrector with no kernel
-    (translation) component.  Raises SolvabilityError when the residual of the
-    least-squares solve shows the compatibility condition fails.
+    L0 = d^2 + T0 - sigma0 is symmetric with kernel T0', so the bordered
+    system L0 T1 + s T0' = -(T0' + T0'''), <T0', T1> = 0 is nonsingular and
+    its multiplier s is the Fredholm residual, which the selection kappa =
+    G(k) makes vanish.  The right side is odd about the crest and L0 keeps
+    parity, so T1 is odd.  Raises SolvabilityError when s T0' is above the
+    rounding floor.
     """
-    D1 = fourier.diff_matrix(wave.n, wave.X, 1)
-    D3 = fourier.diff_matrix(wave.n, wave.X, 3)
-    A = -D3 - D1 * (wave.T0 - wave.sigma0)[None, :]     # collocated L0
-    rhs = fourier.deriv(wave.T0, wave.X, 2) + fourier.deriv(wave.T0, wave.X, 4)
-    T1, _, _, sv = np.linalg.lstsq(A, rhs, rcond=1e-10)
-    T1 = _drop_nyquist(T1)
-    resid = np.max(np.abs(A @ T1 - rhs))
+    n, X = wave.n, wave.X
+    d = fourier.deriv(wave.T0, X)
+    rhs = -(d + fourier.deriv(wave.T0, X, 3))
+    M = np.block([[_kdvks_operator(wave.T0 - wave.sigma0, 0.0, X), d[:, None]],
+                  [d[None, :], np.zeros((1, 1))]])
+    x = np.linalg.solve(M, np.append(rhs, 0.0))
+    resid = abs(x[n]) * np.max(np.abs(d))
     scale = np.max(np.abs(rhs))
-    if resid > max(1e-6 * max(scale, 1.0),
-                   _derivative_floor(wave.n, wave.X, scale)):
+    if resid > max(1e-6 * max(scale, 1.0), _derivative_floor(n, X, scale)):
         raise SolvabilityError(
-            f"corrector equation inconsistent: residual {resid:.3e}")
-    return T1
+            f"corrector equation inconsistent: multiplier residual "
+            f"{resid:.3e}")
+    return x[:n]
 
 
 def asymptotic_rollwave(delta: float, k: float, nu: float, n: int = 256):
@@ -207,17 +214,15 @@ def kdvks_wave(delta: float,
                k: float) -> tuple[CnoidalWave, np.ndarray, float]:
     """Newton-converged KdV-KS wave of period X(k) on _KDVKS_WAVE_N nodes.
 
-    Seeds with the two-term expansion T0 + delta_tilde T1 and solves
-
-        (T^2/2 - sigma T)' + T''' + delta (T'' + T'''') = 0
-
-    with free speed sigma and a phase condition against the seed.  Returns
-    (cnoidal seed, converged samples T, converged speed sigma).  Converging
-    the wave matters: the Bloch spectrum about the truncated expansion splits
-    the defective translation pair by O(delta), drowning the O(delta^2)
-    stability information.  Raises DomainError for delta <= 0, and
-    NonConvergence when Newton stops above 16 times the fourth derivative's
-    rounding floor.
+    Seeds with the two-term expansion T0 + delta_tilde T1 and solves the
+    integrated equation for (T, sigma, C), bordered by two rows against the
+    seed: a phase condition, and the mean of T, which pins the Galilean
+    shift (T + a, sigma + a).  Returns (cnoidal seed, converged samples T,
+    converged speed sigma).  Converging the wave matters: the Bloch spectrum
+    about the truncated expansion splits the defective translation pair by
+    O(delta), drowning the O(delta^2) stability information.  Raises
+    DomainError for delta <= 0, and NonConvergence when Newton stops above
+    16 times the rounding floor.
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
@@ -225,31 +230,23 @@ def kdvks_wave(delta: float,
     wave = cnoidal_profile(k, n=n)
     X = wave.X
     seed = wave.T0 + delta * corrector_T1(wave)
-    dseed = fourier.deriv(seed, X)
-
-    D1 = fourier.diff_matrix(n, X, 1)
-    D2 = fourier.diff_matrix(n, X, 2)
-    D3 = fourier.diff_matrix(n, X, 3)
-    D4 = fourier.diff_matrix(n, X, 4)
-    Dvisc = D3 + delta * (D2 + D4)
+    border = np.vstack([fourier.deriv(seed, X), np.ones(n)]) / n
 
     def residual(x):
-        T, sigma = x[:n], x[n]
-        res = (fourier.deriv(0.5 * T * T - sigma * T, X)
-               + fourier.deriv(T, X, 3) + delta * (fourier.deriv(T, X, 2)
-                                                   + fourier.deriv(T, X, 4)))
-        return np.concatenate([res, [float(np.mean((T - seed) * dseed))]])
+        T, sigma, C = x[:n], x[n], x[n + 1]
+        res = (0.5 * T * T - sigma * T + fourier.deriv(T, X, 2)
+               + delta * (fourier.deriv(T, X) + fourier.deriv(T, X, 3)) - C)
+        return np.concatenate([res, border @ (T - seed)])
 
     def jacobian(x):
         T, sigma = x[:n], x[n]
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = D1 * (T - sigma)[None, :] + Dvisc
-        J[:n, n] = -fourier.deriv(T, X)
-        J[n, :n] = dseed / n
-        return J
+        return np.block([[_kdvks_operator(T - sigma, delta, X),
+                          -T[:, None], -np.ones((n, 1))],
+                         [border, np.zeros((2, 2))]])
 
     tol = max(1e-11, 16.0 * _derivative_floor(n, X, np.max(np.abs(seed))))
-    x, _ = _newton_solve(residual, jacobian, np.append(seed, wave.sigma0), tol,
+    x, _ = _newton_solve(residual, jacobian,
+                         np.concatenate([seed, [wave.sigma0, 0.0]]), tol,
                          lambda x: True)
     return wave, x[:n], float(x[n])
 

@@ -52,8 +52,9 @@ def test_tracer_counts_the_verdicts_hill_solves(constant_state):
 
 
 def test_tracer_counts_the_kdvks_classifications_hill_solves():
-    # the onset workload's path: one classification, every row of its
-    # checked scan (scans and checks) through hill.eigenvalues
+    # the onset workload's path: one classification, one KdV-KS wave solve
+    # under kdv_limit.wave, and every row of its checked scan (scans and
+    # checks) through hill.eigenvalues
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     try:
@@ -62,6 +63,7 @@ def test_tracer_counts_the_kdvks_classifications_hill_solves():
     finally:
         tracer.restore()
     assert tracer.counts["kdv_limit.classifications"] == 1
-    solves = [name for _, _, name, _, _ in tracer.spans
-              if name == "hill.eigensolve"]
-    assert len(solves) == kdv_limit.kdvks_scan(0.05, 17.0).solves > 0
+    names = [name for _, _, name, _, _ in tracer.spans]
+    assert names.count("kdv_limit.wave") == 1
+    assert (names.count("hill.eigensolve")
+            == kdv_limit.kdvks_scan(0.05, 17.0).solves > 0)

@@ -35,8 +35,9 @@ def test_kdv_stability_check(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["stable"] is True
     assert doc["hill_max_real"] <= 1e-7
-    assert doc["hill_eigensolves"] == 98
-    # N = 16 failed its check, so N = 24 decided, checked at 36
+    assert doc["hill_eigensolves"] == 52
+    # N = 16 read its first xi > 0 row as unstable and failed its check
+    # there, so N = 24 scanned all 48 rows and decided, checked at 36
     assert doc["hill_N"] == 24
     assert abs(doc["hill_check"] - doc["hill_max_real"]) <= 1e-3 * 1e-4
 

@@ -40,8 +40,8 @@ def test_selection_residual_vanishes_at_selected_kappa():
         assert abs(kdv_limit.selection_residual(wave)) < 1e-8 * scale
 
 
-def test_selection_residual_nonzero_off_selection():
-    # Perturbing kappa away from G(k) breaks the persistence integral.
+def _off_selection_wave():
+    """The k = 0.7 cnoidal wave with kappa = 1.1 G(k)."""
     k = 0.7
     wave = kdv_limit.cnoidal_profile(k, n=512)
     kappa = 1.1 * wave.kappa
@@ -49,10 +49,28 @@ def test_selection_residual_nonzero_off_selection():
     theta = fourier.grid(wave.n, X)
     T0 = 12.0 * k * k * kappa * kappa * jacobi_cn(
         kappa * theta, k) ** 2
-    off = kdv_limit.CnoidalWave(k=k, kappa=kappa, sigma0=wave.sigma0,
-                                qtilde=wave.qtilde, X=X, n=wave.n, T0=T0)
+    return kdv_limit.CnoidalWave(k=k, kappa=kappa, sigma0=wave.sigma0,
+                                 qtilde=wave.qtilde, X=X, n=wave.n, T0=T0)
+
+
+def test_selection_residual_nonzero_off_selection():
+    # Perturbing kappa away from G(k) breaks the persistence integral.
+    off = _off_selection_wave()
     scale = fourier.quad(off.T0 ** 2, off.X)
     assert abs(kdv_limit.selection_residual(off)) > 1e-4 * scale
+
+
+def test_corrector_T1_raises_off_selection():
+    # the bordered solve's Fredholm multiplier is far from zero there
+    with pytest.raises(kdv_limit.SolvabilityError,
+                       match="multiplier residual"):
+        kdv_limit.corrector_T1(_off_selection_wave())
+
+
+@pytest.mark.parametrize("k", [0.3, 0.9, kdv_limit.k_of_period(45.0)])
+def test_corrector_T1_is_solvable_on_selection(k):
+    T1 = kdv_limit.corrector_T1(kdv_limit.cnoidal_profile(k, n=512))
+    assert np.all(np.isfinite(T1)) and np.max(np.abs(T1)) > 0.0
 
 
 def test_cnoidal_profile_mean_and_speed_identities():
@@ -107,6 +125,31 @@ def test_kdvks_wave_converges():
     assert np.max(np.abs(res)) < 1e-4 * max(1.0, np.max(np.abs(T)))
 
 
+@pytest.mark.parametrize("X", [7.0, 17.0, 30.0])
+def test_kdvks_wave_pins_the_galilean_shift(X, monkeypatch):
+    # with the mean of T pinned, the bordered Jacobian at the converged wave
+    # has no kernel, Newton reaches the once-integrated equation's rounding
+    # level, and the mean is the seed's
+    delta = 0.05
+    jacobians = []
+    newton = kdv_limit._newton_solve
+
+    def final_jacobian(residual, jacobian, x, tol, admissible):
+        x, err = newton(residual, jacobian, x, tol, admissible)
+        jacobians.append(jacobian(x))
+        return x, err
+
+    monkeypatch.setattr(kdv_limit, "_newton_solve", final_jacobian)
+    wave, T, sigma = kdv_limit.kdvks_wave(delta, kdv_limit.k_of_period(X))
+    assert np.linalg.cond(jacobians[0]) < 1e10
+    res = (0.5 * T * T - sigma * T + fourier.deriv(T, wave.X, 2)
+           + delta * (fourier.deriv(T, wave.X) + fourier.deriv(T, wave.X, 3)))
+    assert (np.max(np.abs(res - np.mean(res)))
+            <= 1e-9 * max(1.0, np.max(np.abs(T))))
+    seed = wave.T0 + delta * kdv_limit.corrector_T1(wave)
+    assert abs(np.mean(T) - np.mean(seed)) <= 1e-12
+
+
 def test_kdvks_stable_rejects_nonpositive_delta(hill_solves):
     # delta is the KdV-KS dissipation; without it there is no wave to scan
     with pytest.raises(DomainError, match="delta must be positive"):
@@ -124,15 +167,16 @@ def test_kdvks_translation_mode_near_zero():
 
 def test_kdvks_stable_band_midpoint(hill_solves):
     # a classification solves rows only until one is unstable, then
-    # re-solves the deciding row at 3N/2.  X = 17 starts at N = 16, whose
-    # check at 24 fails, so it scans all 48 rows twice (N = 16 and 24) with
-    # one check each; the |xi| of the final scan are j pi/(48 X),
-    # j = 1..48 (xi = -pi/X stands in for pi/X).  X = 7 is decided at
-    # N = 16 by its second row, as -pi/X is stable, and one check
+    # re-solves the deciding row at 3N/2.  X = 17 starts at N = 16, which
+    # misreads its first xi > 0 row (its second row) as unstable; the check
+    # of that row at 24 disagrees, so all 48 rows are scanned at N = 24 and
+    # checked at 36: 2 + 1 + 48 + 1 solves.  The |xi| of the final scan are
+    # j pi/(48 X), j = 1..48 (xi = -pi/X stands in for pi/X).  X = 7 is
+    # decided at N = 16 by its second row, as -pi/X is stable, and one check
     X = kdv_limit.period_of_k(kdv_limit.k_of_period(17.0))
     assert kdv_limit.kdvks_stable(0.05, 17.0)
-    assert len(hill_solves) == 98
-    np.testing.assert_allclose(np.sort(np.abs(hill_solves[49:97])),
+    assert len(hill_solves) == 52
+    np.testing.assert_allclose(np.sort(np.abs(hill_solves[3:51])),
                                np.linspace(np.pi / (48 * X), np.pi / X, 48),
                                rtol=1e-14, atol=0.0)
     hill_solves.clear()

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import fourier
 from .linearize import OperatorForm, SpectralProblem
@@ -120,7 +119,8 @@ def eigenvalues(problem: SpectralProblem | Truncation, N: int,
     if M2 is None:
         ev = np.linalg.eigvals(M1)
     else:
-        ev = scipy.linalg.eigvals(M1, M2)
+        from scipy.linalg import eigvals
+        ev = eigvals(M1, M2)
         ev = ev[np.isfinite(ev)]
     return _sorted(ev)
 

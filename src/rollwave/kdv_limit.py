@@ -136,14 +136,26 @@ def _derivative_floor(n: int, X: float, scale: float) -> float:
     return 64.0 * np.finfo(float).eps * (np.pi * n / X) ** 3 * max(1.0, scale)
 
 
-def _kdvks_operator(W: np.ndarray, delta: float, X: float) -> np.ndarray:
-    """Collocated D2 + delta (D1 + D3) + diag(W): the linearization of the
-    integrated wave equation about T, with W = T - sigma."""
-    n = len(W)
-    A = fourier.diff_matrix(n, X, 2) + delta * (fourier.diff_matrix(n, X, 1)
-                                                + fourier.diff_matrix(n, X, 3))
-    A[np.diag_indices(n)] += W
-    return A
+def _kdvks_operator(n: int, delta: float, X: float) -> np.ndarray:
+    """Collocated D2 + delta (D1 + D3): the linearization of the integrated
+    wave equation about T, less its diagonal T - sigma."""
+    D2 = fourier.diff_matrix(n, X, 2)
+    if delta == 0.0:
+        return D2
+    return D2 + delta * (fourier.diff_matrix(n, X, 1)
+                         + fourier.diff_matrix(n, X, 3))
+
+
+def _bordered(A: np.ndarray, W: np.ndarray, cols: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
+    """The square matrix [[A + diag(W), cols], [rows, 0]]."""
+    n, b = len(W), len(rows)
+    M = np.zeros((n + b, n + b))
+    M[:n, :n] = A
+    M[np.diag_indices(n)] += W
+    M[:n, n:] = cols
+    M[n:, :n] = rows
+    return M
 
 
 def corrector_T1(wave: CnoidalWave) -> np.ndarray:
@@ -159,8 +171,8 @@ def corrector_T1(wave: CnoidalWave) -> np.ndarray:
     n, X = wave.n, wave.X
     d = fourier.deriv(wave.T0, X)
     rhs = -(d + fourier.deriv(wave.T0, X, 3))
-    M = np.block([[_kdvks_operator(wave.T0 - wave.sigma0, 0.0, X), d[:, None]],
-                  [d[None, :], np.zeros((1, 1))]])
+    M = _bordered(_kdvks_operator(n, 0.0, X), wave.T0 - wave.sigma0,
+                  d[:, None], d[None, :])
     x = np.linalg.solve(M, np.append(rhs, 0.0))
     resid = abs(x[n]) * np.max(np.abs(d))
     scale = np.max(np.abs(rhs))
@@ -238,11 +250,12 @@ def kdvks_wave(delta: float,
                + delta * (fourier.deriv(T, X) + fourier.deriv(T, X, 3)) - C)
         return np.concatenate([res, border @ (T - seed)])
 
+    A = _kdvks_operator(n, delta, X)
+
     def jacobian(x):
         T, sigma = x[:n], x[n]
-        return np.block([[_kdvks_operator(T - sigma, delta, X),
-                          -T[:, None], -np.ones((n, 1))],
-                         [border, np.zeros((2, 2))]])
+        return _bordered(A, T - sigma, -np.column_stack([T, np.ones(n)]),
+                         border)
 
     tol = max(1e-11, 16.0 * _derivative_floor(n, X, np.max(np.abs(seed))))
     x, _ = _newton_solve(residual, jacobian,

@@ -141,6 +141,7 @@ def equilibrium(F: float, nu: float, tau0: float = 1.0,
 
 
 _NEWTON_MAX_ITER = 60
+_CONTRACTION = 0.05     # residual ratio under which an LU factorisation is kept
 
 
 def _newton_solve(residual, jacobian, x, tol, admissible, floor=0.0):
@@ -148,34 +149,62 @@ def _newton_solve(residual, jacobian, x, tol, admissible, floor=0.0):
 
     `residual(x)` is the whole bordered vector (collocation rows plus the
     phase or pin rows), `jacobian(x)` its derivative, and the error is the
-    max norm of the residual.  Every step is the full Newton step, and one
-    that leaves the region where `admissible(x)` holds raises
-    NonConvergence; _follow halves its step on it.  A step below
-    1e-13 max(1, |x|) is at the rounding floor and stops the loop.  An
-    iterate that stops or runs out of iterations above `tol` is kept only
-    if its error is at most `floor`.
+    max norm of the residual.  Each Jacobian is LU-factored in place and
+    kept while each step takes the error to at most _CONTRACTION times its
+    last value (the chord or Shamanskii method; Kelley 2003, ch. 5).  A
+    step with a kept factorisation that does not, or that leaves the region
+    where `admissible(x)` holds, is thrown away and made again from the
+    same iterate with a fresh Jacobian, so reuse fails no solve that plain
+    Newton would finish.  A step with a fresh Jacobian is the full Newton
+    step, and one that leaves the admissible region raises NonConvergence;
+    _follow halves its step on it.  A zero pivot or a non-finite step
+    raises DegenerateJacobian.  Below `tol` the kept factorisation goes on
+    toward the rounding floor and stops at its first step that does not
+    contract so.  A step below 1e-13 max(1, |x|) is at the rounding floor
+    and stops the loop.  An iterate that stops or runs out of iterations
+    above `tol` is kept only if its error is at most `floor`.
     """
+    from scipy.linalg import lapack, lu_solve
+
+    def at_floor(step, x):
+        return np.max(np.abs(step)) < 1e-13 * max(1.0, np.max(np.abs(x)))
+
     r = residual(x)
     err = float(np.max(np.abs(r)))
+    lu = None
     for _ in range(_NEWTON_MAX_ITER):
+        if lu is not None:
+            step = lu_solve(lu, r, trans=1, check_finite=False)
+            trial = x - step
+            if not at_floor(step, x) and admissible(trial):
+                r_new = residual(trial)
+                err_new = float(np.max(np.abs(r_new)))
+                if err_new <= _CONTRACTION * err:
+                    x, r, err = trial, r_new, err_new
+                    continue
+            lu = None
         if err <= tol:
             return x, err
-        J = jacobian(x)
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateJacobian(str(exc)) from None
+        # J's transpose is Fortran-ordered, so LAPACK factors it in place
+        # and the solves take it transposed back
+        *lu, info = lapack.dgetrf(jacobian(x).T, overwrite_a=True)
+        if info > 0:
+            raise DegenerateJacobian(f"singular Jacobian: pivot {info} is zero")
+        step = lu_solve(lu, r, trans=1, check_finite=False)
         if not np.all(np.isfinite(step)):
             raise DegenerateJacobian("non-finite Newton step")
-        if np.max(np.abs(step)) < 1e-13 * max(1.0, np.max(np.abs(x))):
+        if at_floor(step, x):
             break
         x = x - step
         if not admissible(x):
             raise NonConvergence(
                 f"Newton step left the admissible region at residual "
                 f"{err:.3e}", err)
+        err_before = err
         r = residual(x)
         err = float(np.max(np.abs(r)))
+        if not err <= _CONTRACTION * err_before:     # a NaN error included
+            lu = None
     if err > max(tol, floor):
         raise NonConvergence(f"Newton stopped at residual {err:.3e}", err)
     return x, err

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, config/manifest plumbing, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,3 +477,14 @@ def test_evans_xi_band_json_and_csv(tmp_path, constant_state):
     assert lines[0] == "xi,winding,points,max_jump"
     assert lines[1:] == [f"{r['xi']:.17g},{r['winding']},{len(r['points'])},"
                          f"{r['max_jump']:.17g}" for r in reports]
+
+
+def test_importing_the_cli_loads_no_scipy_linalg():
+    # scipy.linalg is imported where a solve or a pencil needs it, so a
+    # command's start-up does not pay for loading it
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, rollwave.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Traveling-wave profile solvers: Newton, continuation, and scaling limits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,18 @@ def test_newton_solve_singular_jacobian():
                            lambda x: True)
 
 
+@pytest.mark.filterwarnings("error")
+def test_exactly_singular_jacobian_raises_without_a_warning(constant_state):
+    # the zero pivot is the raise, not a LinAlgWarning from the factorisation
+    residual, jacobian = _scalar(lambda x: x * x + 1.0, lambda x: 0.0)
+    with pytest.raises(prof.DegenerateJacobian, match="pivot 1 is zero"):
+        prof._newton_solve(residual, jacobian, np.array([1.0]), 1e-12,
+                           lambda x: True)
+    with pytest.raises(prof.DegenerateJacobian, match="is zero"):
+        prof.solve_profile(constant_state.params.with_(c=0.3),
+                           constant_state.tau)
+
+
 def test_newton_solve_inadmissible_full_step():
     # the full step from 1 lands on 1.5, outside the admissible region
     residual, jacobian = _scalar(lambda x: x * x - 2.0, lambda x: 2.0 * x)
@@ -120,6 +134,54 @@ def test_newton_solve_inadmissible_full_step():
     with pytest.raises(prof.NonConvergence) as info:
         prof._newton_solve(residual, jacobian, np.array([1.0]), 1e-12, below)
     assert info.value.residual == 1.0
+
+
+def test_newton_solve_keeps_a_contracting_factorisation():
+    # a 2 x 2 system with root (sqrt 2, (3 - 0.1 sqrt 2)^(1/3))
+    at = []
+
+    def residual(x):
+        return np.array([x[0] ** 2 - 2.0, x[1] ** 3 - 3.0 + 0.1 * x[0]])
+
+    def jacobian(x):
+        at.append(x)
+        return np.array([[2.0 * x[0], 0.0], [0.1, 3.0 * x[1] ** 2]])
+
+    x, err = prof._newton_solve(residual, jacobian, np.array([1.5, 1.5]),
+                                1e-12, lambda x: True)
+    builds = len(at)
+    # plain Newton, one fresh Jacobian per step, as the reference
+    y, steps = np.array([1.5, 1.5]), 0
+    while np.max(np.abs(residual(y))) > 1e-12:
+        y = y - np.linalg.solve(jacobian(y), residual(y))
+        steps += 1
+    assert builds < steps
+    assert err == np.max(np.abs(residual(x))) <= 1e-12
+    # the same root as Newton's to the step floor, 1e-13 max(1, |x|), where
+    # the finish stops
+    root = [np.sqrt(2.0), np.cbrt(3.0 - 0.1 * np.sqrt(2.0))]
+    np.testing.assert_allclose(y, root, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(x, root, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("x0, admissible", [
+    # the step with the factorisation from 0.35 cuts the error by 0.064 only
+    (0.35, lambda x: True),
+    # the step with the factorisation from 0.3 lands on 4.4e-4, Newton's on
+    # 2.7e-7
+    (0.3, lambda x: x[0] < 1e-4),
+])
+def test_newton_solve_retakes_a_failed_reused_step(x0, admissible):
+    # sin x from x0: the first Newton step contracts the error by x0^2 / 3,
+    # under _CONTRACTION, so its factorisation is kept; the step made with it
+    # fails, and is made again from the same iterate with a fresh Jacobian
+    at = []
+    residual, jacobian = _scalar(np.sin, lambda x: at.append(x) or np.cos(x))
+    x, err = prof._newton_solve(residual, jacobian, np.array([x0]), 1e-12,
+                                admissible)
+    x1 = x0 - np.tan(x0)
+    assert at == [x0, pytest.approx(x1, rel=1e-15)]
+    assert abs(x[0]) == err <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +260,41 @@ def test_jacobian_allocates_no_dense_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * J.nbytes
+
+
+def test_newton_solve_holds_one_jacobian_buffer(limit_wave, monkeypatch):
+    # each Jacobian is factored where it lies, and the last factorisation is
+    # dropped before the next Jacobian is built: an LU copy, or two
+    # Jacobians alive at once, would double the peak
+    import tracemalloc
+    n = 1024
+    built = []
+    jac = prof._jacobian
+    monkeypatch.setattr(prof, "_jacobian",
+                        lambda *args: built.append(1) or jac(*args))
+    a = fourier.resample(limit_wave.a, n)
+    tracemalloc.start()
+    try:
+        w = prof._limit_newton(a, limit_wave.q0, limit_wave.c0,
+                               limit_wave.X0, limit_wave.nu, prof._LIMIT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.n == n and len(built) >= 2
+    assert peak <= 1.25 * (n + 1) ** 2 * 8
+
+
+def test_profile_f8_factors_fewer_jacobians_than_steps(monkeypatch):
+    # the profile-f8 wave: the limit solve refined to 1024 nodes and a
+    # descent in log F with one failed step; with one Jacobian per Newton
+    # step it builds 114
+    built = []
+    jac = prof._jacobian
+    monkeypatch.setattr(prof, "_jacobian",
+                        lambda *args: built.append(1) or jac(*args))
+    w = prof.profile_from_limit(0.4, 0.45, 8.0, n=512)
+    assert w.n == 1024
+    assert len(built) <= 80
 
 
 def test_limit_equation_is_the_large_F_limit(limit_wave):
@@ -424,10 +521,11 @@ def test_limit_wave_x0_045_frozen():
 
 
 def test_limit_wave_raises_when_its_final_solve_fails(monkeypatch):
-    # the X0 = 0.25 wave is solved once more toward _LIMIT_TOL after its
-    # rough solve; that solve keeps an iterate at the rounding floor, so a
-    # raise there is a real failure and reaches the caller instead of the
-    # rough wave
+    # a limit wave whose rough solve ends above _LIMIT_TOL is solved once
+    # more toward it; that solve keeps an iterate at the rounding floor, so
+    # a raise there is a real failure and reaches the caller instead of the
+    # rough wave.  Newton finishes the X0 = 0.25 rough solve below
+    # _LIMIT_TOL, so its reported residual is raised above it here
     newton = prof._limit_newton
     tight = []
 
@@ -435,7 +533,9 @@ def test_limit_wave_raises_when_its_final_solve_fails(monkeypatch):
         if tol == prof._LIMIT_TOL:
             tight.append(X0)
             raise prof.NonConvergence("forced", 1.0)
-        return newton(a, q0, c0, X0, nu, tol)
+        w = newton(a, q0, c0, X0, nu, tol)
+        return dataclasses.replace(
+            w, residual_norm=max(w.residual_norm, 2.0 * prof._LIMIT_TOL))
 
     monkeypatch.setattr(prof, "_limit_newton", failing)
     with pytest.raises(prof.NonConvergence):

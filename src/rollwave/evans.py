@@ -968,9 +968,11 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
     enter the overall spectral verdict: it concerns the nonlinear
     (Kawashima-type damping) argument and fails for every wave once F is
     moderately large.  The answer is indeterminate, with the reason, when
-    a frame it reads fails its Liouville check (UntrustedFrames) or the
-    origin expansion is unavailable.  Once Evans runs, the diagnostics
-    carry its step cap, steps per frame and worst Liouville error, and
+    a frame it reads fails its Liouville check (UntrustedFrames), the
+    origin expansion is unavailable, or any other Evans step raises an
+    EvansError: the step-grid calibration, a zero on a winding contour or
+    the contour's point budget.  Once Evans runs, the diagnostics carry its
+    step cap, steps per frame and worst Liouville error, and
     after the winding checks their refinement rounds (summed over xi),
     largest relative jump and largest distance of a winding from its
     integer (winding_max_error, below 0.25 on every accepted contour).
@@ -1007,10 +1009,10 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
                       witness=f"Hill eigenvalue with Re lambda = {mu:.3e} "
                               f"away from the origin")
 
-    evaluator = EvansEvaluator(problem)
-    diag["evans_cap"] = evaluator.cap
-    diag["evans_steps_per_frame"] = evaluator.n_steps
     try:
+        evaluator = EvansEvaluator(problem)
+        diag["evans_cap"] = evaluator.cap
+        diag["evans_steps_per_frame"] = evaluator.n_steps
         exp = origin_taylor(evaluator)
         diag["alpha"] = [[z.real, z.imag] for z in exp.alpha]
         diag["beta"] = [[z.real, z.imag] for z in exp.beta]
@@ -1045,6 +1047,9 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
             OverflowError) as err:
         return answer("indeterminate",
                       reason=f"origin expansion unavailable: {err}")
+    except EvansError as err:
+        return answer("indeterminate",
+                      reason=f"Evans failure: {type(err).__name__}: {err}")
     windings = [rep.winding for rep in reports]
     diag["windings"] = windings
     diag["winding_refinements"] = sum(rep.refinements for rep in reports)

@@ -7,11 +7,12 @@ residual form
     G(tau) = c^2 tau' - tau'/(K tau^3) - 1 + tau (q - eps c tau)^2
              + c nu (tau^-2 tau')' = 0
 
-with (K, eps) = (F^2, 1) for the physical wave and (1, 0) for its alpha = -2
-limit F -> infinity (tau = a/F^2, c = c0 F^2, q = q0 F, X = X0 F^2), by
-Fourier collocation Newton with the wave speed c free and a phase condition
-locking translation against the seed.  Waves are indexed by (q, X); c is
-always an output.
+with (K, eps) = (F^2, 1) for the physical wave.  On the alpha = -2 family,
+in the scaled unknowns tau = a/F^2, c = c0 F^2, q = q0 F, X = X0 F^2, the
+same G is _equation(a, c0, 1, 1/F, nu, q0, X0), and (K, eps) = (1, 0) is
+its limit F -> infinity.  Both are solved by Fourier collocation Newton
+with the wave speed c free and a phase condition locking translation
+against the seed.  Waves are indexed by (q, X); c is always an output.
 """
 
 from __future__ import annotations
@@ -374,7 +375,7 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
 
 _LIMIT_TOL = 1e-10      # residual the limit wave's final solve aims at
 _LIMIT_ROUGH = 1e-8     # residual of the walk and continuation steps
-_LIMIT_N0 = 256         # grid the limit walk starts on and the descent from
+_LIMIT_N0 = 256         # grid the limit walk starts on and the path from
                         # it runs on, unless the wave needs a finer one
 
 # The limit waves solved so far in the open _limit_table block, keyed by
@@ -536,39 +537,33 @@ def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
                         da=fourier.deriv(a, X0), residual_norm=err)
 
 
-_F_START = 100.0        # Froude number where the descent from the limit starts
-
-
 def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
                        n: int = 1024, tol: float = 1e-8) -> WaveProfile:
     """Physical wave on the alpha = -2 family (q = q0 F, X = X0 F^2).
 
-    Solves the F = infinity limiting profile, seeds the physical problem at
-    _F_START where the O(1/F) model error is small, and descends to the
-    target F with _follow in s = log(_F_START / F), carrying the wave in the
-    scaled unknowns (a = tau F^2, c / F^2).  The descent runs on the grid
-    the limit solve resolved, at least min(n, _LIMIT_N0) nodes; its waves
-    only seed the next step.  A wave on fewer than n nodes is resampled to
-    n and solved once more at the target F, so n is a floor: the returned
-    grid is the larger of n and the limit's.
+    In the scaled unknowns (a = tau F^2, c0 = c / F^2) the profile equation
+    is _equation(a, c0, 1, 1/F, nu, q0, X0), and its 1/F = 0 end is the
+    limiting wave.  Solves that wave, then follows (a, c0) with _follow in
+    the share s = F / F_v from the limit (s = 0) to the target (s = 1), each
+    point a solve_profile call at F_v = F / s, from a first step of a
+    quarter of the way down to a smallest of 1e-4.  The path runs on the
+    grid the limit solve resolved, at least min(n, _LIMIT_N0) nodes; its
+    waves only seed the next step.  A wave on fewer than n nodes is
+    resampled to n and solved once more at the target F, so n is a floor:
+    the returned grid is the larger of n and the limit's.
     """
     if F <= 0.0:
         raise DomainError(f"F must be positive, got {F}")
     lp = limit_profile_alpha_m2(q0, X0, nu=nu, n=min(n, _LIMIT_N0))
-    F_top = max(F, _F_START)
-    length = np.log(F_top / F)
 
     def solve(s, x):
-        # F exactly at both ends of the path
-        Fv = F_top if s == 0.0 else F * np.exp(length - s)
+        Fv = F / s
         params = PhysicalParams(F=Fv, nu=nu, q=q0 * Fv, c=x[-1] * Fv ** 2,
                                 X=X0 * Fv ** 2)
         w = solve_profile(params, x[:-1] / Fv ** 2, tol=tol)
         return np.append(w.tau * Fv ** 2, w.params.c / Fv ** 2), w
 
-    x, w = solve(0.0, np.append(lp.a, lp.c0))
-    if F < _F_START:
-        w = _follow(solve, x, length, 0.35, 1e-4)
+    w = _follow(solve, np.append(lp.a, lp.c0), 1.0, 0.25, 1e-4)
     if w.n < n:
         w = solve_profile(w.params, fourier.resample(w.tau, n), tol)
     return w

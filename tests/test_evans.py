@@ -505,6 +505,44 @@ def test_inaccurate_origin_expansion_is_refused(fig1c_problem, constant_state,
     assert str(info.value).startswith("representation residual")
 
 
+def test_verdict_zero_on_a_winding_contour_is_indeterminate(constant_state,
+                                                            monkeypatch):
+    # a winding check that lands on a root of D is no answer: the verdict
+    # is indeterminate with the error in its reason, not a raised error
+    # that a sweep would file as failed
+    def zero(evaluator, contour, xis):
+        raise evans.ZeroOnContour("D vanished on the contour at xi=0.1")
+
+    monkeypatch.setattr(evans, "winding_sweep", zero)
+    v = _verdict_on_expansion(constant_state, monkeypatch,
+                              [0.1j, 0.2j], [-0.5, -0.5])
+    assert v.overall == "indeterminate"
+    assert v.reason == ("Evans failure: ZeroOnContour: D vanished on the "
+                        "contour at xi=0.1")
+    assert v.conditions["D2"] is True and v.conditions["D1"] is None
+    assert "windings" not in v.diagnostics
+    assert "liouville_max" in v.diagnostics
+
+
+def test_verdict_failed_calibration_is_indeterminate(constant_state,
+                                                     monkeypatch):
+    # an Evans step grid that cannot be calibrated is no answer either; the
+    # verdict stops before any Evans diagnostic is set
+    def underflow(self):
+        raise evans.StepSizeUnderflow(
+            "monodromy failed to converge while refining the step grid")
+
+    monkeypatch.setattr(evans, "checked_scan", _no_hill_instability)
+    monkeypatch.setattr(evans.EvansEvaluator, "_calibrate", underflow)
+    v = evans.verdict(constant_state)
+    assert v.overall == "indeterminate"
+    assert v.reason == ("Evans failure: StepSizeUnderflow: monodromy failed "
+                        "to converge while refining the step grid")
+    assert "evans_cap" not in v.diagnostics
+    assert "liouville_max" not in v.diagnostics
+    assert [v.conditions[c] for c in ("D1", "D2", "D3", "H1")] == [None] * 4
+
+
 def test_verdict_reports_evans_counters(constant_state, monkeypatch):
     # past the Hill scan and a stable-looking origin expansion, the verdict
     # reports the Evans cap and steps per frame and the windings' refinement

@@ -71,9 +71,10 @@ def test_solve_profile_unreachable_tol_reports_its_residual(monkeypatch):
 
 
 def test_physical_solve_keeps_an_iterate_at_the_rounding_floor():
-    # at F = 100 on 512 nodes the physical Newton stalls near 5e-11, the
-    # rounding floor of G there, above the 1e-11 asked for; like the limit
-    # solve it keeps that iterate, within the floor 1e-8 (n / 256)^2
+    # the path to F = 100 runs on the limit's 256 nodes; the final solve
+    # at F = 100 on 512 nodes stalls near 5e-11, the rounding floor of G
+    # there, above the 1e-11 asked for; like the limit solve it keeps that
+    # iterate, within the floor 1e-8 (n / 256)^2
     w = prof.profile_from_limit(0.4, 0.3, 100.0, n=512, tol=1e-11)
     assert w.n == 512
     assert 1e-11 < w.residual_norm <= 4e-8
@@ -286,8 +287,7 @@ def test_newton_solve_holds_one_jacobian_buffer(limit_wave, monkeypatch):
 
 def test_profile_f8_factors_fewer_jacobians_than_steps(monkeypatch):
     # the profile-f8 wave: the limit solve refined to 1024 nodes and a
-    # descent in log F with one failed step; with one Jacobian per Newton
-    # step it builds 114
+    # path in s = F / F_v with one failed step
     built = []
     jac = prof._jacobian
     monkeypatch.setattr(prof, "_jacobian",
@@ -399,8 +399,10 @@ def test_follow_guesses_the_last_point_after_a_grid_change():
 
 
 def test_descent_starts_from_the_scaled_limit_wave(monkeypatch):
-    # every guess solves the fake problem, so the descent takes its full
-    # steps (0.35, then x1.5 up to 0.7) in log F from F = 100 to F = 8
+    # every guess solves the fake problem, so the path takes its full steps
+    # in the share s = F / F_v: a quarter of the way, then x1.5 to 0.625,
+    # then the rest; the first solve, at F_v = 4 F, is seeded with the
+    # limit wave itself, and F >= 100 takes the same path
     a = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(16) / 16)
     lp = prof.LimitProfile(q0=0.4, X0=0.45, nu=0.1, c0=0.7, n=16, a=a,
                            da=0.0 * a, residual_norm=0.0)
@@ -413,21 +415,19 @@ def test_descent_starts_from_the_scaled_limit_wave(monkeypatch):
                                 dtau=0.0 * seed_tau, residual_norm=0.0)
 
     monkeypatch.setattr(prof, "solve_profile", fake)
-    w = prof.profile_from_limit(0.4, 0.45, 8.0, n=16)
-    first, seed = calls[0]
-    assert (first.F, first.q, first.c, first.X) == (
-        100.0, 0.4 * 100.0, 0.7 * 100.0 ** 2, 0.45 * 100.0 ** 2)
-    assert np.array_equal(seed, a / 100.0 ** 2)
-    s = np.cumsum([0.0, 0.35, 0.525, 0.7, 0.7])
-    Fs = [p.F for p, _ in calls]
-    assert Fs[:-1] == pytest.approx(100.0 * np.exp(-s), rel=1e-14)
-    assert Fs[-1] == w.params.F == 8.0
-    for p, seed in calls:
-        assert np.max(np.abs(seed * p.F ** 2 - a)) < 1e-14
-        assert p.c / p.F ** 2 == pytest.approx(0.7, rel=1e-14)
-    calls.clear()
-    assert prof.profile_from_limit(0.4, 0.45, 150.0, n=16).params.F == 150.0
-    assert len(calls) == 1
+    for F in (8.0, 150.0):
+        calls.clear()
+        w = prof.profile_from_limit(0.4, 0.45, F, n=16)
+        first, seed = calls[0]
+        Fv = 4.0 * F
+        assert (first.F, first.q, first.c, first.X) == (
+            Fv, 0.4 * Fv, 0.7 * Fv ** 2, 0.45 * Fv ** 2)
+        assert np.array_equal(seed, a / Fv ** 2)
+        assert [p.F for p, _ in calls] == [F / 0.25, F / 0.625, F]
+        assert w.params.F == F
+        for p, seed in calls:
+            assert np.max(np.abs(seed * p.F ** 2 - a)) < 1e-14
+            assert p.c / p.F ** 2 == pytest.approx(0.7, rel=1e-14)
 
 
 def _record_solves(monkeypatch):
@@ -444,7 +444,7 @@ def _record_solves(monkeypatch):
 
 
 def test_descent_runs_on_the_limit_grid_and_solves_n_once(monkeypatch):
-    # the limit wave at X0 = 0.205 resolves on 256 nodes: the descent stays
+    # the limit wave at X0 = 0.205 resolves on 256 nodes: the path stays
     # there and only the wave at the target F is solved on the n asked for
     sizes = _record_solves(monkeypatch)
     w = prof.profile_from_limit(0.4, 0.205, 8.0, n=512, tol=1e-10)
@@ -454,6 +454,15 @@ def test_descent_runs_on_the_limit_grid_and_solves_n_once(monkeypatch):
     p = w.params
     assert p.c == pytest.approx(2.771599663698633, rel=1e-10)
     assert abs(np.mean(w.tau * (p.q - p.c * w.tau) ** 2) - 1.0) <= 1e-10
+
+
+def test_map_point_takes_at_most_five_solves(monkeypatch):
+    # a map-hill point: the path from the limit reaches F = 4 in three
+    # solves on the limit's 256 nodes, and one more solves it on n
+    sizes = _record_solves(monkeypatch)
+    w = prof.profile_from_limit(0.4, 0.205, 4.0, n=512, tol=1e-10)
+    assert w.n == 512
+    assert len(sizes) <= 5
 
 
 def test_descent_keeps_a_limit_grid_finer_than_n(monkeypatch):

@@ -162,7 +162,7 @@ def test_evaluate_point_meta_carries_the_diagnostics(monkeypatch):
                    "beta": [[-0.2, 0.0], [-0.1, 0.0]], "windings": [0] * 6}
     monkeypatch.setattr(evans, "verdict", lambda wave: evans.StabilityVerdict(
         overall="stable", conditions={"D1": True}, diagnostics=diagnostics))
-    # the wave's n, not the 512 requested: the descent may refine the grid
+    # the wave's n, not the 512 requested: the limit solve may refine the grid
     wave = types.SimpleNamespace(n=2048, residual_norm=2e-11,
                                  tau=np.array([0.5, 1.0, 1.25]))
     point = sweep.family_point(-2.0, 4.0, 0.1, 0.4, 8.0)
@@ -206,11 +206,21 @@ def test_map_walks_each_limit_wave_once(monkeypatch):
     assert walks == [0.205] * 5
 
 
+def test_f6_x86_point_is_decided():
+    # every solve of the path from the limit converges on the limit's 256
+    # nodes, so the point gets a verdict, not a failed record: the Hill
+    # scan finds it unstable
+    rec = sweep.evaluate_point(sweep.family_point(-2.0, 6.0, 0.1, 0.4, 8.6))
+    assert rec.verdict == "unstable"
+    assert rec.witness.startswith("Hill eigenvalue")
+    assert rec.meta["hill_N"] == 44
+
+
 @pytest.mark.slow
 def test_f4_x8_point_is_decided():
     # the limit wave at X0 = 0.5 is resolved on 1024 nodes (tail 4.6e-6);
-    # the descent's first physical solve (F = 100, n = 1024) stops near
-    # 2.6e-10, above tol 1e-10 but within the rounding floor its limit seed
+    # most of the path's physical solves there stop between 2e-10 and
+    # 5e-9, above tol 1e-10 but within the rounding floor its limit seed
     # was accepted under; the point is decided, and meta holds the wave's n
     rec = sweep.evaluate_point(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 8.0))
     assert rec.verdict == "stable"

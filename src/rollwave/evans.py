@@ -1,16 +1,20 @@
 """The periodic Evans function.
 
 Monodromy matrices of the first-order Bloch systems Z' = (A0 + lambda A1) Z
-are propagated by a fourth-order Magnus (commutator-corrected midpoint)
-stepper on a step grid adapted to the local coefficient magnitude, with the
-frame re-orthogonalized by QR every _QR_STRIDE steps, or sooner where it
-could grow past _NORM_CAP, and the radial growth extracted into a running
-log-scale.  A batch of lambda shares one QR schedule, whose segments are
-cut into chunks of at most _BLOCK steps.  The step exponentials of a chunk
-are truncated Taylor series (Paterson-Stockmeyer, no linear solve) of the
-lowest degree the chunk's norm bounds allow, built in a (d, d, steps,
-lambda) layout and multiplied there pairwise as a tree, so the sequential
-loop applies one product per chunk and one QR per segment.
+are propagated by the sixth-order, three-commutator Magnus stepper of Blanes,
+Casas & Ros (BIT 40, 2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009,
+sec. 4) on three Gauss-Legendre nodes per step.  Each step exponent is a
+polynomial of degree 5 in lambda, expanded once per step grid and evaluated
+by Horner's rule.  The steps are spread by the local coefficient magnitude
+and their cap is calibrated until D stops moving.  The frame is
+re-orthogonalized by QR every _QR_STRIDE steps, or sooner where it could grow
+past _NORM_CAP, and the radial growth extracted into a running log-scale.
+A batch of lambda shares one QR schedule, whose segments are cut into chunks
+of at most _BLOCK steps.  The step exponentials of a chunk are truncated
+Taylor series (Paterson-Stockmeyer, no linear solve) of the lowest degree
+the chunk's norm bounds allow, built in a (d, d, steps, lambda) layout and
+multiplied there pairwise as a tree, so the sequential loop applies one
+product per chunk and one QR per segment.
 The Evans determinant
 
     D(lambda, xi) = det(Psi(X, lambda) - e^{i xi X} Id)
@@ -74,7 +78,6 @@ class InaccurateExpansion(EvansError):
     _REPRESENTATION_TOL."""
 
 
-_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _QR_STRIDE = 256        # Magnus steps between re-orthogonalizations
 _NORM_CAP = 1e8         # ... or sooner, once the frame could grow past this
 _BATCH = 64             # lambda carried through one step loop at most
@@ -171,6 +174,32 @@ def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for k in range(1, A.shape[1]):
         C += A[:, k, None] * B[None, k]
     return C
+
+
+def _horner(P, x):
+    """sum_k x^k P[k] by Horner's rule over every coefficient P holds."""
+    acc = P[-1]
+    for c in P[-2::-1]:
+        acc = c + x * acc
+    return acc
+
+
+def _pad(P: np.ndarray, k: int) -> np.ndarray:
+    """The lambda-polynomial P, a stack of coefficients, padded to k terms."""
+    return np.concatenate([P, np.zeros((k - len(P),) + P.shape[1:], P.dtype)])
+
+
+def _commute(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The commutator [P, Q] of two lambda-polynomials of matrix stacks.
+
+    P and Q hold their coefficients along the first axis, each a stack of
+    (..., d, d) matrices; the result holds len(P) + len(Q) - 1 of them.
+    """
+    C = P[:, None] @ Q[None] - Q[None] @ P[:, None]
+    out = np.zeros((len(P) + len(Q) - 1,) + C.shape[2:], C.dtype)
+    for i in range(len(P)):
+        out[i:i + len(Q)] += C[i]
+    return out
 
 
 def _expm_stack(M: np.ndarray, nmax: float) -> np.ndarray:
@@ -270,19 +299,20 @@ class EvansEvaluator:
 
         Each step carries at most `cap` units of the integrated 1-norm of
         A0 + A1, so no single Magnus step spans a dynamic range the QR
-        extraction cannot absorb.  Step j's fourth-order exponent is
-        W0[j] + lambda W1[j] + lambda^2 W2[j]: the midpoint term and the
-        commutator of the Gauss-node values B1, B2 of A0 + lambda A1,
-        expanded in lambda.  Returns the exponents as one (3, d, d, n_steps)
-        array W, with W[0], W[1], W[2] the stacks W0, W1, W2 in the
-        (d, d, ...) layout of _matmul, and their per-step 1-norms as a
-        (3, n_steps) array.
+        extraction cannot absorb.  Step j's exponent is the sixth-order,
+        three-commutator Magnus exponent of Blanes, Casas & Ros (BIT 40,
+        2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009, sec. 4) on
+        the three Gauss-Legendre nodes of the step.  Its alphas are linear
+        in lambda, so it is a polynomial sum_k lambda^k W_k[j] of degree 5.
+        Returns the coefficients as one (6, d, d, n_steps) array W, with
+        W[k] the stack W_k in the (d, d, ...) layout of _matmul, and their
+        per-step 1-norms as a (6, n_steps) array.
         """
         omega = (np.abs(self._A0).sum(axis=2).max(axis=1)
                  + np.abs(self._A1).sum(axis=2).max(axis=1))
-        # Magnus error density: the fourth-order local error scales like
-        # h^5 ||A||^2 ||A''||, so equidistribute its fifth root; keep
-        # h * ||A|| bounded as well so no single step spans a huge range
+        # step density: the fifth root of ||A||^2 ||A''||, with h * ||A||
+        # bounded as well so no single step spans a huge range.  It only
+        # spreads the steps over the period; the calibration sets the cap
         d2 = fourier.deriv(self._A0 + self._A1, self.X, 2)
         curv = np.abs(d2).sum(axis=2).max(axis=1)
         dens = (omega ** 2 * curv) ** 0.2
@@ -302,18 +332,21 @@ class EvansEvaluator:
         edges = np.interp(targets, cum, xg)
         edges[0], edges[-1] = 0.0, self.X
         h = np.diff(edges)
-        nodes1 = edges[:-1] + _GAUSS[0] * h
-        nodes2 = edges[:-1] + _GAUSS[1] * h
+        root = math.sqrt(15.0) / 10.0
         A = np.stack([self._A0, self._A1], axis=1)
-        B1 = fourier.interp(A, self.X, nodes1)
-        B2 = fourier.interp(A, self.X, nodes2)
-        G1, G2, H1, H2 = B1[:, 0], B2[:, 0], B1[:, 1], B2[:, 1]
-        hc = h[:, None, None]
-        c = (math.sqrt(3.0) / 12.0) * hc * hc
-        W = np.stack([0.5 * hc * (G1 + G2) + c * (G2 @ G1 - G1 @ G2),
-                      0.5 * hc * (H1 + H2) + c * (G2 @ H1 - H1 @ G2
-                                                  + H2 @ G1 - G1 @ H2),
-                      c * (H2 @ H1 - H1 @ H2)])
+        # h A_i at Gauss node i as a lambda-polynomial: the stacks of h A0
+        # and h A1 along the first axis, (2, n_steps, d, d)
+        B1, B2, B3 = (h[:, None, None] * np.moveaxis(
+            fourier.interp(A, self.X, edges[:-1] + c * h), 1, 0)
+            for c in (0.5 - root, 0.5, 0.5 + root))
+        # Omega = a1 + a3/12 + [-20 a1 - a3 + c1, a2 + c2] / 240
+        a1 = B2
+        a2 = (math.sqrt(15.0) / 3.0) * (B3 - B1)
+        a3 = (10.0 / 3.0) * (B3 - 2.0 * B2 + B1)
+        c1 = _commute(a1, a2)
+        c2 = _commute(a1, 2.0 * _pad(a3, 3) + c1) / -60.0
+        W = (_commute(_pad(-20.0 * a1 - a3, 3) + c1, _pad(a2, 4) + c2) / 240.0
+             + _pad(a1 + a3 / 12.0, 6))
         W = np.ascontiguousarray(W.transpose(0, 2, 3, 1))
         return W, np.abs(W).sum(axis=1).max(axis=1)
 
@@ -336,10 +369,9 @@ class EvansEvaluator:
         U = Y.copy()
         g = np.zeros((len(lam), d))
         logdet = np.zeros(len(lam), dtype=complex)
-        # ||omega||_1 <= ||W0||_1 + r ||W1||_1 + r^2 ||W2||_1 for every
-        # member, with r the batch's largest |lambda|
-        r = float(np.abs(lam).max())
-        bounds = norms[0] + r * (norms[1] + r * norms[2])
+        # ||omega||_1 <= sum_k r^k ||W_k||_1 for every member, with r the
+        # batch's largest |lambda|
+        bounds = _horner(norms, float(np.abs(lam).max()))
         starts = _qr_schedule(bounds.tolist(), d)
         for s, t in zip(starts, starts[1:]):
             for a in range(s, t, _BLOCK):
@@ -439,14 +471,14 @@ def _chunk_product(W: np.ndarray, lam: np.ndarray,
                    nmax: float) -> np.ndarray:
     """Product E_last ... E_first of the step exponentials of one chunk.
 
-    W holds the chunk's step exponents as a (3, d, d, steps, 1) slice of
+    W holds the chunk's step exponents as a (6, d, d, steps, 1) slice of
     _step_grid's array and nmax bounds the 1-norm of every step's omega.
     The steps are multiplied pairwise as a tree, later factor on the left,
     one stacked product per level (an odd last factor is carried up a
     level), so a width-w chunk takes ceil(log2 w) stacked products.
     Returns an (L, d, d) array.
     """
-    P = _expm_stack(W[0] + lam * (W[1] + lam * W[2]), nmax)
+    P = _expm_stack(_horner(W, lam), nmax)
     while P.shape[2] > 1:
         half = P.shape[2] // 2
         pairs = _matmul(P[:, :, 1:2 * half:2], P[:, :, 0:2 * half:2])

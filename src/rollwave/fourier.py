@@ -37,15 +37,23 @@ def deriv(values: np.ndarray, period: float, order: int = 1) -> np.ndarray:
     return np.fft.ifft(mult * np.fft.fft(values, axis=0), axis=0)
 
 
+def circulant(col: np.ndarray) -> np.ndarray:
+    """The circulant C[i, j] = col[(i - j) mod n] as a read-only view.
+
+    Windows onto two copies of the reversed col, so nothing of size n^2 is
+    allocated.
+    """
+    n = len(col)
+    return sliding_window_view(np.tile(col[::-1], 2), n)[n - 1::-1]
+
+
 def diff_matrix(n: int, period: float, order: int = 1) -> np.ndarray:
     """Trigonometric differentiation matrix as a read-only view, no copy.
 
-    Differentiation commutes with grid shifts, so D[i, j] = col[(i - j) mod n]
-    with col the derivative of the unit sample e_0: windows onto two copies
-    of the reversed col.
+    Differentiation commutes with grid shifts, so D is the circulant of the
+    derivative of the unit sample e_0.
     """
-    col = deriv(np.eye(1, n)[0], period, order)
-    return sliding_window_view(np.tile(col[::-1], 2), n)[n - 1::-1]
+    return circulant(deriv(np.eye(1, n)[0], period, order))
 
 
 def quad(values: np.ndarray, period: float) -> float:

@@ -94,30 +94,68 @@ _JAC_ROWS = 64          # rows of dG/dtau built at a time in _jacobian
 
 def _jacobian(tau, c, K, eps, nu, q, X, borders):
     """Bordered Jacobian of G: dG/dtau and dG/dc filled, `borders` rows and
-    columns left for the caller."""
+    columns left for the caller.
+
+    dG/dtau = diag(c^2 - 1/(K tau^3)) D1 + diag(...)
+              + c nu (D1 W D1 - 2 D1 diag(tau^-3 tau')),  W = diag(w),
+    w = tau^-2, with D1[i, j] = d_{i-j} (indices mod n) the trigonometric
+    differentiation matrix: d_0 = 0 and d_m = kappa (-1)^m cot(pi m / n)
+    for even n, kappa (-1)^m csc(pi m / n) for odd n, kappa = pi / X
+    (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3).  Let
+    t_m = cot(pi m / n) with t_0 = 0, h = t * w (circular convolution),
+    S = sum(w) and s_m = (-1)^m for even n, 0 for odd n.  Summing over the
+    middle index with cot a cot b = 1 + cot(a + b)(cot a + cot b) (even n)
+    or csc a csc b = csc(a + b)(cot a + cot b) (odd n) gives, for i != j,
+
+        (D1 W D1)[i, j] = kappa D1[i, j] (h_i - h_j - (w_i + w_j) t_{i-j})
+                          + kappa^2 s_{i-j} (S - w_i - w_j),
+
+    and the diagonal is -(d^2 * w).  So off the diagonal
+
+        J[i, j] = D1[i, j] (g_i - f_j) - V[i, j] (p_i + p_j) + A s_{i-j},
+
+    with p = c nu kappa w, g = c nu kappa h + c^2 - 1/(K tau^3),
+    f = c nu kappa h + 2 c nu tau^-3 tau', A = c nu kappa^2 S and V the
+    circulant of d t + kappa s.  It is written into J _JAC_ROWS rows at a
+    time from read-only circulant views, with no transform of any row.
+    """
     n = len(tau)
     dt = fourier.deriv(tau, X)
     u = q - eps * c * tau
     J = np.zeros((n + borders, n + borders))
-    # dG/dtau = (c^2 - 1/(K tau^3)) D1 + diag(...)
-    #           + c nu (D1 diag(tau^-2) D1 - 2 D1 diag(tau^-3 tau')),
-    # written into J _JAC_ROWS rows at a time.  D1 is antisymmetric, so a
-    # row r of D1 diag(tau^-2) times D1 is -r': the viscous product is a
-    # derivative along the rows.
     D1 = fourier.diff_matrix(n, X, 1)
-    inv_sq = tau ** -2
-    row_scale = c * c - 1.0 / (K * tau ** 3)
-    col_scale = 2.0 * c * nu * tau ** -3 * dt
+    d = D1[:, 0]
+    kappa = np.pi / X
+    # t is odd about m = 0; its larger half would lose digits near pi
+    m = np.arange(1, (n + 1) // 2)
+    t = np.zeros(n)
+    t[m] = 1.0 / np.tan(np.pi * m / n)
+    t[n - m] = -t[m]
+    sign = (-1.0) ** np.arange(n) * (1 - n % 2)
+    w = tau ** -2
+    w_hat = np.fft.rfft(w)
+    h = np.fft.irfft(np.fft.rfft(t) * w_hat, n)
+    visc = c * nu * kappa
+    p = visc * w
+    g = visc * h + c * c - 1.0 / (K * tau ** 3)
+    f = visc * h + 2.0 * c * nu * tau ** -3 * dt
+    A = visc * kappa * np.sum(w)
+    V = fourier.circulant(d * t + kappa * sign)
+    Z = fourier.circulant(A * sign)
+    buf = np.empty((min(_JAC_ROWS, n), n))
     for a in range(0, n, _JAC_ROWS):
         b = min(a + _JAC_ROWS, n)
-        rows = D1[a:b]
-        block = J[a:b, :n]
-        np.multiply(rows, inv_sq, out=block)
-        np.multiply(fourier.deriv(block.T, X).T, -c * nu, out=block)
-        block += row_scale[a:b, None] * rows
-        block -= rows * col_scale
-    J[np.diag_indices(n)] += (3.0 * dt / (K * tau ** 4) + u ** 2
-                              - 2.0 * eps * c * tau * u)
+        block, tmp = J[a:b, :n], buf[:b - a]
+        np.subtract.outer(g[a:b], f, out=tmp)
+        np.multiply(tmp, D1[a:b], out=block)
+        np.add.outer(p[a:b], p, out=tmp)
+        tmp *= V[a:b]
+        tmp -= Z[a:b]
+        block -= tmp
+    J[np.diag_indices(n)] = (3.0 * dt / (K * tau ** 4) + u ** 2
+                             - 2.0 * eps * c * tau * u
+                             - c * nu * np.fft.irfft(np.fft.rfft(d * d)
+                                                     * w_hat, n))
     J[:n, n] = (2.0 * c * dt - 2.0 * eps * tau ** 2 * u
                 + nu * fourier.deriv(tau ** -2 * dt, X))
     return J
@@ -361,9 +399,11 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
     def jacobian(x):
         a, c0, X0 = x[:n], x[n], x[n + 1]
         J = _jacobian(a, c0, 1.0, 0.0, nu, q0, X0, 2)
-        h = 1e-7 * X0
-        J[:n, n + 1] = (_equation(a, c0, 1.0, 0.0, nu, q0, X0 + h)
-                        - _equation(a, c0, 1.0, 0.0, nu, q0, X0 - h)) / (2.0 * h)
+        # on fixed samples d/dx scales as 1/X0, so a' and (a^-2 a')' go
+        # as X0^-1 and X0^-2
+        da = fourier.deriv(a, X0)
+        visc = fourier.deriv(a ** -2 * da, X0)
+        J[:n, n + 1] = -((c0 * c0 - a ** -3) * da + 2.0 * c0 * nu * visc) / X0
         J[n, :n] = 2.0 * cosw / n
         J[n + 1, :n] = 2.0 * sinw / n
         return J

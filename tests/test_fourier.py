@@ -69,7 +69,7 @@ def test_deriv_runs_along_axis_0(order):
             <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n", [8, 64, 200, 256])
+@pytest.mark.parametrize("n", [8, 63, 64, 200, 201, 256])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_diff_matrix_is_the_circulant_of_deriv(n, order):
     X = 7.83
@@ -79,6 +79,10 @@ def test_diff_matrix_is_the_circulant_of_deriv(n, order):
     want = scipy.linalg.circulant(fourier.deriv(e0, X, order))
     assert np.array_equal(D, want)
     assert not D.flags.writeable
+    col = np.random.default_rng(n + order).standard_normal(n)
+    C = fourier.circulant(col)
+    assert np.array_equal(C, scipy.linalg.circulant(col))
+    assert not C.flags.writeable
 
 
 def test_diff_matrix_copies_no_dense_matrix():

@@ -225,12 +225,13 @@ def _wavy(n, X):
             + 0.1 * np.sin(4.0 * np.pi * x / X) + 1e-3 * noise)
 
 
-@pytest.mark.parametrize("n", [64, 200, 256])
+@pytest.mark.parametrize("n", [63, 64, 200, 201, 256, 1024])
 @pytest.mark.parametrize("borders", [1, 2])
 @pytest.mark.parametrize("coeffs", [(9.0, 1.0, 0.1, 1.2, 10.0),
                                     (1.0, 0.0, 0.1, 0.4, 0.45)])
 def test_jacobian_rows_match_the_dense_product(n, borders, coeffs):
-    # the row-block build against dG/dtau written out with dense products
+    # the closed-form build against dG/dtau written out with dense
+    # products, on both parities of n
     K, eps, nu, q, X = coeffs
     tau, c = _wavy(n, X), 0.35
     D1 = fourier.diff_matrix(n, X, 1)
@@ -248,6 +249,44 @@ def test_jacobian_rows_match_the_dense_product(n, borders, coeffs):
     assert np.array_equal(J[:n, n], dc)
     # the border rows and every border column but dG/dc are the caller's
     assert not np.any(J[n:]) and not np.any(J[:, n + 1:])
+
+
+def test_jacobian_transforms_no_row(monkeypatch):
+    # the viscous product is summed in closed form: one build transforms a
+    # fixed handful of vectors, however large n is, and no block of rows
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        direct = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _f=direct, **kw:
+                            calls.append(np.ndim(args[0])) or _f(*args, **kw))
+    counts, coeffs = {}, (1.0, 0.0, 0.1, 0.4, 0.45)
+    for n in (256, 1024):
+        calls.clear()
+        prof._jacobian(_wavy(n, coeffs[-1]), 0.35, *coeffs, 1)
+        assert set(calls) == {1}
+        counts[n] = len(calls)
+    assert counts[256] == counts[1024]
+
+
+def test_limit_pinned_period_column_matches_central_differences(
+        limit_wave, monkeypatch):
+    # dG/dX0 of the pinned walk is exact, not a difference quotient
+    got = {}
+
+    def capture(residual, jacobian, x, tol, admissible):
+        got.update(residual=residual, jacobian=jacobian, x=x)
+        return x, 0.0
+
+    monkeypatch.setattr(prof, "_newton_solve", capture)
+    lp, n = limit_wave, 64
+    a = fourier.resample(lp.a, n)
+    A = 2.0 * float(np.mean(a * np.cos(2.0 * np.pi * np.arange(n) / n)))
+    prof._limit_pinned(a, lp.q0, lp.c0, lp.X0, lp.nu, A, 1e-8)
+    x, h = got["x"], 1e-5 * got["x"][n + 1]
+    e = np.eye(1, n + 2, n + 1)[0] * h
+    fd = (got["residual"](x + e) - got["residual"](x - e))[:n] / (2.0 * h)
+    col = got["jacobian"](x)[:n, n + 1]
+    assert np.max(np.abs(col - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
 def test_jacobian_allocates_no_dense_temporary():

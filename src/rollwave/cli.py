@@ -380,6 +380,9 @@ def _dispatch(sub: str, opts: dict) -> int:
     unknown = set(opts) - set(schema)
     if unknown:
         raise DomainError(f"unknown option keys: {sorted(unknown)}")
+    missing = set(schema) - set(opts)
+    if missing:
+        raise DomainError(f"missing option keys: {sorted(missing)}")
     _COMMANDS[sub](opts)
     primary = opts.get(_PRIMARY_OUT[sub])
     manifest_path = opts.get("manifest") or (
@@ -397,6 +400,11 @@ def run(argv) -> int:
         if ns.subcommand is not None:
             raise DomainError("--from-manifest takes no subcommand")
         doc = json.loads(open(ns.from_manifest, "r", encoding="utf-8").read())
+        if not (isinstance(doc, dict) and {"subcommand", "options"} <= set(doc)
+                and isinstance(doc["subcommand"], str)
+                and isinstance(doc["options"], dict)):
+            raise DomainError("a manifest is an object with a 'subcommand' "
+                              "string and an 'options' object")
         return _dispatch(doc["subcommand"], dict(doc["options"]))
     if ns.subcommand is None:
         parser.print_usage(sys.stderr)

@@ -109,16 +109,14 @@ def fourier_coeffs(values: np.ndarray) -> np.ndarray:
 
 
 def resample(values: np.ndarray, n_new: int) -> np.ndarray:
-    """Trigonometric resampling to a different node count."""
+    """Trigonometric resampling to a different node count.
+
+    Keeps the signed modes of the smaller grid, which both grids hold.
+    """
     n = len(values)
-    c = np.fft.fft(values) / n
-    k_old = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
-    k_new = np.rint(np.fft.fftfreq(n_new, d=1.0 / n_new)).astype(int)
-    pos = {k: i for i, k in enumerate(k_new)}
+    m = min(n, n_new)
+    k = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
     out = np.zeros(n_new, dtype=complex)
-    limit = min(n, n_new) // 2
-    for i, k in enumerate(k_old):
-        if abs(k) <= limit and k in pos:
-            out[pos[k]] += c[i]
+    out[k % n_new] = np.fft.fft(values)[k % n] / n
     res = np.fft.ifft(out * n_new)
     return res.real if np.isrealobj(values) else res

@@ -74,11 +74,19 @@ class WaveProfile:
     @classmethod
     def from_json(cls, text: str) -> "WaveProfile":
         data = json.loads(text)
-        params = PhysicalParams(**data["params"])
-        return cls(params=params, n=int(data["n"]),
-                   tau=np.asarray(data["tau"], dtype=float),
-                   dtau=np.asarray(data["dtau"], dtype=float),
-                   residual_norm=float(data["residual"]))
+        try:
+            w = cls(params=PhysicalParams(**data["params"]), n=int(data["n"]),
+                    tau=np.asarray(data["tau"], dtype=float),
+                    dtau=np.asarray(data["dtau"], dtype=float),
+                    residual_norm=float(data["residual"]))
+        except (KeyError, TypeError, ValueError) as err:
+            raise DomainError(f"malformed profile: {err!r}") from None
+        if not (w.n > 0 and w.tau.shape == w.dtau.shape == (w.n,)
+                and np.isfinite([w.tau, w.dtau]).all()
+                and np.all(w.tau > 0.0)):
+            raise DomainError(f"a profile of n = {w.n} needs n finite tau > 0 "
+                              f"and n finite dtau samples")
+        return w
 
 
 def _equation(tau, c, K, eps, nu, q, X):
@@ -413,8 +421,7 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
     return x[:n], float(x[n]), float(x[n + 1])
 
 
-_LIMIT_TOL = 1e-10      # residual the limit wave's final solve aims at
-_LIMIT_ROUGH = 1e-8     # residual of the walk and continuation steps
+_LIMIT_TOL = 1e-8       # residual of every limit solve
 _LIMIT_N0 = 256         # grid the limit walk starts on and the path from
                         # it runs on, unless the wave needs a finer one
 
@@ -499,10 +506,10 @@ def _limit_walk(q0: float, X0: float, nu: float, n0: int,
                 X_onset: float) -> LimitProfile:
     """Walk from onset onto the bifurcated branch, up to the period X0.
 
-    Steps the pinned amplitude up by 1.3 from 1 % of the constant state on
-    n0 nodes, and stops early if the spectral tail outgrows the grid (deep
-    waves need refinement first) or the pinned Newton breaks down near
-    a = 0.  Returns the natural wave at the period reached, at most X0.
+    Steps the pinned amplitude up by 1.3 from 1 % of the constant state a*
+    on n0 nodes while the next amplitude stays within a* (the trough nears
+    a = 0 past it) and the spectral tail fits the grid (deep waves need
+    refinement first).  Returns the natural wave at the period reached.
     """
     a_star = q0 ** -2
     x = fourier.grid(n0, 1.0)
@@ -512,15 +519,15 @@ def _limit_walk(q0: float, X0: float, nu: float, n0: int,
     while True:
         try:
             a, c0, X_cur = _limit_pinned(a, q0, c0, X_cur, nu, A,
-                                         _LIMIT_ROUGH)
+                                         _LIMIT_TOL)
         except (NonConvergence, DegenerateJacobian):
-            # amplitude stepping broke down (profile close to a = 0);
-            # fall back to natural continuation in X0 from the last wave
+            # amplitude stepping broke down; fall back to natural
+            # continuation in X0 from the last wave
             break
-        if X_cur >= X0 or A > 2.0 * a_star or _tail_ratio(a) > 1e-3:
+        if X_cur >= X0 or 1.3 * A > a_star or _tail_ratio(a) > 1e-3:
             break
         A *= 1.3
-    return _limit_newton(a, q0, c0, min(X_cur, X0), nu, _LIMIT_ROUGH)
+    return _limit_newton(a, q0, c0, min(X_cur, X0), nu, _LIMIT_TOL)
 
 
 def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
@@ -531,15 +538,14 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
     point, the starting one first, has its grid doubled while the spectral
     tail is unresolved: a converged but unresolved iterate is a spurious
     discrete solution.  The wave is then refined to at least n nodes (never
-    coarsened) and, above _LIMIT_TOL, solved once more toward it: Newton
-    may stop at G's rounding floor instead, 1e-8 max(1, (n / 256)^2).
+    coarsened).
     """
     q0, nu, X_from = prof.q0, prof.nu, prof.X0
 
     def refine(prof: LimitProfile, m: int) -> LimitProfile:
         a_seed = np.maximum(fourier.resample(prof.a, m),
                             0.05 * np.min(prof.a))
-        return _limit_newton(a_seed, q0, prof.c0, prof.X0, nu, _LIMIT_ROUGH)
+        return _limit_newton(a_seed, q0, prof.c0, prof.X0, nu, _LIMIT_TOL)
 
     def resolved(prof: LimitProfile) -> LimitProfile:
         while _tail_ratio(prof.a) > 1e-4 and prof.n < 8192:
@@ -555,7 +561,7 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
             # X0 exactly at the end of the path
             X = X0 if s == length else X_from * np.exp(s if up else -s)
             w = resolved(_limit_newton(x[:-1], q0, x[-1], X, nu,
-                                       _LIMIT_ROUGH))
+                                       _LIMIT_TOL))
             return np.append(w.a, w.c0), w
 
         prof = _follow(solve, np.append(prof.a, prof.c0), length,
@@ -563,8 +569,6 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
 
     while prof.n < n:
         prof = refine(prof, min(2 * prof.n, n))
-    if prof.residual_norm > _LIMIT_TOL:
-        prof = _limit_newton(prof.a.copy(), q0, prof.c0, X0, nu, _LIMIT_TOL)
     return prof
 
 

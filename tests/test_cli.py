@@ -209,6 +209,63 @@ def test_verdict_report_and_manifest_replay(tmp_path, constant_state):
     assert (tmp_path / "v2.json").read_text() == report.read_text()
 
 
+def _with(samples, i, value):
+    return samples[:i] + [value] + samples[i + 1:]
+
+
+# Spoilt copies of a profile file, each made by editing its parsed JSON.
+_BAD_PROFILES = {
+    "short-dtau": lambda d: d.update(dtau=d["dtau"][:10]),
+    "no-residual": lambda d: d.pop("residual"),
+    "nan-tau": lambda d: d.update(tau=_with(d["tau"], 5, float("nan"))),
+    "nan-dtau": lambda d: d.update(dtau=_with(d["dtau"], 5, float("nan"))),
+    "negative-tau": lambda d: d.update(tau=_with(d["tau"], 5, -1.0)),
+    "wrong-n": lambda d: d.update(n=32),
+    "scalar-tau": lambda d: d.update(tau=1.0),
+    "no-samples": lambda d: d.update(n=0, tau=[], dtau=[]),
+    "no-param-c": lambda d: d["params"].pop("c"),
+    "unknown-param": lambda d: d["params"].update(Re=10.0),
+}
+
+
+@pytest.mark.parametrize("spoil", _BAD_PROFILES.values(), ids=_BAD_PROFILES)
+def test_malformed_profile_file_exits_1_and_writes_nothing(
+        tmp_path, capsys, constant_state, spoil):
+    # a profile file whose keys, sample counts or samples are wrong is
+    # refused when it is read, before any verdict is computed
+    doc = json.loads(constant_state.to_json())
+    spoil(doc)
+    pin = tmp_path / "w.json"
+    pin.write_text(json.dumps(doc))
+    assert cli.main(["verdict", "--in", str(pin),
+                     "--report", str(tmp_path / "v.json")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"subcommand": "kdv"},
+    {"subcommand": ["kdv"], "options": {}},
+    ["kdv", {"X": 17.0}],
+], ids=["no-options", "list-subcommand", "not-an-object"])
+def test_malformed_manifest_exits_1(tmp_path, doc):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    assert cli.main(["--from-manifest", str(manifest)]) == 1
+
+
+def test_manifest_missing_options_exits_1_and_names_them(tmp_path, capsys):
+    # a manifest replays a run only if it names every option of its
+    # subcommand, as _dispatch writes them
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subcommand": "kdv", "options": {
+        "X": 17.0, "out": str(tmp_path / "k.json")}}))
+    assert cli.main(["--from-manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert "missing option keys: ['config', 'delta', 'k', 'manifest']" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
 # Flags of numerical settings that are module constants, each given the
 # constant's value: the parser refuses them before anything runs, and sweep's
 # --n is not read as a prefix of --nu.

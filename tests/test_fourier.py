@@ -184,3 +184,36 @@ def test_fourier_coeffs_normalization():
     c = fourier.fourier_coeffs(np.cos(x))
     assert c[1] == pytest.approx(0.5, abs=1e-14)
     assert c[-1] == pytest.approx(0.5, abs=1e-14)
+
+
+def _resample_by_loop(values, n_new):
+    """Resampling mode by mode: the reference for fourier.resample."""
+    n = len(values)
+    c = np.fft.fft(values) / n
+    k_old = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
+    k_new = np.rint(np.fft.fftfreq(n_new, d=1.0 / n_new)).astype(int)
+    pos = {k: i for i, k in enumerate(k_new)}
+    out = np.zeros(n_new, dtype=complex)
+    limit = min(n, n_new) // 2
+    for i, k in enumerate(k_old):
+        if abs(k) <= limit and k in pos:
+            out[pos[k]] += c[i]
+    res = np.fft.ifft(out * n_new)
+    return res.real if np.isrealobj(values) else res
+
+
+_RESAMPLE_N = (4, 5, 7, 8, 12, 16, 63, 64, 200, 201, 256, 1024)
+
+
+@pytest.mark.parametrize("n", _RESAMPLE_N)
+def test_resample_matches_the_mode_loop_bitwise(n):
+    # odd and even grids both ways, real and complex: the modes the two
+    # grids share land where the loop puts them, to the last bit
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal(n)
+    for values in (real, real + 1j * rng.standard_normal(n)):
+        for n_new in _RESAMPLE_N + (512, 2048):
+            got = fourier.resample(values, n_new)
+            want = _resample_by_loop(values, n_new)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)

@@ -1,7 +1,5 @@
 """Traveling-wave profile solvers: Newton, continuation, and scaling limits."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -316,7 +314,7 @@ def test_newton_solve_holds_one_jacobian_buffer(limit_wave, monkeypatch):
     tracemalloc.start()
     try:
         w = prof._limit_newton(a, limit_wave.q0, limit_wave.c0,
-                               limit_wave.X0, limit_wave.nu, prof._LIMIT_TOL)
+                               limit_wave.X0, limit_wave.nu, 1e-10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -536,8 +534,9 @@ def test_fig1c_wave_regression(fig1c_wave):
 
 def test_wave_profile_json_roundtrip(fig1c_wave):
     w2 = prof.WaveProfile.from_json(fig1c_wave.to_json())
-    assert w2.params == fig1c_wave.params
+    assert w2.params == fig1c_wave.params and w2.n == fig1c_wave.n
     assert np.array_equal(w2.tau, fig1c_wave.tau)
+    assert np.array_equal(w2.dtau, fig1c_wave.dtau)
     assert w2.residual_norm == fig1c_wave.residual_norm
 
 
@@ -568,27 +567,27 @@ def test_limit_wave_x0_045_frozen():
     assert lp.c0 == pytest.approx(0.06358999881189556, rel=1e-9, abs=0.0)
 
 
-def test_limit_wave_raises_when_its_final_solve_fails(monkeypatch):
-    # a limit wave whose rough solve ends above _LIMIT_TOL is solved once
-    # more toward it; that solve keeps an iterate at the rounding floor, so
-    # a raise there is a real failure and reaches the caller instead of the
-    # rough wave.  Newton finishes the X0 = 0.25 rough solve below
-    # _LIMIT_TOL, so its reported residual is raised above it here
-    newton = prof._limit_newton
-    tight = []
+def test_limit_walk_ends_before_its_pinned_newton_fails(monkeypatch):
+    # the walk to the profile-f8 limit wave stops before its amplitude
+    # passes a*, so no pinned solve fails; the path's solve at X0 = 0.45,
+    # refined to 1024 nodes on the way up, is the last solve and the wave
+    pinned, newton = prof._limit_pinned, prof._limit_newton
+    failed, solved = [], []
 
-    def failing(a, q0, c0, X0, nu, tol):
-        if tol == prof._LIMIT_TOL:
-            tight.append(X0)
-            raise prof.NonConvergence("forced", 1.0)
-        w = newton(a, q0, c0, X0, nu, tol)
-        return dataclasses.replace(
-            w, residual_norm=max(w.residual_norm, 2.0 * prof._LIMIT_TOL))
+    def counting_pinned(*args):
+        try:
+            return pinned(*args)
+        except (prof.NonConvergence, prof.DegenerateJacobian):
+            failed.append(args[-2])
+            raise
 
-    monkeypatch.setattr(prof, "_limit_newton", failing)
-    with pytest.raises(prof.NonConvergence):
-        prof.limit_profile_alpha_m2(0.4, 0.25)
-    assert tight == [0.25]
+    monkeypatch.setattr(prof, "_limit_pinned", counting_pinned)
+    monkeypatch.setattr(prof, "_limit_newton", lambda *args: solved.append(
+        newton(*args)) or solved[-1])
+    lp = prof.limit_profile_alpha_m2(0.4, 0.45)
+    assert failed == []
+    assert lp is solved[-1] and lp.n == 1024
+    assert [w.X0 for w in solved].count(0.45) == 1
 
 
 def _count_walks(monkeypatch):

@@ -19,12 +19,13 @@ import os
 import sys
 import tempfile
 import traceback
+from pathlib import Path
 
 import numpy as np
 
 from . import evans, hill, kdv_limit, linearize, sweep
 from . import profile as profile_mod
-from .model import DomainError
+from .model import DomainError, NumericalFailure
 from .profile import (WaveProfile, ham_orbit, ham_selection_c0,
                       limit_profile_alpha_m2)
 
@@ -50,11 +51,15 @@ def _json_text(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Option schema: name -> (caster, default, help).  Casters raise ValueError
-# on malformed input, which surfaces as a validation error (exit 1).
+# Option schema: name -> (caster, default, help).  Every value of a config
+# file, a flag or a manifest goes through its caster; one that raises
+# ValueError or TypeError is a validation error (exit 1).
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v.strip()]
+def _floats(value) -> list[float]:
+    """Comma-separated text, or the list a manifest records."""
+    if isinstance(value, list):
+        return [float(v) for v in value]
+    return [float(v) for v in str(value).split(",") if v.strip()]
 
 
 _SCHEMAS: dict[str, dict[str, tuple]] = {
@@ -143,39 +148,37 @@ _COMMON = {
 }
 
 
-def _parse_config_file(path: str, schema: dict) -> dict:
+def _parse_config_file(path: str) -> dict:
     values = {}
-    for raw in open(path, "r", encoding="utf-8").read().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, val = line.partition("=")
-        key = key.strip()
         if not sep:
             raise DomainError(f"malformed config line: {raw!r}")
-        if key not in schema:
-            raise DomainError(f"unknown config key: {key!r}")
-        values[key] = val.strip()
+        values[key.strip()] = val.strip()
     return values
 
 
-def _resolve(sub: str, cli_values: dict) -> dict:
-    """Merge defaults, config file, and explicit flags into final options."""
+def _resolve(sub: str, *layers: dict) -> dict:
+    """The defaults of `sub` overlaid by each layer in turn (a config file,
+    the flags, a manifest's options).  Every non-None value is cast by the
+    schema; a key outside it is an error."""
+    if sub not in _SCHEMAS:
+        raise DomainError(f"unknown subcommand {sub!r}")
     schema = {**_SCHEMAS[sub], **_COMMON}
     resolved = {k: spec[1] for k, spec in schema.items()}
-    cfg_path = cli_values.get("config")
-    if cfg_path is not None:
-        for k, v in _parse_config_file(cfg_path, schema).items():
-            caster = schema[k][0]
-            try:
-                resolved[k] = caster(v)
-            except ValueError as err:
-                raise DomainError(f"bad config value for {k!r}: {err}")
-    for k, v in cli_values.items():
-        if v is not None:
+    for layer in layers:
+        for k, v in layer.items():
             if k not in schema:
                 raise DomainError(f"unknown option: {k!r}")
-            resolved[k] = v
+            if v is not None:
+                try:
+                    resolved[k] = schema[k][0](v)
+                except (TypeError, ValueError) as err:
+                    raise DomainError(
+                        f"bad value {v!r} for {k!r}: {err}") from None
     return resolved
 
 
@@ -187,7 +190,7 @@ def _require(opts: dict, *keys: str):
 
 
 def _load_profile(path: str) -> WaveProfile:
-    return WaveProfile.from_json(open(path, "r", encoding="utf-8").read())
+    return WaveProfile.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +304,7 @@ def _cmd_fit(o: dict):
     _require(o, "in", "out")
     # Only complete lines, and no ResultStore: its repair of a torn final
     # line would truncate a store that a running sweep is appending to.
-    text = open(o["in"], "r", encoding="utf-8").read()
+    text = Path(o["in"]).read_text(encoding="utf-8")
     records = [sweep.SweepRecord.from_json(line) for line in
                text[:text.rfind("\n") + 1].splitlines() if line.strip()]
     fit = sweep.powerlaw_fit(sweep.boundary_points(records, o["which"]))
@@ -367,22 +370,12 @@ def _build_parser() -> argparse.ArgumentParser:
         # no prefix matching: a removed flag such as sweep's --n must not
         # resolve to a longer one (--nu)
         sp = subs.add_parser(sub, allow_abbrev=False)
-        for name, (caster, default, help_text) in {**schema, **_COMMON}.items():
-            sp.add_argument(f"--{name}", type=caster, help=help_text,
-                            default=None, dest=name)
+        for name, (_, _, help_text) in {**schema, **_COMMON}.items():
+            sp.add_argument(f"--{name}", help=help_text, dest=name)
     return parser
 
 
 def _dispatch(sub: str, opts: dict) -> int:
-    if sub not in _COMMANDS:
-        raise DomainError(f"unknown subcommand {sub!r}")
-    schema = {**_SCHEMAS[sub], **_COMMON}
-    unknown = set(opts) - set(schema)
-    if unknown:
-        raise DomainError(f"unknown option keys: {sorted(unknown)}")
-    missing = set(schema) - set(opts)
-    if missing:
-        raise DomainError(f"missing option keys: {sorted(missing)}")
     _COMMANDS[sub](opts)
     primary = opts.get(_PRIMARY_OUT[sub])
     manifest_path = opts.get("manifest") or (
@@ -399,20 +392,26 @@ def run(argv) -> int:
     if ns.from_manifest is not None:
         if ns.subcommand is not None:
             raise DomainError("--from-manifest takes no subcommand")
-        doc = json.loads(open(ns.from_manifest, "r", encoding="utf-8").read())
+        doc = json.loads(Path(ns.from_manifest).read_text(encoding="utf-8"))
         if not (isinstance(doc, dict) and {"subcommand", "options"} <= set(doc)
                 and isinstance(doc["subcommand"], str)
                 and isinstance(doc["options"], dict)):
             raise DomainError("a manifest is an object with a 'subcommand' "
                               "string and an 'options' object")
-        return _dispatch(doc["subcommand"], dict(doc["options"]))
+        sub, options = doc["subcommand"], doc["options"]
+        opts = _resolve(sub, options)
+        missing = set(opts) - set(options)
+        if missing:
+            raise DomainError(f"missing option keys: {sorted(missing)}")
+        return _dispatch(sub, opts)
     if ns.subcommand is None:
         parser.print_usage(sys.stderr)
         raise DomainError("a subcommand is required")
-    cli_values = {k: v for k, v in vars(ns).items()
-                  if k not in ("subcommand", "from_manifest")}
-    opts = _resolve(ns.subcommand, cli_values)
-    return _dispatch(ns.subcommand, opts)
+    flags = {k: v for k, v in vars(ns).items()
+             if k not in ("subcommand", "from_manifest")}
+    config = ([_parse_config_file(flags["config"])]
+              if flags["config"] is not None else [])
+    return _dispatch(ns.subcommand, _resolve(ns.subcommand, *config, flags))
 
 
 def main(argv=None) -> int:
@@ -425,7 +424,7 @@ def main(argv=None) -> int:
     except (DomainError, FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except sweep.NUMERIC_ERRORS as err:
+    except NumericalFailure as err:
         print(f"non-convergence: {err}", file=sys.stderr)
         return 2
     except Exception:

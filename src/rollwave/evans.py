@@ -36,11 +36,11 @@ from . import fourier
 from .hill import checked_scan
 from .hill import spectrum  # unused; bench/tracing.py wraps evans.spectrum
 from .linearize import SpectralProblem, bloch_coeffs
-from .model import DomainError, slope_margin
+from .model import DomainError, NumericalFailure, slope_margin
 from .profile import WaveProfile
 
 
-class EvansError(Exception):
+class EvansError(NumericalFailure):
     """Base class for Evans-function failures."""
 
 

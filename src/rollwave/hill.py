@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fourier
 from .linearize import OperatorForm, SpectralProblem
-from .model import DomainError
+from .model import DomainError, NumericalFailure
 
 
 def _convolution(coeff: np.ndarray | float, N: int) -> np.ndarray | float:
@@ -274,7 +274,7 @@ class HillScan:
     reason: str | None = None
 
 
-class TruncationUnresolved(RuntimeError):
+class TruncationUnresolved(NumericalFailure):
     """No Hill truncation up to _N_CAP gave a checked answer."""
 
 

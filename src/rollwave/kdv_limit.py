@@ -24,11 +24,11 @@ import numpy as np
 from . import fourier, hill
 from .elliptic import elliptic_K, jacobi_cn, selection_kappa
 from .linearize import OperatorForm, SpectralProblem, Terms
-from .model import DomainError, PhysicalParams
+from .model import DomainError, NumericalFailure, PhysicalParams
 from .profile import WaveProfile, _newton_solve, ode_residual
 
 
-class SolvabilityError(RuntimeError):
+class SolvabilityError(NumericalFailure):
     """A corrector equation violated its Fredholm solvability condition."""
 
 
@@ -204,10 +204,8 @@ def asymptotic_rollwave(delta: float, k: float, nu: float, n: int = 256):
     q = 1.0 + c + delta * delta * wave.qtilde / 12.0
 
     params = PhysicalParams(F=F, nu=nu, q=q, c=c, X=X, tau0=1.0)
-    dtau = fourier.deriv(tau, X)
     res = float(np.max(np.abs(ode_residual(tau, params))))
-    return WaveProfile(params=params, n=n, tau=tau, dtau=dtau,
-                       residual_norm=res)
+    return WaveProfile(params=params, tau=tau, residual_norm=res)
 
 
 # The KdV-KS classification: the wave's grid and the Floquet grid, whose 48

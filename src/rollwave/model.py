@@ -23,6 +23,11 @@ class DomainError(ValueError):
     """A parameter fell outside its admissible range."""
 
 
+class NumericalFailure(RuntimeError):
+    """The numerics reached no checked answer: a solve that did not converge,
+    an unresolved truncation or an untrusted Evans computation."""
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Parameters of a single periodic traveling wave.

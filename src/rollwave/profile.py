@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fourier
-from .model import DomainError, PhysicalParams
+from .model import DomainError, NumericalFailure, PhysicalParams
 
 
-class NonConvergence(RuntimeError):
+class NonConvergence(NumericalFailure):
     """Newton failed to reach the residual tolerance."""
 
     def __init__(self, message: str, residual: float = np.nan):
@@ -36,23 +37,30 @@ class NonConvergence(RuntimeError):
         self.residual = residual
 
 
-class DegenerateJacobian(RuntimeError):
+class DegenerateJacobian(NumericalFailure):
     """The collocation Jacobian was numerically singular."""
 
 
-class ContinuationStalled(RuntimeError):
+class ContinuationStalled(NumericalFailure):
     """Adaptive continuation hit the minimum step without converging."""
 
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """A converged (or asymptotic) periodic wave sampled on a uniform grid."""
+    """A converged (or asymptotic) periodic wave sampled on a uniform grid;
+    n and tau' are derived from tau, so no stored copy can disagree with it."""
 
     params: PhysicalParams
-    n: int
     tau: np.ndarray
-    dtau: np.ndarray
     residual_norm: float
+
+    @property
+    def n(self) -> int:
+        return len(self.tau)
+
+    @functools.cached_property
+    def dtau(self) -> np.ndarray:
+        return fourier.deriv(self.tau, self.params.X)
 
     @property
     def u(self) -> np.ndarray:
@@ -63,11 +71,7 @@ class WaveProfile:
         return json.dumps({
             "params": {"F": p.F, "nu": p.nu, "q": p.q, "c": p.c, "X": p.X,
                        **({"tau0": p.tau0} if p.tau0 is not None else {})},
-            "n": self.n,
             "tau": list(self.tau),
-            "dtau": list(self.dtau),
-            "c": p.c,
-            "q": p.q,
             "residual": self.residual_norm,
         })
 
@@ -75,17 +79,15 @@ class WaveProfile:
     def from_json(cls, text: str) -> "WaveProfile":
         data = json.loads(text)
         try:
-            w = cls(params=PhysicalParams(**data["params"]), n=int(data["n"]),
+            w = cls(params=PhysicalParams(**data["params"]),
                     tau=np.asarray(data["tau"], dtype=float),
-                    dtau=np.asarray(data["dtau"], dtype=float),
                     residual_norm=float(data["residual"]))
         except (KeyError, TypeError, ValueError) as err:
             raise DomainError(f"malformed profile: {err!r}") from None
-        if not (w.n > 0 and w.tau.shape == w.dtau.shape == (w.n,)
-                and np.isfinite([w.tau, w.dtau]).all()
+        if not (w.tau.ndim == 1 and w.n > 0 and np.isfinite(w.tau).all()
                 and np.all(w.tau > 0.0)):
-            raise DomainError(f"a profile of n = {w.n} needs n finite tau > 0 "
-                              f"and n finite dtau samples")
+            raise DomainError("a profile needs a non-empty list of finite "
+                              "tau > 0 samples")
         return w
 
 
@@ -183,8 +185,7 @@ def equilibrium(F: float, nu: float, tau0: float = 1.0,
     params = PhysicalParams(F=F, nu=nu, q=q, c=c, X=X, tau0=tau0)
     tau = np.full(n, tau0)
     res = float(np.max(np.abs(ode_residual(tau, params))))
-    return WaveProfile(params=params, n=n, tau=tau, dtau=np.zeros(n),
-                       residual_norm=res)
+    return WaveProfile(params=params, tau=tau, residual_norm=res)
 
 
 _NEWTON_MAX_ITER = 60
@@ -297,10 +298,7 @@ def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
     tau, c, err = _locked_newton(lambda t, c: ode_residual(t, p.with_(c=c)),
                                  seed_tau, p.c, tol,
                                  (p.F * p.F, 1.0, p.nu, p.q, p.X))
-    out_params = params.with_(c=c)
-    return WaveProfile(params=out_params, n=len(tau), tau=tau,
-                       dtau=fourier.deriv(tau, out_params.X),
-                       residual_norm=err)
+    return WaveProfile(params=params.with_(c=c), tau=tau, residual_norm=err)
 
 
 _MIN_STEP = 1e-6        # smallest continuation step, as a share of the segment
@@ -372,16 +370,23 @@ def continue_profile(start: WaveProfile, tol: float = 1e-8,
 
 @dataclass(frozen=True)
 class LimitProfile:
-    """Periodic wave of the alpha = -2 large-F limit on [0, X0)."""
+    """Periodic wave of the alpha = -2 large-F limit on [0, X0); n and a'
+    are derived from its samples a."""
 
     q0: float
     X0: float
     nu: float
     c0: float
-    n: int
     a: np.ndarray
-    da: np.ndarray
     residual_norm: float
+
+    @property
+    def n(self) -> int:
+        return len(self.a)
+
+    @functools.cached_property
+    def da(self) -> np.ndarray:
+        return fourier.deriv(self.a, self.X0)
 
 
 def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
@@ -577,8 +582,7 @@ def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
     coeffs = (1.0, 0.0, nu, q0, X0)
     a, c0, err = _locked_newton(lambda a, c0: _equation(a, c0, *coeffs), a,
                                 c0, tol, coeffs)
-    return LimitProfile(q0=q0, X0=X0, nu=nu, c0=c0, n=len(a), a=a,
-                        da=fourier.deriv(a, X0), residual_norm=err)
+    return LimitProfile(q0=q0, X0=X0, nu=nu, c0=c0, a=a, residual_norm=err)
 
 
 def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,

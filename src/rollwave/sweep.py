@@ -30,16 +30,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import evans
-from .hill import TruncationUnresolved
-from .kdv_limit import SolvabilityError
-from .model import DomainError
-from .profile import (ContinuationStalled, DegenerateJacobian, NonConvergence,
-                      WaveProfile, _limit_table, profile_from_limit)
-
-# Failures of the numerics rather than of the program: a sweep records them
-# as "failed" points and the CLI maps them to exit code 2.
-NUMERIC_ERRORS = (NonConvergence, ContinuationStalled, DegenerateJacobian,
-                  SolvabilityError, TruncationUnresolved, evans.EvansError)
+from .model import DomainError, NumericalFailure
+from .profile import WaveProfile, _limit_table, profile_from_limit
 
 # Least grid points of every profile: profile_from_limit returns the larger
 # of this and the grid its limit wave resolved on, so a record's meta n may
@@ -82,9 +74,14 @@ class SweepRecord:
     @classmethod
     def from_json(cls, line: str) -> "SweepRecord":
         d = json.loads(line)
-        return cls(alpha=d["alpha"], F=d["F"], nu=d["nu"], q=d["q"], X=d["X"],
-                   verdict=d["verdict"], witness=d.get("witness"),
-                   conditions=d.get("conditions", {}), meta=d.get("meta", {}))
+        try:
+            return cls(alpha=d["alpha"], F=d["F"], nu=d["nu"], q=d["q"],
+                       X=d["X"], verdict=d["verdict"],
+                       witness=d.get("witness"),
+                       conditions=d.get("conditions", {}),
+                       meta=d.get("meta", {}))
+        except (KeyError, TypeError) as err:
+            raise DomainError(f"malformed sweep record: {err!r}") from None
 
 
 class ResultStore:
@@ -203,7 +200,7 @@ def default_solver(point: dict) -> WaveProfile:
 def evaluate_point(point: dict, solver=None) -> SweepRecord:
     """Solve the wave at one grid point and classify its stability.
 
-    A numeric failure (NUMERIC_ERRORS, a domain error or a failed linear
+    A numeric failure (a NumericalFailure, a domain error or a failed linear
     solve) is recorded as a "failed" record; any other exception is a bug
     and propagates.  Meta's n is the grid the wave was solved on, or the
     requested _PROFILE_N on a failed record.
@@ -214,7 +211,7 @@ def evaluate_point(point: dict, solver=None) -> SweepRecord:
     try:
         wave = solver(point)
         v = evans.verdict(wave)
-    except NUMERIC_ERRORS + (DomainError, np.linalg.LinAlgError) as err:
+    except (NumericalFailure, DomainError, np.linalg.LinAlgError) as err:
         return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
                            q=point["q"], X=point["X"], verdict="failed",
                            witness=f"{type(err).__name__}: {err}", meta=meta)

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, config/manifest plumbing, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,14 +217,11 @@ def _with(samples, i, value):
 
 # Spoilt copies of a profile file, each made by editing its parsed JSON.
 _BAD_PROFILES = {
-    "short-dtau": lambda d: d.update(dtau=d["dtau"][:10]),
     "no-residual": lambda d: d.pop("residual"),
     "nan-tau": lambda d: d.update(tau=_with(d["tau"], 5, float("nan"))),
-    "nan-dtau": lambda d: d.update(dtau=_with(d["dtau"], 5, float("nan"))),
     "negative-tau": lambda d: d.update(tau=_with(d["tau"], 5, -1.0)),
-    "wrong-n": lambda d: d.update(n=32),
     "scalar-tau": lambda d: d.update(tau=1.0),
-    "no-samples": lambda d: d.update(n=0, tau=[], dtau=[]),
+    "no-samples": lambda d: d.update(tau=[]),
     "no-param-c": lambda d: d["params"].pop("c"),
     "unknown-param": lambda d: d["params"].update(Re=10.0),
 }
@@ -231,7 +230,7 @@ _BAD_PROFILES = {
 @pytest.mark.parametrize("spoil", _BAD_PROFILES.values(), ids=_BAD_PROFILES)
 def test_malformed_profile_file_exits_1_and_writes_nothing(
         tmp_path, capsys, constant_state, spoil):
-    # a profile file whose keys, sample counts or samples are wrong is
+    # a profile file whose keys or samples are wrong is
     # refused when it is read, before any verdict is computed
     doc = json.loads(constant_state.to_json())
     spoil(doc)
@@ -263,6 +262,32 @@ def test_manifest_missing_options_exits_1_and_names_them(tmp_path, capsys):
     assert cli.main(["--from-manifest", str(manifest)]) == 1
     err = capsys.readouterr().err
     assert "missing option keys: ['config', 'delta', 'k', 'manifest']" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def _kdv_manifest(path, X):
+    path.write_text(json.dumps({"subcommand": "kdv", "options": {
+        "X": X, "k": None, "delta": None, "out": str(path.parent / "k.json"),
+        "config": None, "manifest": None}}))
+
+
+def test_manifest_values_are_cast_by_the_schema(tmp_path):
+    # a manifest's values go through the same casters as flags and config
+    # files: "17" replays as 17.0, and the new manifest records the float
+    manifest = tmp_path / "m.json"
+    _kdv_manifest(manifest, "17")
+    assert cli.main(["--from-manifest", str(manifest)]) == 0
+    assert json.loads((tmp_path / "k.json").read_text())["X"] == 17.0
+    replayed = json.loads((tmp_path / "k.json.manifest.json").read_text())
+    assert replayed["options"]["X"] == 17.0
+
+
+@pytest.mark.parametrize("X", ["abc", [1, 2]], ids=["text", "list"])
+def test_manifest_value_of_the_wrong_type_exits_1(tmp_path, capsys, X):
+    manifest = tmp_path / "m.json"
+    _kdv_manifest(manifest, X)
+    assert cli.main(["--from-manifest", str(manifest)]) == 1
+    assert "bad value" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
@@ -396,6 +421,48 @@ def test_fit_manifest_replay_is_byte_identical(tmp_path, monkeypatch):
     (tmp_path / "m2.json").write_text(json.dumps(doc))
     assert cli.main(["--from-manifest", str(tmp_path / "m2.json")]) == 0
     assert (tmp_path / "b.json").read_text() == out.read_text()
+
+
+@pytest.mark.parametrize("line", ['{"alpha": -2.0}', "[1, 2]"],
+                         ids=["no-keys", "not-an-object"])
+def test_malformed_store_record_exits_1_and_leaves_the_store(tmp_path,
+                                                             capsys, line):
+    # `fit` and `sweep` refuse a complete line that is no sweep record
+    # before they solve or write anything
+    store = tmp_path / "s.jsonl"
+    store.write_text(line + "\n")
+    assert cli.main(["fit", "--in", str(store),
+                     "--out", str(tmp_path / "f.json")]) == 1
+    assert cli.main(["sweep", "--F", "4", "--q0", "0.4", "--X", "3.28",
+                     "--store", str(store)]) == 1
+    assert capsys.readouterr().err.count("malformed sweep record") == 2
+    assert store.read_text() == line + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
+
+
+def test_cli_closes_every_file_it_reads(tmp_path, monkeypatch,
+                                        constant_state):
+    # config file, manifest, profile and store are each read and closed:
+    # an unclosed one warns ResourceWarning when it is collected
+    _bisected_store(tmp_path / "s.jsonl", monkeypatch)
+    pin = tmp_path / "w.json"
+    pin.write_text(constant_state.to_json())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("X = 12\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["kdv", "--config", str(cfg),
+                         "--out", str(tmp_path / "k.json")]) == 0
+        assert cli.main(["--from-manifest",
+                         str(tmp_path / "k.json.manifest.json")]) == 0
+        assert cli.main(["spectrum", "--in", str(pin), "--modes", "5",
+                         "--xi-points", "1",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert cli.main(["fit", "--in", str(tmp_path / "s.jsonl"),
+                         "--out", str(tmp_path / "f.json")]) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] \
+        == []
 
 
 def test_fit_missing_file_exits_1(tmp_path):

@@ -1,9 +1,11 @@
 """Traveling-wave profile solvers: Newton, continuation, and scaling limits."""
 
+import json
+
 import numpy as np
 import pytest
 
-from rollwave import fourier
+from rollwave import fourier, linearize
 from rollwave import profile as prof
 from rollwave.model import DomainError, PhysicalParams
 
@@ -360,8 +362,7 @@ def _on_line(X):
     cosx = np.cos(2.0 * np.pi * np.arange(8) / 8)
     tau = 1.0 + X / 16.0 * cosx
     params = PhysicalParams(F=3.0, nu=0.1, q=1.0, c=0.5 + X / 32.0, X=X)
-    return prof.WaveProfile(params=params, n=8, tau=tau, dtau=0.0 * tau,
-                            residual_norm=0.0)
+    return prof.WaveProfile(params=params, tau=tau, residual_norm=0.0)
 
 
 def test_continue_profile_secant_lands_on_linear_branch(monkeypatch):
@@ -441,15 +442,15 @@ def test_descent_starts_from_the_scaled_limit_wave(monkeypatch):
     # then the rest; the first solve, at F_v = 4 F, is seeded with the
     # limit wave itself, and F >= 100 takes the same path
     a = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(16) / 16)
-    lp = prof.LimitProfile(q0=0.4, X0=0.45, nu=0.1, c0=0.7, n=16, a=a,
-                           da=0.0 * a, residual_norm=0.0)
+    lp = prof.LimitProfile(q0=0.4, X0=0.45, nu=0.1, c0=0.7, a=a,
+                           residual_norm=0.0)
     monkeypatch.setattr(prof, "limit_profile_alpha_m2", lambda *a, **k: lp)
     calls = []
 
     def fake(params, seed_tau, tol=1e-8):
         calls.append((params, np.array(seed_tau)))
-        return prof.WaveProfile(params=params, n=16, tau=seed_tau,
-                                dtau=0.0 * seed_tau, residual_norm=0.0)
+        return prof.WaveProfile(params=params, tau=seed_tau,
+                                residual_norm=0.0)
 
     monkeypatch.setattr(prof, "solve_profile", fake)
     for F in (8.0, 150.0):
@@ -538,6 +539,43 @@ def test_wave_profile_json_roundtrip(fig1c_wave):
     assert np.array_equal(w2.tau, fig1c_wave.tau)
     assert np.array_equal(w2.dtau, fig1c_wave.dtau)
     assert w2.residual_norm == fig1c_wave.residual_norm
+
+
+def test_profile_file_holds_params_tau_and_residual(fig1c_wave):
+    # n and tau' are derived; a file that still carries them, and the top
+    # level copies of c and q, loads to the same wave
+    w = fig1c_wave
+    doc = json.loads(w.to_json())
+    assert sorted(doc) == ["params", "residual", "tau"]
+    doc.update(n=w.n, dtau=list(w.dtau), c=w.params.c, q=w.params.q)
+    w2 = prof.WaveProfile.from_json(json.dumps(doc))
+    assert w2.params == w.params and w2.residual_norm == w.residual_norm
+    assert np.array_equal(w2.tau, w.tau) and w2.n == w.n
+    assert w2.dtau.tobytes() == w.dtau.tobytes()
+
+
+def _same_problem(a, b):
+    """Bitwise equality of two SpectralProblems' coefficients."""
+    assert (a.kind, a.period) == (b.kind, b.period)
+    assert a.operator.M1.keys() == b.operator.M1.keys()
+    for key, terms in a.operator.M1.items():
+        for (ka, ca), (kb, cb) in zip(terms, b.operator.M1[key], strict=True):
+            assert ka == kb and np.array_equal(ca, cb)
+    assert np.array_equal(a.first_order.A0, b.first_order.A0)
+    assert np.array_equal(a.first_order.A1, b.first_order.A1)
+
+
+def test_a_stored_dtau_is_not_read(f6_waves):
+    # tau' is always fourier.deriv of tau: a file whose dtau list is zeroed
+    # gives the clean file's linearization, so the same verdict
+    w = f6_waves[8.78]
+    doc = json.loads(w.to_json())
+    doc["dtau"] = [0.0] * w.n
+    spoilt = prof.WaveProfile.from_json(json.dumps(doc))
+    clean = prof.WaveProfile.from_json(w.to_json())
+    assert spoilt.dtau.tobytes() == fourier.deriv(w.tau, w.params.X).tobytes()
+    _same_problem(linearize.bloch_coeffs(spoilt),
+                  linearize.bloch_coeffs(clean))
 
 
 def test_profile_from_limit_family_parameters(f6_waves):

@@ -62,6 +62,15 @@ def _floats(value) -> list[float]:
     return [float(v) for v in str(value).split(",") if v.strip()]
 
 
+def _int(value) -> int:
+    """An int, an integral float or the text of an int; int() alone would
+    truncate 256.7 and read True as 1."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "profile": {
         "F": (float, None, "Froude number"),
@@ -70,7 +79,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "X": (float, None, "Lagrangian period (physical seed route)"),
         "q0": (float, None, "rescaled outflow (alpha=-2 family route)"),
         "X0": (float, None, "rescaled period (alpha=-2 family route)"),
-        "n": (int, 256, "grid points"),
+        "n": (_int, 256, "grid points"),
         "tol": (float, 1e-8, "Newton tolerance"),
         "out": (str, None, "output profile JSON"),
     },
@@ -85,8 +94,8 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "spectrum": {
         "in": (str, None, "input profile JSON"),
-        "modes": (int, 101, "Fourier modes 2N+1"),
-        "xi-points": (int, 21, "Floquet parameters"),
+        "modes": (_int, 101, "Fourier modes 2N+1"),
+        "xi-points": (_int, 21, "Floquet parameters"),
         "format": (str, "csv", "csv|json"),
         "out": (str, None, "output spectrum file"),
     },
@@ -94,7 +103,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "in": (str, None, "input profile JSON"),
         "contour": (str, "semicircle:R=0.2", "contour spec"),
         "xi": (_floats, None, "comma-separated Floquet parameters"),
-        "xi-band": (int, None, "2n Floquet parameters in "
+        "xi-band": (_int, None, "2n Floquet parameters in "
                                "+-[pi/(10X), pi/X]"),
         "format": (str, "json", "csv|json"),
         "out": (str, None, "output winding report"),
@@ -132,7 +141,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "X0": (float, None, "rescaled period (alpha=-2 limit route)"),
         "h-minus": (float, None, "orbit turning point (alpha>-2 ham route)"),
         "nu": (float, 0.1, "viscosity (alpha=-2 route)"),
-        "n": (int, 256, "grid points"),
+        "n": (_int, 256, "grid points"),
         "out": (str, None, "output JSON"),
     },
 }

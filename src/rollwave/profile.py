@@ -427,8 +427,8 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
 
 
 _LIMIT_TOL = 1e-8       # residual of every limit solve
-_LIMIT_N0 = 256         # grid the limit walk starts on and the path from
-                        # it runs on, unless the wave needs a finer one
+_LIMIT_N0 = 256         # grid the limit walk starts on; the path from it
+                        # runs on max(n, _LIMIT_N0), or the limit's if coarser
 
 # The limit waves solved so far in the open _limit_table block, keyed by
 # (q0, nu, n) and then by X0; None outside a block.
@@ -595,14 +595,17 @@ def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
     the share s = F / F_v from the limit (s = 0) to the target (s = 1), each
     point a solve_profile call at F_v = F / s, from a first step of a
     quarter of the way down to a smallest of 1e-4.  The path runs on the
-    grid the limit solve resolved, at least min(n, _LIMIT_N0) nodes; its
-    waves only seed the next step.  A wave on fewer than n nodes is
-    resampled to n and solved once more at the target F, so n is a floor:
-    the returned grid is the larger of n and the limit's.
+    grid asked for, max(n, _LIMIT_N0) nodes, but never finer than the grid
+    the limit solve resolved; a finer limit wave is resampled down to it.
+    The path's waves only seed the next step: the last is resampled to the
+    larger of n and the limit's grid, when it is coarser, and solved once
+    more at the target F, so that larger grid is the one returned.
     """
     if F <= 0.0:
         raise DomainError(f"F must be positive, got {F}")
     lp = limit_profile_alpha_m2(q0, X0, nu=nu, n=min(n, _LIMIT_N0))
+    m, n_out = min(lp.n, max(n, _LIMIT_N0)), max(n, lp.n)
+    a = lp.a if lp.n == m else fourier.resample(lp.a, m)
 
     def solve(s, x):
         Fv = F / s
@@ -611,9 +614,9 @@ def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
         w = solve_profile(params, x[:-1] / Fv ** 2, tol=tol)
         return np.append(w.tau * Fv ** 2, w.params.c / Fv ** 2), w
 
-    w = _follow(solve, np.append(lp.a, lp.c0), 1.0, 0.25, 1e-4)
-    if w.n < n:
-        w = solve_profile(w.params, fourier.resample(w.tau, n), tol)
+    w = _follow(solve, np.append(a, lp.c0), 1.0, 0.25, 1e-4)
+    if w.n < n_out:
+        w = solve_profile(w.params, fourier.resample(w.tau, n_out), tol)
     return w
 
 

@@ -38,6 +38,8 @@ from .profile import WaveProfile, _limit_table, profile_from_limit
 # be larger.
 _PROFILE_N = 512
 
+_VERDICTS = ("stable", "unstable", "indeterminate", "failed")
+
 
 class NotBracketed(Exception):
     """The two bisection endpoints carry the same verdict."""
@@ -73,15 +75,28 @@ class SweepRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "SweepRecord":
+        """Parse a store line; a missing key or a value of the wrong type
+        raises DomainError."""
         d = json.loads(line)
         try:
-            return cls(alpha=d["alpha"], F=d["F"], nu=d["nu"], q=d["q"],
-                       X=d["X"], verdict=d["verdict"],
-                       witness=d.get("witness"),
-                       conditions=d.get("conditions", {}),
-                       meta=d.get("meta", {}))
+            rec = cls(alpha=d["alpha"], F=d["F"], nu=d["nu"], q=d["q"],
+                      X=d["X"], verdict=d["verdict"],
+                      witness=d.get("witness"),
+                      conditions=d.get("conditions", {}),
+                      meta=d.get("meta", {}))
         except (KeyError, TypeError) as err:
             raise DomainError(f"malformed sweep record: {err!r}") from None
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and math.isfinite(v) for v in rec.key)
+        if not (numbers and rec.verdict in _VERDICTS
+                and (rec.witness is None or isinstance(rec.witness, str))
+                and isinstance(rec.conditions, dict)
+                and isinstance(rec.meta, dict)):
+            raise DomainError("malformed sweep record: alpha, F, nu, q and X "
+                              "must be finite numbers, verdict one of "
+                              f"{_VERDICTS}, witness a string or null, and "
+                              "conditions and meta objects")
+        return rec
 
 
 class ResultStore:

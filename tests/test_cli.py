@@ -291,6 +291,35 @@ def test_manifest_value_of_the_wrong_type_exits_1(tmp_path, capsys, X):
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
+def _limit_inf_manifest(path, n):
+    path.write_text(json.dumps({"subcommand": "limit-inf", "options": {
+        "q0": None, "X0": None, "h-minus": 0.5, "nu": 0.1, "n": n,
+        "out": str(path.parent / "l.json"), "config": None,
+        "manifest": None}}))
+
+
+@pytest.mark.parametrize("n", [256.7, True], ids=["fraction", "bool"])
+def test_manifest_int_option_refuses_a_non_integer(tmp_path, capsys, n):
+    # int() would read 256.7 as 256 and true as 1; the flag --n 256.7
+    # already exits 1, and the manifest now does too
+    assert cli.main(["limit-inf", "--h-minus", "0.5", "--n", "256.7",
+                     "--out", str(tmp_path / "f.json")]) == 1
+    manifest = tmp_path / "m.json"
+    _limit_inf_manifest(manifest, n)
+    assert cli.main(["--from-manifest", str(manifest)]) == 1
+    assert "bad value" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_manifest_int_option_reads_integral_text(tmp_path):
+    manifest = tmp_path / "m.json"
+    _limit_inf_manifest(manifest, "256")
+    assert cli.main(["--from-manifest", str(manifest)]) == 0
+    replayed = json.loads((tmp_path / "l.json.manifest.json").read_text())
+    assert replayed["options"]["n"] == 256
+    assert cli._resolve("limit-inf", {"n": 512.0})["n"] == 512
+
+
 # Flags of numerical settings that are module constants, each given the
 # constant's value: the parser refuses them before anything runs, and sweep's
 # --n is not read as a prefix of --nu.
@@ -423,12 +452,16 @@ def test_fit_manifest_replay_is_byte_identical(tmp_path, monkeypatch):
     assert (tmp_path / "b.json").read_text() == out.read_text()
 
 
-@pytest.mark.parametrize("line", ['{"alpha": -2.0}', "[1, 2]"],
-                         ids=["no-keys", "not-an-object"])
+_TEXT_F = ('{"F":"5","X":3.0,"alpha":-2.0,"conditions":{},"meta":{},'
+           '"nu":0.1,"q":2.0,"verdict":"stable","witness":null}')
+
+
+@pytest.mark.parametrize("line", ['{"alpha": -2.0}', "[1, 2]", _TEXT_F],
+                         ids=["no-keys", "not-an-object", "text-F"])
 def test_malformed_store_record_exits_1_and_leaves_the_store(tmp_path,
                                                              capsys, line):
-    # `fit` and `sweep` refuse a complete line that is no sweep record
-    # before they solve or write anything
+    # `fit` and `sweep` refuse a complete line that is no sweep record, or
+    # whose values have the wrong type, before they solve or write anything
     store = tmp_path / "s.jsonl"
     store.write_text(line + "\n")
     assert cli.main(["fit", "--in", str(store),

@@ -523,6 +523,29 @@ def test_descent_keeps_a_limit_grid_finer_than_n(monkeypatch):
     assert w.residual_norm <= 1e-8
 
 
+def test_descent_runs_on_n_below_a_finer_limit_grid(monkeypatch):
+    # the profile-f8 wave: its limit refines to 1024 nodes, the path runs
+    # on the 512 asked for, and one finishing solve runs on the limit's grid
+    sizes = _record_solves(monkeypatch)
+    w = prof.profile_from_limit(0.4, 0.45, 8.0, n=512)
+    assert len(sizes) > 2
+    assert sizes[:-1] == [512] * (len(sizes) - 1)
+    assert sizes[-1] == w.n == 1024
+    assert w.params.c == pytest.approx(2.741361241764066, rel=1e-10)
+
+
+def test_profile_f8_factors_few_jacobians_on_the_limit_grid(monkeypatch):
+    # the path runs on 512 nodes, so only the limit's refinement and the
+    # finishing solve build Jacobians on 1024 (a path there built 19)
+    built = []
+    jac = prof._jacobian
+    monkeypatch.setattr(prof, "_jacobian",
+                        lambda *args: built.append(len(args[0]))
+                        or jac(*args))
+    prof.profile_from_limit(0.4, 0.45, 8.0, n=512)
+    assert built.count(1024) <= 8
+
+
 def test_fig1c_wave_regression(fig1c_wave):
     w = fig1c_wave
     assert w.residual_norm <= 1e-8

@@ -1,5 +1,6 @@
 """Sweep orchestration: grids, stores, bisection, and power-law fits."""
 
+import json
 import math
 import types
 
@@ -78,6 +79,22 @@ def test_record_json_roundtrip_excludes_timing():
     back = sweep.SweepRecord.from_json(text)
     assert back.key == rec.key
     assert back.verdict == "stable"
+
+
+_SPOILED = {"text-F": ("F", "5"), "bool-F": ("F", True),
+            "nan-X": ("X", float("nan")), "verdict": ("verdict", "maybe"),
+            "witness": ("witness", 3), "conditions": ("conditions", []),
+            "meta": ("meta", "n=512")}
+
+
+@pytest.mark.parametrize("key, value", _SPOILED.values(), ids=_SPOILED)
+def test_record_of_the_wrong_type_is_malformed(key, value):
+    # a record loads only if its values have the types its readers use
+    doc = json.loads(_stub_record(
+        sweep.family_point(-2.0, 4.0, 0.1, 0.4, 7.0)).to_json())
+    doc[key] = value
+    with pytest.raises(DomainError, match="malformed sweep record"):
+        sweep.SweepRecord.from_json(json.dumps(doc))
 
 
 def test_store_resume_is_byte_identical(tmp_path, monkeypatch):

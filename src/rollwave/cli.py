@@ -52,8 +52,9 @@ def _json_text(obj) -> str:
 
 # ---------------------------------------------------------------------------
 # Option schema: name -> (caster, default, help).  Every value of a config
-# file, a flag or a manifest goes through its caster; one that raises
-# ValueError or TypeError is a validation error (exit 1).
+# file, a flag or a manifest goes through its caster before an input file
+# is read, a flag's before the config file too; one that raises ValueError
+# or TypeError is a validation error (exit 1).
 
 def _floats(value) -> list[float]:
     """Comma-separated text, or the list a manifest records."""
@@ -63,12 +64,38 @@ def _floats(value) -> list[float]:
 
 
 def _int(value) -> int:
-    """An int, an integral float or the text of an int; int() alone would
+    """An int >= 1, an integral float or the text of one; int() alone would
     truncate 256.7 and read True as 1."""
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
-    return int(value)
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"not >= 1: {value!r}")
+    return n
+
+
+def _modes(value) -> int:
+    """An odd _int >= 3: the 2N + 1 modes of a Hill truncation."""
+    m = _int(value)
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"not an odd count >= 3: {value!r}")
+    return m
+
+
+def _choice(*names: str):
+    """A caster that accepts one of names."""
+    def cast(value) -> str:
+        if value not in names:
+            raise ValueError(f"not one of {'|'.join(names)}")
+        return value
+    return cast
+
+
+def _contour(value) -> str:
+    """A contour spec that evans.Contour.parse accepts, kept as its text."""
+    evans.Contour.parse(str(value))
+    return str(value)
 
 
 _SCHEMAS: dict[str, dict[str, tuple]] = {
@@ -94,18 +121,18 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "spectrum": {
         "in": (str, None, "input profile JSON"),
-        "modes": (_int, 101, "Fourier modes 2N+1"),
+        "modes": (_modes, 101, "Fourier modes 2N+1"),
         "xi-points": (_int, 21, "Floquet parameters"),
-        "format": (str, "csv", "csv|json"),
+        "format": (_choice("csv", "json"), "csv", "csv|json"),
         "out": (str, None, "output spectrum file"),
     },
     "evans": {
         "in": (str, None, "input profile JSON"),
-        "contour": (str, "semicircle:R=0.2", "contour spec"),
+        "contour": (_contour, "semicircle:R=0.2", "contour spec"),
         "xi": (_floats, None, "comma-separated Floquet parameters"),
         "xi-band": (_int, None, "2n Floquet parameters in "
                                "+-[pi/(10X), pi/X]"),
-        "format": (str, "json", "csv|json"),
+        "format": (_choice("csv", "json"), "json", "csv|json"),
         "out": (str, None, "output winding report"),
     },
     "taylor": {
@@ -127,7 +154,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
     },
     "fit": {
         "in": (str, None, "sweep store (JSON lines) holding the brackets"),
-        "which": (str, "lower", "lower|upper"),
+        "which": (_choice("lower", "upper"), "lower", "lower|upper"),
         "out": (str, None, "output fit JSON"),
     },
     "kdv": {
@@ -235,23 +262,17 @@ def _cmd_continue(o: dict):
 
 def _cmd_spectrum(o: dict):
     _require(o, "in", "out")
-    if o["modes"] < 3 or o["modes"] % 2 == 0:
-        raise DomainError(f"--modes must be an odd count >= 3, got {o['modes']}")
-    if o["xi-points"] < 1:
-        raise DomainError(f"--xi-points must be >= 1, got {o['xi-points']}")
     w = _load_profile(o["in"])
     problem = linearize.bloch_coeffs(w)
     N = (o["modes"] - 1) // 2
     cloud = hill.spectrum(problem, N, n_xi=o["xi-points"])
     if o["format"] == "csv":
         _atomic_write(o["out"], cloud.to_csv())
-    elif o["format"] == "json":
+    else:
         _atomic_write(o["out"], _json_text(
             {"kind": cloud.kind, "N": cloud.N, "xi": list(cloud.xi),
              "eigs": [[[ev.real, ev.imag] for ev in evs]
                       for evs in cloud.eigs]}))
-    else:
-        raise DomainError(f"unknown format {o['format']!r}")
 
 
 def _xi_list(o: dict, X: float) -> list[float]:
@@ -259,10 +280,7 @@ def _xi_list(o: dict, X: float) -> list[float]:
         raise DomainError("give exactly one of --xi or --xi-band")
     if o["xi"] is not None:
         return list(o["xi"])
-    m = o["xi-band"]
-    if m < 1:
-        raise DomainError(f"--xi-band must be >= 1, got {m}")
-    pos = np.linspace(np.pi / (10.0 * X), np.pi / X, m)
+    pos = np.linspace(np.pi / (10.0 * X), np.pi / X, o["xi-band"])
     return [float(v) for v in np.concatenate([-pos[::-1], pos])]
 
 
@@ -275,14 +293,12 @@ def _cmd_evans(o: dict):
     reports = evans.winding_sweep(evans.EvansEvaluator(problem), contour, xis)
     if o["format"] == "json":
         _atomic_write(o["out"], _json_text([r.to_dict() for r in reports]))
-    elif o["format"] == "csv":
+    else:
         lines = ["xi,winding,points,max_jump"]
         for r in reports:
             lines.append(f"{r.xi:.17g},{r.winding},{len(r.t)},"
                          f"{r.max_jump:.17g}")
         _atomic_write(o["out"], "\n".join(lines) + "\n")
-    else:
-        raise DomainError(f"unknown format {o['format']!r}")
 
 
 def _cmd_taylor(o: dict):
@@ -311,11 +327,9 @@ def _cmd_sweep(o: dict):
 
 def _cmd_fit(o: dict):
     _require(o, "in", "out")
-    # Only complete lines, and no ResultStore: its repair of a torn final
-    # line would truncate a store that a running sweep is appending to.
-    text = Path(o["in"]).read_text(encoding="utf-8")
-    records = [sweep.SweepRecord.from_json(line) for line in
-               text[:text.rfind("\n") + 1].splitlines() if line.strip()]
+    # read_records, not a ResultStore: its repair of a torn final line would
+    # truncate a store that a running sweep is appending to.
+    records = sweep.read_records(Path(o["in"]).read_text(encoding="utf-8"))
     fit = sweep.powerlaw_fit(sweep.boundary_points(records, o["which"]))
     _atomic_write(o["out"], _json_text(fit.to_dict()))
 
@@ -332,7 +346,7 @@ def _cmd_kdv(o: dict):
     if o["delta"] is not None:
         scan = kdv_limit.kdvks_scan(o["delta"], X)
         out.update(delta=o["delta"],
-                   stable=scan.mu <= kdv_limit.STABLE_GROWTH_TOL,
+                   stable=not scan.unstable,
                    hill_max_real=scan.mu, hill_eigensolves=scan.solves,
                    hill_N=scan.N, hill_check=scan.check)
     _atomic_write(o["out"], _json_text(out))
@@ -418,6 +432,7 @@ def run(argv) -> int:
         raise DomainError("a subcommand is required")
     flags = {k: v for k, v in vars(ns).items()
              if k not in ("subcommand", "from_manifest")}
+    _resolve(ns.subcommand, flags)      # a bad flag value before any file
     config = ([_parse_config_file(flags["config"])]
               if flags["config"] is not None else [])
     return _dispatch(ns.subcommand, _resolve(ns.subcommand, *config, flags))

@@ -567,18 +567,28 @@ class Contour:
 
     @classmethod
     def parse(cls, text: str) -> "Contour":
+        """`semicircle:R=...` or `circle:c=...,r=...` (c defaults to 0); a
+        missing or non-numeric field, a radius that is not finite and > 0,
+        or a centre that is not finite raises DomainError."""
         kind, _, rest = text.partition(":")
         kv = {}
         for item in rest.split(","):
             if item:
                 key, _, val = item.partition("=")
                 kv[key.strip()] = val.strip()
-        if kind == "semicircle":
-            return cls(kind="semicircle", radius=float(kv["R"]))
-        if kind == "circle":
-            return cls(kind="circle", radius=float(kv["r"]),
-                       center=complex(kv.get("c", "0")))
-        raise DomainError(f"unknown contour spec {text!r}")
+        if kind not in ("semicircle", "circle"):
+            raise DomainError(f"unknown contour spec {text!r}")
+        try:
+            radius = float(kv["R" if kind == "semicircle" else "r"])
+            center = complex(kv.get("c", "0")) if kind == "circle" else 0j
+        except (KeyError, ValueError) as err:
+            raise DomainError(f"malformed contour spec {text!r}: "
+                              f"{err!r}") from None
+        if not (math.isfinite(radius) and radius > 0.0
+                and cmath.isfinite(center)):
+            raise DomainError(f"a contour needs a finite radius > 0 and a "
+                              f"finite centre, got {text!r}")
+        return cls(kind=kind, radius=radius, center=center)
 
 
 @dataclass(frozen=True)
@@ -952,7 +962,6 @@ def polish_root(evaluator: EvansEvaluator, lam0: complex,
 # -- verdict -----------------------------------------------------------------
 
 
-_HILL_TOL = 1e-7        # Hill instability threshold away from the origin
 _N_XI_WINDING = 6       # Floquet subsample for the winding check
 _DISTINCT_TOL = 1e-4    # relative |alpha1 - alpha2| below which H1 is undecided
 _BETA_MARGIN = 1e-8     # |Re beta| below this is indeterminate
@@ -1026,8 +1035,7 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
     conditions["slope"] = margin > 0.0
 
     X = problem.period
-    scan = checked_scan(problem, _HILL_XI, 2.0 * _origin_radius(X),
-                        _HILL_TOL)
+    scan = checked_scan(problem, _HILL_XI, 2.0 * _origin_radius(X))
     mu = scan.mu
     diag["hill_max_real"] = mu
     diag["hill_eigensolves"] = scan.solves
@@ -1035,7 +1043,7 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
     diag["hill_check"] = scan.check
     if scan.reason is not None:
         return answer("indeterminate", reason=scan.reason)
-    if mu > _HILL_TOL:
+    if scan.unstable:
         conditions["D1"] = False
         return answer("unstable",
                       witness=f"Hill eigenvalue with Re lambda = {mu:.3e} "

@@ -108,6 +108,16 @@ def fourier_coeffs(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(values) / len(values)
 
 
+def tail_mode(values: np.ndarray, tol: float) -> int:
+    """Last Fourier mode |k| of the samples above tol of their largest
+    mode; 0 for samples that are zero."""
+    chat = np.abs(fourier_coeffs(np.asarray(values)))
+    if not chat.max() > 0.0:
+        return 0
+    k = np.abs(np.rint(np.fft.fftfreq(len(chat), d=1.0 / len(chat))))
+    return int(k[chat > tol * chat.max()].max())
+
+
 def resample(values: np.ndarray, n_new: int) -> np.ndarray:
     """Trigonometric resampling to a different node count.
 

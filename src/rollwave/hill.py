@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fourier
 from .linearize import OperatorForm, SpectralProblem
-from .model import DomainError, NumericalFailure
+from .model import DomainError, TruncationUnresolved  # noqa: F401 (re-export)
 
 
 def _convolution(coeff: np.ndarray | float, N: int) -> np.ndarray | float:
@@ -226,35 +226,30 @@ def first_unstable(problem: SpectralProblem, N: int, n_xi: int, r0: float,
     return best, solves, xi_best
 
 
-# The truncation rule of `checked_scan`, for both the St. Venant verdict
-# and the KdV-KS check: the last Fourier mode kept in a coefficient's tail,
-# relative to its largest mode; the least and the most modes |l| <= N a
-# scan may use; the agreement with the row re-solved at 3N/2 that accepts
-# N, relative to max(|mu|, tol).
+# The growth rate above which a Bloch eigenvalue counts as unstable, for
+# both the St. Venant verdict and the KdV-KS check.  It absorbs the
+# numerically neutral xi -> 0 tangency of the critical Bloch curves, which
+# sits at the wave's residual floor (~1e-10).
+_GROWTH_TOL = 1e-7
+
+# The truncation rule of `checked_scan`: the last Fourier mode kept in a
+# coefficient's tail, relative to its largest mode; the least and the most
+# modes |l| <= N a scan may use; the agreement with the row re-solved at
+# 3N/2 that accepts N, relative to max(|mu|, _GROWTH_TOL).
 _TAIL_TOL = 1e-8
 _N_FLOOR = 16
 _N_CAP = 120
 _CHECK_TOL = 1e-3
 
 
-def _tail_mode(coeff: np.ndarray) -> int:
-    """Last Fourier mode |k| of a sampled coefficient above _TAIL_TOL of
-    its largest mode; 0 for a coefficient that is zero."""
-    chat = np.abs(fourier.fourier_coeffs(np.asarray(coeff)))
-    if not chat.max() > 0.0:
-        return 0
-    k = np.abs(np.rint(np.fft.fftfreq(len(chat), d=1.0 / len(chat))))
-    return int(k[chat > _TAIL_TOL * chat.max()].max())
-
-
 def _truncation_size(problem: SpectralProblem) -> int:
-    """Starting N of `checked_scan`: half the largest `_tail_mode` of the
-    operator's sampled coefficients, rounded up to a multiple of 4 and
-    held within [_N_FLOOR, _N_CAP]."""
+    """Starting N of `checked_scan`: half the largest `fourier.tail_mode`
+    at _TAIL_TOL of the operator's sampled coefficients, rounded up to a
+    multiple of 4 and held within [_N_FLOOR, _N_CAP]."""
     op = problem.operator
-    K = max((_tail_mode(coeff) for terms in (op.M1, op.M2 or {})
-             for termlist in terms.values() for _, coeff in termlist
-             if not np.isscalar(coeff)), default=0)
+    K = max((fourier.tail_mode(c, _TAIL_TOL) for terms in (op.M1, op.M2 or {})
+             for termlist in terms.values() for _, c in termlist
+             if not np.isscalar(c)), default=0)
     N = 4 * -(-K // 8)
     return min(max(N, _N_FLOOR), _N_CAP)
 
@@ -273,32 +268,32 @@ class HillScan:
     solves: int                  # every eigensolve: scans and checks
     reason: str | None = None
 
+    @property
+    def unstable(self) -> bool:
+        """Whether mu is a growth rate above _GROWTH_TOL."""
+        return self.mu > _GROWTH_TOL
 
-class TruncationUnresolved(NumericalFailure):
-    """No Hill truncation up to _N_CAP gave a checked answer."""
 
-
-def checked_scan(problem: SpectralProblem, n_xi: int, r0: float,
-                 tol: float) -> HillScan:
+def checked_scan(problem: SpectralProblem, n_xi: int, r0: float) -> HillScan:
     """`first_unstable` at the truncation the wave needs, checked.
 
     Starts at _truncation_size(problem) and re-solves the deciding row (the
     first unstable one, else the row of mu) at 3N/2.  The answer is
-    accepted when that row's mu agrees to _CHECK_TOL of max(|mu|, tol) (a
-    mu at the noise floor, as a stable KdV-KS wave's xi -> 0 tangency, can
-    do no better) and lies on the same side of tol; otherwise the scan is
-    repeated at 3N/2.  Once N would pass _N_CAP the scan gives up, with a
-    reason naming both mu and both N.  Every eigensolve goes through
-    `eigenvalues`.
+    accepted when that row's mu agrees to _CHECK_TOL of max(|mu|, g), g =
+    _GROWTH_TOL (a mu at the noise floor, as a stable KdV-KS wave's xi -> 0
+    tangency, can do no better) and lies on the same side of g; otherwise
+    the scan is repeated at 3N/2.  Once N would pass _N_CAP the scan gives
+    up, with a reason naming both mu and both N.  Every eigensolve goes
+    through `eigenvalues`.
     """
     N, solves = _truncation_size(problem), 0
     while True:
-        mu, rows, xi = first_unstable(problem, N, n_xi, r0, tol)
+        mu, rows, xi = first_unstable(problem, N, n_xi, r0, _GROWTH_TOL)
         M = 3 * N // 2
         check = _max_real(eigenvalues(problem, M, xi), r0)
         solves += rows + 1
-        if abs(mu - check) <= _CHECK_TOL * max(abs(mu), tol) and \
-                (mu > tol) == (check > tol):
+        if abs(mu - check) <= _CHECK_TOL * max(abs(mu), _GROWTH_TOL) and \
+                (mu > _GROWTH_TOL) == (check > _GROWTH_TOL):
             return HillScan(mu=mu, N=N, check=check, solves=solves)
         if M > _N_CAP:
             return HillScan(

@@ -28,6 +28,12 @@ class NumericalFailure(RuntimeError):
     an unresolved truncation or an untrusted Evans computation."""
 
 
+class TruncationUnresolved(NumericalFailure):
+    """A truncation reached its cap unresolved: no Hill truncation up to
+    hill._N_CAP gave a checked answer, or a limit wave's spectral tail was
+    not resolved on profile._LIMIT_N_CAP nodes."""
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Parameters of a single periodic traveling wave.

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .model import DomainError, NumericalFailure, PhysicalParams
+from .model import (DomainError, NumericalFailure, PhysicalParams,
+                    TruncationUnresolved)
 
 
 class NonConvergence(NumericalFailure):
@@ -47,12 +48,11 @@ class ContinuationStalled(NumericalFailure):
 
 @dataclass(frozen=True)
 class WaveProfile:
-    """A converged (or asymptotic) periodic wave sampled on a uniform grid;
-    n and tau' are derived from tau, so no stored copy can disagree with it."""
+    """A converged (or asymptotic) wave sampled on a uniform grid; n, tau'
+    and the residual are derived from tau, so no copy can disagree with it."""
 
     params: PhysicalParams
     tau: np.ndarray
-    residual_norm: float
 
     @property
     def n(self) -> int:
@@ -61,6 +61,10 @@ class WaveProfile:
     @functools.cached_property
     def dtau(self) -> np.ndarray:
         return fourier.deriv(self.tau, self.params.X)
+
+    @functools.cached_property
+    def residual_norm(self) -> float:
+        return float(np.max(np.abs(ode_residual(self.tau, self.params))))
 
     @property
     def u(self) -> np.ndarray:
@@ -80,8 +84,7 @@ class WaveProfile:
         data = json.loads(text)
         try:
             w = cls(params=PhysicalParams(**data["params"]),
-                    tau=np.asarray(data["tau"], dtype=float),
-                    residual_norm=float(data["residual"]))
+                    tau=np.asarray(data["tau"], dtype=float))
         except (KeyError, TypeError, ValueError) as err:
             raise DomainError(f"malformed profile: {err!r}") from None
         if not (w.tau.ndim == 1 and w.n > 0 and np.isfinite(w.tau).all()
@@ -183,9 +186,7 @@ def equilibrium(F: float, nu: float, tau0: float = 1.0,
     c = tau0 ** -1.5 / F        # the neutral (Hopf) wave speed
     q = tau0 ** -0.5 + c * tau0
     params = PhysicalParams(F=F, nu=nu, q=q, c=c, X=X, tau0=tau0)
-    tau = np.full(n, tau0)
-    res = float(np.max(np.abs(ode_residual(tau, params))))
-    return WaveProfile(params=params, tau=tau, residual_norm=res)
+    return WaveProfile(params=params, tau=np.full(n, tau0))
 
 
 _NEWTON_MAX_ITER = 60
@@ -263,7 +264,7 @@ def _locked_newton(G, seed, c, tol, coeffs):
 
     `coeffs` = (K, eps, nu, q, X) are G's coefficients, for its Jacobian.  G
     is passed in so that the physical wave goes through `ode_residual`,
-    where a caller may count it.  Returns (tau, c, error) with tau > 0.
+    where a caller may count it.  Returns (tau, c) with tau > 0.
     An iterate at the rounding floor of G on n nodes is kept: that floor
     grows with n^2, since spectral second derivatives amplify rounding.
     """
@@ -279,10 +280,10 @@ def _locked_newton(G, seed, c, tol, coeffs):
         J[n, :n] = dseed / n
         return J
 
-    x, err = _newton_solve(residual, jacobian, np.append(seed, c), tol,
-                           lambda x: np.min(x[:n]) > 0.0,
-                           1e-8 * max(1.0, (n / 256.0) ** 2))
-    return x[:n], float(x[n]), err
+    x, _ = _newton_solve(residual, jacobian, np.append(seed, c), tol,
+                         lambda x: np.min(x[:n]) > 0.0,
+                         1e-8 * max(1.0, (n / 256.0) ** 2))
+    return x[:n], float(x[n])
 
 
 def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
@@ -295,10 +296,10 @@ def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
     if np.min(seed_tau) <= 0.0:
         raise DomainError("seed profile must be strictly positive")
     p = params
-    tau, c, err = _locked_newton(lambda t, c: ode_residual(t, p.with_(c=c)),
-                                 seed_tau, p.c, tol,
-                                 (p.F * p.F, 1.0, p.nu, p.q, p.X))
-    return WaveProfile(params=params.with_(c=c), tau=tau, residual_norm=err)
+    tau, c = _locked_newton(lambda t, c: ode_residual(t, p.with_(c=c)),
+                            seed_tau, p.c, tol,
+                            (p.F * p.F, 1.0, p.nu, p.q, p.X))
+    return WaveProfile(params=params.with_(c=c), tau=tau)
 
 
 _MIN_STEP = 1e-6        # smallest continuation step, as a share of the segment
@@ -370,15 +371,14 @@ def continue_profile(start: WaveProfile, tol: float = 1e-8,
 
 @dataclass(frozen=True)
 class LimitProfile:
-    """Periodic wave of the alpha = -2 large-F limit on [0, X0); n and a'
-    are derived from its samples a."""
+    """Periodic wave of the alpha = -2 large-F limit on [0, X0); n, a' and
+    the residual are derived from its samples a."""
 
     q0: float
     X0: float
     nu: float
     c0: float
     a: np.ndarray
-    residual_norm: float
 
     @property
     def n(self) -> int:
@@ -387,6 +387,11 @@ class LimitProfile:
     @functools.cached_property
     def da(self) -> np.ndarray:
         return fourier.deriv(self.a, self.X0)
+
+    @functools.cached_property
+    def residual_norm(self) -> float:
+        G = _equation(self.a, self.c0, 1.0, 0.0, self.nu, self.q0, self.X0)
+        return float(np.max(np.abs(G)))
 
 
 def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
@@ -429,6 +434,7 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
 _LIMIT_TOL = 1e-8       # residual of every limit solve
 _LIMIT_N0 = 256         # grid the limit walk starts on; the path from it
                         # runs on max(n, _LIMIT_N0), or the limit's if coarser
+_LIMIT_N_CAP = 8192     # finest grid a limit wave is refined to
 
 # The limit waves solved so far in the open _limit_table block, keyed by
 # (q0, nu, n) and then by X0; None outside a block.
@@ -454,13 +460,6 @@ def _limit_table():
         _LIMITS.reset(token)
 
 
-def _tail_ratio(a: np.ndarray) -> float:
-    """Largest |FFT| at the Nyquist modes relative to the largest overall."""
-    ahat = np.abs(np.fft.fft(a))
-    m = len(a) // 2
-    return float(np.max(ahat[m - 1:m + 2]) / np.max(ahat))
-
-
 def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
                            n: int = 256) -> LimitProfile:
     """Converge the alpha = -2 limiting wave with period X0 at fixed q0.
@@ -475,8 +474,10 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
     continues in the period, up or down, from the wave of that (q0, nu, n)
     nearest in log X0 (one refined past n seeds only a larger X0), and is
     walked from onset only if no wave can seed it or the continuation
-    fails.  Such a wave depends on the neighbour that seeded it at the
-    level of rounding; the same calls in the same order give the same bits.
+    fails; a tail unresolved at _LIMIT_N_CAP nodes raises
+    TruncationUnresolved, which neither retries.  Such a wave depends on
+    the neighbour that seeded it at the level of rounding; the same calls
+    in the same order give the same bits.
     """
     if q0 <= 0.0 or X0 <= 0.0:
         raise DomainError("q0 and X0 must be positive")
@@ -529,7 +530,8 @@ def _limit_walk(q0: float, X0: float, nu: float, n0: int,
             # amplitude stepping broke down; fall back to natural
             # continuation in X0 from the last wave
             break
-        if X_cur >= X0 or 1.3 * A > a_star or _tail_ratio(a) > 1e-3:
+        if (X_cur >= X0 or 1.3 * A > a_star
+                or fourier.tail_mode(a, 1e-3) >= n0 // 2 - 1):
             break
         A *= 1.3
     return _limit_newton(a, q0, c0, min(X_cur, X0), nu, _LIMIT_TOL)
@@ -541,9 +543,11 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
     Follows (a, c0) with _follow in s = |ln(X0 / X_from)|, up or down, with
     steps of at most a factor 1.2 and a stall below 1e-8 in ln X0.  Each
     point, the starting one first, has its grid doubled while the spectral
-    tail is unresolved: a converged but unresolved iterate is a spurious
-    discrete solution.  The wave is then refined to at least n nodes (never
-    coarsened).
+    tail is unresolved, a mode of the Nyquist band |k| >= n/2 - 1 above
+    1e-4 of the largest: a converged but unresolved iterate is a spurious
+    discrete solution.  One still unresolved on _LIMIT_N_CAP nodes raises
+    TruncationUnresolved.  The wave is then refined to at least n nodes
+    (never coarsened).
     """
     q0, nu, X_from = prof.q0, prof.nu, prof.X0
 
@@ -553,7 +557,14 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
         return _limit_newton(a_seed, q0, prof.c0, prof.X0, nu, _LIMIT_TOL)
 
     def resolved(prof: LimitProfile) -> LimitProfile:
-        while _tail_ratio(prof.a) > 1e-4 and prof.n < 8192:
+        while fourier.tail_mode(prof.a, 1e-4) >= prof.n // 2 - 1:
+            if prof.n >= _LIMIT_N_CAP:
+                chat = np.abs(fourier.fourier_coeffs(prof.a))
+                band = chat[prof.n // 2 - 1:prof.n // 2 + 2].max() / chat.max()
+                raise TruncationUnresolved(
+                    f"limit wave at X0 = {prof.X0:.6g} unresolved on "
+                    f"n = {prof.n} nodes: its Nyquist band is {band:.1e} "
+                    f"of its largest mode, above 1e-4")
             prof = refine(prof, 2 * prof.n)
         return prof
 
@@ -580,9 +591,9 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
 def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
                   tol: float) -> LimitProfile:
     coeffs = (1.0, 0.0, nu, q0, X0)
-    a, c0, err = _locked_newton(lambda a, c0: _equation(a, c0, *coeffs), a,
-                                c0, tol, coeffs)
-    return LimitProfile(q0=q0, X0=X0, nu=nu, c0=c0, a=a, residual_norm=err)
+    a, c0 = _locked_newton(lambda a, c0: _equation(a, c0, *coeffs), a, c0,
+                           tol, coeffs)
+    return LimitProfile(q0=q0, X0=X0, nu=nu, c0=c0, a=a)
 
 
 def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,

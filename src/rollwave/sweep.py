@@ -2,11 +2,10 @@
 
 Records are keyed by the physical parameter tuple (alpha, F, nu, q, X) and
 persisted to an append-only JSON-lines store, one record per line, so an
-interrupted sweep resumes by skipping keys already present.  Wall-clock
-timings are carried on the in-memory records but excluded from the store so
-that two runs of the same grid produce byte-identical files.  Maps and
-bisection probes append to the same store, and boundary_points reads its
-brackets back for powerlaw_fit.
+interrupted sweep resumes by skipping keys already present, and two runs of
+the same grid produce byte-identical files.  Maps and bisection probes
+append to the same store, and boundary_points reads its brackets back for
+powerlaw_fit.
 
 One stability_map call, or one boundary_bisect call with all of its probes,
 shares its F = infinity limit waves: each (q0, X0, nu, n) is solved once,
@@ -99,13 +98,26 @@ class SweepRecord:
         return rec
 
 
+def read_records(text: str) -> list[SweepRecord]:
+    """The records on the complete lines of a store's text, in order.
+
+    A torn final line without its newline is left out and nothing is
+    written; a malformed line or a key read before raises DomainError.
+    """
+    store = ResultStore()
+    for line in text[:text.rfind("\n") + 1].splitlines():
+        if line.strip():
+            store.append(SweepRecord.from_json(line))
+    return store.records
+
+
 class ResultStore:
     """Append-only JSON-lines store of SweepRecords with key-based resume.
 
     A sweep killed mid-append leaves a torn final line without its newline;
     loading drops it with a warning and truncates the file back to the last
-    newline, so the next append starts a clean line.  A malformed line
-    anywhere else raises.
+    newline, so the next append starts a clean line.  The rest is read by
+    read_records, so a malformed line anywhere else raises.
     """
 
     def __init__(self, path=None):
@@ -132,9 +144,9 @@ class ResultStore:
                 else:
                     with open(path, "ab") as fh:
                         fh.write(b"\n")
-            for line in data.decode("utf-8").splitlines():
-                if line.strip():
-                    self._absorb(SweepRecord.from_json(line))
+                    data += b"\n"
+            self.records = read_records(data.decode("utf-8"))
+            self._keys = {rec.key for rec in self.records}
 
     def _absorb(self, rec: SweepRecord):
         if rec.key in self._keys:
@@ -293,12 +305,15 @@ def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
     origin expansion / small-lambda spectrum inside the full verdict);
     "upper" wants the reverse (high-frequency boundary, detected through
     the Hill scan and right-half-plane winding).  Identical classifications
-    at the endpoints raise NotBracketed.  Returns the midpoint of the final
-    bracket, of relative width <= rel_tol.
+    at the endpoints raise NotBracketed.  Returns the geometric midpoint of
+    the final bracket, of relative width <= rel_tol or with no double
+    between its ends.
     """
     want_hi_stable = _stable_above(which)
     if not (0.0 < X_lo < X_hi):
         raise DomainError(f"need 0 < X_lo < X_hi, got ({X_lo}, {X_hi})")
+    if not (0.0 < rel_tol < math.inf):
+        raise DomainError(f"rel_tol must be finite and > 0, got {rel_tol}")
 
     def probe(X: float) -> bool:
         point = family_point(alpha, F, nu, q0, X)
@@ -319,6 +334,8 @@ def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
 
         while (X_hi - X_lo) > rel_tol * 0.5 * (X_hi + X_lo):
             X_mid = math.sqrt(X_lo * X_hi)
+            if X_mid in (X_lo, X_hi):     # no double between the ends
+                break
             if probe(X_mid) == hi_stable:
                 X_hi = X_mid
             else:

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, config/manifest plumbing, exit codes."""
 
 import gc
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -217,7 +219,6 @@ def _with(samples, i, value):
 
 # Spoilt copies of a profile file, each made by editing its parsed JSON.
 _BAD_PROFILES = {
-    "no-residual": lambda d: d.pop("residual"),
     "nan-tau": lambda d: d.update(tau=_with(d["tau"], 5, float("nan"))),
     "negative-tau": lambda d: d.update(tau=_with(d["tau"], 5, -1.0)),
     "scalar-tau": lambda d: d.update(tau=1.0),
@@ -496,6 +497,83 @@ def test_cli_closes_every_file_it_reads(tmp_path, monkeypatch,
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] \
         == []
+
+
+def test_fit_refuses_a_store_with_a_duplicate_key(tmp_path, monkeypatch,
+                                                  capsys):
+    # fit parses a store as ResultStore does: a key on two complete lines
+    # exits 1, as sweep --store does, and the store is left as it is
+    path = tmp_path / "s.jsonl"
+    _bisected_store(path, monkeypatch)
+    first = path.read_text().splitlines()[0]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(first + "\n")
+    before = path.read_bytes()
+    assert cli.main(["fit", "--in", str(path),
+                     "--out", str(tmp_path / "f.json")]) == 1
+    assert cli.main(["sweep", "--F", "4", "--q0", "0.4", "--X", "3.28",
+                     "--store", str(path)]) == 1
+    assert capsys.readouterr().err.count("duplicate sweep key") == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
+
+
+# (subcommand, flag, bad value, the other options it needs)
+_BAD_VALUES = [
+    ("evans", "contour", "semicircle:R=abc", ["--xi", "0.1"]),
+    ("evans", "contour", "semicircle:r=0.2", ["--xi", "0.1"]),
+    ("evans", "contour", "semicircle:R=-1", ["--xi", "0.1"]),
+    ("evans", "contour", "circle:c=0.1,r=inf", ["--xi", "0.1"]),
+    ("evans", "contour", "circle:c=nan,r=0.1", ["--xi", "0.1"]),
+    ("evans", "format", "xml", ["--xi", "0.1"]),
+    ("evans", "xi-band", "0", []),
+    ("spectrum", "format", "xml", []),
+    ("spectrum", "modes", "4", []),
+    ("spectrum", "modes", "1", []),
+    ("spectrum", "xi-points", "0", []),
+    ("fit", "which", "middle", []),
+    ("limit-inf", "n", "0", ["--q0", "0.4", "--X0", "0.45"]),
+    ("limit-inf", "n", "-4", ["--q0", "0.4", "--X0", "0.45"]),
+    ("profile", "n", "0", ["--F", "8", "--q0", "0.4", "--X0", "0.45"]),
+]
+
+
+@pytest.mark.parametrize("sub, flag, value, rest", _BAD_VALUES,
+                         ids=[f"{s}-{f}={v}" for s, f, v, _ in _BAD_VALUES])
+def test_bad_option_value_exits_1_before_any_file_is_read(
+        tmp_path, capsys, sub, flag, value, rest):
+    # each value is refused by its caster: neither the missing config file
+    # nor the missing --in is read, and no output or manifest is written
+    args = [sub, f"--{flag}={value}", *rest, "--out", str(tmp_path / "o"),
+            "--config", str(tmp_path / "missing.cfg")]
+    if "in" in cli._SCHEMAS[sub]:
+        args += ["--in", str(tmp_path / "missing.json")]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert f"bad value {value!r} for {flag!r}" in err
+    assert "No such file" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_constants_table_matches_the_code():
+    # every `module.NAME` of README's constants table exists, and a value
+    # cell of plain numbers holds their values, in order
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| setting | constant | value |"):]
+    rows = table.split("\n\n")[0].splitlines()[2:]
+    assert len(rows) >= 10
+    for row in rows:
+        _, _, constant, value, _ = re.split(r"(?<!\\)\|", row)
+        found = [getattr(importlib.import_module(f"rollwave.{module}"), name)
+                 for module, name in re.findall(r"`(\w+)\.(\w+)[^`]*`",
+                                                constant)]
+        assert found, row
+        try:
+            numbers = [float(part) for part in value.split(",")]
+        except ValueError:
+            continue
+        assert numbers == found, row
 
 
 def test_fit_missing_file_exits_1(tmp_path):

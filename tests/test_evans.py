@@ -388,11 +388,11 @@ def test_verdict_on_constant_state(constant_state):
     rows = []
     for xi in [grid[0], *grid[grid > 0]]:
         rows.append(row(N, xi))
-        if rows[-1] > evans._HILL_TOL:
+        if rows[-1] > hill._GROWTH_TOL:
             break
     assert v.diagnostics["hill_N"] == N == 16
     assert v.diagnostics["hill_eigensolves"] == len(rows) + 1
-    assert v.diagnostics["hill_max_real"] == max(rows) > evans._HILL_TOL
+    assert v.diagnostics["hill_max_real"] == max(rows) > hill._GROWTH_TOL
     assert v.diagnostics["hill_check"] == row(3 * N // 2, xi)
 
 
@@ -430,18 +430,17 @@ def test_hill_stage_on_the_f10_x50_wave(f10_x50_wave):
     # unresolved, with a reason naming both N, and needs no Evans evaluator
     sp = linearize.bloch_coeffs(f10_x50_wave)
     scan = hill.checked_scan(sp, evans._HILL_XI,
-                             2.0 * evans._origin_radius(sp.period),
-                             evans._HILL_TOL)
+                             2.0 * evans._origin_radius(sp.period))
     assert scan.N == hill._truncation_size(sp) == 120
     if scan.reason is None:
         assert abs(scan.mu - scan.check) <= 1e-3 * abs(scan.mu)
-        assert (scan.mu > evans._HILL_TOL) == (scan.check > evans._HILL_TOL)
+        assert (scan.mu > hill._GROWTH_TOL) == (scan.check > hill._GROWTH_TOL)
     else:
         assert scan.reason.startswith("Hill truncation unresolved")
         assert "N = 120" in scan.reason and "N = 180" in scan.reason
 
 
-def _no_hill_instability(problem, n_xi, r0, tol):
+def _no_hill_instability(problem, n_xi, r0):
     """A checked Hill scan that finds nothing unstable."""
     return hill.HillScan(mu=0.0, N=16, check=0.0, solves=0)
 

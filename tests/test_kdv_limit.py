@@ -188,11 +188,11 @@ def test_kdvks_scan_accepts_a_growth_rate_at_the_noise_floor():
     # at X = 24 the first N = 20 reads a spurious 7.4e-6 on its first row,
     # which the check at N = 30 corrects; at N = 30 the stable mu is the
     # xi -> 0 tangency, ~1e-10, and agrees with its check to well under
-    # 1e-3 * STABLE_GROWTH_TOL though not to 1e-3 of itself
-    tol = kdv_limit.STABLE_GROWTH_TOL
+    # 1e-3 * hill._GROWTH_TOL though not to 1e-3 of itself
+    tol = hill._GROWTH_TOL
     problem = kdv_limit._kdvks_problem(0.05, 24.0)
     assert hill._truncation_size(problem) == 20
-    scan = hill.checked_scan(problem, kdv_limit._KDVKS_XI, 0.0, tol)
+    scan = hill.checked_scan(problem, kdv_limit._KDVKS_XI, 0.0)
     assert scan.reason is None
     assert (scan.N, scan.solves) == (30, 2 + 49)
     assert abs(scan.mu) < 1e-9 and abs(scan.check) < 1e-9

@@ -7,7 +7,7 @@ import pytest
 
 from rollwave import fourier, linearize
 from rollwave import profile as prof
-from rollwave.model import DomainError, PhysicalParams
+from rollwave.model import DomainError, PhysicalParams, TruncationUnresolved
 
 
 def test_equilibrium_is_exact_solution(constant_state):
@@ -362,7 +362,7 @@ def _on_line(X):
     cosx = np.cos(2.0 * np.pi * np.arange(8) / 8)
     tau = 1.0 + X / 16.0 * cosx
     params = PhysicalParams(F=3.0, nu=0.1, q=1.0, c=0.5 + X / 32.0, X=X)
-    return prof.WaveProfile(params=params, tau=tau, residual_norm=0.0)
+    return prof.WaveProfile(params=params, tau=tau)
 
 
 def test_continue_profile_secant_lands_on_linear_branch(monkeypatch):
@@ -442,15 +442,13 @@ def test_descent_starts_from_the_scaled_limit_wave(monkeypatch):
     # then the rest; the first solve, at F_v = 4 F, is seeded with the
     # limit wave itself, and F >= 100 takes the same path
     a = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(16) / 16)
-    lp = prof.LimitProfile(q0=0.4, X0=0.45, nu=0.1, c0=0.7, a=a,
-                           residual_norm=0.0)
+    lp = prof.LimitProfile(q0=0.4, X0=0.45, nu=0.1, c0=0.7, a=a)
     monkeypatch.setattr(prof, "limit_profile_alpha_m2", lambda *a, **k: lp)
     calls = []
 
     def fake(params, seed_tau, tol=1e-8):
         calls.append((params, np.array(seed_tau)))
-        return prof.WaveProfile(params=params, tau=seed_tau,
-                                residual_norm=0.0)
+        return prof.WaveProfile(params=params, tau=seed_tau)
 
     monkeypatch.setattr(prof, "solve_profile", fake)
     for F in (8.0, 150.0):
@@ -575,6 +573,20 @@ def test_profile_file_holds_params_tau_and_residual(fig1c_wave):
     assert w2.params == w.params and w2.residual_norm == w.residual_norm
     assert np.array_equal(w2.tau, w.tau) and w2.n == w.n
     assert w2.dtau.tobytes() == w.dtau.tobytes()
+
+
+@pytest.mark.parametrize("spoil", [lambda d: d.update(residual=1.0),
+                                   lambda d: d.pop("residual")],
+                         ids=["edited-residual", "no-residual"])
+def test_profile_residual_is_that_of_its_samples(fig1c_wave, spoil):
+    # the residual is derived from tau: a file's copy, edited or missing,
+    # is ignored, and to_json writes the samples' residual back
+    doc = json.loads(fig1c_wave.to_json())
+    spoil(doc)
+    w = prof.WaveProfile.from_json(json.dumps(doc))
+    want = float(np.max(np.abs(prof.ode_residual(w.tau, w.params))))
+    assert w.residual_norm == want == fig1c_wave.residual_norm
+    assert w.to_json() == fig1c_wave.to_json()
 
 
 def _same_problem(a, b):
@@ -718,6 +730,57 @@ def test_limit_table_falls_back_to_the_walk(monkeypatch, error):
     assert walks == [0.205, 0.25]
     assert lp.c0 == fresh.c0
     assert np.array_equal(lp.a, fresh.a)
+
+
+def test_limit_wave_unresolved_at_the_grid_cap_raises(monkeypatch):
+    # X0 = 0.45 needs 1024 nodes: with the cap at 512 it raises, alone and
+    # when continued from the X0 = 0.36 wave (512 nodes), and neither
+    # _follow nor the walk from onset retries the same refinement
+    monkeypatch.setattr(prof, "_LIMIT_N_CAP", 512)
+    walks = _count_walks(monkeypatch)
+    with pytest.raises(TruncationUnresolved, match=r"on n = 512 nodes"):
+        prof.limit_profile_alpha_m2(0.4, 0.45)
+    with prof._limit_table():
+        assert prof.limit_profile_alpha_m2(0.4, 0.36).n == 512
+        with pytest.raises(TruncationUnresolved, match=r"on n = 512 nodes"):
+            prof.limit_profile_alpha_m2(0.4, 0.45)
+    assert walks == [0.45, 0.36]
+
+
+def _tail_ratio(a):
+    """The limit solver's former tail test, the reference: the largest |FFT|
+    at the Nyquist modes relative to the largest overall."""
+    ahat = np.abs(np.fft.fft(a))
+    m = len(a) // 2
+    return float(np.max(ahat[m - 1:m + 2]) / np.max(ahat))
+
+
+def test_nyquist_band_test_agrees_with_the_tail_ratio(monkeypatch):
+    # tail_mode(a, t) >= n/2 - 1 decides as _tail_ratio(a) > t at both
+    # thresholds of the limit solver, on every tail check of two limit
+    # solves (one refined 256 -> 1024, one continued from it) and on random
+    # spectra whose Nyquist band falls between 1e-6 and 1e-1
+    spectra = []
+    tail_mode = fourier.tail_mode
+    monkeypatch.setattr(fourier, "tail_mode", lambda a, tol: spectra.append(
+        np.array(a)) or tail_mode(a, tol))
+    with prof._limit_table():
+        prof.limit_profile_alpha_m2(0.4, 0.45)
+        prof.limit_profile_alpha_m2(0.4, 0.5)
+    assert len(spectra) > 20
+    rng = np.random.default_rng(5)
+    for n in (8, 64, 512):
+        k = np.arange(n // 2 + 1)
+        for _ in range(200):
+            amp = np.exp(k * np.log(10.0 ** rng.uniform(-6.0, -1.0))
+                         / (n // 2 - 1)) * rng.uniform(0.5, 1.5, len(k))
+            amp[0] = rng.uniform(1.0, 30.0)
+            phase = np.exp(2j * np.pi * rng.uniform(size=len(k)))
+            spectra.append(np.fft.irfft(amp * phase, n))
+    for a in spectra:
+        for tol in (1e-3, 1e-4):
+            band = tail_mode(a, tol) >= len(a) // 2 - 1
+            assert band == (_tail_ratio(a) > tol)
 
 
 def test_ham_orbit_energy_invariant():

@@ -298,6 +298,41 @@ def test_boundary_bisect_probe_failure(monkeypatch):
         sweep.boundary_bisect(-2.0, 4.0, 0.1, 0.4, 6.0, 12.0)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-2, math.nan, math.inf])
+def test_boundary_bisect_needs_a_finite_positive_tolerance(monkeypatch,
+                                                           rel_tol):
+    # refused before any probe: at rel_tol = 0 the loop would never end
+    probes = []
+
+    def classify(p):
+        probes.append(p["X"])
+        assert len(probes) <= 100, "the bisection does not end"
+        return "stable" if p["X"] > 8.3 else "unstable"
+
+    _patch_classifier(monkeypatch, classify)
+    with pytest.raises(DomainError, match="rel_tol"):
+        sweep.boundary_bisect(-2.0, 4.0, 0.1, 0.4, 6.0, 12.0,
+                              rel_tol=rel_tol)
+    assert probes == []
+
+
+def test_boundary_bisect_ends_between_adjacent_doubles(monkeypatch):
+    # no double lies between 7 and its successor, so the geometric midpoint
+    # is an end and the bisection stops, however small rel_tol is
+    lo, hi = 7.0, math.nextafter(7.0, 8.0)
+    probes = []
+
+    def classify(p):
+        probes.append(p["X"])
+        assert len(probes) <= 10, "the bisection does not end"
+        return "stable" if p["X"] > lo else "unstable"
+
+    _patch_classifier(monkeypatch, classify)
+    got = sweep.boundary_bisect(-2.0, 4.0, 0.1, 0.4, lo, hi, rel_tol=1e-300)
+    assert got in (lo, hi)
+    assert probes == [lo, hi]
+
+
 def _stub_boundary(p):
     # a stand-in lower boundary X*(F) = 0.05 F^2.83
     return "stable" if p["X"] > 0.05 * p["F"] ** 2.83 else "unstable"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -56,11 +57,19 @@ def _json_text(obj) -> str:
 # is read, a flag's before the config file too; one that raises ValueError
 # or TypeError is a validation error (exit 1).
 
+def _float(value) -> float:
+    """A finite float; float() alone would read nan, inf and -inf."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"not finite: {value!r}")
+    return x
+
+
 def _floats(value) -> list[float]:
-    """Comma-separated text, or the list a manifest records."""
+    """Comma-separated text, or the list a manifest records: each a _float."""
     if isinstance(value, list):
-        return [float(v) for v in value]
-    return [float(v) for v in str(value).split(",") if v.strip()]
+        return [_float(v) for v in value]
+    return [_float(v) for v in str(value).split(",") if v.strip()]
 
 
 def _int(value) -> int:
@@ -100,23 +109,23 @@ def _contour(value) -> str:
 
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "profile": {
-        "F": (float, None, "Froude number"),
-        "nu": (float, 0.1, "viscosity"),
-        "q": (float, None, "total outflow (physical seed route)"),
-        "X": (float, None, "Lagrangian period (physical seed route)"),
-        "q0": (float, None, "rescaled outflow (alpha=-2 family route)"),
-        "X0": (float, None, "rescaled period (alpha=-2 family route)"),
+        "F": (_float, None, "Froude number"),
+        "nu": (_float, 0.1, "viscosity"),
+        "q": (_float, None, "total outflow (physical seed route)"),
+        "X": (_float, None, "Lagrangian period (physical seed route)"),
+        "q0": (_float, None, "rescaled outflow (alpha=-2 family route)"),
+        "X0": (_float, None, "rescaled period (alpha=-2 family route)"),
         "n": (_int, 256, "grid points"),
-        "tol": (float, 1e-8, "Newton tolerance"),
+        "tol": (_float, 1e-8, "Newton tolerance"),
         "out": (str, None, "output profile JSON"),
     },
     "continue": {
         "in": (str, None, "input profile JSON"),
-        "F": (float, None, "target Froude number"),
-        "nu": (float, None, "target viscosity"),
-        "q": (float, None, "target outflow"),
-        "X": (float, None, "target period"),
-        "tol": (float, 1e-8, "Newton tolerance"),
+        "F": (_float, None, "target Froude number"),
+        "nu": (_float, None, "target viscosity"),
+        "q": (_float, None, "target outflow"),
+        "X": (_float, None, "target period"),
+        "tol": (_float, 1e-8, "Newton tolerance"),
         "out": (str, None, "output profile JSON"),
     },
     "spectrum": {
@@ -144,10 +153,10 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "report": (str, None, "output verdict JSON"),
     },
     "sweep": {
-        "alpha": (float, -2.0, "scaling exponent"),
+        "alpha": (_float, -2.0, "scaling exponent"),
         "F": (_floats, None, "comma-separated Froude numbers"),
-        "nu": (float, 0.1, "viscosity"),
-        "q0": (float, None, "rescaled outflow (scaling family)"),
+        "nu": (_float, 0.1, "viscosity"),
+        "q0": (_float, None, "rescaled outflow (scaling family)"),
         "q": (_floats, None, "comma-separated explicit outflows"),
         "X": (_floats, None, "comma-separated periods"),
         "store": (str, None, "JSON-lines result store (appended, resumable)"),
@@ -158,17 +167,18 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "out": (str, None, "output fit JSON"),
     },
     "kdv": {
-        "X": (float, None, "selected-wave period"),
-        "k": (float, None, "elliptic modulus (alternative input)"),
-        "delta": (float, None, "KdV-KS parameter for a stability check"),
+        "X": (_float, None, "selected-wave period"),
+        "k": (_float, None, "elliptic modulus (alternative input)"),
+        "delta": (_float, None, "KdV-KS parameter for a stability check"),
         "out": (str, None, "output JSON"),
     },
     "limit-inf": {
-        "q0": (float, None, "rescaled outflow"),
-        "X0": (float, None, "rescaled period (alpha=-2 limit route)"),
-        "h-minus": (float, None, "orbit turning point (alpha>-2 ham route)"),
-        "nu": (float, 0.1, "viscosity (alpha=-2 route)"),
-        "n": (_int, 256, "grid points"),
+        "q0": (_float, None, "rescaled outflow"),
+        "X0": (_float, None, "rescaled period (alpha=-2 limit route)"),
+        "h-minus": (_float, None, "orbit turning point (alpha>-2 ham route)"),
+        "nu": (_float, 0.1, "viscosity (alpha=-2 route)"),
+        "n": (_int, None, "grid points of the --h-minus orbit (default "
+                          "256)"),
         "out": (str, None, "output JSON"),
     },
 }
@@ -359,12 +369,18 @@ def _cmd_limit_inf(o: dict):
                           "or --h-minus (Hamiltonian route)")
     if o["X0"] is not None:
         _require(o, "q0")
-        lp = limit_profile_alpha_m2(o["q0"], o["X0"], nu=o["nu"], n=o["n"])
+        if o["n"] is not None:
+            raise DomainError("--n is the --h-minus orbit's grid: the "
+                              "alpha=-2 limit wave takes its grid from its "
+                              "spectral tail")
+        lp = limit_profile_alpha_m2(o["q0"], o["X0"], nu=o["nu"])
         _atomic_write(o["out"], _json_text(
             {"kind": "alpha_m2_limit", "q0": lp.q0, "X0": lp.X0, "nu": lp.nu,
              "c0": lp.c0, "n": lp.n, "a": list(lp.a), "da": list(lp.da),
              "residual": lp.residual_norm}))
     else:
+        if o["n"] is None:
+            o["n"] = 256        # the default, recorded in the manifest
         orbit = ham_orbit(o["h-minus"], n=o["n"])
         out = {"kind": "ham_orbit", "h_minus": orbit.h_minus,
                "h_plus": orbit.h_plus, "mu": orbit.mu, "X_mu": orbit.X_mu,

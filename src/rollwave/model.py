@@ -10,6 +10,7 @@ of the traveling-wave system exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -38,7 +39,8 @@ class TruncationUnresolved(NumericalFailure):
 class PhysicalParams:
     """Parameters of a single periodic traveling wave.
 
-    F, nu, X, tau0 must be strictly positive.  The roll-wave regime is F > 2.
+    Every value must be finite, and F, nu, X, tau0 strictly positive.  The
+    roll-wave regime is F > 2.
     """
 
     F: float
@@ -49,11 +51,14 @@ class PhysicalParams:
     tau0: float | None = None
 
     def __post_init__(self):
-        for name in ("F", "nu", "X"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be strictly positive, got {getattr(self, name)}")
-        if self.tau0 is not None and self.tau0 <= 0.0:
-            raise DomainError(f"tau0 must be strictly positive, got {self.tau0}")
+        for name in ("F", "nu", "q", "c", "X", "tau0"):
+            value = getattr(self, name)
+            if value is None and name == "tau0":
+                continue
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            if value <= 0.0 and name not in ("q", "c"):
+                raise DomainError(f"{name} must be strictly positive, got {value}")
 
     def with_(self, **kwargs) -> "PhysicalParams":
         return replace(self, **kwargs)

@@ -394,8 +394,14 @@ class LimitProfile:
         return float(np.max(np.abs(G)))
 
 
+_LIMIT_TOL = 1e-8       # residual of every limit solve
+_LIMIT_N0 = 256         # grid of the walk from onset, so the coarsest of
+                        # every limit wave: its tail only ever doubles it
+_LIMIT_N_CAP = 8192     # finest grid a limit wave is refined to
+
+
 def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
-                  A: float, tol: float):
+                  A: float):
     """Newton with the first cosine coefficient pinned to A and X0 free.
 
     Used to walk onto the bifurcated branch near onset, where natural Newton
@@ -426,18 +432,14 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
         J[n + 1, :n] = 2.0 * sinw / n
         return J
 
-    x, _ = _newton_solve(residual, jacobian, np.append(a, [c0, X0]), tol,
+    x, _ = _newton_solve(residual, jacobian, np.append(a, [c0, X0]),
+                         _LIMIT_TOL,
                          lambda x: np.min(x[:n]) > 0.0 and x[n + 1] > 0.0)
     return x[:n], float(x[n]), float(x[n + 1])
 
 
-_LIMIT_TOL = 1e-8       # residual of every limit solve
-_LIMIT_N0 = 256         # grid the limit walk starts on; the path from it
-                        # runs on max(n, _LIMIT_N0), or the limit's if coarser
-_LIMIT_N_CAP = 8192     # finest grid a limit wave is refined to
-
 # The limit waves solved so far in the open _limit_table block, keyed by
-# (q0, nu, n) and then by X0; None outside a block.
+# (q0, nu) and then by X0; None outside a block.
 _LIMITS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "rollwave_limit_waves", default=None)
 
@@ -460,21 +462,22 @@ def _limit_table():
         _LIMITS.reset(token)
 
 
-def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
-                           n: int = 256) -> LimitProfile:
+def limit_profile_alpha_m2(q0: float, X0: float,
+                           nu: float = 0.1) -> LimitProfile:
     """Converge the alpha = -2 limiting wave with period X0 at fixed q0.
 
     Walks onto the branch bifurcating at X_onset = 2 pi sqrt(nu) q0^{5/2}
     by amplitude-pinned continuation (period free), then follows the wave in
     its period to the requested X0 with _follow (_limit_continue).  The
-    speed c0 is always a Newton unknown.
+    speed c0 is always a Newton unknown, and the grid is the walk's
+    _LIMIT_N0 nodes, doubled wherever the spectral tail asks for it.
 
-    Inside a map or a bisection (a _limit_table block) each (q0, X0, nu, n)
-    is solved once and the same wave is returned for it again.  A new X0
-    continues in the period, up or down, from the wave of that (q0, nu, n)
-    nearest in log X0 (one refined past n seeds only a larger X0), and is
-    walked from onset only if no wave can seed it or the continuation
-    fails; a tail unresolved at _LIMIT_N_CAP nodes raises
+    Inside a map or a bisection (a _limit_table block) each (q0, X0, nu) is
+    solved once and the same wave is returned for it again.  A new X0
+    continues in the period, up or down, from the wave of that (q0, nu)
+    nearest in log X0 (one refined past _LIMIT_N0 nodes seeds only a larger
+    X0), and is walked from onset only if no wave can seed it or the
+    continuation fails; a tail unresolved at _LIMIT_N_CAP nodes raises
     TruncationUnresolved, which neither retries.  Such a wave depends on
     the neighbour that seeded it at the level of rounding; the same calls
     in the same order give the same bits.
@@ -487,74 +490,68 @@ def limit_profile_alpha_m2(q0: float, X0: float, nu: float = 0.1,
             f"limiting waves exist only for X0 > {X_onset:.6g}, got {X0}")
     family, seeds = _LIMITS.get(), []
     if family is not None:
-        family = family.setdefault((q0, nu, n), {})
+        family = family.setdefault((q0, nu), {})
         if X0 in family:
             return family[X0]
-        # the continuation never coarsens, so a wave refined past n seeds
-        # only larger periods
-        seeds = [w for w in family.values() if w.X0 < X0 or w.n == n]
+        # the continuation never coarsens, so a wave refined past the walk's
+        # grid seeds only larger periods
+        seeds = [w for w in family.values()
+                 if w.X0 < X0 or w.n == _LIMIT_N0]
     prof = None
     if seeds:
         near = min(seeds, key=lambda w: abs(np.log(w.X0 / X0)))
         try:
-            prof = _limit_continue(near, X0, n)
+            prof = _limit_continue(near, X0)
         except (NonConvergence, ContinuationStalled, DegenerateJacobian):
             pass
     if prof is None:
-        prof = _limit_continue(_limit_walk(q0, X0, nu, min(n, _LIMIT_N0),
-                                           X_onset), X0, n)
+        prof = _limit_continue(_limit_walk(q0, X0, nu, X_onset), X0)
     if family is not None:
         family[X0] = prof
     return prof
 
 
-def _limit_walk(q0: float, X0: float, nu: float, n0: int,
+def _limit_walk(q0: float, X0: float, nu: float,
                 X_onset: float) -> LimitProfile:
     """Walk from onset onto the bifurcated branch, up to the period X0.
 
     Steps the pinned amplitude up by 1.3 from 1 % of the constant state a*
-    on n0 nodes while the next amplitude stays within a* (the trough nears
-    a = 0 past it) and the spectral tail fits the grid (deep waves need
-    refinement first).  Returns the natural wave at the period reached.
+    on _LIMIT_N0 nodes while the next amplitude stays within a* (the trough
+    nears a = 0 past it) and the spectral tail fits the grid (deep waves
+    need refinement first).  Returns the natural wave at the period reached.
     """
     a_star = q0 ** -2
-    x = fourier.grid(n0, 1.0)
+    x = fourier.grid(_LIMIT_N0, 1.0)
     A = 0.01 * a_star
     a = a_star + A * np.cos(2.0 * np.pi * x)
     c0, X_cur = q0 ** 3, X_onset * 1.0001
     while True:
         try:
-            a, c0, X_cur = _limit_pinned(a, q0, c0, X_cur, nu, A,
-                                         _LIMIT_TOL)
+            a, c0, X_cur = _limit_pinned(a, q0, c0, X_cur, nu, A)
         except (NonConvergence, DegenerateJacobian):
             # amplitude stepping broke down; fall back to natural
             # continuation in X0 from the last wave
             break
         if (X_cur >= X0 or 1.3 * A > a_star
-                or fourier.tail_mode(a, 1e-3) >= n0 // 2 - 1):
+                or fourier.tail_mode(a, 1e-3) >= _LIMIT_N0 // 2 - 1):
             break
         A *= 1.3
-    return _limit_newton(a, q0, c0, min(X_cur, X0), nu, _LIMIT_TOL)
+    return _limit_newton(a, q0, c0, min(X_cur, X0), nu)
 
 
-def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
-    """Continue a limit wave in its period to X0 and finish it on n nodes.
+def _limit_continue(prof: LimitProfile, X0: float) -> LimitProfile:
+    """Continue a limit wave in its period to X0.
 
     Follows (a, c0) with _follow in s = |ln(X0 / X_from)|, up or down, with
     steps of at most a factor 1.2 and a stall below 1e-8 in ln X0.  Each
     point, the starting one first, has its grid doubled while the spectral
     tail is unresolved, a mode of the Nyquist band |k| >= n/2 - 1 above
     1e-4 of the largest: a converged but unresolved iterate is a spurious
-    discrete solution.  One still unresolved on _LIMIT_N_CAP nodes raises
-    TruncationUnresolved.  The wave is then refined to at least n nodes
-    (never coarsened).
+    discrete solution.  The grid is never coarsened.  A point still
+    unresolved on _LIMIT_N_CAP nodes raises TruncationUnresolved, naming
+    both X0 and the point of the path where it failed.
     """
     q0, nu, X_from = prof.q0, prof.nu, prof.X0
-
-    def refine(prof: LimitProfile, m: int) -> LimitProfile:
-        a_seed = np.maximum(fourier.resample(prof.a, m),
-                            0.05 * np.min(prof.a))
-        return _limit_newton(a_seed, q0, prof.c0, prof.X0, nu, _LIMIT_TOL)
 
     def resolved(prof: LimitProfile) -> LimitProfile:
         while fourier.tail_mode(prof.a, 1e-4) >= prof.n // 2 - 1:
@@ -562,10 +559,12 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
                 chat = np.abs(fourier.fourier_coeffs(prof.a))
                 band = chat[prof.n // 2 - 1:prof.n // 2 + 2].max() / chat.max()
                 raise TruncationUnresolved(
-                    f"limit wave at X0 = {prof.X0:.6g} unresolved on "
-                    f"n = {prof.n} nodes: its Nyquist band is {band:.1e} "
-                    f"of its largest mode, above 1e-4")
-            prof = refine(prof, 2 * prof.n)
+                    f"limit wave for X0 = {X0:.6g} unresolved at X0 = "
+                    f"{prof.X0:.6g} on n = {prof.n} nodes: its Nyquist band "
+                    f"is {band:.1e} of its largest mode, above 1e-4")
+            a_seed = np.maximum(fourier.resample(prof.a, 2 * prof.n),
+                                0.05 * np.min(prof.a))
+            prof = _limit_newton(a_seed, q0, prof.c0, prof.X0, nu)
         return prof
 
     prof = resolved(prof)
@@ -576,23 +575,19 @@ def _limit_continue(prof: LimitProfile, X0: float, n: int) -> LimitProfile:
         def solve(s, x):
             # X0 exactly at the end of the path
             X = X0 if s == length else X_from * np.exp(s if up else -s)
-            w = resolved(_limit_newton(x[:-1], q0, x[-1], X, nu,
-                                       _LIMIT_TOL))
+            w = resolved(_limit_newton(x[:-1], q0, x[-1], X, nu))
             return np.append(w.a, w.c0), w
 
         prof = _follow(solve, np.append(prof.a, prof.c0), length,
                        0.5 * np.log(1.2), 1e-8)
-
-    while prof.n < n:
-        prof = refine(prof, min(2 * prof.n, n))
     return prof
 
 
-def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
-                  tol: float) -> LimitProfile:
+def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float,
+                  nu: float) -> LimitProfile:
     coeffs = (1.0, 0.0, nu, q0, X0)
     a, c0 = _locked_newton(lambda a, c0: _equation(a, c0, *coeffs), a, c0,
-                           tol, coeffs)
+                           _LIMIT_TOL, coeffs)
     return LimitProfile(q0=q0, X0=X0, nu=nu, c0=c0, a=a)
 
 
@@ -614,7 +609,7 @@ def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
     """
     if F <= 0.0:
         raise DomainError(f"F must be positive, got {F}")
-    lp = limit_profile_alpha_m2(q0, X0, nu=nu, n=min(n, _LIMIT_N0))
+    lp = limit_profile_alpha_m2(q0, X0, nu=nu)
     m, n_out = min(lp.n, max(n, _LIMIT_N0)), max(n, lp.n)
     a = lp.a if lp.n == m else fourier.resample(lp.a, m)
 

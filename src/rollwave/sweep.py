@@ -8,7 +8,7 @@ append to the same store, and boundary_points reads its brackets back for
 powerlaw_fit.
 
 One stability_map call, or one boundary_bisect call with all of its probes,
-shares its F = infinity limit waves: each (q0, X0, nu, n) is solved once,
+shares its F = infinity limit waves: each (q0, X0, nu) is solved once,
 and a new X0 continues in the period, up or down, from the nearest one
 solved (see profile.limit_profile_alpha_m2).  The waves are dropped when the
 call returns.  A point whose X0 matches no wave solved before it therefore
@@ -50,7 +50,9 @@ class ProbeFailed(Exception):
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Verdict of one wave in a stability map."""
+    """Verdict of one wave in a stability map; a record whose key is not
+    finite numbers, or whose fields have the wrong types, raises
+    DomainError when it is built, so it can be neither read nor written."""
 
     alpha: float
     F: float
@@ -61,6 +63,18 @@ class SweepRecord:
     witness: str | None = None
     conditions: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)   # q0, X0, n, residual, diagnostics
+
+    def __post_init__(self):
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and math.isfinite(v) for v in self.key)
+        if not (numbers and self.verdict in _VERDICTS
+                and (self.witness is None or isinstance(self.witness, str))
+                and isinstance(self.conditions, dict)
+                and isinstance(self.meta, dict)):
+            raise DomainError("malformed sweep record: alpha, F, nu, q and X "
+                              "must be finite numbers, verdict one of "
+                              f"{_VERDICTS}, witness a string or null, and "
+                              "conditions and meta objects")
 
     @property
     def key(self) -> tuple:
@@ -78,24 +92,13 @@ class SweepRecord:
         raises DomainError."""
         d = json.loads(line)
         try:
-            rec = cls(alpha=d["alpha"], F=d["F"], nu=d["nu"], q=d["q"],
-                      X=d["X"], verdict=d["verdict"],
-                      witness=d.get("witness"),
-                      conditions=d.get("conditions", {}),
-                      meta=d.get("meta", {}))
+            return cls(alpha=d["alpha"], F=d["F"], nu=d["nu"], q=d["q"],
+                       X=d["X"], verdict=d["verdict"],
+                       witness=d.get("witness"),
+                       conditions=d.get("conditions", {}),
+                       meta=d.get("meta", {}))
         except (KeyError, TypeError) as err:
             raise DomainError(f"malformed sweep record: {err!r}") from None
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      and math.isfinite(v) for v in rec.key)
-        if not (numbers and rec.verdict in _VERDICTS
-                and (rec.witness is None or isinstance(rec.witness, str))
-                and isinstance(rec.conditions, dict)
-                and isinstance(rec.meta, dict)):
-            raise DomainError("malformed sweep record: alpha, F, nu, q and X "
-                              "must be finite numbers, verdict one of "
-                              f"{_VERDICTS}, witness a string or null, and "
-                              "conditions and meta objects")
-        return rec
 
 
 def read_records(text: str) -> list[SweepRecord]:

@@ -155,7 +155,7 @@ def test_criterion_6_winding_replication(f10_x50_wave):
 
 
 def test_criterion_7_infinite_froude_instability():
-    lp = prof.limit_profile_alpha_m2(0.4, 0.5, nu=0.1, n=512)
+    lp = prof.limit_profile_alpha_m2(0.4, 0.5, nu=0.1)
     sp = linearize.limit_matrices_alpha_m2(lp)
     m_eval = [hill.first_unstable(sp, N, 24, 1e-4, math.inf)[0]
               for N in (40, 80)]

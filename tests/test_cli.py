@@ -108,6 +108,25 @@ def test_limit_inf_alpha_m2_route(tmp_path):
     assert doc["residual"] <= 1e-8
 
 
+def test_limit_inf_alpha_m2_route_takes_no_grid(tmp_path, capsys):
+    # the limit wave's grid is its tail's: --n, or a manifest that records
+    # one, exits 1 and writes nothing; the ham route records its default
+    assert cli.main(["limit-inf", "--q0", "0.4", "--X0", "0.3", "--n", "512",
+                     "--out", str(tmp_path / "lim.json")]) == 1
+    assert "--n is the --h-minus orbit's grid" in capsys.readouterr().err
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subcommand": "limit-inf", "options": {
+        "q0": 0.4, "X0": 0.3, "h-minus": None, "nu": 0.1, "n": 256,
+        "out": str(tmp_path / "lim.json"), "config": None,
+        "manifest": None}}))
+    assert cli.main(["--from-manifest", str(manifest)]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+    assert cli.main(["limit-inf", "--h-minus", "0.5",
+                     "--out", str(tmp_path / "ham.json")]) == 0
+    recorded = json.loads((tmp_path / "ham.json.manifest.json").read_text())
+    assert recorded["options"]["n"] == 256
+
+
 def test_manifest_replay_is_byte_identical(tmp_path):
     out1 = tmp_path / "a.json"
     assert cli.main(["kdv", "--X", "12", "--out", str(out1)]) == 0
@@ -225,6 +244,10 @@ _BAD_PROFILES = {
     "no-samples": lambda d: d.update(tau=[]),
     "no-param-c": lambda d: d["params"].pop("c"),
     "unknown-param": lambda d: d["params"].update(Re=10.0),
+    "nan-F": lambda d: d["params"].update(F=float("nan")),
+    "nan-q": lambda d: d["params"].update(q=float("nan")),
+    "inf-c": lambda d: d["params"].update(c=float("inf")),
+    "inf-X": lambda d: d["params"].update(X=float("inf")),
 }
 
 
@@ -535,6 +558,9 @@ _BAD_VALUES = [
     ("limit-inf", "n", "0", ["--q0", "0.4", "--X0", "0.45"]),
     ("limit-inf", "n", "-4", ["--q0", "0.4", "--X0", "0.45"]),
     ("profile", "n", "0", ["--F", "8", "--q0", "0.4", "--X0", "0.45"]),
+    ("kdv", "X", "nan", []),
+    ("profile", "tol", "nan", ["--F", "6", "--q0", "0.4", "--X0", "0.3"]),
+    ("sweep", "F", "inf", ["--q0", "0.4", "--X", "8"]),
 ]
 
 
@@ -544,7 +570,8 @@ def test_bad_option_value_exits_1_before_any_file_is_read(
         tmp_path, capsys, sub, flag, value, rest):
     # each value is refused by its caster: neither the missing config file
     # nor the missing --in is read, and no output or manifest is written
-    args = [sub, f"--{flag}={value}", *rest, "--out", str(tmp_path / "o"),
+    args = [sub, f"--{flag}={value}", *rest,
+            f"--{cli._PRIMARY_OUT[sub]}", str(tmp_path / "o"),
             "--config", str(tmp_path / "missing.cfg")]
     if "in" in cli._SCHEMAS[sub]:
         args += ["--in", str(tmp_path / "missing.json")]

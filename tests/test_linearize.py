@@ -64,7 +64,7 @@ def test_first_order_and_operator_forms_agree_spectrally():
     # Hill's method reads only the operator form and the Evans function only
     # the first-order form; every Hill eigenvalue of the limit problem must
     # be a root of its Evans function
-    lp = prof.limit_profile_alpha_m2(0.4, 0.3, n=256)
+    lp = prof.limit_profile_alpha_m2(0.4, 0.3)
     sp = linearize.limit_matrices_alpha_m2(lp)
     xi = 0.3 * np.pi / lp.X0
     lam = hill.eigenvalues(sp, 40, xi)

@@ -15,6 +15,17 @@ def test_positive_parameter_validation():
         PhysicalParams(F=3.0, nu=0.1, q=1.0, c=0.5, X=10.0, tau0=-2.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("F", float("nan")), ("nu", float("inf")), ("q", float("nan")),
+    ("c", float("inf")), ("X", float("inf")), ("tau0", float("nan")),
+    ("q", -float("inf"))])
+def test_parameters_must_be_finite(name, value):
+    # NaN passes a <= 0 check, and q and c have no sign to check
+    good = dict(F=3.0, nu=0.1, q=1.0, c=0.5, X=10.0, tau0=1.0)
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        PhysicalParams(**{**good, name: value})
+
+
 def test_alpha_m2_family_is_q0F_X0F2():
     p = sweep.family_point(-2.0, 10.0, 0.1, 0.4, 50.0)
     assert p["q"] == pytest.approx(4.0)

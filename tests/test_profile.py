@@ -1,6 +1,7 @@
 """Traveling-wave profile solvers: Newton, continuation, and scaling limits."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ def test_limit_pinned_period_column_matches_central_differences(
     lp, n = limit_wave, 64
     a = fourier.resample(lp.a, n)
     A = 2.0 * float(np.mean(a * np.cos(2.0 * np.pi * np.arange(n) / n)))
-    prof._limit_pinned(a, lp.q0, lp.c0, lp.X0, lp.nu, A, 1e-8)
+    prof._limit_pinned(a, lp.q0, lp.c0, lp.X0, lp.nu, A)
     x, h = got["x"], 1e-5 * got["x"][n + 1]
     e = np.eye(1, n + 2, n + 1)[0] * h
     fd = (got["residual"](x + e) - got["residual"](x - e))[:n] / (2.0 * h)
@@ -313,14 +314,17 @@ def test_newton_solve_holds_one_jacobian_buffer(limit_wave, monkeypatch):
     monkeypatch.setattr(prof, "_jacobian",
                         lambda *args: built.append(1) or jac(*args))
     a = fourier.resample(limit_wave.a, n)
+    coeffs = (1.0, 0.0, limit_wave.nu, limit_wave.q0, limit_wave.X0)
     tracemalloc.start()
     try:
-        w = prof._limit_newton(a, limit_wave.q0, limit_wave.c0,
-                               limit_wave.X0, limit_wave.nu, 1e-10)
+        # below the limit's own tolerance, so that the solve factors twice
+        a, _ = prof._locked_newton(
+            lambda a, c0: prof._equation(a, c0, *coeffs), a, limit_wave.c0,
+            1e-10, coeffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert w.n == n and len(built) >= 2
+    assert len(a) == n and len(built) >= 2
     assert peak <= 1.25 * (n + 1) ** 2 * 8
 
 
@@ -623,7 +627,7 @@ def test_profile_from_limit_family_parameters(f6_waves):
 
 
 def test_limit_profile_alpha_m2_basic():
-    lp = prof.limit_profile_alpha_m2(0.4, 0.3, n=512)
+    lp = prof.limit_profile_alpha_m2(0.4, 0.3)
     assert lp.residual_norm <= 1e-8
     assert np.all(lp.a > 0.0)
     assert np.ptp(lp.a) > 0.0
@@ -635,7 +639,7 @@ def test_limit_profile_alpha_m2_basic():
 def test_limit_wave_x0_045_frozen():
     # the deep limit wave of profile-f8: its tail refines 256 -> 1024
     # nodes on the way up from the walk
-    lp = prof.limit_profile_alpha_m2(0.4, 0.45, 0.1, 256)
+    lp = prof.limit_profile_alpha_m2(0.4, 0.45, 0.1)
     assert lp.n == 1024
     assert lp.c0 == pytest.approx(0.06358999881189556, rel=1e-9, abs=0.0)
 
@@ -651,7 +655,7 @@ def test_limit_walk_ends_before_its_pinned_newton_fails(monkeypatch):
         try:
             return pinned(*args)
         except (prof.NonConvergence, prof.DegenerateJacobian):
-            failed.append(args[-2])
+            failed.append(args[-1])
             raise
 
     monkeypatch.setattr(prof, "_limit_pinned", counting_pinned)
@@ -718,10 +722,10 @@ def test_limit_table_falls_back_to_the_walk(monkeypatch, error):
     cont = prof._limit_continue
     stored = []
 
-    def failing(start, X0, n):
+    def failing(start, X0):
         if any(start is lp for lp in stored):
             raise error
-        return cont(start, X0, n)
+        return cont(start, X0)
 
     monkeypatch.setattr(prof, "_limit_continue", failing)
     with prof._limit_table():
@@ -745,6 +749,28 @@ def test_limit_wave_unresolved_at_the_grid_cap_raises(monkeypatch):
         with pytest.raises(TruncationUnresolved, match=r"on n = 512 nodes"):
             prof.limit_profile_alpha_m2(0.4, 0.45)
     assert walks == [0.45, 0.36]
+
+
+def test_limit_cap_error_names_the_x0_asked_for(monkeypatch):
+    # the cap is hit on the way up, short of X0 = 0.45: the message names
+    # both the X0 asked for and the path point where the tail failed
+    monkeypatch.setattr(prof, "_LIMIT_N_CAP", 512)
+    with pytest.raises(TruncationUnresolved) as err:
+        prof.limit_profile_alpha_m2(0.4, 0.45)
+    asked, reached = map(float, re.findall(r"X0 = ([\d.]+)", str(err.value)))
+    assert asked == 0.45 and 0.36 < reached < 0.45
+
+
+def test_callers_of_any_grid_share_one_limit_wave(monkeypatch):
+    # the limit wave's grid is its tail's, not the caller's: n = 64 and
+    # n = 512 at one X0 share one walk from onset, and each returns the
+    # larger of its n and the limit's 256 nodes
+    walks = _count_walks(monkeypatch)
+    with prof._limit_table():
+        coarse = prof.profile_from_limit(0.4, 0.3, 8.0, n=64)
+        fine = prof.profile_from_limit(0.4, 0.3, 8.0, n=512)
+    assert walks == [0.3]
+    assert (coarse.n, fine.n) == (256, 512)
 
 
 def _tail_ratio(a):

@@ -244,6 +244,18 @@ def test_f4_x8_point_is_decided():
     assert rec.meta["n"] == 1024
 
 
+def test_a_record_of_a_non_finite_point_is_refused_when_built(tmp_path):
+    # evaluate_point's failed record at F = inf is refused as from_json
+    # would refuse its line, so the store is left as it was
+    path = tmp_path / "s.jsonl"
+    first = _stub_record(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 7.0))
+    sweep.ResultStore(str(path)).append(first)
+    point = sweep.family_point(-2.0, math.inf, 0.1, 0.4, 8.0)
+    with pytest.raises(DomainError, match="malformed sweep record"):
+        sweep.stability_map([point], store=str(path))
+    assert path.read_text() == first.to_json() + "\n"
+
+
 def test_store_rejects_duplicate_key(tmp_path):
     store = sweep.ResultStore(str(tmp_path / "s.jsonl"))
     rec = _stub_record(sweep.family_point(-2.0, 4.0, 0.1, 0.4, 7.0))

@@ -116,7 +116,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "q0": (_float, None, "rescaled outflow (alpha=-2 family route)"),
         "X0": (_float, None, "rescaled period (alpha=-2 family route)"),
         "n": (_int, 256, "grid points"),
-        "tol": (_float, 1e-8, "Newton tolerance"),
         "out": (str, None, "output profile JSON"),
     },
     "continue": {
@@ -125,7 +124,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "nu": (_float, None, "target viscosity"),
         "q": (_float, None, "target outflow"),
         "X": (_float, None, "target period"),
-        "tol": (_float, 1e-8, "Newton tolerance"),
         "out": (str, None, "output profile JSON"),
     },
     "spectrum": {
@@ -245,18 +243,17 @@ def _load_profile(path: str) -> WaveProfile:
 
 def _cmd_profile(o: dict):
     _require(o, "F", "out")
-    F, nu, n, tol = o["F"], o["nu"], o["n"], o["tol"]
+    F, nu, n = o["F"], o["nu"], o["n"]
     if o["q0"] is not None or o["X0"] is not None:
         _require(o, "q0", "X0")
-        w = profile_mod.profile_from_limit(o["q0"], o["X0"], F, nu=nu,
-                                           n=n, tol=tol)
+        w = profile_mod.profile_from_limit(o["q0"], o["X0"], F, nu=nu, n=n)
     else:
         _require(o, "q", "X")
         delta = 0.3
         X_kdv = min(max(o["X"] * delta / np.sqrt(nu), 6.5), 45.0)
         w0 = kdv_limit.asymptotic_rollwave(
             delta, kdv_limit.k_of_period(X_kdv), nu, n=n)
-        w = profile_mod.continue_profile(w0, tol=tol, F=F, q=o["q"], X=o["X"])
+        w = profile_mod.continue_profile(w0, F=F, q=o["q"], X=o["X"])
     _atomic_write(o["out"], w.to_json())
 
 
@@ -266,7 +263,7 @@ def _cmd_continue(o: dict):
     targets = {k: o[k] for k in ("F", "nu", "q", "X") if o[k] is not None}
     if not targets:
         raise DomainError("continue needs at least one of --F --nu --q --X")
-    w2 = profile_mod.continue_profile(w, tol=o["tol"], **targets)
+    w2 = profile_mod.continue_profile(w, **targets)
     _atomic_write(o["out"], w2.to_json())
 
 

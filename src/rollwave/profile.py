@@ -189,6 +189,8 @@ def equilibrium(F: float, nu: float, tau0: float = 1.0,
     return WaveProfile(params=params, tau=np.full(n, tau0))
 
 
+_NEWTON_TOL = 1e-8      # the residual every solve of G aims at: physical
+                        # wave, limit wave and pinned walk
 _NEWTON_MAX_ITER = 60
 _CONTRACTION = 0.05     # residual ratio under which an LU factorisation is kept
 
@@ -259,8 +261,9 @@ def _newton_solve(residual, jacobian, x, tol, admissible, floor=0.0):
     return x, err
 
 
-def _locked_newton(G, seed, c, tol, coeffs):
-    """Newton for (tau, c) solving G(tau, c) = 0, phase-locked to the seed.
+def _locked_newton(G, seed, c, coeffs):
+    """Newton for (tau, c) solving G(tau, c) = 0 to _NEWTON_TOL,
+    phase-locked to the seed.
 
     `coeffs` = (K, eps, nu, q, X) are G's coefficients, for its Jacobian.  G
     is passed in so that the physical wave goes through `ode_residual`,
@@ -280,14 +283,14 @@ def _locked_newton(G, seed, c, tol, coeffs):
         J[n, :n] = dseed / n
         return J
 
-    x, _ = _newton_solve(residual, jacobian, np.append(seed, c), tol,
+    x, _ = _newton_solve(residual, jacobian, np.append(seed, c), _NEWTON_TOL,
                          lambda x: np.min(x[:n]) > 0.0,
                          1e-8 * max(1.0, (n / 256.0) ** 2))
     return x[:n], float(x[n])
 
 
-def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
-                  tol: float = 1e-8) -> WaveProfile:
+def solve_profile(params: PhysicalParams,
+                  seed_tau: np.ndarray) -> WaveProfile:
     """Converge a periodic profile at fixed (F, nu, q, X) with c free.
 
     `params.c` is the initial guess for the speed.
@@ -297,8 +300,7 @@ def solve_profile(params: PhysicalParams, seed_tau: np.ndarray,
         raise DomainError("seed profile must be strictly positive")
     p = params
     tau, c = _locked_newton(lambda t, c: ode_residual(t, p.with_(c=c)),
-                            seed_tau, p.c, tol,
-                            (p.F * p.F, 1.0, p.nu, p.q, p.X))
+                            seed_tau, p.c, (p.F * p.F, 1.0, p.nu, p.q, p.X))
     return WaveProfile(params=params.with_(c=c), tau=tau)
 
 
@@ -347,8 +349,7 @@ def _follow(solve, x, length, h, h_min):
     return out
 
 
-def continue_profile(start: WaveProfile, tol: float = 1e-8,
-                     **targets) -> WaveProfile:
+def continue_profile(start: WaveProfile, **targets) -> WaveProfile:
     """Continue a converged wave to new values of F, nu, q and/or X.
 
     Follows (tau, c) along the straight segment in parameter space with
@@ -363,7 +364,7 @@ def continue_profile(start: WaveProfile, tol: float = 1e-8,
 
     def solve(s, x):
         vals = {k: begin[k] + s * (targets[k] - begin[k]) for k in targets}
-        w = solve_profile(p0.with_(c=x[-1], **vals), x[:-1], tol=tol)
+        w = solve_profile(p0.with_(c=x[-1], **vals), x[:-1])
         return np.append(w.tau, w.params.c), w
 
     return _follow(solve, np.append(start.tau, p0.c), 1.0, 1.0, _MIN_STEP)
@@ -394,7 +395,6 @@ class LimitProfile:
         return float(np.max(np.abs(G)))
 
 
-_LIMIT_TOL = 1e-8       # residual of every limit solve
 _LIMIT_N0 = 256         # grid of the walk from onset, so the coarsest of
                         # every limit wave: its tail only ever doubles it
 _LIMIT_N_CAP = 8192     # finest grid a limit wave is refined to
@@ -433,7 +433,7 @@ def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
         return J
 
     x, _ = _newton_solve(residual, jacobian, np.append(a, [c0, X0]),
-                         _LIMIT_TOL,
+                         _NEWTON_TOL,
                          lambda x: np.min(x[:n]) > 0.0 and x[n + 1] > 0.0)
     return x[:n], float(x[n]), float(x[n + 1])
 
@@ -482,8 +482,8 @@ def limit_profile_alpha_m2(q0: float, X0: float,
     the neighbour that seeded it at the level of rounding; the same calls
     in the same order give the same bits.
     """
-    if q0 <= 0.0 or X0 <= 0.0:
-        raise DomainError("q0 and X0 must be positive")
+    if q0 <= 0.0 or X0 <= 0.0 or nu <= 0.0:
+        raise DomainError("q0, X0 and nu must be positive")
     X_onset = 2.0 * np.pi * np.sqrt(nu) * q0 ** 2.5
     if X0 <= X_onset:
         raise DomainError(
@@ -587,12 +587,12 @@ def _limit_newton(a: np.ndarray, q0: float, c0: float, X0: float,
                   nu: float) -> LimitProfile:
     coeffs = (1.0, 0.0, nu, q0, X0)
     a, c0 = _locked_newton(lambda a, c0: _equation(a, c0, *coeffs), a, c0,
-                           _LIMIT_TOL, coeffs)
+                           coeffs)
     return LimitProfile(q0=q0, X0=X0, nu=nu, c0=c0, a=a)
 
 
 def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
-                       n: int = 1024, tol: float = 1e-8) -> WaveProfile:
+                       n: int = 1024) -> WaveProfile:
     """Physical wave on the alpha = -2 family (q = q0 F, X = X0 F^2).
 
     In the scaled unknowns (a = tau F^2, c0 = c / F^2) the profile equation
@@ -617,12 +617,12 @@ def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
         Fv = F / s
         params = PhysicalParams(F=Fv, nu=nu, q=q0 * Fv, c=x[-1] * Fv ** 2,
                                 X=X0 * Fv ** 2)
-        w = solve_profile(params, x[:-1] / Fv ** 2, tol=tol)
+        w = solve_profile(params, x[:-1] / Fv ** 2)
         return np.append(w.tau * Fv ** 2, w.params.c / Fv ** 2), w
 
     w = _follow(solve, np.append(a, lp.c0), 1.0, 0.25, 1e-4)
     if w.n < n_out:
-        w = solve_profile(w.params, fourier.resample(w.tau, n_out), tol)
+        w = solve_profile(w.params, fourier.resample(w.tau, n_out))
     return w
 
 

@@ -190,7 +190,9 @@ def enumerate_grid(spec: dict) -> list[dict]:
     Keys: alpha (scalar, -2: the only family implemented), nu (scalar), F
     (scalar or list), X (scalar or list), and exactly one of q0 (scaling
     family, scalar) or q (explicit, scalar or list).  Points are ordered
-    F-major, then q, then X.
+    F-major, then q, then X.  An empty list, or a value of nu, F, X, q0 or
+    q that is not finite and positive, holds no wave and raises DomainError
+    before any point is made.
     """
     known = {"alpha", "nu", "F", "X", "q0", "q"}
     unknown = set(spec) - known
@@ -199,21 +201,30 @@ def enumerate_grid(spec: dict) -> list[dict]:
     if ("q0" in spec) == ("q" in spec):
         raise DomainError("grid spec needs exactly one of 'q0' or 'q'")
 
-    def listify(v):
-        return [float(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
+    def positive(name: str, v) -> list[float]:
+        values = [float(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
+        if not values:
+            raise DomainError(f"grid {name} is empty")
+        for x in values:
+            if not (math.isfinite(x) and x > 0.0):
+                raise DomainError(f"grid {name} must be finite and positive, "
+                                  f"got {x}")
+        return values
 
     alpha = float(spec.get("alpha", -2.0))
     _require_family(alpha)
-    nu = float(spec.get("nu", 0.1))
-    Fs = listify(spec["F"])
-    Xs = listify(spec["X"])
+    # nu and q0 are scalars: float() refuses a list
+    (nu,) = positive("nu", float(spec.get("nu", 0.1)))
+    Fs, Xs = positive("F", spec["F"]), positive("X", spec["X"])
+    qs = (positive("q0", float(spec["q0"])) if "q0" in spec
+          else positive("q", spec["q"]))
     points = []
     for F in Fs:
         if "q0" in spec:
             for X in Xs:
-                points.append(family_point(alpha, F, nu, float(spec["q0"]), X))
+                points.append(family_point(alpha, F, nu, qs[0], X))
         else:
-            for q in listify(spec["q"]):
+            for q in qs:
                 for X in Xs:
                     points.append({"alpha": alpha, "F": F, "nu": nu, "q": q,
                                    "X": X, "q0": q / F, "X0": X / F ** 2})
@@ -224,7 +235,7 @@ def default_solver(point: dict) -> WaveProfile:
     """Profile solve for one grid point on the alpha = -2 family."""
     _require_family(point["alpha"])
     return profile_from_limit(point["q0"], point["X0"], point["F"],
-                              nu=point["nu"], n=_PROFILE_N, tol=1e-10)
+                              nu=point["nu"], n=_PROFILE_N)
 
 
 def evaluate_point(point: dict, solver=None) -> SweepRecord:

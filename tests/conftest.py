@@ -18,8 +18,7 @@ def fig1c_wave():
     """Converged wave at F = sqrt(6), nu = 0.1, q = 1.5745, X = 17.15."""
     k = kdv_limit.k_of_period(20.0)
     w0 = kdv_limit.asymptotic_rollwave(0.3, k, 0.1, n=256)
-    return prof.continue_profile(w0, tol=1e-10, F=6.0 ** 0.5,
-                                 q=1.5745, X=17.15)
+    return prof.continue_profile(w0, F=6.0 ** 0.5, q=1.5745, X=17.15)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """Acceptance criteria, one test per criterion, one PASS/FAIL line each.
 
-Criterion 8 (boundary bisection + power-law fit) takes about 38 s on two
+Criterion 8 (boundary bisection + power-law fit) takes about 10 s on two
 cores and is marked slow; it is excluded from the default profile (see
 pyproject.toml).
 """

@@ -360,6 +360,9 @@ _REMOVED_FLAGS = [
      "--modes", "81"),
     ("sweep", ["--F", "4", "--q0", "0.4", "--X", "3.28",
                "--store", "o.jsonl"], "--n", "512"),
+    ("profile", ["--F", "6", "--q0", "0.4", "--X0", "0.3", "--out", "o.json"],
+     "--tol", "1e-8"),
+    ("continue", ["--X", "17.5", "--out", "o.json"], "--tol", "1e-8"),
 ]
 
 
@@ -371,7 +374,7 @@ def test_removed_flag_exits_1_and_writes_nothing(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     pin = tmp_path / "w.json"
     pin.write_text(constant_state.to_json())
-    wave = [] if sub in ("kdv", "sweep") else ["--in", str(pin)]
+    wave = [] if sub in ("kdv", "sweep", "profile") else ["--in", str(pin)]
     assert cli.main([sub, *wave, *args, flag, value]) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
 
@@ -391,6 +394,55 @@ def test_removed_keys_in_manifest_and_config_exit_1(tmp_path,
                      "--out", str(tmp_path / "t.json")]) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "m.json", "t.cfg", "w.json"]
+
+
+# (files written first, argv, the error's text): each run exits 1 at a check
+# of the driver or of a subcommand and writes no file
+_CONTINUE_MANIFEST = json.dumps({"subcommand": "continue", "options": {
+    "in": "w.json", "out": "o.json", "F": None, "nu": None, "q": None,
+    "X": 17.5, "tol": 1e-8, "config": None, "manifest": None}})
+_EXIT_1 = {
+    "config-malformed-line": (
+        {"c.cfg": "# a comment\n\nX = 17\nno equals sign\n"},
+        ["kdv", "--config", "c.cfg", "--out", "o.json"],
+        "malformed config line: 'no equals sign'"),
+    "manifest-unknown-subcommand": (
+        {"m.json": '{"subcommand": "plot", "options": {}}'},
+        ["--from-manifest", "m.json"], "unknown subcommand 'plot'"),
+    "manifest-and-subcommand": (
+        {}, ["--from-manifest", "m.json", "kdv", "--X", "17",
+             "--out", "o.json"], "--from-manifest takes no subcommand"),
+    "no-subcommand": ({}, [], "a subcommand is required"),
+    "evans-xi-and-xi-band": (
+        {}, ["evans", "--in", "w.json", "--xi", "0.1", "--xi-band", "2",
+             "--out", "o.json"], "give exactly one of --xi or --xi-band"),
+    "kdv-X-and-k": (
+        {}, ["kdv", "--X", "17", "--k", "0.9", "--out", "o.json"],
+        "give exactly one of --X or --k"),
+    "limit-inf-X0-and-h-minus": (
+        {}, ["limit-inf", "--q0", "0.4", "--X0", "0.45", "--h-minus", "0.5",
+             "--out", "o.json"], "give exactly one of --X0"),
+    "profile-config-tol": (
+        {"c.cfg": "tol = 1e-8\n"},
+        ["profile", "--config", "c.cfg", "--F", "6", "--q0", "0.4",
+         "--X0", "0.3", "--out", "o.json"], "unknown option: 'tol'"),
+    "continue-manifest-tol": (
+        {"m.json": _CONTINUE_MANIFEST}, ["--from-manifest", "m.json"],
+        "unknown option: 'tol'"),
+}
+
+
+@pytest.mark.parametrize("files, argv, message", _EXIT_1.values(),
+                         ids=_EXIT_1.keys())
+def test_driver_and_option_checks_exit_1_and_write_nothing(
+        tmp_path, monkeypatch, capsys, constant_state, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    files = {"w.json": constant_state.to_json(), **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_untrusted_frames_exit_2_without_a_report(tmp_path, monkeypatch,
@@ -417,6 +469,28 @@ def test_sweep_unsupported_alpha_exits_1_without_a_store(tmp_path):
         assert cli.main(["sweep", "--alpha", "-1.5", *route, "--F", "4",
                          "--X", "8,9", "--store", str(store)]) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", [
+    ["--F", "4", "--q0", "-0.4", "--X", "8"],
+    ["--F", "-4", "--q0", "0.4", "--X", "8"],
+    ["--F", "4", "--q", "1.6", "--X", "0"],
+    ["--F", "4", "--q0", "0.4", "--X", "8", "--nu", "-0.1"],
+    ["--F", ",", "--q0", "0.4", "--X", "8"],
+], ids=["q0", "F", "X", "nu", "no-F"])
+def test_sweep_grid_that_holds_no_wave_exits_1_and_leaves_the_store(
+        tmp_path, capsys, grid):
+    # a grid value <= 0, or no value, is refused before any point is
+    # solved: no failed record that a rerun would skip, and no manifest
+    store = tmp_path / "s.jsonl"
+    before = sweep.SweepRecord(alpha=-2.0, F=4.0, nu=0.1, q=1.6, X=9.0,
+                               verdict="stable").to_json() + "\n"
+    store.write_text(before)
+    assert cli.main(["sweep", *grid, "--store", str(store)]) == 1
+    assert re.search("must be finite and positive|is empty",
+                     capsys.readouterr().err)
+    assert store.read_text() == before
+    assert list(tmp_path.iterdir()) == [store]
 
 
 def _bisected_store(path, monkeypatch):
@@ -559,7 +633,6 @@ _BAD_VALUES = [
     ("limit-inf", "n", "-4", ["--q0", "0.4", "--X0", "0.45"]),
     ("profile", "n", "0", ["--F", "8", "--q0", "0.4", "--X0", "0.45"]),
     ("kdv", "X", "nan", []),
-    ("profile", "tol", "nan", ["--F", "6", "--q0", "0.4", "--X0", "0.3"]),
     ("sweep", "F", "inf", ["--q0", "0.4", "--X", "8"]),
 ]
 
@@ -616,11 +689,29 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(
+        tmp_path, monkeypatch):
+    # the output is complete in its temp file when the rename fails: the
+    # temp file goes, nothing takes the output's name, and the OSError is
+    # an internal error (exit 3)
+    temps = []
+
+    def failing_replace(src, dst):
+        temps.append((Path(src).name, Path(src).read_text()))
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    assert cli.main(["kdv", "--X", "17", "--out",
+                     str(tmp_path / "k.json")]) == 3
+    [(name, text)] = temps
+    assert name.startswith(".rollwave-") and json.loads(text)["X"] == 17.0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_profile_scratch_route(tmp_path):
     out = tmp_path / "w.json"
     code = cli.main(["profile", "--F", str(6.0 ** 0.5), "--q", "1.5745",
-                     "--X", "17.15", "--n", "256", "--tol", "1e-9",
-                     "--out", str(out)])
+                     "--X", "17.15", "--n", "256", "--out", str(out)])
     assert code == 0
     w = prof.WaveProfile.from_json(out.read_text())
     assert w.residual_norm <= 1e-9
@@ -649,9 +740,9 @@ def test_continue_reads_and_writes_profiles(tmp_path, fig1c_wave):
     pin.write_text(fig1c_wave.to_json())
     out = tmp_path / "c.json"
     assert cli.main(["continue", "--in", str(pin), "--X", "17.5",
-                     "--tol", "1e-9", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     w = prof.WaveProfile.from_json(out.read_text())
-    want = prof.continue_profile(fig1c_wave, tol=1e-9, X=17.5)
+    want = prof.continue_profile(fig1c_wave, X=17.5)
     assert w.params == want.params
     assert np.array_equal(w.tau, want.tau)
     assert w.params.X == 17.5

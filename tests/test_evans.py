@@ -228,6 +228,45 @@ def test_winding_counts_roots(const_problem, constant_state):
     assert rep0.max_jump <= 0.2
 
 
+def test_winding_retries_a_contour_through_a_root_once(const_problem,
+                                                     constant_state,
+                                                     monkeypatch):
+    # D vanishing on the contour: the winding is taken once more on the
+    # same contour with its radius 1e-3 larger, and a second zero raises
+    p = constant_state.params
+    xi = 0.23
+    lam0 = max(linearize.constant_dispersion(p, p.tau0, xi)[0],
+               key=lambda z: z.real)
+    ev = evans.EvansEvaluator(const_problem)
+    contour = evans.Contour(kind="circle", radius=1e-2, center=lam0)
+    once, calls = evans._winding_once, []
+
+    def zero_first(evaluator, contour, xi, perturbed):
+        calls.append((contour, perturbed))
+        if len(calls) == 1:
+            raise evans.ZeroOnContour("D vanished on the contour")
+        return once(evaluator, contour, xi, perturbed)
+
+    monkeypatch.setattr(evans, "_winding_once", zero_first)
+    rep = evans.winding_number(ev, contour, xi)
+    assert [perturbed for _, perturbed in calls] == [False, True]
+    assert calls[0][0] == contour
+    assert rep.perturbed and rep.to_dict()["perturbed"] is True
+    assert rep.contour == evans.Contour(
+        kind="circle", radius=1e-2 * (1.0 + 1e-3), center=lam0)
+    assert rep.winding == 1
+
+    def always_zero(evaluator, contour, xi, perturbed):
+        calls.append((contour, perturbed))
+        raise evans.ZeroOnContour("D vanished on the contour")
+
+    calls.clear()
+    monkeypatch.setattr(evans, "_winding_once", always_zero)
+    with pytest.raises(evans.ZeroOnContour):
+        evans.winding_number(ev, contour, xi)
+    assert [perturbed for _, perturbed in calls] == [False, True]
+
+
 def test_winding_error_is_the_distance_to_the_integer(const_problem,
                                                       constant_state):
     # the report's winding_error recomputes from its own values: the

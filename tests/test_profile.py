@@ -22,7 +22,7 @@ def test_solve_profile_from_asymptotic_seed():
     from rollwave import kdv_limit
     k = kdv_limit.k_of_period(12.0)
     w0 = kdv_limit.asymptotic_rollwave(0.1, k, 0.1, n=128)
-    w = prof.solve_profile(w0.params, w0.tau, tol=1e-10)
+    w = prof.solve_profile(w0.params, w0.tau)
     assert w.residual_norm <= 1e-10
     assert np.ptp(w.tau) > 0.5 * np.ptp(w0.tau)
     # converged wave stays O(delta^4) from the two-term prediction
@@ -62,8 +62,9 @@ def test_solve_profile_unreachable_tol_reports_its_residual(monkeypatch):
     # one iteration stops above the rounding floor (1e-8 on 128 nodes),
     # below which an iterate would be kept
     monkeypatch.setattr(prof, "_NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(prof, "_NEWTON_TOL", 1e-18)
     with pytest.raises(prof.NonConvergence) as info:
-        prof.solve_profile(w0.params, w0.tau, tol=1e-18)
+        prof.solve_profile(w0.params, w0.tau)
     # the residual reported is the one of the iterate Newton stopped at,
     # the last it evaluated
     assert info.value.residual == errors[-1]
@@ -71,12 +72,13 @@ def test_solve_profile_unreachable_tol_reports_its_residual(monkeypatch):
     assert f"{info.value.residual:.3e}" in str(info.value)
 
 
-def test_physical_solve_keeps_an_iterate_at_the_rounding_floor():
+def test_physical_solve_keeps_an_iterate_at_the_rounding_floor(monkeypatch):
     # the path to F = 100 runs on the limit's 256 nodes; the final solve
     # at F = 100 on 512 nodes stalls near 5e-11, the rounding floor of G
-    # there, above the 1e-11 asked for; like the limit solve it keeps that
+    # there, above a tolerance of 1e-11; like the limit solve it keeps that
     # iterate, within the floor 1e-8 (n / 256)^2
-    w = prof.profile_from_limit(0.4, 0.3, 100.0, n=512, tol=1e-11)
+    monkeypatch.setattr(prof, "_NEWTON_TOL", 1e-11)
+    w = prof.profile_from_limit(0.4, 0.3, 100.0, n=512)
     assert w.n == 512
     assert 1e-11 < w.residual_norm <= 4e-8
 
@@ -315,12 +317,13 @@ def test_newton_solve_holds_one_jacobian_buffer(limit_wave, monkeypatch):
                         lambda *args: built.append(1) or jac(*args))
     a = fourier.resample(limit_wave.a, n)
     coeffs = (1.0, 0.0, limit_wave.nu, limit_wave.q0, limit_wave.X0)
+    # below the limit wave's residual, so that the solve factors twice
+    monkeypatch.setattr(prof, "_NEWTON_TOL", 1e-10)
     tracemalloc.start()
     try:
-        # below the limit's own tolerance, so that the solve factors twice
         a, _ = prof._locked_newton(
             lambda a, c0: prof._equation(a, c0, *coeffs), a, limit_wave.c0,
-            1e-10, coeffs)
+            coeffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -356,6 +359,14 @@ def test_limit_equation_is_the_large_F_limit(limit_wave):
     assert max(scaled) <= 1.05 * min(scaled)
 
 
+@pytest.mark.parametrize("q0, X0, nu", [(0.4, 0.3, -0.1), (0.4, 0.3, 0.0),
+                                        (-0.4, 0.3, 0.1), (0.4, 0.0, 0.1)])
+def test_limit_wave_needs_positive_q0_x0_and_nu(q0, X0, nu):
+    # a viscosity <= 0 has no onset period, sqrt(nu), to walk from
+    with pytest.raises(DomainError, match="must be positive"):
+        prof.limit_profile_alpha_m2(q0, X0, nu=nu)
+
+
 def test_continue_profile_rejects_unknown_parameter(constant_state):
     with pytest.raises(DomainError):
         prof.continue_profile(constant_state, tau0=2.0)
@@ -375,7 +386,7 @@ def test_continue_profile_secant_lands_on_linear_branch(monkeypatch):
     # in tau and in c
     calls = []
 
-    def fake(params, seed_tau, tol=1e-8):
+    def fake(params, seed_tau):
         calls.append((params.X, params.c, np.array(seed_tau)))
         if len(calls) == 1:
             raise prof.NonConvergence("forced failure", 1.0)
@@ -450,7 +461,7 @@ def test_descent_starts_from_the_scaled_limit_wave(monkeypatch):
     monkeypatch.setattr(prof, "limit_profile_alpha_m2", lambda *a, **k: lp)
     calls = []
 
-    def fake(params, seed_tau, tol=1e-8):
+    def fake(params, seed_tau):
         calls.append((params, np.array(seed_tau)))
         return prof.WaveProfile(params=params, tau=seed_tau)
 
@@ -475,9 +486,9 @@ def _record_solves(monkeypatch):
     sizes = []
     solve = prof.solve_profile
 
-    def recording(params, seed_tau, tol=1e-8):
+    def recording(params, seed_tau):
         sizes.append(len(seed_tau))
-        return solve(params, seed_tau, tol)
+        return solve(params, seed_tau)
 
     monkeypatch.setattr(prof, "solve_profile", recording)
     return sizes
@@ -487,7 +498,7 @@ def test_descent_runs_on_the_limit_grid_and_solves_n_once(monkeypatch):
     # the limit wave at X0 = 0.205 resolves on 256 nodes: the path stays
     # there and only the wave at the target F is solved on the n asked for
     sizes = _record_solves(monkeypatch)
-    w = prof.profile_from_limit(0.4, 0.205, 8.0, n=512, tol=1e-10)
+    w = prof.profile_from_limit(0.4, 0.205, 8.0, n=512)
     assert len(sizes) > 2
     assert sizes[:-1] == [256] * (len(sizes) - 1)
     assert sizes[-1] == w.n == len(w.tau) == 512
@@ -500,7 +511,7 @@ def test_map_point_takes_at_most_five_solves(monkeypatch):
     # a map-hill point: the path from the limit reaches F = 4 in three
     # solves on the limit's 256 nodes, and one more solves it on n
     sizes = _record_solves(monkeypatch)
-    w = prof.profile_from_limit(0.4, 0.205, 4.0, n=512, tol=1e-10)
+    w = prof.profile_from_limit(0.4, 0.205, 4.0, n=512)
     assert w.n == 512
     assert len(sizes) <= 5
 
@@ -837,7 +848,7 @@ def test_ham_selection_c0_three_forms_agree(h_minus):
 
 
 def test_continuation_reaches_nearby_target(fig1c_wave):
-    w = prof.continue_profile(fig1c_wave, tol=1e-9, X=17.5)
+    w = prof.continue_profile(fig1c_wave, X=17.5)
     assert w.params.X == pytest.approx(17.5)
     assert w.residual_norm <= 1e-9
     assert np.ptp(w.tau) > 0.1

@@ -60,6 +60,18 @@ def test_enumerate_grid_validation():
                                   **route})
 
 
+@pytest.mark.parametrize("bad", [
+    {"q0": -0.4}, {"q0": 0.0}, {"F": -4.0}, {"F": [4.0, 0.0]},
+    {"X": [8.0, 0.0]}, {"q0": None, "q": [1.6, -1.6]}, {"nu": -0.1},
+    {"nu": 0.0}, {"X": math.inf}, {"F": math.nan}, {"F": []},
+    {"q0": None, "q": []}])
+def test_enumerate_grid_refuses_values_that_hold_no_wave(bad):
+    spec = {"nu": 0.1, "q0": 0.4, "F": 4.0, "X": 8.0, **bad}
+    spec = {k: v for k, v in spec.items() if v is not None}
+    with pytest.raises(DomainError, match="must be finite and positive|empty"):
+        sweep.enumerate_grid(spec)
+
+
 def test_family_point_requires_alpha_m2():
     with pytest.raises(DomainError):
         sweep.family_point(-1.0, 4.0, 0.1, 0.4, 7.0)

@@ -37,7 +37,7 @@ from .hill import checked_scan
 from .hill import spectrum  # unused; bench/tracing.py wraps evans.spectrum
 from .linearize import SpectralProblem, bloch_coeffs
 from .model import DomainError, NumericalFailure, slope_margin
-from .profile import WaveProfile
+from .profile import _NEWTON_TOL, WaveProfile, _rounding_floor
 
 
 class EvansError(NumericalFailure):
@@ -75,7 +75,7 @@ class UntrustedFrames(EvansError):
 
 class InaccurateExpansion(EvansError):
     """The origin expansion misses its held-out sample of D by more than
-    _REPRESENTATION_TOL."""
+    _REPRESENTATION_TOL, or puts its double root off the origin."""
 
 
 _QR_STRIDE = 256        # Magnus steps between re-orthogonalizations
@@ -747,10 +747,8 @@ class OriginExpansion:
 
     @property
     def double_root_ok(self) -> bool:
-        s = abs(self.c[2, 0])
-        return bool(abs(self.c[0, 0]) <= 1e-6 * s
-                    and abs(self.c[1, 0]) <= 1e-6 * s
-                    and abs(self.c[0, 1]) <= 1e-6 * s)
+        return bool(_off_origin(self.c)
+                    <= _DOUBLE_ROOT_TOL * abs(self.c[2, 0]))
 
     def to_dict(self) -> dict:
         return {
@@ -768,6 +766,14 @@ class OriginExpansion:
 _TAYLOR_ORDER = 3       # total order of the origin expansion
 _MAX_SHRINK = 6         # halvings of R allowed to find the double root alone
 _REPRESENTATION_TOL = 1e-4  # relative miss of the held-out D refused
+_DOUBLE_ROOT_TOL = 1e-6     # c00, c10 and c01 past this times |c20| put the
+                            # double root off the origin
+
+
+def _off_origin(c: np.ndarray) -> float:
+    """The largest of |c00|, |c10| and |c01|: zero for a double root of D
+    at (lambda, xi) = (0, 0)."""
+    return max(abs(c[0, 0]), abs(c[1, 0]), abs(c[0, 1]))
 
 
 def _origin_radius(X: float) -> float:
@@ -796,22 +802,28 @@ def origin_taylor(evaluator: EvansEvaluator) -> OriginExpansion:
     determine it; the lambda Taylor coefficients per sample come from
     Cauchy integrals on |lambda| = R, evaluated on the _CONTOUR_NODES
     frames the winding check on that circle has already computed.  R starts
-    at _origin_radius(X) and halves, at most _MAX_SHRINK times, until the
-    circle holds the double root at the origin alone.  Every
+    at _origin_radius(X) and halves, at most _MAX_SHRINK times, while the
+    circle holds more than the double root at the origin; a circle that
+    holds fewer than two roots raises WrongRootCountAtR at once, since a
+    smaller one cannot gain a root.  Every
     D is divided by one common e^{log_scale} before it leaves the scaled
     form, so no magnitude past the double range is formed; alpha, beta and
     the checks are ratios of the c_{a,b}, which that factor leaves alone.
     Raises InaccurateExpansion when the expansion misses D at a held-out
-    (lambda, xi) by more than _REPRESENTATION_TOL relative.
+    (lambda, xi) by more than _REPRESENTATION_TOL relative, or when
+    max(|c00|, |c10|, |c01|) is above _DOUBLE_ROOT_TOL |c20|: for an exact
+    wave, translation and conservation of mass make the origin a root of
+    D(., 0) of multiplicity at least 2, and a higher one raises
+    DegenerateQuadratic.
     """
     X = evaluator.X
     R = _origin_radius(X)
-    for shrink in range(_MAX_SHRINK + 1):
+    for _ in range(_MAX_SHRINK + 1):
         rep = winding_number(evaluator, Contour("circle", R), 0.0)
-        if rep.winding == 2:
+        if rep.winding <= 2:
             break
         R *= 0.5
-    else:
+    if rep.winding != 2:
         raise WrongRootCountAtR(
             f"winding of D(., 0) on |lambda|=R is {rep.winding}, expected 2")
 
@@ -870,6 +882,11 @@ def origin_taylor(evaluator: EvansEvaluator) -> OriginExpansion:
     if abs(c20) < 1e-10 * scale:
         raise DegenerateQuadratic(
             f"|c20| = {abs(c20):.3e} is below the degeneracy floor")
+    if not _off_origin(c) <= _DOUBLE_ROOT_TOL * abs(c20):
+        raise InaccurateExpansion(
+            f"double root off the origin: max(|c00|, |c10|, |c01|) is "
+            f"{_off_origin(c) / abs(c20):.3e} of |c20|, above "
+            f"{_DOUBLE_ROOT_TOL:g}")
     disc = cmath.sqrt(c[1, 1] ** 2 - 4.0 * c20 * c[0, 2])
     # a fixed order, since the sign of the square root follows roundoff
     # (both alpha imaginary put the discriminant on its branch cut); the
@@ -1008,11 +1025,16 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
     slope condition 2 nu u_x < F^-2 is evaluated and reported but does not
     enter the overall spectral verdict: it concerns the nonlinear
     (Kawashima-type damping) argument and fails for every wave once F is
-    moderately large.  The answer is indeterminate, with the reason, when
-    a frame it reads fails its Liouville check (UntrustedFrames), the
-    origin expansion is unavailable, or any other Evans step raises an
-    EvansError: the step-grid calibration, a zero on a winding contour or
-    the contour's point budget.  Once Evans runs, the diagnostics carry its
+    moderately large.  A wave whose residual is above the bound its solver
+    accepts, max(_NEWTON_TOL, profile._rounding_floor(n)), gets no answer
+    but indeterminate, with the residual, the bound and n in the reason.
+    Every failed self-check of the Evans stage is indeterminate with the
+    reason "Evans failure: " and the error's class and message: an
+    EvansError (the step-grid calibration, a frame's Liouville check, the
+    origin expansion's root count, quadratic, held-out sample and double
+    root, a zero on a winding contour or the contour's point budget) or an
+    OverflowError.  D3, the double root at the origin, holds once the
+    expansion exists.  Once Evans runs, the diagnostics carry its
     step cap, steps per frame and worst Liouville error, and
     after the winding checks their refinement rounds (summed over xi),
     largest relative jump and largest distance of a winding from its
@@ -1028,6 +1050,14 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
             diag["liouville_max"] = evaluator.liouville_max
         return StabilityVerdict(overall=overall, conditions=conditions,
                                 diagnostics=diag, **text)
+
+    residual, n = profile.residual_norm, profile.n
+    bound = max(_NEWTON_TOL, _rounding_floor(n))
+    if not residual <= bound:
+        return answer("indeterminate",
+                      reason=f"wave not converged: residual {residual:.3e} "
+                             f"above {bound:.1e}, the bound its solver "
+                             f"accepts on n = {n} nodes")
 
     problem = bloch_coeffs(profile)
     margin = slope_margin(profile)
@@ -1064,7 +1094,7 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
                                  f"|alpha1 - alpha2| = {abs(delta):.3e} "
                                  f"< {_DISTINCT_TOL:g} * {amax:.3e}")
         conditions["H1"] = True
-        conditions["D3"] = exp.double_root_ok
+        conditions["D3"] = True
         re_beta = exp.beta.real.tolist()
         # (alpha1 - alpha2)^2 > 0: a pair +-a + ib off the imaginary axis
         if (delta * delta).real > 0.0 or any(rb > _BETA_MARGIN
@@ -1081,13 +1111,7 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
         xi_w = np.pi / X * np.linspace(0.1, 1.0, _N_XI_WINDING)
         reports = winding_sweep(evaluator, Contour("semicircle", _WINDING_R),
                                 xi_w)
-    except UntrustedFrames as err:
-        return answer("indeterminate", reason=str(err))
-    except (WrongRootCountAtR, DegenerateQuadratic, InaccurateExpansion,
-            OverflowError) as err:
-        return answer("indeterminate",
-                      reason=f"origin expansion unavailable: {err}")
-    except EvansError as err:
+    except (EvansError, OverflowError) as err:
         return answer("indeterminate",
                       reason=f"Evans failure: {type(err).__name__}: {err}")
     windings = [rep.winding for rep in reports]
@@ -1101,7 +1125,4 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
         return answer("unstable",
                       witness=f"nonzero right-half-plane winding {windings}")
     conditions["D1"] = True
-
-    if not conditions["D3"]:
-        return answer("unstable", witness="conditions failed: ['D3']")
     return answer("stable")

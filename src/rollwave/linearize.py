@@ -54,17 +54,22 @@ class SpectralProblem:
     first_order: FirstOrderForm | None = None
 
 
-def _st_venant(kind: str, X: float, c: float, nu: float, T: np.ndarray,
-               AB: np.ndarray, dAB: np.ndarray, B2: np.ndarray | float,
-               C: np.ndarray | float) -> SpectralProblem:
-    """Both spectral forms of a linearized St. Venant system on [0, X).
+def _st_venant(kind: str, T: np.ndarray, dT: np.ndarray, c: float, K: float,
+               eps: float, nu: float, q: float, X: float) -> SpectralProblem:
+    """Both spectral forms of St. Venant linearized about a wave T of
+    profile._equation with coefficients (K, eps), on [0, X).
 
-    Components (tau, u); lambda tau = c tau' + u' and
-    lambda u = nu (T^-2 u')' + c u' + AB tau' + (dAB - B2) tau + C u.
+    With ubar = q - eps c T and alphabar = T^-3 (1/K + 2 c nu T'), the
+    components (tau, u) obey lambda tau = c tau' + u' and
+    lambda u = nu (T^-2 u')' + c u' + alphabar tau'
+               + (alphabar' - ubar^2) tau - 2 eps ubar T u.
     The first-order form acts on Z = (tau, u, T^-2 u').
     """
+    u = q - eps * c * T
+    AB = T ** -3 * (1.0 / K + 2.0 * c * nu * dT)
+    C = -2.0 * eps * u * T
     inv2 = T ** -2
-    V = dAB - B2
+    V = fourier.deriv(AB, X) - u ** 2
     M1: Terms = {
         (0, 0): [(1, c)],
         (0, 1): [(1, 1.0)],
@@ -90,38 +95,20 @@ def _st_venant(kind: str, X: float, c: float, nu: float, T: np.ndarray,
                            first_order=FirstOrderForm(A0=A0, A1=A1))
 
 
-def _alpha_bar(profile: WaveProfile) -> np.ndarray:
-    """alpha-bar = tau^-3 (F^-2 + 2 c nu tau') from the first-order system."""
-    p = profile.params
-    return profile.tau ** -3 * (p.F ** -2 + 2.0 * p.c * p.nu * profile.dtau)
-
-
 def bloch_coeffs(profile: WaveProfile) -> SpectralProblem:
-    """Linearization of the viscous St. Venant system about a physical wave.
-
-    lambda tau = c tau' + u' and
-    lambda u = nu (taubar^-2 u')' + c u' + alphabar tau'
-               + (alphabar' - ubar^2) tau - 2 ubar taubar u.
-    """
+    """Linearization of the viscous St. Venant system about a physical wave:
+    (K, eps) = (F^2, 1)."""
     p = profile.params
-    tau, u = profile.tau, profile.u
-    ab = _alpha_bar(profile)
-    return _st_venant("physical", p.X, p.c, p.nu, tau, ab,
-                      fourier.deriv(ab, p.X), u ** 2, -2.0 * u * tau)
+    return _st_venant("physical", profile.tau, profile.dtau, p.c, p.F * p.F,
+                      1.0, p.nu, p.q, p.X)
 
 
 def limit_matrices_alpha_m2(lp: LimitProfile) -> SpectralProblem:
-    """Limiting (F = infinity) spectral problem of the alpha = -2 family.
-
-    Lives on [0, X0) in (a, bcheck) with a^-3 + 2 c0 nu a^-3 a' in the role
-    of alphabar, q0 in that of ubar and no u coupling.
-    """
-    X0, a = lp.X0, lp.a
-    g = a ** -3
-    G2 = 2.0 * lp.c0 * lp.nu * g * lp.da
-    dAB = fourier.deriv(g, X0) + fourier.deriv(G2, X0)
-    return _st_venant("alpha_m2_limit", X0, lp.c0, lp.nu, a, g + G2, dAB,
-                      lp.q0 ** 2, 0.0)
+    """Limiting (F = infinity) spectral problem of the alpha = -2 family:
+    (K, eps) = (1, 0) on [0, X0) in (a, bcheck), so q0 stands for ubar and
+    nothing couples u."""
+    return _st_venant("alpha_m2_limit", lp.a, lp.da, lp.c0, 1.0, 0.0, lp.nu,
+                      lp.q0, lp.X0)
 
 
 def ham_limit_operator(orbit: HamOrbit) -> SpectralProblem:

@@ -66,10 +66,6 @@ class WaveProfile:
     def residual_norm(self) -> float:
         return float(np.max(np.abs(ode_residual(self.tau, self.params))))
 
-    @property
-    def u(self) -> np.ndarray:
-        return self.params.q - self.params.c * self.tau
-
     def to_json(self) -> str:
         p = self.params
         return json.dumps({
@@ -261,6 +257,12 @@ def _newton_solve(residual, jacobian, x, tol, admissible, floor=0.0):
     return x, err
 
 
+def _rounding_floor(n: int) -> float:
+    """Residual of G on n nodes that rounding alone can leave: it grows with
+    n^2, since spectral second derivatives amplify rounding."""
+    return 1e-8 * max(1.0, (n / 256.0) ** 2)
+
+
 def _locked_newton(G, seed, c, coeffs):
     """Newton for (tau, c) solving G(tau, c) = 0 to _NEWTON_TOL,
     phase-locked to the seed.
@@ -268,8 +270,7 @@ def _locked_newton(G, seed, c, coeffs):
     `coeffs` = (K, eps, nu, q, X) are G's coefficients, for its Jacobian.  G
     is passed in so that the physical wave goes through `ode_residual`,
     where a caller may count it.  Returns (tau, c) with tau > 0.
-    An iterate at the rounding floor of G on n nodes is kept: that floor
-    grows with n^2, since spectral second derivatives amplify rounding.
+    An iterate at _rounding_floor(n) is kept.
     """
     n = len(seed)
     dseed = fourier.deriv(seed, coeffs[-1])
@@ -284,8 +285,7 @@ def _locked_newton(G, seed, c, coeffs):
         return J
 
     x, _ = _newton_solve(residual, jacobian, np.append(seed, c), _NEWTON_TOL,
-                         lambda x: np.min(x[:n]) > 0.0,
-                         1e-8 * max(1.0, (n / 256.0) ** 2))
+                         lambda x: np.min(x[:n]) > 0.0, _rounding_floor(n))
     return x[:n], float(x[n])
 
 
@@ -398,6 +398,9 @@ class LimitProfile:
 _LIMIT_N0 = 256         # grid of the walk from onset, so the coarsest of
                         # every limit wave: its tail only ever doubles it
 _LIMIT_N_CAP = 8192     # finest grid a limit wave is refined to
+_WALK_TAIL = 1e-3       # Nyquist-band mode, relative to the largest, that
+                        # stops the walk from onset
+_LIMIT_TAIL = 1e-4      # ... that doubles a limit wave's grid
 
 
 def _limit_pinned(a: np.ndarray, q0: float, c0: float, X0: float, nu: float,
@@ -517,8 +520,9 @@ def _limit_walk(q0: float, X0: float, nu: float,
 
     Steps the pinned amplitude up by 1.3 from 1 % of the constant state a*
     on _LIMIT_N0 nodes while the next amplitude stays within a* (the trough
-    nears a = 0 past it) and the spectral tail fits the grid (deep waves
-    need refinement first).  Returns the natural wave at the period reached.
+    nears a = 0 past it) and no mode of the Nyquist band |k| >= n/2 - 1 is
+    above _WALK_TAIL of the largest (deep waves need refinement first).
+    Returns the natural wave at the period reached.
     """
     a_star = q0 ** -2
     x = fourier.grid(_LIMIT_N0, 1.0)
@@ -533,7 +537,7 @@ def _limit_walk(q0: float, X0: float, nu: float,
             # continuation in X0 from the last wave
             break
         if (X_cur >= X0 or 1.3 * A > a_star
-                or fourier.tail_mode(a, 1e-3) >= _LIMIT_N0 // 2 - 1):
+                or fourier.tail_mode(a, _WALK_TAIL) >= _LIMIT_N0 // 2 - 1):
             break
         A *= 1.3
     return _limit_newton(a, q0, c0, min(X_cur, X0), nu)
@@ -546,22 +550,23 @@ def _limit_continue(prof: LimitProfile, X0: float) -> LimitProfile:
     steps of at most a factor 1.2 and a stall below 1e-8 in ln X0.  Each
     point, the starting one first, has its grid doubled while the spectral
     tail is unresolved, a mode of the Nyquist band |k| >= n/2 - 1 above
-    1e-4 of the largest: a converged but unresolved iterate is a spurious
-    discrete solution.  The grid is never coarsened.  A point still
+    _LIMIT_TAIL of the largest: a converged but unresolved iterate is a
+    spurious discrete solution.  The grid is never coarsened.  A point still
     unresolved on _LIMIT_N_CAP nodes raises TruncationUnresolved, naming
     both X0 and the point of the path where it failed.
     """
     q0, nu, X_from = prof.q0, prof.nu, prof.X0
 
     def resolved(prof: LimitProfile) -> LimitProfile:
-        while fourier.tail_mode(prof.a, 1e-4) >= prof.n // 2 - 1:
+        while fourier.tail_mode(prof.a, _LIMIT_TAIL) >= prof.n // 2 - 1:
             if prof.n >= _LIMIT_N_CAP:
                 chat = np.abs(fourier.fourier_coeffs(prof.a))
                 band = chat[prof.n // 2 - 1:prof.n // 2 + 2].max() / chat.max()
                 raise TruncationUnresolved(
                     f"limit wave for X0 = {X0:.6g} unresolved at X0 = "
                     f"{prof.X0:.6g} on n = {prof.n} nodes: its Nyquist band "
-                    f"is {band:.1e} of its largest mode, above 1e-4")
+                    f"is {band:.1e} of its largest mode, above "
+                    f"{_LIMIT_TAIL:g}")
             a_seed = np.maximum(fourier.resample(prof.a, 2 * prof.n),
                                 0.05 * np.min(prof.a))
             prof = _limit_newton(a_seed, q0, prof.c0, prof.X0, nu)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rollwave import evans, hill, linearize
+from rollwave import evans, fourier, hill, kdv_limit, linearize
+from rollwave import profile as prof
 from rollwave.model import DomainError
 
 
@@ -351,6 +352,46 @@ def test_origin_taylor_reuses_winding_frames(fig1c_problem):
     assert ev.frames_computed == len(rep.lam) + 1
 
 
+def test_origin_taylor_stops_at_a_circle_with_fewer_than_two_roots(
+        monkeypatch):
+    # the asymptotic seed (residual 7.6e-3) puts one root of D(., 0) inside
+    # the first circle; a smaller circle cannot gain one, so one winding
+    # check decides
+    w0 = kdv_limit.asymptotic_rollwave(0.3, kdv_limit.k_of_period(20.0), 0.1,
+                                       n=256)
+    ev = evans.EvansEvaluator(linearize.bloch_coeffs(w0))
+    radii = []
+    winding_number = evans.winding_number
+
+    def counting(evaluator, contour, xi):
+        radii.append(contour.radius)
+        return winding_number(evaluator, contour, xi)
+
+    monkeypatch.setattr(evans, "winding_number", counting)
+    with pytest.raises(evans.WrongRootCountAtR, match="is 1, expected 2"):
+        evans.origin_taylor(ev)
+    assert radii == [evans._origin_radius(w0.params.X)]
+
+
+def _rippled(wave, eps):
+    """`wave` with tau scaled by 1 + eps cos(2 pi x / X), as a hand-edited
+    profile file would carry it."""
+    x = fourier.grid(wave.n, wave.params.X)
+    ripple = 1.0 + eps * np.cos(2.0 * np.pi * x / wave.params.X)
+    return prof.WaveProfile(params=wave.params, tau=wave.tau * ripple)
+
+
+def test_origin_taylor_refuses_a_double_root_off_the_origin(f6_waves):
+    # a 1e-6 ripple on the stable F = 6 wave (residual 4.4e-6) moves the
+    # double root of D off the origin, which an exact wave keeps there
+    w = _rippled(f6_waves[8.78], 1e-6)
+    ev = evans.EvansEvaluator(linearize.bloch_coeffs(w))
+    with pytest.raises(evans.InaccurateExpansion,
+                       match=r"^double root off the origin: .* of \|c20\|, "
+                             r"above 1e-06$"):
+        evans.origin_taylor(ev)
+
+
 def test_contour_parse_roundtrip():
     c = evans.Contour.parse("semicircle:R=0.2")
     assert c.kind == "semicircle" and c.radius == 0.2
@@ -495,7 +536,7 @@ def test_verdict_origin_overflow_is_indeterminate(constant_state, monkeypatch):
     monkeypatch.setattr(evans, "origin_taylor", overflow)
     v = evans.verdict(constant_state)
     assert v.overall == "indeterminate"
-    assert v.reason.startswith("origin expansion unavailable")
+    assert v.reason.startswith("Evans failure: OverflowError: ")
     assert 0.0 < v.diagnostics["liouville_max"] < 1e-8
 
 
@@ -517,7 +558,8 @@ def test_verdict_untrusted_frame_is_indeterminate(constant_state,
     monkeypatch.setattr(evans, "origin_taylor", untrusted)
     v = evans.verdict(constant_state)
     assert v.overall == "indeterminate"
-    assert v.reason.startswith("Liouville check failed")
+    assert v.reason.startswith(
+        "Evans failure: UntrustedFrames: Liouville check failed")
     assert v.diagnostics["liouville_max"] == 1e-3
 
 
@@ -542,7 +584,7 @@ def test_untrusted_cached_frame_refuses_every_read(const_problem):
 def test_inaccurate_origin_expansion_is_refused(fig1c_problem, constant_state,
                                                monkeypatch):
     # Taylor coefficients 1 % off miss the held-out sample: origin_taylor
-    # raises, and the verdict reads that as an unavailable expansion
+    # raises, and the verdict reads that as a failed Evans check
     ev = evans.EvansEvaluator(fig1c_problem)
     taylor_circle = evans._taylor_circle
     monkeypatch.setattr(evans, "_taylor_circle",
@@ -557,8 +599,34 @@ def test_inaccurate_origin_expansion_is_refused(fig1c_problem, constant_state,
     monkeypatch.setattr(evans, "origin_taylor", inaccurate)
     v = evans.verdict(constant_state)
     assert v.overall == "indeterminate"
-    assert v.reason == f"origin expansion unavailable: {info.value}"
+    assert v.reason == f"Evans failure: InaccurateExpansion: {info.value}"
     assert str(info.value).startswith("representation residual")
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4])
+def test_verdict_refuses_a_wave_its_solver_would_not_return(f6_waves, eps):
+    # residuals 4.4e-6 and 4.4e-4 on 512 nodes, where the solver accepts
+    # 4e-8: no stage runs, and no condition is set
+    w = _rippled(f6_waves[8.78], eps)
+    v = evans.verdict(w)
+    assert v.overall == "indeterminate"
+    assert v.reason == (f"wave not converged: residual "
+                        f"{w.residual_norm:.3e} above 4.0e-08, the bound its "
+                        f"solver accepts on n = 512 nodes")
+    assert set(v.conditions.values()) == {None} and v.diagnostics == {}
+
+
+def test_verdict_reads_an_off_origin_double_root_as_indeterminate(
+        f6_waves, monkeypatch):
+    # with no residual bound, the 1e-6 ripple reaches the origin
+    # expansion, whose double-root check refuses it: a failed check, not
+    # an unstable wave
+    monkeypatch.setattr(evans, "_rounding_floor", lambda n: math.inf)
+    v = evans.verdict(_rippled(f6_waves[8.78], 1e-6))
+    assert v.overall == "indeterminate" and v.witness is None
+    assert v.reason.startswith("Evans failure: InaccurateExpansion: double "
+                               "root off the origin: ")
+    assert v.conditions["D3"] is None
 
 
 def test_verdict_zero_on_a_winding_contour_is_indeterminate(constant_state,

@@ -41,7 +41,7 @@ def test_translation_mode_in_kernel(fig1c_wave):
     # xi = 0 eigenfunction of the Bloch operator
     w = fig1c_wave
     sp = linearize.bloch_coeffs(w)
-    du = fourier.deriv(w.u, w.params.X)
+    du = fourier.deriv(w.params.q - w.params.c * w.tau, w.params.X)
     z = np.vstack([w.dtau, du])
     resid = _apply_operator(sp.operator, sp.period, z)
     scale = np.max(np.abs(z))

@@ -297,7 +297,8 @@ def _cmd_evans(o: dict):
     problem = linearize.bloch_coeffs(w)
     contour = evans.Contour.parse(o["contour"])
     xis = _xi_list(o, problem.period)
-    reports = evans.winding_sweep(evans.EvansEvaluator(problem), contour, xis)
+    ev = evans.EvansEvaluator(problem)
+    reports = [evans.winding_number(ev, contour, float(x)) for x in xis]
     if o["format"] == "json":
         _atomic_write(o["out"], _json_text([r.to_dict() for r in reports]))
     else:

@@ -711,17 +711,6 @@ def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
                          refinements=refinements, perturbed=perturbed)
 
 
-def winding_sweep(evaluator: EvansEvaluator, contour: Contour,
-                  xis) -> list[ContourReport]:
-    """Winding numbers over many Floquet parameters with shared monodromies.
-
-    Frames depend only on lambda, so all xi values reuse one cache; the
-    total integration count is evaluator.frames_computed afterwards.
-    """
-    return [winding_number(evaluator, contour, float(x))
-            for x in np.atleast_1d(xis)]
-
-
 # -- origin Taylor expansion -------------------------------------------------
 
 
@@ -744,11 +733,6 @@ class OriginExpansion:
     reality_error: float
     representation_residual: float
     log_scale: float = 0.0
-
-    @property
-    def double_root_ok(self) -> bool:
-        return bool(_off_origin(self.c)
-                    <= _DOUBLE_ROOT_TOL * abs(self.c[2, 0]))
 
     def to_dict(self) -> dict:
         return {
@@ -1109,8 +1093,8 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
         conditions["D2"] = True
 
         xi_w = np.pi / X * np.linspace(0.1, 1.0, _N_XI_WINDING)
-        reports = winding_sweep(evaluator, Contour("semicircle", _WINDING_R),
-                                xi_w)
+        contour = Contour("semicircle", _WINDING_R)
+        reports = [winding_number(evaluator, contour, float(x)) for x in xi_w]
     except (EvansError, OverflowError) as err:
         return answer("indeterminate",
                       reason=f"Evans failure: {type(err).__name__}: {err}")

@@ -213,7 +213,8 @@ def first_unstable(problem: SpectralProblem, N: int, n_xi: int, r0: float,
 
     Rows are solved in `spectrum`'s order.  A mirrored row has its
     partner's moduli and real parts, so with tol = inf, mu is bitwise the
-    largest over spectrum(problem, N, n_xi).  Only `checked_scan` calls it.
+    largest over spectrum(problem, N, n_xi).  `checked_scan` calls it, and
+    acceptance criterion 7 calls it on the F = infinity limit problems.
     """
     best, solves, xi_best = -np.inf, 0, None
     for _, x, evs in _solved_rows(problem, N, n_xi):

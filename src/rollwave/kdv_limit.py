@@ -24,7 +24,8 @@ import numpy as np
 from . import fourier, hill
 from .elliptic import elliptic_K, jacobi_cn, selection_kappa
 from .linearize import OperatorForm, SpectralProblem, Terms
-from .model import DomainError, NumericalFailure, PhysicalParams
+from .model import (DomainError, NumericalFailure, PhysicalParams,
+                    require_positive)
 from .profile import WaveProfile, _newton_solve
 
 
@@ -46,7 +47,7 @@ def k_of_period(X: float) -> float:
     value at an end that survives twice, which keeps its convergence
     superlinear (Dowell & Jarratt, BIT 11, 1971).
     """
-    if X <= 2.0 * np.pi:
+    if not X > 2.0 * np.pi:
         raise DomainError(f"selected periods satisfy X > 2*pi, got X={X}")
 
     def f(t: float) -> float:
@@ -114,17 +115,6 @@ def cnoidal_profile(k: float, n: int = 256) -> CnoidalWave:
                        n=n, T0=np.asarray(T0))
 
 
-def selection_residual(wave: CnoidalWave) -> float:
-    """Persistence integral int T0 (T0'' + T0'''') d theta over one period.
-
-    Vanishes exactly at kappa = G(k); used as an independent check of the
-    closed-form selection constant.
-    """
-    d2 = fourier.deriv(wave.T0, wave.X, 2)
-    d4 = fourier.deriv(wave.T0, wave.X, 4)
-    return fourier.quad(wave.T0 * (d2 + d4), wave.X)
-
-
 def _derivative_floor(n: int, X: float, scale: float) -> float:
     """Rounding floor of a spectral third derivative on n nodes.
 
@@ -190,8 +180,7 @@ def asymptotic_rollwave(delta: float, k: float, nu: float, n: int = 256):
     T0 + delta_tilde * T1 mapped back through the weakly nonlinear scalings;
     its residual_norm is the actual traveling-wave residual, O(delta^4).
     """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    require_positive("delta", delta)
     F = 2.0 + delta * delta
     wave = cnoidal_profile(k, n=n)
     dtil = delta / (2.0 * np.sqrt(nu))
@@ -225,11 +214,10 @@ def kdvks_wave(delta: float,
     converged speed sigma).  Converging the wave matters: the Bloch spectrum
     about the truncated expansion splits the defective translation pair by
     O(delta), drowning the O(delta^2) stability information.  Raises
-    DomainError for delta <= 0, and NonConvergence when Newton stops above
-    16 times the rounding floor.
+    DomainError for a delta that is not finite and > 0, and NonConvergence
+    when Newton stops above 16 times the rounding floor.
     """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    require_positive("delta", delta)
     n = _KDVKS_WAVE_N
     wave = cnoidal_profile(k, n=n)
     X = wave.X

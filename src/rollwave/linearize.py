@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .model import PhysicalParams
 from .profile import HamOrbit, LimitProfile, WaveProfile
 
 Terms = dict[tuple[int, int], list[tuple[int, np.ndarray | float]]]
@@ -121,27 +120,3 @@ def ham_limit_operator(orbit: HamOrbit) -> SpectralProblem:
     M2: Terms = {(0, 0): [(1, 1.0)]}
     return SpectralProblem(kind="ham_limit", period=orbit.X_mu,
                            operator=OperatorForm(m=1, M1=M1, M2=M2))
-
-
-def constant_dispersion(params: PhysicalParams, tau0: float,
-                        eta: np.ndarray | float) -> np.ndarray:
-    """Closed-form dispersion of the constant state tau = tau0.
-
-    Returns, for each wavenumber eta, the two roots of the quadratic symbol
-    of the linearized system; the Bloch spectrum of the constant profile must
-    reproduce these exactly.  Oracle for both Hill and Evans.
-    """
-    p = params
-    u0 = p.q - p.c * tau0
-    ab0 = tau0 ** -3 / p.F ** 2
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    out = np.empty((len(eta), 2), dtype=complex)
-    for i, e in enumerate(eta):
-        ie = 1j * e
-        M = np.array([
-            [p.c * ie, ie],
-            [ab0 * ie - u0 ** 2,
-             p.nu * tau0 ** -2 * ie * ie + p.c * ie - 2.0 * u0 * tau0],
-        ])
-        out[i] = np.linalg.eigvals(M)
-    return out

@@ -35,6 +35,14 @@ class TruncationUnresolved(NumericalFailure):
     not resolved on profile._LIMIT_N_CAP nodes."""
 
 
+def require_positive(name: str, value) -> float:
+    """`value` as a float; raises DomainError unless it is finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Parameters of a single periodic traveling wave.

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fourier
 from .model import (DomainError, NumericalFailure, PhysicalParams,
-                    TruncationUnresolved)
+                    TruncationUnresolved, require_positive)
 
 
 class NonConvergence(NumericalFailure):
@@ -174,15 +174,6 @@ def ode_residual(tau: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Pointwise residual of the profile equation at the given samples."""
     p = params
     return _equation(tau, p.c, p.F * p.F, 1.0, p.nu, p.q, p.X)
-
-
-def equilibrium(F: float, nu: float, tau0: float = 1.0,
-                X: float = 2.0 * np.pi, n: int = 64) -> WaveProfile:
-    """The constant state tau = tau0 as a degenerate WaveProfile."""
-    c = tau0 ** -1.5 / F        # the neutral (Hopf) wave speed
-    q = tau0 ** -0.5 + c * tau0
-    params = PhysicalParams(F=F, nu=nu, q=q, c=c, X=X, tau0=tau0)
-    return WaveProfile(params=params, tau=np.full(n, tau0))
 
 
 _NEWTON_TOL = 1e-8      # the residual every solve of G aims at: physical
@@ -485,8 +476,8 @@ def limit_profile_alpha_m2(q0: float, X0: float,
     the neighbour that seeded it at the level of rounding; the same calls
     in the same order give the same bits.
     """
-    if q0 <= 0.0 or X0 <= 0.0 or nu <= 0.0:
-        raise DomainError("q0, X0 and nu must be positive")
+    for name, v in (("q0", q0), ("X0", X0), ("nu", nu)):
+        require_positive(name, v)
     X_onset = 2.0 * np.pi * np.sqrt(nu) * q0 ** 2.5
     if X0 <= X_onset:
         raise DomainError(
@@ -612,8 +603,7 @@ def profile_from_limit(q0: float, X0: float, F: float, nu: float = 0.1,
     larger of n and the limit's grid, when it is coarser, and solved once
     more at the target F, so that larger grid is the one returned.
     """
-    if F <= 0.0:
-        raise DomainError(f"F must be positive, got {F}")
+    require_positive("F", F)
     lp = limit_profile_alpha_m2(q0, X0, nu=nu)
     m, n_out = min(lp.n, max(n, _LIMIT_N0)), max(n, lp.n)
     a = lp.a if lp.n == m else fourier.resample(lp.a, m)

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import evans
-from .model import DomainError, NumericalFailure
+from .model import DomainError, NumericalFailure, require_positive
 from .profile import WaveProfile, _limit_table, profile_from_limit
 
 # Least grid points of every profile: profile_from_limit returns the larger
@@ -202,14 +202,10 @@ def enumerate_grid(spec: dict) -> list[dict]:
         raise DomainError("grid spec needs exactly one of 'q0' or 'q'")
 
     def positive(name: str, v) -> list[float]:
-        values = [float(x) for x in (v if isinstance(v, (list, tuple)) else [v])]
+        values = v if isinstance(v, (list, tuple)) else [v]
         if not values:
             raise DomainError(f"grid {name} is empty")
-        for x in values:
-            if not (math.isfinite(x) and x > 0.0):
-                raise DomainError(f"grid {name} must be finite and positive, "
-                                  f"got {x}")
-        return values
+        return [require_positive(f"grid {name}", x) for x in values]
 
     alpha = float(spec.get("alpha", -2.0))
     _require_family(alpha)
@@ -321,13 +317,15 @@ def boundary_bisect(alpha: float, F: float, nu: float, q0: float,
     the Hill scan and right-half-plane winding).  Identical classifications
     at the endpoints raise NotBracketed.  Returns the geometric midpoint of
     the final bracket, of relative width <= rel_tol or with no double
-    between its ends.
+    between its ends.  F, nu, q0, X_lo, X_hi and rel_tol must be finite
+    and positive; a bad one raises DomainError before any probe.
     """
     want_hi_stable = _stable_above(which)
-    if not (0.0 < X_lo < X_hi):
+    for name, v in (("F", F), ("nu", nu), ("q0", q0), ("X_lo", X_lo),
+                    ("X_hi", X_hi), ("rel_tol", rel_tol)):
+        require_positive(name, v)
+    if not X_lo < X_hi:
         raise DomainError(f"need 0 < X_lo < X_hi, got ({X_lo}, {X_hi})")
-    if not (0.0 < rel_tol < math.inf):
-        raise DomainError(f"rel_tol must be finite and > 0, got {rel_tol}")
 
     def probe(X: float) -> bool:
         point = family_point(alpha, F, nu, q0, X)
@@ -403,13 +401,14 @@ class BoundaryFit:
 def powerlaw_fit(points) -> BoundaryFit:
     """Fit log X = b1 log F + b2 log q + b3 to boundary points.
 
-    `points` is an iterable of (F, q, X) triples.
+    `points` is an iterable of (F, q, X) triples, each finite and positive.
     Requires >= 4 points spanning at least a factor 2 in F.  When the
     design matrix is rank deficient (q an exact power of F, single alpha),
     the fit is restricted to the identifiable subspace by dropping the
     log q column, with the restriction reported on the result.
     """
-    rows = [tuple(float(v) for v in p) for p in points]
+    rows = [tuple(require_positive(name, v)
+                  for name, v in zip(("F", "q", "X"), p)) for p in points]
     if len(rows) < 4:
         raise DomainError(f"need >= 4 boundary points, got {len(rows)}")
     F = np.array([r[0] for r in rows])

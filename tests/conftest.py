@@ -12,6 +12,8 @@ import pytest
 from rollwave import hill, kdv_limit
 from rollwave import profile as prof
 
+import oracles
+
 
 @pytest.fixture(scope="session")
 def fig1c_wave():
@@ -37,7 +39,7 @@ def f10_x50_wave():
 @pytest.fixture(scope="session")
 def constant_state():
     """The constant profile tau = 1 at F = 3 on a 2 pi period."""
-    return prof.equilibrium(3.0, 0.1, tau0=1.0, X=2.0 * np.pi, n=64)
+    return oracles.equilibrium(3.0, 0.1, tau0=1.0, X=2.0 * np.pi, n=64)
 
 
 @pytest.fixture

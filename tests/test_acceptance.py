@@ -14,6 +14,8 @@ import pytest
 from rollwave import evans, hill, kdv_limit, linearize, model, sweep
 from rollwave import profile as prof
 
+import oracles
+
 
 def _report(num: int, ok: bool, detail: str):
     print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'} — {detail}")
@@ -80,7 +82,7 @@ def test_criterion_4_oracle_equivalence(constant_state):
     for xi in (0.11, -0.37, np.pi / X):
         got = hill.eigenvalues(sp, N, xi)
         eta = xi + 2.0 * np.pi * np.arange(-N, N + 1) / X
-        want = linearize.constant_dispersion(p, p.tau0, eta).ravel()
+        want = oracles.constant_dispersion(p, p.tau0, eta).ravel()
         hill_err = max(hill_err, float(
             np.abs(got[:, None] - want[None, :]).min(axis=1).max()))
 
@@ -89,7 +91,7 @@ def test_criterion_4_oracle_equivalence(constant_state):
     xi = 0.23
     for j in (-1, 0, 1):
         eta = xi + 2.0 * np.pi * j / X
-        for lam in linearize.constant_dispersion(p, p.tau0, eta)[0]:
+        for lam in oracles.constant_dispersion(p, p.tau0, eta)[0]:
             got = evans.polish_root(ev, lam * 1.001 + 1e-4, xi)
             evans_err = max(evans_err, abs(got - lam))
 
@@ -217,11 +219,15 @@ def test_criterion_9_property_suites(fig1c_wave, f6_waves):
                     [fig1c_wave, *f6_waves.values()])
     details.append(f"Liouville {liouville:.1e}")
 
-    # double root at the origin for nonconstant profiles
-    double_ok = all(evans.origin_taylor(
-        evans.EvansEvaluator(linearize.bloch_coeffs(w))).double_root_ok for w in
-                    [fig1c_wave, *f6_waves.values()])
-    details.append(f"double-root {double_ok}")
+    # double root at the origin for nonconstant profiles: c00, c10 and c01
+    # vanish against c20
+    double_ratio = 0.0
+    for w in [fig1c_wave, *f6_waves.values()]:
+        c = evans.origin_taylor(
+            evans.EvansEvaluator(linearize.bloch_coeffs(w))).c
+        double_ratio = max(double_ratio, max(abs(c[0, 0]), abs(c[1, 0]),
+                                             abs(c[0, 1])) / abs(c[2, 0]))
+    details.append(f"double-root {double_ratio:.1e}")
 
     # Hamiltonian energy conservation and the three c0^2 forms
     energy_err, c0_spread = 0.0, 0.0
@@ -241,6 +247,6 @@ def test_criterion_9_property_suites(fig1c_wave, f6_waves):
     slope_flip = m_lo > 0.0 > m_hi
     details.append(f"slope margin {m_lo:+.3f} @F=3 / {m_hi:+.3f} @F=4")
 
-    ok = (conj_err <= 1e-10 and liouville <= 1e-8 and double_ok
+    ok = (conj_err <= 1e-10 and liouville <= 1e-8 and double_ratio <= 1e-6
           and energy_err <= 1e-10 and c0_spread <= 1e-8 and slope_flip)
     _report(9, ok, "; ".join(details))

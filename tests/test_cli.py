@@ -16,6 +16,8 @@ import pytest
 from rollwave import cli, evans, hill, kdv_limit, linearize, sweep
 from rollwave import profile as prof
 
+import oracles
+
 
 def test_kdv_inverts_period(tmp_path, capsys):
     out = tmp_path / "kdv.json"
@@ -166,7 +168,7 @@ def test_exit_codes():
 def test_taylor_on_constant_profile_exits_2(tmp_path):
     # the origin expansion needs exactly three small multipliers; the
     # constant state breaks that and the numerical failure maps to exit 2
-    w = prof.equilibrium(3.0, 0.1, tau0=1.0, X=2.0 * np.pi, n=64)
+    w = oracles.equilibrium(3.0, 0.1, tau0=1.0, X=2.0 * np.pi, n=64)
     pin = tmp_path / "const.json"
     pin.write_text(w.to_json())
     code = cli.main(["taylor", "--in", str(pin),
@@ -197,9 +199,9 @@ def test_taylor_writes_the_origin_expansion(tmp_path, f6_waves):
 def test_evans_winding_around_unstable_root(tmp_path):
     # a small circle around the constant state's most unstable dispersion
     # root winds once; the manifest replays to the same report
-    w = prof.equilibrium(3.0, 0.1, tau0=1.0, X=2.0 * np.pi, n=64)
+    w = oracles.equilibrium(3.0, 0.1, tau0=1.0, X=2.0 * np.pi, n=64)
     p = w.params
-    lam0 = complex(max(linearize.constant_dispersion(p, p.tau0, 0.23)[0],
+    lam0 = complex(max(oracles.constant_dispersion(p, p.tau0, 0.23)[0],
                        key=lambda z: z.real))
     pin = tmp_path / "const.json"
     pin.write_text(w.to_json())
@@ -768,7 +770,7 @@ def test_spectrum_json_of_constant_state_is_its_dispersion(tmp_path,
     for xi, row in zip(doc["xi"], doc["eigs"]):
         got = np.array([complex(re, im) for re, im in row])
         eta = xi + 2.0 * np.pi * np.arange(-20, 21) / p.X
-        want = linearize.constant_dispersion(p, p.tau0, eta).ravel()
+        want = oracles.constant_dispersion(p, p.tau0, eta).ravel()
         assert len(got) == len(want)
         assert np.max(np.abs(got[:, None] - want[None, :]).min(axis=1)) < 1e-10
     lines = out_csv.read_text().splitlines()
@@ -808,7 +810,7 @@ def test_evans_xi_band_json_and_csv(tmp_path, constant_state):
     # each winding counts the folded dispersion roots inside the circle,
     # and the CSV report carries the JSON report's rows
     p = constant_state.params
-    roots = linearize.constant_dispersion(p, p.tau0, np.pi / p.X)[0]
+    roots = oracles.constant_dispersion(p, p.tau0, np.pi / p.X)[0]
     lam0 = complex(max(roots, key=lambda z: z.real))
     pin = tmp_path / "const.json"
     pin.write_text(constant_state.to_json())
@@ -823,7 +825,7 @@ def test_evans_xi_band_json_and_csv(tmp_path, constant_state):
                                                               pos]))
     for r in reports:
         eta = r["xi"] + 2.0 * np.pi * np.arange(-5, 6) / p.X
-        roots = linearize.constant_dispersion(p, p.tau0, eta).ravel()
+        roots = oracles.constant_dispersion(p, p.tau0, eta).ravel()
         assert r["winding"] == int(np.sum(np.abs(roots - lam0) < 0.01))
     assert [r["winding"] for r in reports] == [1, 0, 0, 1]
     lines = out_csv.read_text().splitlines()

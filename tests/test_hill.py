@@ -10,10 +10,12 @@ from rollwave import profile as prof
 from rollwave.linearize import OperatorForm, SpectralProblem
 from rollwave.model import DomainError
 
+import oracles
+
 
 def _folded_dispersion(params, tau0, xi, X, N):
     eta = xi + 2.0 * np.pi * np.arange(-N, N + 1) / X
-    return linearize.constant_dispersion(params, tau0, eta).ravel()
+    return oracles.constant_dispersion(params, tau0, eta).ravel()
 
 
 def test_constant_state_matches_dispersion(constant_state):

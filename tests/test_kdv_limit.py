@@ -1,11 +1,15 @@
 """Weakly unstable limit: selected cnoidal waves and the KdV-KS spectrum."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rollwave import fourier, hill, kdv_limit
 from rollwave.elliptic import elliptic_E, elliptic_K, jacobi_cn
 from rollwave.model import DomainError
+
+import oracles
 
 
 def test_period_of_k_small_k_limit():
@@ -33,11 +37,16 @@ def test_k_of_period_domain():
         kdv_limit.k_of_period(6.0)  # below the 2 pi onset
 
 
+def test_k_of_period_refuses_a_nan_period():
+    with pytest.raises(DomainError, match="X > 2\\*pi"):
+        kdv_limit.k_of_period(math.nan)
+
+
 def test_selection_residual_vanishes_at_selected_kappa():
     for k in (0.3, 0.7, 0.95):
         wave = kdv_limit.cnoidal_profile(k, n=512)
         scale = fourier.quad(wave.T0 ** 2, wave.X)
-        assert abs(kdv_limit.selection_residual(wave)) < 1e-8 * scale
+        assert abs(oracles.selection_residual(wave)) < 1e-8 * scale
 
 
 def _off_selection_wave():
@@ -57,7 +66,7 @@ def test_selection_residual_nonzero_off_selection():
     # Perturbing kappa away from G(k) breaks the persistence integral.
     off = _off_selection_wave()
     scale = fourier.quad(off.T0 ** 2, off.X)
-    assert abs(kdv_limit.selection_residual(off)) > 1e-4 * scale
+    assert abs(oracles.selection_residual(off)) > 1e-4 * scale
 
 
 def test_corrector_T1_raises_off_selection():
@@ -152,9 +161,23 @@ def test_kdvks_wave_pins_the_galilean_shift(X, monkeypatch):
 
 def test_kdvks_stable_rejects_nonpositive_delta(hill_solves):
     # delta is the KdV-KS dissipation; without it there is no wave to scan
-    with pytest.raises(DomainError, match="delta must be positive"):
+    with pytest.raises(DomainError, match="delta must be finite and positive"):
         kdv_limit.kdvks_stable(0.0, 10.0)
     assert hill_solves == []
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_kdvks_stable_refuses_a_non_finite_delta(hill_solves, delta):
+    with pytest.raises(DomainError, match="delta must be finite and positive"):
+        kdv_limit.kdvks_stable(delta, 17.0)
+    assert hill_solves == []
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_asymptotic_rollwave_refuses_a_delta_that_is_not_finite_and_positive(
+        delta):
+    with pytest.raises(DomainError, match="delta must be finite and positive"):
+        kdv_limit.asymptotic_rollwave(delta, kdv_limit.k_of_period(12.0), 0.1)
 
 
 def test_kdvks_translation_mode_near_zero():

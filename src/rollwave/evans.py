@@ -36,7 +36,8 @@ from . import fourier
 from .hill import checked_scan
 from .hill import spectrum  # unused; bench/tracing.py wraps evans.spectrum
 from .linearize import SpectralProblem, bloch_coeffs
-from .model import DomainError, NumericalFailure, slope_margin
+from .model import (DomainError, NumericalFailure, require_positive,
+                    slope_margin)
 from .profile import _NEWTON_TOL, WaveProfile, _rounding_floor
 
 
@@ -584,10 +585,9 @@ class Contour:
         except (KeyError, ValueError) as err:
             raise DomainError(f"malformed contour spec {text!r}: "
                               f"{err!r}") from None
-        if not (math.isfinite(radius) and radius > 0.0
-                and cmath.isfinite(center)):
-            raise DomainError(f"a contour needs a finite radius > 0 and a "
-                              f"finite centre, got {text!r}")
+        require_positive("contour radius", radius)
+        if not cmath.isfinite(center):
+            raise DomainError(f"a contour needs a finite centre, got {text!r}")
         return cls(kind=kind, radius=radius, center=center)
 
 

@@ -41,8 +41,6 @@ def _convolution(coeff: np.ndarray | float, N: int) -> np.ndarray | float:
 
 
 def _convolution_terms(terms, N: int):
-    if terms is None:
-        return None
     return {key: [(order, _convolution(coeff, N)) for order, coeff in termlist]
             for key, termlist in terms.items()}
 
@@ -55,24 +53,21 @@ class Truncation:
     matrix at one xi only multiplies in the Bloch symbols and sums.
     """
 
-    kind: str
     period: float
     N: int
     m: int
     M1: dict = field(repr=False)
-    M2: dict | None = field(repr=False)
 
 
 def truncate(problem: SpectralProblem | Truncation, N: int) -> Truncation:
-    """The xi-independent part of the Hill matrices of problem at N modes."""
+    """The xi-independent part of the Hill matrix of problem at N modes."""
     if isinstance(problem, Truncation):
         if problem.N != N:
             raise DomainError(f"truncation has N = {problem.N}, asked for {N}")
         return problem
     op = problem.operator
-    return Truncation(kind=problem.kind, period=problem.period, N=N, m=op.m,
-                      M1=_convolution_terms(op.M1, N),
-                      M2=_convolution_terms(op.M2, N))
+    return Truncation(period=problem.period, N=N, m=op.m,
+                      M1=_convolution_terms(op.M1, N))
 
 
 def _assemble_terms(terms, m: int, N: int, xi: float,
@@ -83,6 +78,11 @@ def _assemble_terms(terms, m: int, N: int, xi: float,
     for (i, j), termlist in terms.items():
         block = np.zeros((size, size), dtype=complex)
         for order, coeff in termlist:
+            if order < 0 and np.any(kl == 0.0):
+                raise DomainError(
+                    f"a term of order {order} is singular at a zero Bloch "
+                    f"wavenumber (xi = {xi:g}); use a Floquet parameter "
+                    f"that is not a multiple of 2 pi / X")
             sym = (1j * kl) ** order
             if np.isscalar(coeff):
                 block += np.diag(coeff * sym)
@@ -93,36 +93,23 @@ def _assemble_terms(terms, m: int, N: int, xi: float,
 
 
 def assemble(problem: SpectralProblem | Truncation, N: int,
-             xi: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """Truncated matrices (M1, M2) at Floquet parameter xi; M2 None = identity."""
+             xi: float) -> np.ndarray:
+    """Truncated Hill matrix of M1 at Floquet parameter xi."""
     t = truncate(problem, N)
-    M1 = _assemble_terms(t.M1, t.m, N, xi, t.period)
-    M2 = None
-    if t.M2 is not None:
-        M2 = _assemble_terms(t.M2, t.m, N, xi, t.period)
-    return M1, M2
+    return _assemble_terms(t.M1, t.m, N, xi, t.period)
 
 
 def eigenvalues(problem: SpectralProblem | Truncation, N: int,
                 xi: float) -> np.ndarray:
-    """Bloch eigenvalues at one xi, sorted by descending real part.
+    """Bloch eigenvalues at one xi, sorted by descending real part: the
+    2N + 1 per component of one standard eigenproblem.
 
-    Generalized pencils may be singular (the ham-limit right side is a bare
-    derivative, singular in the mean mode at xi = 0); non-finite eigenvalues
-    are dropped.  A Truncation from `truncate` gives the same eigenvalues as
-    its problem without redoing the xi-independent work.
+    A term of negative order raises DomainError at a xi where a Bloch
+    wavenumber xi + 2 pi l / X is zero.  A Truncation from `truncate` gives
+    the same eigenvalues as its problem without redoing the xi-independent
+    work.
     """
-    if problem.kind == "ham_limit" and xi == 0.0:
-        raise DomainError("the ham-limit pencil is singular at xi = 0; "
-                          "use a nonzero Floquet parameter")
-    M1, M2 = assemble(problem, N, xi)
-    if M2 is None:
-        ev = np.linalg.eigvals(M1)
-    else:
-        from scipy.linalg import eigvals
-        ev = eigvals(M1, M2)
-        ev = ev[np.isfinite(ev)]
-    return _sorted(ev)
+    return _sorted(np.linalg.eigvals(assemble(problem, N, xi)))
 
 
 def _sorted(ev: np.ndarray) -> np.ndarray:
@@ -163,13 +150,12 @@ def default_xi_grid(period: float, n_xi: int = 64) -> np.ndarray:
 
 
 def _require_real(op: OperatorForm) -> None:
-    for terms in (op.M1, op.M2 or {}):
-        for termlist in terms.values():
-            for _, coeff in termlist:
-                if np.any(np.imag(coeff) != 0.0):
-                    raise DomainError(
-                        "Hill spectrum mirrors xi < 0 from xi > 0, which "
-                        "needs real coefficients; got a complex one")
+    for termlist in op.M1.values():
+        for _, coeff in termlist:
+            if np.any(np.imag(coeff) != 0.0):
+                raise DomainError(
+                    "Hill spectrum mirrors xi < 0 from xi > 0, which "
+                    "needs real coefficients; got a complex one")
 
 
 def _solved_rows(problem: SpectralProblem, N: int, n_xi: int):
@@ -248,9 +234,8 @@ def _truncation_size(problem: SpectralProblem) -> int:
     at _TAIL_TOL of the operator's sampled coefficients, rounded up to a
     multiple of 4 and held within [_N_FLOOR, _N_CAP]."""
     op = problem.operator
-    K = max((fourier.tail_mode(c, _TAIL_TOL) for terms in (op.M1, op.M2 or {})
-             for termlist in terms.values() for _, c in termlist
-             if not np.isscalar(c)), default=0)
+    K = max((fourier.tail_mode(c, _TAIL_TOL) for termlist in op.M1.values()
+             for _, c in termlist if not np.isscalar(c)), default=0)
     N = 4 * -(-K // 8)
     return min(max(N, _N_FLOOR), _N_CAP)
 

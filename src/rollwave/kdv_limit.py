@@ -274,8 +274,8 @@ def kdvks_scan(delta: float, X: float) -> hill.HillScan:
 def kdvks_stable(delta: float, X: float) -> bool:
     """Spectral stability verdict for the period-X wave at the given delta.
 
-    The scan drops non-finite eigenvalues, but none can arise: `kdvks_wave`'s
-    Newton raises on a NaN iterate, and `np.linalg.eigvals` raises LinAlgError
-    on a non-finite matrix.
+    No non-finite eigenvalue reaches the scan: `kdvks_wave`'s Newton raises
+    on a NaN iterate, and `np.linalg.eigvals` raises LinAlgError on a
+    non-finite matrix.
     """
     return not kdvks_scan(delta, X).unstable

@@ -2,10 +2,10 @@
 
 Every spectral problem is carried in up to two equivalent representations:
 
-* an *operator form* for Hill's method — a generalized eigenvalue problem
-  M1 z = lambda M2 z, where each block (i, j) of M1/M2 is a sum of terms
+* an *operator form* for Hill's method — an eigenvalue problem
+  lambda z = M1 z, where each block (i, j) of M1 is a sum of terms
   coeff(x) d^order acting on component j, with coefficients sampled on a
-  uniform periodic grid;
+  uniform periodic grid (an order below zero is an inverse derivative);
 * a *first-order form* for the Evans function — Z' = (A0(x) + lambda A1(x)) Z
   with matrix samples on the same grid.
 
@@ -32,7 +32,6 @@ class OperatorForm:
 
     m: int                       # number of components
     M1: Terms
-    M2: Terms | None = None      # None means the identity
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,11 @@ def limit_matrices_alpha_m2(lp: LimitProfile) -> SpectralProblem:
 def ham_limit_operator(orbit: HamOrbit) -> SpectralProblem:
     """Spectral problem of the Hamiltonian alpha > -2 limit on one orbit.
 
-    Scalar pencil (h^-2 + d^2) v = Lambda d v on the X_mu-periodic domain;
-    the right side is singular at xi = 0, which Hill's method must exclude.
+    Scalar problem Lambda w = (h^-2 d^-1 + d) w on the X_mu-periodic domain:
+    the pencil (h^-2 + d^2) v = Lambda d v written for w = d v, so it has
+    the pencil's eigenvalues.  d^-1 is singular at a zero Bloch wavenumber,
+    which Hill's method refuses (xi = 0 here).
     """
-    M1: Terms = {(0, 0): [(0, orbit.h ** -2), (2, 1.0)]}
-    M2: Terms = {(0, 0): [(1, 1.0)]}
+    M1: Terms = {(0, 0): [(-1, orbit.h ** -2), (1, 1.0)]}
     return SpectralProblem(kind="ham_limit", period=orbit.X_mu,
-                           operator=OperatorForm(m=1, M1=M1, M2=M2))
+                           operator=OperatorForm(m=1, M1=M1))

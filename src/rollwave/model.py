@@ -59,14 +59,14 @@ class PhysicalParams:
     tau0: float | None = None
 
     def __post_init__(self):
-        for name in ("F", "nu", "q", "c", "X", "tau0"):
+        for name in ("F", "nu", "X"):
+            require_positive(name, getattr(self, name))
+        if self.tau0 is not None:
+            require_positive("tau0", self.tau0)
+        for name in ("q", "c"):
             value = getattr(self, name)
-            if value is None and name == "tau0":
-                continue
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
-            if value <= 0.0 and name not in ("q", "c"):
-                raise DomainError(f"{name} must be strictly positive, got {value}")
 
     def with_(self, **kwargs) -> "PhysicalParams":
         return replace(self, **kwargs)

@@ -1,17 +1,19 @@
-"""Closed-form oracles the tests compare the solvers against.
+"""Oracles the tests compare the solvers against.
 
-None of them feeds a stability answer: each is an exact solution or an
-identity that an independent route must reproduce.
+None of them feeds a stability answer: each is an exact solution, an
+identity or a solve by another method that an independent route must
+reproduce.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from rollwave import fourier
 from rollwave.kdv_limit import CnoidalWave
 from rollwave.model import PhysicalParams
-from rollwave.profile import WaveProfile
+from rollwave.profile import HamOrbit, WaveProfile
 
 
 def equilibrium(F: float, nu: float, tau0: float = 1.0,
@@ -56,3 +58,21 @@ def selection_residual(wave: CnoidalWave) -> float:
     d2 = fourier.deriv(wave.T0, wave.X, 2)
     d4 = fourier.deriv(wave.T0, wave.X, 4)
     return fourier.quad(wave.T0 * (d2 + d4), wave.X)
+
+
+def ham_pencil_eigenvalues(orbit: HamOrbit, N: int,
+                           xi: float) -> np.ndarray:
+    """Eigenvalues of the Hamiltonian pencil (h^-2 + d^2) v = Lambda d v
+    truncated to the modes |l| <= N at Floquet parameter xi.
+
+    M1 = conv(h^-2) + diag((ik)^2) and M2 = diag(ik), k = xi + 2 pi l / X_mu,
+    from the FFT of the orbit's samples, solved as a generalized problem by
+    QZ; the reference for Hill's standard form of the same problem.
+    """
+    g = orbit.h ** -2
+    ghat = np.fft.fft(g) / len(g)
+    ls = np.arange(-N, N + 1)
+    ik = 1j * (xi + 2.0 * np.pi * ls / orbit.X_mu)
+    M1 = ghat[(ls[:, None] - ls[None, :]) % len(g)] + np.diag(ik ** 2)
+    M2 = np.diag(ik)
+    return scipy.linalg.eigvals(M1, M2)

@@ -835,8 +835,8 @@ def test_evans_xi_band_json_and_csv(tmp_path, constant_state):
 
 
 def test_importing_the_cli_loads_no_scipy_linalg():
-    # scipy.linalg is imported where a solve or a pencil needs it, so a
-    # command's start-up does not pay for loading it
+    # scipy.linalg is imported where a solve needs it, so a command's
+    # start-up does not pay for loading it
     src = Path(cli.__file__).resolve().parent.parent
     code = "import sys, rollwave.cli; print('scipy.linalg' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

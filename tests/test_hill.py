@@ -66,6 +66,31 @@ def test_ham_limit_excludes_zero_floquet():
     assert np.all(np.isfinite(lam))
 
 
+def test_negative_order_refuses_a_zero_bloch_wavenumber():
+    # d^-1 has the symbol 1 / (i k), which is singular where k = 0: in the
+    # mode l = 0 at xi = 0, whatever the problem's kind
+    op = OperatorForm(m=1, M1={(0, 0): [(-1, 1.0), (1, 1.0)]})
+    sp = SpectralProblem(kind="test", period=3.0, operator=op)
+    with pytest.raises(DomainError, match="zero Bloch wavenumber"):
+        hill.eigenvalues(sp, 6, 0.0)
+    assert np.all(np.isfinite(hill.eigenvalues(sp, 6, 0.4)))
+
+
+@pytest.mark.parametrize("h_minus", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("xi", [0.05, -0.2, 0.31])
+def test_ham_limit_matches_the_pencil(h_minus, xi):
+    # the standard form h^-2 d^-1 + d is similar to the pencil's
+    # d^-1 (h^-2 + d^2), so both give the same 2N + 1 eigenvalues
+    orbit = prof.ham_orbit(h_minus, n=512)
+    N = 40
+    got = hill.eigenvalues(linearize.ham_limit_operator(orbit), N, xi)
+    want = oracles.ham_pencil_eigenvalues(orbit, N, xi)
+    assert len(got) == len(want) == 2 * N + 1
+    d = np.abs(got[:, None] - want[None, :])
+    assert np.all(d.min(axis=1) <= 1e-10 * np.maximum(np.abs(got), 1.0))
+    assert np.all(d.min(axis=0) <= 1e-10 * np.maximum(np.abs(want), 1.0))
+
+
 def test_first_unstable_excludes_origin_ball(constant_state):
     sp = linearize.bloch_coeffs(constant_state)
     big, solves, _ = hill.first_unstable(sp, 8, 4, 1e3, np.inf)
@@ -163,7 +188,7 @@ def test_spectrum_rejects_complex_coefficient():
         hill.spectrum(sp, N=4, n_xi=4)
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [-1, 0, 1, 2])
 @pytest.mark.parametrize("delta", [0.0, 0.2])
 def test_single_cosine_assembly_is_tridiagonal(order, delta):
     # 1 + eps cos(2 pi x / X) + delta sin(2 pi x / X) has Fourier
@@ -180,9 +205,8 @@ def test_single_cosine_assembly_is_tridiagonal(order, delta):
             + 0.5 * (eps - 1j * delta) * np.eye(2 * N + 1, k=-1)
             + 0.5 * (eps + 1j * delta) * np.eye(2 * N + 1, k=1))
     want = conv * sym[None, :]
-    M1, M2 = hill.assemble(sp, N, xi)
-    assert M2 is None
-    assert np.max(np.abs(M1 - want)) <= 1e-14 * np.max(np.abs(want))
+    M = hill.assemble(sp, N, xi)
+    assert np.max(np.abs(M - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_truncation_gives_the_problems_eigenvalues(fig1c_wave):

@@ -81,6 +81,9 @@ def test_ham_limit_operator_shape():
     orbit = prof.ham_orbit(0.5, n=256)
     sp = linearize.ham_limit_operator(orbit)
     assert sp.operator.m == 1
-    assert sp.operator.M2 is not None
+    assert sp.operator.M1.keys() == {(0, 0)}
+    [(neg, coeff), (pos, one)] = sp.operator.M1[(0, 0)]
+    assert (neg, pos, one) == (-1, 1, 1.0)
+    assert np.array_equal(coeff, orbit.h ** -2)
     assert sp.period == pytest.approx(orbit.X_mu)
     assert sp.first_order is None

@@ -26,6 +26,14 @@ def test_parameters_must_be_finite(name, value):
         PhysicalParams(**{**good, name: value})
 
 
+def test_positive_parameters_share_the_finite_and_positive_rule():
+    # F, nu, X and tau0 meet model.require_positive, as every library entry
+    # point does, so a zero F is named as a NaN one is
+    with pytest.raises(DomainError,
+                       match="F must be finite and positive, got 0.0"):
+        PhysicalParams(F=0.0, nu=0.1, q=1.0, c=0.5, X=10.0)
+
+
 def test_alpha_m2_family_is_q0F_X0F2():
     p = sweep.family_point(-2.0, 10.0, 0.1, 0.4, 50.0)
     assert p["q"] == pytest.approx(4.0)

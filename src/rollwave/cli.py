@@ -304,7 +304,7 @@ def _cmd_evans(o: dict):
     else:
         lines = ["xi,winding,points,max_jump"]
         for r in reports:
-            lines.append(f"{r.xi:.17g},{r.winding},{len(r.t)},"
+            lines.append(f"{r.xi:.17g},{r.winding},{len(r.lam)},"
                          f"{r.max_jump:.17g}")
         _atomic_write(o["out"], "\n".join(lines) + "\n")
 
@@ -353,10 +353,8 @@ def _cmd_kdv(o: dict):
     out = {"X": X, "k": k}
     if o["delta"] is not None:
         scan = kdv_limit.kdvks_scan(o["delta"], X)
-        out.update(delta=o["delta"],
-                   stable=not scan.unstable,
-                   hill_max_real=scan.mu, hill_eigensolves=scan.solves,
-                   hill_N=scan.N, hill_check=scan.check)
+        out.update(delta=o["delta"], stable=not scan.unstable,
+                   **scan.diagnostics)
     _atomic_write(o["out"], _json_text(out))
 
 

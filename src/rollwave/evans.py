@@ -38,7 +38,7 @@ from .hill import spectrum  # unused; bench/tracing.py wraps evans.spectrum
 from .linearize import SpectralProblem, bloch_coeffs
 from .model import (DomainError, NumericalFailure, require_positive,
                     slope_margin)
-from .profile import _NEWTON_TOL, WaveProfile, _rounding_floor
+from .profile import WaveProfile
 
 
 class EvansError(NumericalFailure):
@@ -597,7 +597,6 @@ class ContourReport:
 
     contour: Contour
     xi: float
-    t: np.ndarray
     lam: np.ndarray
     values: list[EvansValue] = field(repr=False)
     winding: int = 0
@@ -704,9 +703,9 @@ def _winding_once(evaluator: EvansEvaluator, contour: Contour, xi: float,
     if abs(w - wi) > 0.25:
         raise MaxPointsExceeded(
             f"winding {w:.3f} did not round to an integer with margin 0.25")
-    ts, lam, _ = zip(*points)
-    return ContourReport(contour=contour, xi=xi, t=np.asarray(ts),
-                         lam=np.asarray(lam), values=vals, winding=int(wi),
+    return ContourReport(contour=contour, xi=xi,
+                         lam=np.asarray([z for _, z, _ in points]),
+                         values=vals, winding=int(wi),
                          winding_error=abs(w - wi), max_jump=max(jumps),
                          refinements=refinements, perturbed=perturbed)
 
@@ -999,19 +998,15 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
     that, delta^2 > 0 (a pair +-a + ib) fails D2.  The Hill scan picks its
     truncation N from the coefficients' Fourier tails and stops at its first
     unstable row; the deciding row is re-solved at 3N/2, and the scan is
-    repeated at 3N/2 until the two agree.  The diagnostics report hill_N
-    (the N that decided), hill_max_real (the largest Re lambda over the
-    rows solved at hill_N: every row on a wave it does not find unstable),
-    hill_check (the deciding row's at 3N/2) and hill_eigensolves (every
-    Hill eigensolve, checks and rescans included).  When N would pass
-    hill._N_CAP first, the answer is indeterminate with both mu and both N
-    in the reason.  The technical
+    repeated at 3N/2 until the two agree; the diagnostics carry its
+    HillScan.diagnostics.  When N would pass hill._N_CAP first, the answer
+    is indeterminate with both mu and both N in the reason.  The technical
     slope condition 2 nu u_x < F^-2 is evaluated and reported but does not
     enter the overall spectral verdict: it concerns the nonlinear
     (Kawashima-type damping) argument and fails for every wave once F is
-    moderately large.  A wave whose residual is above the bound its solver
-    accepts, max(_NEWTON_TOL, profile._rounding_floor(n)), gets no answer
-    but indeterminate, with the residual, the bound and n in the reason.
+    moderately large.  A wave whose residual is above its residual_bound,
+    the bound its solver accepts, gets no answer but indeterminate, with
+    the residual, the bound and n in the reason.
     Every failed self-check of the Evans stage is indeterminate with the
     reason "Evans failure: " and the error's class and message: an
     EvansError (the step-grid calibration, a frame's Liouville check, the
@@ -1035,13 +1030,12 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
         return StabilityVerdict(overall=overall, conditions=conditions,
                                 diagnostics=diag, **text)
 
-    residual, n = profile.residual_norm, profile.n
-    bound = max(_NEWTON_TOL, _rounding_floor(n))
+    residual, bound = profile.residual_norm, profile.residual_bound
     if not residual <= bound:
         return answer("indeterminate",
                       reason=f"wave not converged: residual {residual:.3e} "
                              f"above {bound:.1e}, the bound its solver "
-                             f"accepts on n = {n} nodes")
+                             f"accepts on n = {profile.n} nodes")
 
     problem = bloch_coeffs(profile)
     margin = slope_margin(profile)
@@ -1050,18 +1044,14 @@ def verdict(profile: WaveProfile) -> StabilityVerdict:
 
     X = problem.period
     scan = checked_scan(problem, _HILL_XI, 2.0 * _origin_radius(X))
-    mu = scan.mu
-    diag["hill_max_real"] = mu
-    diag["hill_eigensolves"] = scan.solves
-    diag["hill_N"] = scan.N
-    diag["hill_check"] = scan.check
+    diag.update(scan.diagnostics)
     if scan.reason is not None:
         return answer("indeterminate", reason=scan.reason)
     if scan.unstable:
         conditions["D1"] = False
         return answer("unstable",
-                      witness=f"Hill eigenvalue with Re lambda = {mu:.3e} "
-                              f"away from the origin")
+                      witness=f"Hill eigenvalue with Re lambda = "
+                              f"{scan.mu:.3e} away from the origin")
 
     try:
         evaluator = EvansEvaluator(problem)

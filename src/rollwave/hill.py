@@ -4,7 +4,8 @@ Coefficients are expanded in Fourier series on at least 4N + 2 samples so
 products with the 2N + 1 retained modes are alias-free; each block becomes a
 Toeplitz-like convolution matrix weighted by the Bloch symbol
 (i (xi + 2 pi l / X))^order of its derivative factor.  The convolution
-matrices do not depend on xi and are built once per truncation.
+matrices do not depend on xi and are built once per truncation; the largest
+block index of a problem's terms gives its number of components.
 
 `checked_scan` picks the truncation from the wave for both stability
 answers, the St. Venant verdict and the KdV-KS check: N covers half the last
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier
-from .linearize import OperatorForm, SpectralProblem
-from .model import DomainError, TruncationUnresolved  # noqa: F401 (re-export)
+from .linearize import SpectralProblem, Terms
+from .model import DomainError
 
 
 def _convolution(coeff: np.ndarray | float, N: int) -> np.ndarray | float:
@@ -55,8 +56,7 @@ class Truncation:
 
     period: float
     N: int
-    m: int
-    M1: dict = field(repr=False)
+    terms: Terms = field(repr=False)
 
 
 def truncate(problem: SpectralProblem | Truncation, N: int) -> Truncation:
@@ -65,16 +65,15 @@ def truncate(problem: SpectralProblem | Truncation, N: int) -> Truncation:
         if problem.N != N:
             raise DomainError(f"truncation has N = {problem.N}, asked for {N}")
         return problem
-    op = problem.operator
-    return Truncation(period=problem.period, N=N, m=op.m,
-                      M1=_convolution_terms(op.M1, N))
+    return Truncation(period=problem.period, N=N,
+                      terms=_convolution_terms(problem.terms, N))
 
 
-def _assemble_terms(terms, m: int, N: int, xi: float,
-                    period: float) -> np.ndarray:
+def _assemble_terms(terms, N: int, xi: float, period: float) -> np.ndarray:
     size = 2 * N + 1
+    blocks = 1 + max(max(key) for key in terms)
     kl = xi + 2.0 * np.pi * np.arange(-N, N + 1) / period
-    M = np.zeros((m * size, m * size), dtype=complex)
+    M = np.zeros((blocks * size, blocks * size), dtype=complex)
     for (i, j), termlist in terms.items():
         block = np.zeros((size, size), dtype=complex)
         for order, coeff in termlist:
@@ -94,9 +93,9 @@ def _assemble_terms(terms, m: int, N: int, xi: float,
 
 def assemble(problem: SpectralProblem | Truncation, N: int,
              xi: float) -> np.ndarray:
-    """Truncated Hill matrix of M1 at Floquet parameter xi."""
+    """Truncated Hill matrix of the problem's terms at Floquet parameter xi."""
     t = truncate(problem, N)
-    return _assemble_terms(t.M1, t.m, N, xi, t.period)
+    return _assemble_terms(t.terms, N, xi, t.period)
 
 
 def eigenvalues(problem: SpectralProblem | Truncation, N: int,
@@ -149,8 +148,8 @@ def default_xi_grid(period: float, n_xi: int = 64) -> np.ndarray:
     return -np.pi / period + 2.0 * np.pi / period * _xi_indices(n_xi) / n_xi
 
 
-def _require_real(op: OperatorForm) -> None:
-    for termlist in op.M1.values():
+def _require_real(terms: Terms) -> None:
+    for termlist in terms.values():
         for _, coeff in termlist:
             if np.any(np.imag(coeff) != 0.0):
                 raise DomainError(
@@ -164,7 +163,7 @@ def _solved_rows(problem: SpectralProblem, N: int, n_xi: int):
     Row k = 0 (xi = -pi/X) comes first, then xi > 0 ascending; the rows
     with xi < 0 are left to mirroring, which needs real coefficients.
     """
-    _require_real(problem.operator)
+    _require_real(problem.terms)
     trunc = truncate(problem, N)
     for k, x in zip(_xi_indices(n_xi), default_xi_grid(problem.period, n_xi)):
         if k == 0 or 2 * k > n_xi:
@@ -233,8 +232,8 @@ def _truncation_size(problem: SpectralProblem) -> int:
     """Starting N of `checked_scan`: half the largest `fourier.tail_mode`
     at _TAIL_TOL of the operator's sampled coefficients, rounded up to a
     multiple of 4 and held within [_N_FLOOR, _N_CAP]."""
-    op = problem.operator
-    K = max((fourier.tail_mode(c, _TAIL_TOL) for termlist in op.M1.values()
+    K = max((fourier.tail_mode(c, _TAIL_TOL)
+             for termlist in problem.terms.values()
              for _, c in termlist if not np.isscalar(c)), default=0)
     N = 4 * -(-K // 8)
     return min(max(N, _N_FLOOR), _N_CAP)
@@ -258,6 +257,13 @@ class HillScan:
     def unstable(self) -> bool:
         """Whether mu is a growth rate above _GROWTH_TOL."""
         return self.mu > _GROWTH_TOL
+
+    @property
+    def diagnostics(self) -> dict:
+        """The scan's report, as the verdict and `rollwave kdv` write it:
+        hill_max_real (mu), hill_eigensolves (solves), hill_N, hill_check."""
+        return {"hill_max_real": self.mu, "hill_eigensolves": self.solves,
+                "hill_N": self.N, "hill_check": self.check}
 
 
 def checked_scan(problem: SpectralProblem, n_xi: int, r0: float) -> HillScan:

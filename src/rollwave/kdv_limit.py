@@ -23,9 +23,9 @@ import numpy as np
 
 from . import fourier, hill
 from .elliptic import elliptic_K, jacobi_cn, selection_kappa
-from .linearize import OperatorForm, SpectralProblem, Terms
+from .linearize import SpectralProblem
 from .model import (DomainError, NumericalFailure, PhysicalParams,
-                    require_positive)
+                    TruncationUnresolved, require_positive)
 from .profile import WaveProfile, _newton_solve
 
 
@@ -99,8 +99,11 @@ class CnoidalWave:
     sigma0: float
     qtilde: float
     X: float
-    n: int
     T0: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.T0)
 
 
 def cnoidal_profile(k: float, n: int = 256) -> CnoidalWave:
@@ -112,7 +115,7 @@ def cnoidal_profile(k: float, n: int = 256) -> CnoidalWave:
     sigma0 = 4.0 * kappa * kappa * (2.0 * k * k - 1.0)
     qtilde = 24.0 * k * k * (1.0 - k * k) * kappa ** 4
     return CnoidalWave(k=k, kappa=kappa, sigma0=sigma0, qtilde=qtilde, X=X,
-                       n=n, T0=np.asarray(T0))
+                       T0=np.asarray(T0))
 
 
 def _derivative_floor(n: int, X: float, scale: float) -> float:
@@ -249,10 +252,9 @@ def _kdvks_problem(delta: float, X: float) -> SpectralProblem:
     W = T - sigma, about the converged KdV-KS wave of period X."""
     wave, T, sigma = kdvks_wave(delta, k_of_period(X))
     W = T - sigma
-    M1: Terms = {(0, 0): [(1, -W), (0, -fourier.deriv(W, wave.X)), (3, -1.0),
-                          (2, -delta), (4, -delta)]}
-    return SpectralProblem(kind="kdvks", period=wave.X,
-                           operator=OperatorForm(m=1, M1=M1))
+    return SpectralProblem(kind="kdvks", period=wave.X, terms={(0, 0): [
+        (1, -W), (0, -fourier.deriv(W, wave.X)), (3, -1.0), (2, -delta),
+        (4, -delta)]})
 
 
 def kdvks_spectrum(delta: float, X: float) -> hill.SpectralCloud:
@@ -264,10 +266,10 @@ def kdvks_spectrum(delta: float, X: float) -> hill.SpectralCloud:
 
 def kdvks_scan(delta: float, X: float) -> hill.HillScan:
     """`hill.checked_scan` of the period-X wave; raises
-    hill.TruncationUnresolved with the reason of an unresolved one."""
+    TruncationUnresolved with the reason of an unresolved one."""
     scan = hill.checked_scan(_kdvks_problem(delta, X), _KDVKS_XI, 0.0)
     if scan.reason is not None:
-        raise hill.TruncationUnresolved(scan.reason)
+        raise TruncationUnresolved(scan.reason)
     return scan
 
 

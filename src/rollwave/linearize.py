@@ -2,10 +2,11 @@
 
 Every spectral problem is carried in up to two equivalent representations:
 
-* an *operator form* for Hill's method — an eigenvalue problem
-  lambda z = M1 z, where each block (i, j) of M1 is a sum of terms
+* its *terms* for Hill's method — the operator of the eigenvalue problem
+  lambda z = L z, where each block (i, j) of L is a sum of terms
   coeff(x) d^order acting on component j, with coefficients sampled on a
   uniform periodic grid (an order below zero is an inverse derivative);
+  the largest block index gives the number of components;
 * a *first-order form* for the Evans function — Z' = (A0(x) + lambda A1(x)) Z
   with matrix samples on the same grid.
 
@@ -27,14 +28,6 @@ Terms = dict[tuple[int, int], list[tuple[int, np.ndarray | float]]]
 
 
 @dataclass(frozen=True)
-class OperatorForm:
-    """Blockwise differential operator with periodic sampled coefficients."""
-
-    m: int                       # number of components
-    M1: Terms
-
-
-@dataclass(frozen=True)
 class FirstOrderForm:
     """Z' = (A0 + lambda A1) Z with periodic sampled coefficients."""
 
@@ -44,11 +37,11 @@ class FirstOrderForm:
 
 @dataclass(frozen=True)
 class SpectralProblem:
-    """A Bloch spectral problem with Hill and (optionally) Evans forms."""
+    """A Bloch spectral problem: Hill's terms and (optionally) Evans' form."""
 
     kind: str
     period: float
-    operator: OperatorForm
+    terms: Terms
     first_order: FirstOrderForm | None = None
 
 
@@ -68,7 +61,7 @@ def _st_venant(kind: str, T: np.ndarray, dT: np.ndarray, c: float, K: float,
     C = -2.0 * eps * u * T
     inv2 = T ** -2
     V = fourier.deriv(AB, X) - u ** 2
-    M1: Terms = {
+    terms: Terms = {
         (0, 0): [(1, c)],
         (0, 1): [(1, 1.0)],
         (1, 0): [(1, AB), (0, V)],
@@ -88,8 +81,7 @@ def _st_venant(kind: str, T: np.ndarray, dT: np.ndarray, c: float, K: float,
     A1[:, 0, 0] = 1.0 / c
     A1[:, 2, 0] = -AB / (c * nu)
     A1[:, 2, 1] = 1.0 / nu
-    return SpectralProblem(kind=kind, period=X,
-                           operator=OperatorForm(m=2, M1=M1),
+    return SpectralProblem(kind=kind, period=X, terms=terms,
                            first_order=FirstOrderForm(A0=A0, A1=A1))
 
 
@@ -117,6 +109,5 @@ def ham_limit_operator(orbit: HamOrbit) -> SpectralProblem:
     the pencil's eigenvalues.  d^-1 is singular at a zero Bloch wavenumber,
     which Hill's method refuses (xi = 0 here).
     """
-    M1: Terms = {(0, 0): [(-1, orbit.h ** -2), (1, 1.0)]}
     return SpectralProblem(kind="ham_limit", period=orbit.X_mu,
-                           operator=OperatorForm(m=1, M1=M1))
+                           terms={(0, 0): [(-1, orbit.h ** -2), (1, 1.0)]})

@@ -66,6 +66,11 @@ class WaveProfile:
     def residual_norm(self) -> float:
         return float(np.max(np.abs(ode_residual(self.tau, self.params))))
 
+    @property
+    def residual_bound(self) -> float:
+        """The largest residual_norm a solve of G accepts on n nodes."""
+        return max(_NEWTON_TOL, _rounding_floor(self.n))
+
     def to_json(self) -> str:
         p = self.params
         return json.dumps({
@@ -78,6 +83,9 @@ class WaveProfile:
     @classmethod
     def from_json(cls, text: str) -> "WaveProfile":
         data = json.loads(text)
+        if isinstance(data, dict) and "kind" in data:
+            raise DomainError(f"the input is an {data['kind']!r} file, "
+                              f"not a profile")
         try:
             w = cls(params=PhysicalParams(**data["params"]),
                     tau=np.asarray(data["tau"], dtype=float))
@@ -629,9 +637,12 @@ class HamOrbit:
     h_plus: float
     mu: float
     X_mu: float
-    n: int
     h: np.ndarray
     dh: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.h)
 
 
 def _ham_potential(x: float | np.ndarray, mu: float):
@@ -686,7 +697,7 @@ def ham_orbit(h_minus: float, n: int = 512) -> HamOrbit:
     h = sol.y[0]
     dh = sol.y[1]
     return HamOrbit(h_minus=h_minus, h_plus=h_plus, mu=float(mu),
-                    X_mu=X_mu, n=n, h=h, dh=dh)
+                    X_mu=X_mu, h=h, dh=dh)
 
 
 def ham_selection_c0(orbit: HamOrbit, q0: float) -> tuple[float, float, float]:

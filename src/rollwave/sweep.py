@@ -39,6 +39,9 @@ _PROFILE_N = 512
 
 _VERDICTS = ("stable", "unstable", "indeterminate", "failed")
 
+# The fields of a record's key, in the order of SweepRecord.key.
+_KEY = ("alpha", "F", "nu", "q", "X")
+
 
 class NotBracketed(Exception):
     """The two bisection endpoints carry the same verdict."""
@@ -78,12 +81,12 @@ class SweepRecord:
 
     @property
     def key(self) -> tuple:
-        return (self.alpha, self.F, self.nu, self.q, self.X)
+        return tuple(getattr(self, k) for k in _KEY)
 
     def to_json(self) -> str:
-        d = {"alpha": self.alpha, "F": self.F, "nu": self.nu, "q": self.q,
-             "X": self.X, "verdict": self.verdict, "witness": self.witness,
-             "conditions": dict(self.conditions), "meta": dict(self.meta)}
+        d = dict(zip(_KEY, self.key), verdict=self.verdict,
+                 witness=self.witness, conditions=dict(self.conditions),
+                 meta=dict(self.meta))
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
     @classmethod
@@ -92,8 +95,7 @@ class SweepRecord:
         raises DomainError."""
         d = json.loads(line)
         try:
-            return cls(alpha=d["alpha"], F=d["F"], nu=d["nu"], q=d["q"],
-                       X=d["X"], verdict=d["verdict"],
+            return cls(**{k: d[k] for k in _KEY}, verdict=d["verdict"],
                        witness=d.get("witness"),
                        conditions=d.get("conditions", {}),
                        meta=d.get("meta", {}))
@@ -167,7 +169,7 @@ class ResultStore:
 
 def _point_key(point: dict) -> tuple:
     """Store key of a grid point, the same tuple as SweepRecord.key."""
-    return (point["alpha"], point["F"], point["nu"], point["q"], point["X"])
+    return tuple(point[k] for k in _KEY)
 
 
 def _require_family(alpha: float):
@@ -242,6 +244,7 @@ def evaluate_point(point: dict, solver=None) -> SweepRecord:
     and propagates.  Meta's n is the grid the wave was solved on, or the
     requested _PROFILE_N on a failed record.
     """
+    key = {k: point[k] for k in _KEY}
     meta = {"q0": point.get("q0"), "X0": point.get("X0"), "n": _PROFILE_N}
     if solver is None:
         solver = default_solver
@@ -249,15 +252,13 @@ def evaluate_point(point: dict, solver=None) -> SweepRecord:
         wave = solver(point)
         v = evans.verdict(wave)
     except (NumericalFailure, DomainError, np.linalg.LinAlgError) as err:
-        return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
-                           q=point["q"], X=point["X"], verdict="failed",
+        return SweepRecord(**key, verdict="failed",
                            witness=f"{type(err).__name__}: {err}", meta=meta)
     meta["n"] = wave.n
     meta["residual_norm"] = wave.residual_norm
     meta["amplitude"] = float(np.ptp(wave.tau))
     meta.update(v.diagnostics)
-    return SweepRecord(alpha=point["alpha"], F=point["F"], nu=point["nu"],
-                       q=point["q"], X=point["X"], verdict=v.overall,
+    return SweepRecord(**key, verdict=v.overall,
                        witness=v.witness or v.reason,
                        conditions=dict(v.conditions), meta=meta)
 

@@ -268,6 +268,27 @@ def test_malformed_profile_file_exits_1_and_writes_nothing(
     assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
 
 
+@pytest.mark.parametrize("kind, route", [
+    ("alpha_m2_limit", ["--q0", "0.4", "--X0", "0.3"]),
+    ("ham_orbit", ["--h-minus", "0.5", "--q0", "0.4"]),
+])
+def test_limit_file_is_refused_as_a_profile_by_its_kind(tmp_path, capsys,
+                                                        kind, route):
+    # a file that limit-inf wrote names its kind, and a command that reads
+    # a profile refuses it by that kind, not by a key it lacks
+    pin = tmp_path / "lim.json"
+    assert cli.main(["limit-inf", *route, "--out", str(pin)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (["verdict", "--report", str(out / "v.json")],
+                 ["spectrum", "--out", str(out / "s.csv")]):
+        assert cli.main([*argv, "--in", str(pin)]) == 1
+        assert f"is an {kind!r} file, not a profile" in \
+            capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("doc", [
     {"subcommand": "kdv"},
     {"subcommand": ["kdv"], "options": {}},

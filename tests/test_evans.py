@@ -621,7 +621,7 @@ def test_verdict_reads_an_off_origin_double_root_as_indeterminate(
     # with no residual bound, the 1e-6 ripple reaches the origin
     # expansion, whose double-root check refuses it: a failed check, not
     # an unstable wave
-    monkeypatch.setattr(evans, "_rounding_floor", lambda n: math.inf)
+    monkeypatch.setattr(prof.WaveProfile, "residual_bound", math.inf)
     v = evans.verdict(_rippled(f6_waves[8.78], 1e-6))
     assert v.overall == "indeterminate" and v.witness is None
     assert v.reason.startswith("Evans failure: InaccurateExpansion: double "

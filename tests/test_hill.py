@@ -7,7 +7,7 @@ import pytest
 
 from rollwave import fourier, hill, linearize
 from rollwave import profile as prof
-from rollwave.linearize import OperatorForm, SpectralProblem
+from rollwave.linearize import SpectralProblem
 from rollwave.model import DomainError
 
 import oracles
@@ -69,8 +69,8 @@ def test_ham_limit_excludes_zero_floquet():
 def test_negative_order_refuses_a_zero_bloch_wavenumber():
     # d^-1 has the symbol 1 / (i k), which is singular where k = 0: in the
     # mode l = 0 at xi = 0, whatever the problem's kind
-    op = OperatorForm(m=1, M1={(0, 0): [(-1, 1.0), (1, 1.0)]})
-    sp = SpectralProblem(kind="test", period=3.0, operator=op)
+    terms = {(0, 0): [(-1, 1.0), (1, 1.0)]}
+    sp = SpectralProblem(kind="test", period=3.0, terms=terms)
     with pytest.raises(DomainError, match="zero Bloch wavenumber"):
         hill.eigenvalues(sp, 6, 0.0)
     assert np.all(np.isfinite(hill.eigenvalues(sp, 6, 0.4)))
@@ -119,8 +119,8 @@ def test_first_unstable_stops_at_the_first_row_above_tol(constant_state,
 def test_first_unstable_scans_every_row_of_a_stable_problem(hill_solves):
     # lambda z = z'' + z' - z: Re lambda = -(xi + 2 pi l / X)^2 - 1 < 0, so
     # nothing stops the scan and it matches the mirrored full spectrum
-    op = OperatorForm(m=1, M1={(0, 0): [(2, 1.0), (1, 1.0), (0, -1.0)]})
-    sp = SpectralProblem(kind="test", period=3.0, operator=op)
+    terms = {(0, 0): [(2, 1.0), (1, 1.0), (0, -1.0)]}
+    sp = SpectralProblem(kind="test", period=3.0, terms=terms)
     cloud = hill.spectrum(sp, 8, n_xi=12)
     for r0 in (0.0, 1.5):
         hill_solves.clear()
@@ -175,15 +175,15 @@ def test_mirrored_rows_match_direct_solves_ham_pencil():
 def test_mirrored_rows_are_resorted():
     # pure advection: every eigenvalue i (xi + 2 pi l / X) ties in real
     # part, so the conjugates keep the sort key only when re-sorted
-    op = OperatorForm(m=1, M1={(0, 0): [(1, 1.0)]})
+    terms = {(0, 0): [(1, 1.0)]}
     _check_mirrored_rows(SpectralProblem(kind="test", period=2.0 * np.pi,
-                                         operator=op), 5, 8)
+                                         terms=terms), 5, 8)
 
 
 def test_spectrum_rejects_complex_coefficient():
     x = fourier.grid(32, 2.0 * np.pi)
-    op = OperatorForm(m=1, M1={(0, 0): [(0, np.exp(1j * x))]})
-    sp = SpectralProblem(kind="test", period=2.0 * np.pi, operator=op)
+    terms = {(0, 0): [(0, np.exp(1j * x))]}
+    sp = SpectralProblem(kind="test", period=2.0 * np.pi, terms=terms)
     with pytest.raises(DomainError):
         hill.spectrum(sp, N=4, n_xi=4)
 
@@ -198,8 +198,8 @@ def test_single_cosine_assembly_is_tridiagonal(order, delta):
     x = fourier.grid(64, X)
     coeff = (1.0 + eps * np.cos(2 * np.pi * x / X)
              + delta * np.sin(2 * np.pi * x / X))
-    op = OperatorForm(m=1, M1={(0, 0): [(order, coeff)]})
-    sp = SpectralProblem(kind="test", period=X, operator=op)
+    terms = {(0, 0): [(order, coeff)]}
+    sp = SpectralProblem(kind="test", period=X, terms=terms)
     sym = (1j * (xi + 2.0 * np.pi * np.arange(-N, N + 1) / X)) ** order
     conv = (np.eye(2 * N + 1)
             + 0.5 * (eps - 1j * delta) * np.eye(2 * N + 1, k=-1)
@@ -238,8 +238,7 @@ def test_truncation_size_follows_the_coefficient_tail(K, N):
     chat = np.where(k < K, 10.0 ** (-9.0 * k / K), 0.0)
     chat[k == K] = 2e-8
     coeff = np.fft.ifft(chat * n).real
-    op = OperatorForm(m=1, M1={(0, 0): [(2, 1.0), (1, coeff),
-                                        (0, np.full(n, 3.0))]})
-    sp = SpectralProblem(kind="test", period=5.0, operator=op)
+    terms = {(0, 0): [(2, 1.0), (1, coeff), (0, np.full(n, 3.0))]}
+    sp = SpectralProblem(kind="test", period=5.0, terms=terms)
     assert fourier.tail_mode(coeff, hill._TAIL_TOL) == K
     assert hill._truncation_size(sp) == N

@@ -7,7 +7,7 @@ import pytest
 
 from rollwave import fourier, hill, kdv_limit
 from rollwave.elliptic import elliptic_E, elliptic_K, jacobi_cn
-from rollwave.model import DomainError
+from rollwave.model import DomainError, TruncationUnresolved
 
 import oracles
 
@@ -59,7 +59,7 @@ def _off_selection_wave():
     T0 = 12.0 * k * k * kappa * kappa * jacobi_cn(
         kappa * theta, k) ** 2
     return kdv_limit.CnoidalWave(k=k, kappa=kappa, sigma0=wave.sigma0,
-                                 qtilde=wave.qtilde, X=X, n=wave.n, T0=T0)
+                                 qtilde=wave.qtilde, X=X, T0=T0)
 
 
 def test_selection_residual_nonzero_off_selection():
@@ -228,6 +228,6 @@ def test_kdvks_unresolved_truncation_has_no_class(monkeypatch):
     # before the check at 121 would pass the cap of 120
     monkeypatch.setattr(hill, "eigenvalues",
                         lambda problem, N, xi: np.array([-1.0 - 1.0 / N]))
-    with pytest.raises(hill.TruncationUnresolved,
+    with pytest.raises(TruncationUnresolved,
                        match=r"at N = 81 .* at N = 121 .* cap 120"):
         kdv_limit.kdvks_stable(0.05, 17.0)

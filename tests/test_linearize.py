@@ -1,4 +1,4 @@
-"""Bloch linearizations: operator/first-order forms and the constant-state oracle."""
+"""Bloch linearizations: Hill terms, first-order forms, constant-state oracle."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,11 @@ from rollwave import profile as prof
 import oracles
 
 
-def _apply_operator(op, period, z):
-    """Apply the blockwise operator M1 to sampled components z (m, n)."""
+def _apply_operator(op_terms, period, z):
+    """Apply the blockwise operator of op_terms to sampled components z
+    (m, n)."""
     out = np.zeros_like(z, dtype=complex)
-    for (i, j), terms in op.M1.items():
+    for (i, j), terms in op_terms.items():
         for order, coeff in terms:
             base = z[j] if order == 0 else fourier.deriv(z[j], period, order)
             out[i] += np.asarray(coeff) * base
@@ -45,7 +46,7 @@ def test_translation_mode_in_kernel(fig1c_wave):
     sp = linearize.bloch_coeffs(w)
     du = fourier.deriv(w.params.q - w.params.c * w.tau, w.params.X)
     z = np.vstack([w.dtau, du])
-    resid = _apply_operator(sp.operator, sp.period, z)
+    resid = _apply_operator(sp.terms, sp.period, z)
     scale = np.max(np.abs(z))
     assert np.max(np.abs(resid)) < 1e-6 * max(scale, 1.0)
 
@@ -63,8 +64,8 @@ def test_first_order_form_interpolant_matches_samples(fig1c_wave):
 
 
 def test_first_order_and_operator_forms_agree_spectrally():
-    # Hill's method reads only the operator form and the Evans function only
-    # the first-order form; every Hill eigenvalue of the limit problem must
+    # Hill's method reads only the operator's terms and the Evans function
+    # only the first-order form; every Hill eigenvalue of the limit problem must
     # be a root of its Evans function
     lp = prof.limit_profile_alpha_m2(0.4, 0.3)
     sp = linearize.limit_matrices_alpha_m2(lp)
@@ -80,9 +81,8 @@ def test_first_order_and_operator_forms_agree_spectrally():
 def test_ham_limit_operator_shape():
     orbit = prof.ham_orbit(0.5, n=256)
     sp = linearize.ham_limit_operator(orbit)
-    assert sp.operator.m == 1
-    assert sp.operator.M1.keys() == {(0, 0)}
-    [(neg, coeff), (pos, one)] = sp.operator.M1[(0, 0)]
+    assert sp.terms.keys() == {(0, 0)}
+    [(neg, coeff), (pos, one)] = sp.terms[(0, 0)]
     assert (neg, pos, one) == (-1, 1, 1.0)
     assert np.array_equal(coeff, orbit.h ** -2)
     assert sp.period == pytest.approx(orbit.X_mu)

@@ -618,9 +618,9 @@ def test_profile_residual_is_that_of_its_samples(fig1c_wave, spoil):
 def _same_problem(a, b):
     """Bitwise equality of two SpectralProblems' coefficients."""
     assert (a.kind, a.period) == (b.kind, b.period)
-    assert a.operator.M1.keys() == b.operator.M1.keys()
-    for key, terms in a.operator.M1.items():
-        for (ka, ca), (kb, cb) in zip(terms, b.operator.M1[key], strict=True):
+    assert a.terms.keys() == b.terms.keys()
+    for key, terms in a.terms.items():
+        for (ka, ca), (kb, cb) in zip(terms, b.terms[key], strict=True):
             assert ka == kb and np.array_equal(ca, cb)
     assert np.array_equal(a.first_order.A0, b.first_order.A0)
     assert np.array_equal(a.first_order.A1, b.first_order.A1)

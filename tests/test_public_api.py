@@ -76,3 +76,44 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     allowed = set(ALLOWED)
     stale = sorted((allowed - {name for _, name in defs}) | (allowed & read))
     assert stale == [], f"allowed names no longer only tests read: {stale}"
+
+
+# private names one module reads from another, each with its reason
+PRIVATE_READS = {
+    ("kdv_limit", "_newton_solve"): "the one Newton solver solves the "
+                                    "KdV-KS wave too",
+    ("kdv_limit", "_truncation_size"): "kdvks_spectrum draws the spectrum at "
+                                       "the checked scan's first N",
+    ("sweep", "_limit_table"): "it holds the limit waves that one map "
+                               "shares",
+}
+
+
+def _private_reads(path: Path) -> set[tuple[str, str]]:
+    """(module, name) of each private name the module imports from a
+    sibling (`from .x import _name`) or reads off one (`x._name`)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    names.add(alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings):
+            names.add(node.attr)
+    return {(path.stem, name) for name in names}
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = set().union(*(_private_reads(p) for p in SRC.glob("*.py")))
+    unexpected = sorted(reads - set(PRIVATE_READS))
+    assert unexpected == [], f"private names read across modules: " \
+                             f"{unexpected}"
+    stale = sorted(set(PRIVATE_READS) - reads)
+    assert stale == [], f"allowed private reads no longer made: {stale}"

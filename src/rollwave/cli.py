@@ -151,7 +151,6 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "report": (str, None, "output verdict JSON"),
     },
     "sweep": {
-        "alpha": (_float, -2.0, "scaling exponent"),
         "F": (_floats, None, "comma-separated Froude numbers"),
         "nu": (_float, 0.1, "viscosity"),
         "q0": (_float, None, "rescaled outflow (scaling family)"),
@@ -325,7 +324,7 @@ def _cmd_verdict(o: dict):
 
 def _cmd_sweep(o: dict):
     _require(o, "F", "X", "store")
-    grid = {"alpha": o["alpha"], "nu": o["nu"], "F": o["F"], "X": o["X"]}
+    grid = {"nu": o["nu"], "F": o["F"], "X": o["X"]}
     if o["q0"] is not None:
         grid["q0"] = o["q0"]
     if o["q"] is not None:

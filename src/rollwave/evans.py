@@ -913,7 +913,6 @@ def polish_root(evaluator: EvansEvaluator, lam0: complex,
     scale_log = max(v.log_abs for v in vs)
     target_log = scale_log + math.log(_POLISH_TOL)
     best_z, best_log = zs[-1], vs[-1].log_abs
-    stagnated = False
     for _ in range(_POLISH_MAX_ITER):
         if vs[-1].log_abs <= target_log:
             return zs[-1]
@@ -945,7 +944,6 @@ def polish_root(evaluator: EvansEvaluator, lam0: complex,
         if v3.log_abs < best_log:
             best_z, best_log = z3, v3.log_abs
         if abs(z3 - z2) <= 1e-13 * max(abs(z3), h0):
-            stagnated = True
             break
     if best_log <= target_log:
         return best_z

@@ -123,7 +123,6 @@ class SpectralCloud:
     N: int
     xi: np.ndarray
     eigs: list[np.ndarray] = field(repr=False)
-    eigensolves: int             # rows solved; the others are mirrored
 
     def to_csv(self) -> str:
         lines = ["xi,re,im"]
@@ -157,17 +156,15 @@ def _require_real(terms: Terms) -> None:
                     "needs real coefficients; got a complex one")
 
 
-def _solved_rows(problem: SpectralProblem, N: int, n_xi: int):
+def _solved_rows(trunc: Truncation, n_xi: int):
     """(k, xi, eigenvalues) of each row `spectrum` eigensolves, in its order.
 
     Row k = 0 (xi = -pi/X) comes first, then xi > 0 ascending; the rows
     with xi < 0 are left to mirroring, which needs real coefficients.
     """
-    _require_real(problem.terms)
-    trunc = truncate(problem, N)
-    for k, x in zip(_xi_indices(n_xi), default_xi_grid(problem.period, n_xi)):
+    for k, x in zip(_xi_indices(n_xi), default_xi_grid(trunc.period, n_xi)):
         if k == 0 or 2 * k > n_xi:
-            yield k, x, eigenvalues(trunc, N, x)
+            yield k, x, eigenvalues(trunc, trunc.N, x)
 
 
 def spectrum(problem: SpectralProblem, N: int, n_xi: int = 64) -> SpectralCloud:
@@ -178,38 +175,17 @@ def spectrum(problem: SpectralProblem, N: int, n_xi: int = 64) -> SpectralCloud:
     xi_{n_xi - k} holds the conjugates of row k.  Deterministic: eigenvalues
     per xi are sorted, xi order preserved.
     """
-    solved = {k: evs for k, _, evs in _solved_rows(problem, N, n_xi)}
+    _require_real(problem.terms)
+    solved = {k: evs for k, _, evs in _solved_rows(truncate(problem, N), n_xi)}
     eigs = [solved[k] if k in solved else _sorted(np.conj(solved[n_xi - k]))
             for k in _xi_indices(n_xi)]
     return SpectralCloud(kind=problem.kind, N=N,
-                         xi=default_xi_grid(problem.period, n_xi), eigs=eigs,
-                         eigensolves=len(solved))
+                         xi=default_xi_grid(problem.period, n_xi), eigs=eigs)
 
 
 def _max_real(evs: np.ndarray, r0: float) -> float:
     keep = evs[np.abs(evs) > r0]
     return float(np.max(keep.real)) if len(keep) else -np.inf
-
-
-def first_unstable(problem: SpectralProblem, N: int, n_xi: int, r0: float,
-                   tol: float) -> tuple[float, int, float]:
-    """(mu, solves, xi): the largest Re lambda, |lambda| > r0, over the rows
-    solved until one exceeds tol; their number; the xi of mu's row.
-
-    Rows are solved in `spectrum`'s order.  A mirrored row has its
-    partner's moduli and real parts, so with tol = inf, mu is bitwise the
-    largest over spectrum(problem, N, n_xi).  `checked_scan` calls it, and
-    acceptance criterion 7 calls it on the F = infinity limit problems.
-    """
-    best, solves, xi_best = -np.inf, 0, None
-    for _, x, evs in _solved_rows(problem, N, n_xi):
-        solves += 1
-        row = _max_real(evs, r0)
-        if xi_best is None or row > best:
-            best, xi_best = row, float(x)
-        if best > tol:
-            break
-    return best, solves, xi_best
 
 
 # The growth rate above which a Bloch eigenvalue counts as unstable, for
@@ -241,7 +217,8 @@ def _truncation_size(problem: SpectralProblem) -> int:
 
 @dataclass(frozen=True)
 class HillScan:
-    """A `first_unstable` scan at N with its deciding row re-solved at 3N/2.
+    """The answer of `checked_scan`: mu, the largest Re lambda over the
+    rows solved at N, with its deciding row re-solved at 3N/2.
 
     reason is None when the two agree; otherwise it says why no N up to
     _N_CAP gave a checked answer, and N is the last one scanned.
@@ -267,23 +244,38 @@ class HillScan:
 
 
 def checked_scan(problem: SpectralProblem, n_xi: int, r0: float) -> HillScan:
-    """`first_unstable` at the truncation the wave needs, checked.
+    """The largest Re lambda, |lambda| > r0, over `spectrum`'s rows at the
+    truncation the wave needs, checked.
 
-    Starts at _truncation_size(problem) and re-solves the deciding row (the
-    first unstable one, else the row of mu) at 3N/2.  The answer is
+    Rows are solved in `spectrum`'s order until one is above _GROWTH_TOL,
+    and mu is the largest over the rows solved: over all of them, as a
+    mirrored row has its partner's moduli and real parts, mu is bitwise the
+    largest over `spectrum(problem, N, n_xi)`.  The scan starts at
+    _truncation_size(problem) and re-solves the deciding row (the first
+    unstable one, else the first row of mu) at 3N/2.  The answer is
     accepted when that row's mu agrees to _CHECK_TOL of max(|mu|, g), g =
     _GROWTH_TOL (a mu at the noise floor, as a stable KdV-KS wave's xi -> 0
     tangency, can do no better) and lies on the same side of g; otherwise
-    the scan is repeated at 3N/2.  Once N would pass _N_CAP the scan gives
-    up, with a reason naming both mu and both N.  Every eigensolve goes
-    through `eigenvalues`.
+    the scan is repeated on the 3N/2 truncation the check built.  Once N
+    would pass _N_CAP the scan gives up, with a reason naming both mu and
+    both N.  Every eigensolve goes through `eigenvalues`.
     """
-    N, solves = _truncation_size(problem), 0
+    _require_real(problem.terms)
+    trunc, solves = truncate(problem, _truncation_size(problem)), 0
     while True:
-        mu, rows, xi = first_unstable(problem, N, n_xi, r0, _GROWTH_TOL)
+        mu, xi = -np.inf, None
+        for _, x, evs in _solved_rows(trunc, n_xi):
+            solves += 1
+            row = _max_real(evs, r0)
+            if xi is None or row > mu:
+                mu, xi = row, float(x)
+            if mu > _GROWTH_TOL:
+                break
+        N = trunc.N
         M = 3 * N // 2
-        check = _max_real(eigenvalues(problem, M, xi), r0)
-        solves += rows + 1
+        trunc = truncate(problem, M)
+        check = _max_real(eigenvalues(trunc, M, xi), r0)
+        solves += 1
         if abs(mu - check) <= _CHECK_TOL * max(abs(mu), _GROWTH_TOL) and \
                 (mu > _GROWTH_TOL) == (check > _GROWTH_TOL):
             return HillScan(mu=mu, N=N, check=check, solves=solves)
@@ -294,4 +286,3 @@ def checked_scan(problem: SpectralProblem, n_xi: int, r0: float) -> HillScan:
                        f"{mu:.6e} at N = {N} against {check:.6e} at N = {M} "
                        f"(xi = {xi:.6g}), and N = {M} passes the cap "
                        f"{_N_CAP}")
-        N = M

@@ -131,12 +131,14 @@ def _derivative_floor(n: int, X: float, scale: float) -> float:
 
 def _kdvks_operator(n: int, delta: float, X: float) -> np.ndarray:
     """Collocated D2 + delta (D1 + D3): the linearization of the integrated
-    wave equation about T, less its diagonal T - sigma."""
-    D2 = fourier.diff_matrix(n, X, 2)
-    if delta == 0.0:
-        return D2
-    return D2 + delta * (fourier.diff_matrix(n, X, 1)
-                         + fourier.diff_matrix(n, X, 3))
+    wave equation about T, less its diagonal T - sigma.  A read-only
+    circulant view of the sum of the derivative columns, as
+    `fourier.diff_matrix` builds each D."""
+    e0 = np.eye(1, n)[0]
+    col = fourier.deriv(e0, X, 2)
+    if delta != 0.0:
+        col += delta * (fourier.deriv(e0, X, 1) + fourier.deriv(e0, X, 3))
+    return fourier.circulant(col)
 
 
 def _bordered(A: np.ndarray, W: np.ndarray, cols: np.ndarray,
@@ -259,9 +261,10 @@ def _kdvks_problem(delta: float, X: float) -> SpectralProblem:
 
 def kdvks_spectrum(delta: float, X: float) -> hill.SpectralCloud:
     """Bloch spectrum of the period-X wave on the classification's grid at
-    the checked scan's first N; the benchmark's tracer wraps it."""
+    the N its checked scan accepts; the benchmark's tracer wraps it."""
     problem = _kdvks_problem(delta, X)
-    return hill.spectrum(problem, hill._truncation_size(problem), _KDVKS_XI)
+    return hill.spectrum(problem, hill.checked_scan(problem, _KDVKS_XI, 0.0).N,
+                         _KDVKS_XI)
 
 
 def kdvks_scan(delta: float, X: float) -> hill.HillScan:

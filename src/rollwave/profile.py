@@ -653,7 +653,8 @@ def ham_orbit(h_minus: float, n: int = 512) -> HamOrbit:
     """Periodic orbit through the turning point h_minus in (0, 1).
 
     The invariant is mu = h - ln h + (h')^2 / 2; the conjugate turning point
-    h_plus > 1 solves h - ln h = mu by bisection, and the period
+    h_plus > 1 solves h - ln h = mu, so h_plus = -W_{-1}(-e^{-mu}) on the
+    lower branch of Lambert's W, and the period
 
         X_mu = sqrt(2) * int_{h-}^{h+} (mu - x + ln x)^{-1/2} dx
 
@@ -663,19 +664,8 @@ def ham_orbit(h_minus: float, n: int = 512) -> HamOrbit:
     if not 0.0 < h_minus < 1.0:
         raise DomainError(f"turning point must lie in (0, 1), got {h_minus}")
     mu = h_minus - np.log(h_minus)
-    # h - ln h decreases on (0,1), increases on (1,inf); find the right root.
-    lo, hi = 1.0, 2.0
-    while hi - np.log(hi) < mu:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - np.log(mid) < mu:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, mid):
-            break
-    h_plus = 0.5 * (lo + hi)
+    from scipy.special import lambertw
+    h_plus = float(-lambertw(-np.exp(-mu), -1).real)
 
     nodes, weights = np.polynomial.legendre.leggauss(120)
     t = 0.25 * np.pi * (nodes + 1.0)

@@ -91,48 +91,58 @@ def test_ham_limit_matches_the_pencil(h_minus, xi):
     assert np.all(d.min(axis=0) <= 1e-10 * np.maximum(np.abs(want), 1.0))
 
 
-def test_first_unstable_excludes_origin_ball(constant_state):
+def test_checked_scan_excludes_origin_ball(constant_state, hill_solves):
+    # the constant state's growing modes all lie in |lambda| < 0.2: a scan
+    # that leaves out |lambda| <= 0.5 finds none, so it solves every row
+    # spectrum solves, then the check row
     sp = linearize.bloch_coeffs(constant_state)
-    big, solves, _ = hill.first_unstable(sp, 8, 4, 1e3, np.inf)
-    assert big <= 0.0
-    assert solves == hill.spectrum(sp, N=8, n_xi=4).eigensolves
+    assert hill.checked_scan(sp, 4, 0.0).unstable
+    hill_solves.clear()
+    scan = hill.checked_scan(sp, 4, 0.5)
+    assert scan.reason is None and scan.mu <= 0.0
+    assert scan.solves == len(hill_solves) == 3
+    hill_solves.clear()
+    cloud = hill.spectrum(sp, scan.N, n_xi=4)
+    assert scan.solves == len(hill_solves) + 1
+    assert scan.mu == max(hill._max_real(evs, 0.5) for evs in cloud.eigs)
 
 
-def test_first_unstable_stops_at_the_first_row_above_tol(constant_state,
-                                                        hill_solves):
-    # rows in spectrum's order: k = 0 (xi = -pi/X), then xi > 0 ascending;
-    # tol sits between the first two, so the scan stops after row 1
-    sp = linearize.bloch_coeffs(constant_state)
-    N, n_xi = 6, 16
+def test_checked_scan_stops_at_the_first_unstable_row(hill_solves):
+    # lambda z = z'' + z / 10 on a 2 pi period: Re lambda = 1/10 - (xi + l)^2,
+    # so row k = 0 (xi = -1/2) is stable and the first xi > 0 row (xi =
+    # 1/16) unstable; the scan stops there and re-solves that row at 3N/2
+    terms = {(0, 0): [(2, 1.0), (0, 0.1)]}
+    sp = SpectralProblem(kind="test", period=2.0 * np.pi, terms=terms)
+    N, n_xi = hill._N_FLOOR, 16
     grid = hill.default_xi_grid(sp.period, n_xi)
     rows = [float(np.max(hill.eigenvalues(sp, N, x).real))
             for x in [grid[0], *grid[grid > 0]]]
-    tol = 0.5 * (rows[0] + rows[1])
-    assert rows[0] < tol < rows[1]
+    assert rows[0] < 0.0 < hill._GROWTH_TOL < rows[1]
     hill_solves.clear()
-    mu, solves, xi = hill.first_unstable(sp, N, n_xi, 0.0, tol)
-    assert solves == len(hill_solves) == 2
-    assert mu == rows[1]
-    assert xi == hill_solves[-1] == grid[grid > 0][0]
+    scan = hill.checked_scan(sp, n_xi, 0.0)
+    assert (scan.N, scan.solves, scan.reason) == (N, 3, None)
+    assert hill_solves == [grid[0], grid[grid > 0][0], grid[grid > 0][0]]
+    assert scan.mu == rows[1] == scan.check
 
 
-def test_first_unstable_scans_every_row_of_a_stable_problem(hill_solves):
+def test_checked_scan_scans_every_row_of_a_stable_problem(hill_solves):
     # lambda z = z'' + z' - z: Re lambda = -(xi + 2 pi l / X)^2 - 1 < 0, so
     # nothing stops the scan and it matches the mirrored full spectrum
     terms = {(0, 0): [(2, 1.0), (1, 1.0), (0, -1.0)]}
     sp = SpectralProblem(kind="test", period=3.0, terms=terms)
-    cloud = hill.spectrum(sp, 8, n_xi=12)
+    cloud = hill.spectrum(sp, hill._N_FLOOR, n_xi=12)
     for r0 in (0.0, 1.5):
         hill_solves.clear()
-        mu, solves, xi = hill.first_unstable(sp, 8, 12, r0, 1e-7)
-        assert solves == len(hill_solves) == cloud.eigensolves == 6
-        assert mu == max(hill._max_real(evs, r0) for evs in cloud.eigs) \
+        scan = hill.checked_scan(sp, 12, r0)
+        assert scan.N == cloud.N
+        assert scan.solves == len(hill_solves) == 6 + 1
+        assert scan.mu == max(hill._max_real(evs, r0) for evs in cloud.eigs) \
             < -1.0
-        assert hill.first_unstable(sp, 8, 12, r0, np.inf)[0] == mu
-        # xi is the first solved row that attains mu
-        rows = [hill._max_real(hill.eigenvalues(sp, 8, x), r0)
-                for x in list(hill_solves)]
-        assert xi == hill_solves[rows.index(mu)]
+        # the check re-solves the first scanned row that attains mu
+        *scanned, checked = hill_solves
+        rows = [hill._max_real(hill.eigenvalues(sp, scan.N, x), r0)
+                for x in scanned]
+        assert checked == scanned[rows.index(scan.mu)]
 
 
 def _set_distance(a, b):
@@ -146,16 +156,17 @@ def test_spectrum_solves_half_the_grid(constant_state, hill_solves, n_xi):
     # xi > 0 and -pi/X are solved; each xi < 0 row mirrors its partner
     sp = linearize.bloch_coeffs(constant_state)
     cloud = hill.spectrum(sp, N=6, n_xi=n_xi)
-    assert len(hill_solves) == 4 == cloud.eigensolves
+    assert len(hill_solves) == 4
     assert np.array_equal(cloud.xi, hill.default_xi_grid(sp.period, n_xi))
     assert len(cloud.eigs) == len(cloud.xi)
 
 
-def _check_mirrored_rows(problem, N, n_xi):
+def _check_mirrored_rows(problem, N, n_xi, hill_solves):
+    hill_solves.clear()
     cloud = hill.spectrum(problem, N, n_xi=n_xi)
     mirrored = [(x, evs) for x, evs in zip(cloud.xi, cloud.eigs)
                 if -np.pi / problem.period < x < 0.0]
-    assert len(mirrored) == len(cloud.xi) - cloud.eigensolves > 0
+    assert len(mirrored) == len(cloud.xi) - len(hill_solves) > 0
     for x, evs in mirrored:
         want = hill.eigenvalues(problem, N, x)
         assert len(evs) == len(want)
@@ -163,21 +174,23 @@ def _check_mirrored_rows(problem, N, n_xi):
         assert _set_distance(evs, want) < 1e-10
 
 
-def test_mirrored_rows_match_direct_solves(fig1c_wave):
-    _check_mirrored_rows(linearize.bloch_coeffs(fig1c_wave), 24, 8)
+def test_mirrored_rows_match_direct_solves(fig1c_wave, hill_solves):
+    _check_mirrored_rows(linearize.bloch_coeffs(fig1c_wave), 24, 8,
+                         hill_solves)
 
 
-def test_mirrored_rows_match_direct_solves_ham_pencil():
+def test_mirrored_rows_match_direct_solves_ham_pencil(hill_solves):
     orbit = prof.ham_orbit(0.5, n=256)
-    _check_mirrored_rows(linearize.ham_limit_operator(orbit), 16, 7)
+    _check_mirrored_rows(linearize.ham_limit_operator(orbit), 16, 7,
+                         hill_solves)
 
 
-def test_mirrored_rows_are_resorted():
+def test_mirrored_rows_are_resorted(hill_solves):
     # pure advection: every eigenvalue i (xi + 2 pi l / X) ties in real
     # part, so the conjugates keep the sort key only when re-sorted
     terms = {(0, 0): [(1, 1.0)]}
     _check_mirrored_rows(SpectralProblem(kind="test", period=2.0 * np.pi,
-                                         terms=terms), 5, 8)
+                                         terms=terms), 5, 8, hill_solves)
 
 
 def test_spectrum_rejects_complex_coefficient():
@@ -186,6 +199,8 @@ def test_spectrum_rejects_complex_coefficient():
     sp = SpectralProblem(kind="test", period=2.0 * np.pi, terms=terms)
     with pytest.raises(DomainError):
         hill.spectrum(sp, N=4, n_xi=4)
+    with pytest.raises(DomainError):
+        hill.checked_scan(sp, 4, 0.0)
 
 
 @pytest.mark.parametrize("order", [-1, 0, 1, 2])

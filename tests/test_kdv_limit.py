@@ -207,6 +207,23 @@ def test_kdvks_stable_band_midpoint(hill_solves):
     assert len(hill_solves) == 3
 
 
+def test_kdvks_rescan_reuses_the_truncation_its_check_built(monkeypatch):
+    # at X = 17 the first N = 16 fails its check at 24, and the rescan at
+    # 24 is accepted by its check at 36: one truncation per N
+    built = []
+    direct = hill.truncate
+
+    def counting(problem, N):
+        if not isinstance(problem, hill.Truncation):
+            built.append(N)
+        return direct(problem, N)
+
+    problem = kdv_limit._kdvks_problem(0.05, 17.0)
+    monkeypatch.setattr(hill, "truncate", counting)
+    assert hill.checked_scan(problem, kdv_limit._KDVKS_XI, 0.0).N == 24
+    assert built == [16, 24, 36]
+
+
 def test_kdvks_scan_accepts_a_growth_rate_at_the_noise_floor():
     # at X = 24 the first N = 20 reads a spurious 7.4e-6 on its first row,
     # which the check at N = 30 corrects; at N = 30 the stable mu is the

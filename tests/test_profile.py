@@ -842,6 +842,16 @@ def test_ham_orbit_energy_invariant():
         orbit.mu, abs=1e-12)
 
 
+@pytest.mark.parametrize("h_minus, X_mu", [(0.3, 6.5494734812757391),
+                                           (0.5, 6.3847035731752484),
+                                           (0.7, 6.3128947647054551)])
+def test_ham_orbit_period(h_minus, X_mu):
+    # frozen 40-digit quadratures of sqrt(2) int (mu - x + ln x)^(-1/2) dx
+    # over [h_minus, h_plus]
+    orbit = prof.ham_orbit(h_minus, n=64)
+    assert orbit.X_mu == pytest.approx(X_mu, rel=1e-11)
+
+
 def test_ham_orbit_domain():
     with pytest.raises(DomainError):
         prof.ham_orbit(1.5)

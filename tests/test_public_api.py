@@ -82,8 +82,6 @@ def test_every_public_name_has_a_reader_outside_the_tests():
 PRIVATE_READS = {
     ("kdv_limit", "_newton_solve"): "the one Newton solver solves the "
                                     "KdV-KS wave too",
-    ("kdv_limit", "_truncation_size"): "kdvks_spectrum draws the spectrum at "
-                                       "the checked scan's first N",
     ("sweep", "_limit_table"): "it holds the limit waves that one map "
                                "shares",
 }
